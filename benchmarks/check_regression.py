@@ -42,10 +42,6 @@ WATCHED_FIELDS: Dict[str, List[str]] = {
     "functional": ["speedup_vs_scalar", "vectorized_windows_per_s"],
     "mapping": ["candidates_per_second"],
     "parallel": [],
-    # speedups depend on whether the runner leg has numba installed, and the
-    # absolute throughputs on its core count — machine-dependent like
-    # "parallel", so the record is tracked but not gated
-    "kernels": [],
     # overhead percentages and recovery latencies are wall-clock deltas on
     # a shared runner — pure machine noise between machines; the benchmark
     # asserts its own bit-identity and (in timing mode) the 5% overhead

@@ -1,13 +1,8 @@
 """Setuptools packaging for the Chain-NN reproduction library.
 
-The library itself needs only NumPy; the compiled kernel backend
-(:mod:`repro.kernels`) is an optional extra::
+The library itself needs only NumPy::
 
-    pip install -e .            # numpy reference kernels only
-    pip install -e .[numba]     # + the JIT-compiled kernel backend
-
-Every numba import in the library is guarded, so installations without the
-extra run the bit-identical NumPy reference backend.
+    pip install -e .
 """
 
 import re
@@ -30,7 +25,6 @@ setup(
     python_requires=">=3.10",
     install_requires=["numpy"],
     extras_require={
-        "numba": ["numba>=0.57"],
         "test": ["pytest", "pytest-benchmark", "hypothesis"],
     },
     entry_points={

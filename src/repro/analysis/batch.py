@@ -46,7 +46,7 @@ from repro.energy.components import EnergyParams, GateCountParams
 from repro.energy.power import chain_power_w, memory_power_w
 from repro.errors import ConfigurationError
 from repro.hwmodel.clock import ClockDomain
-from repro.kernels import MappingCostParams, get_backend, resolve_backend_name
+from repro.kernels import MappingCostParams, get_backend
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
@@ -499,9 +499,8 @@ class BatchDesignEvaluator:
         constants.tiles_by_bits[bits] = (tile.th, tile.stripe_rows, stripes)
         return constants.tiles_by_bits[bits]
 
-    def mapping_evaluator(self, layer_index: int, batch: int,
-                          kernel_backend: Optional[str] = None,
-                          ) -> "MappingBatchEvaluator":
+    def mapping_evaluator(self, layer_index: int,
+                          batch: int) -> "MappingBatchEvaluator":
         """Columnar *mapping-candidate* evaluator for one layer of the network.
 
         The mapping-search subsystem (:mod:`repro.mapping`) scores its
@@ -513,7 +512,6 @@ class BatchDesignEvaluator:
             config=self.base,
             batch=batch,
             energy=self.energy,
-            kernel_backend=kernel_backend,
         )
 
     # ------------------------------------------------------------------ #
@@ -661,23 +659,20 @@ class MappingBatchEvaluator:
     term); DRAM spill/reload traffic is charged at ``dram_byte_j``.
 
     The arithmetic itself lives in :mod:`repro.kernels`
-    (:func:`repro.kernels.numpy_backend.score_mappings` is the reference
-    specification; the numba backend is its bit-identical compiled form);
-    ``kernel_backend`` selects the implementation, ``None`` meaning the
-    process default.  Scores *and* argmins are identical across backends,
-    so the search results never depend on the selection.
+    (:func:`repro.kernels.numpy_backend.score_mappings` and its Winograd
+    twin), fetched through the module-level :func:`~repro.kernels.get_backend`
+    on every :meth:`evaluate` call.
     """
 
     def __init__(self, layer, config: Optional[ChainConfig] = None,
-                 batch: int = 1, energy: Optional[EnergyParams] = None,
-                 kernel_backend: Optional[str] = None) -> None:
+                 batch: int = 1,
+                 energy: Optional[EnergyParams] = None) -> None:
         if batch < 1:
             raise ConfigurationError(f"batch must be >= 1, got {batch}")
         self.layer = layer
         self.config = config or ChainConfig()
         self.batch = int(batch)
         self.energy = energy or EnergyParams()
-        self.kernel_backend = resolve_backend_name(kernel_backend)
         k = layer.kernel_size
         self.kernel_area = k * k
         if self.kernel_area > self.config.num_pes:
@@ -734,7 +729,7 @@ class MappingBatchEvaluator:
         :meth:`repro.core.mapper.LayerMapper.map_layer_with` /
         :class:`repro.mapping.LayerMapSpace` to validate candidates).
         """
-        backend = get_backend(self.kernel_backend)
+        backend = get_backend()
         primitives = np.asarray(primitives, dtype=np.int64)
         _M_CANDIDATES_SCORED.inc(primitives.shape[0] if primitives.ndim else 1)
         stripe_height = np.asarray(stripe_height, dtype=np.int64)

@@ -467,77 +467,6 @@ def fault_tolerance_section(bench_path: str | Path = "BENCH_faults.json") -> str
     return "\n".join(lines)
 
 
-def compiled_kernels_section(bench_path: str | Path = "BENCH_kernels.json") -> str:
-    """The compiled-kernels chapter of EXPERIMENTS.md.
-
-    Documents the pluggable ``repro.kernels`` backend layer and quotes the
-    measured numpy-vs-numba numbers from ``BENCH_kernels.json`` when the
-    benchmark has been run (``repro bench kernels``).
-    """
-    lines = [
-        "## Compiled kernels",
-        "",
-        "The two hottest inner loops — the functional simulator's ofmap",
-        "block product and the mapping-candidate scorer — dispatch through",
-        "the pluggable `repro.kernels` registry: a `numpy` reference backend",
-        "and a `numba` JIT backend that reproduces NumPy's pairwise",
-        "summation order, so the backends are **bit-identical** (held by",
-        "`tests/test_kernels.py` in the CI equivalence gate) and the",
-        "selection (`--kernel-backend`, `$REPRO_KERNEL_BACKEND`, or",
-        "autodetection) only changes wall-clock time:",
-        "",
-        "```text",
-        "repro --kernel-backend numba verify --sim functional --network vgg16",
-        "repro bench kernels --timing",
-        "```",
-        "",
-    ]
-    bench_path = Path(bench_path)
-    bench = None
-    if bench_path.is_file():
-        try:
-            bench = json.loads(bench_path.read_text(encoding="utf-8"))
-        except ValueError:
-            bench = None
-    if bench and "ofmap_numpy_seconds" in bench:
-        backends = ", ".join(bench.get("backends_available", []) or ["numpy"])
-        lines += [
-            f"Measured (`BENCH_kernels.json`, backends available: {backends};"
-            f" numba {bench.get('numba_version') or 'not installed'}):",
-            "",
-            "| kernel | numpy seconds | numba seconds | speedup |",
-            "| --- | --- | --- | --- |",
-        ]
-        for prefix, label in (("ofmap", f"ofmap block product "
-                                        f"(`{bench.get('ofmap_layer', '?')}`)"),
-                              ("scorer", f"candidate scorer "
-                                         f"({bench.get('scorer_candidates', 0):,}"
-                                         f" candidates)")):
-            numpy_s = bench.get(f"{prefix}_numpy_seconds")
-            numba_s = bench.get(f"{prefix}_numba_seconds")
-            speedup = bench.get(f"{prefix}_speedup_numba_vs_numpy")
-            lines.append(
-                f"| {label} | "
-                f"{numpy_s:.3f} | "
-                + (f"{numba_s:.3f} | {speedup:.1f}x |" if numba_s
-                   else "— | — (numba not installed) |")
-            )
-        lines += [
-            "",
-            "Without numba the registry serves the reference backend (with a",
-            "one-line warning when numba was explicitly requested), so the",
-            "speedup column only appears on numba-equipped runners; the",
-            "timing-mode floors are 5x (ofmap) and 3x (scorer).",
-        ]
-    else:
-        lines += [
-            "Measured speedups: run `repro bench kernels` to populate",
-            "`BENCH_kernels.json` (the numbers quoted here are regenerated",
-            "from it).",
-        ]
-    return "\n".join(lines)
-
-
 def winograd_execution_section(bench_path: str | Path = "BENCH_winograd.json") -> str:
     """The Winograd-execution chapter of EXPERIMENTS.md.
 
@@ -565,8 +494,8 @@ def winograd_execution_section(bench_path: str | Path = "BENCH_winograd.json") -
         "repro networks --json   # per-layer eligibility + MAC coverage",
         "```",
         "",
-        "The functional Winograd backend is bit-identical across kernel",
-        "backends and block partitions, and matches the im2col golden",
+        "The functional Winograd backend is bit-identical across block",
+        "partitions, and matches the im2col golden",
         "reference within `1e-6` relative to the accumulator scale",
         "(`tests/test_winograd.py` in the CI equivalence gate).  The cost",
         "model charges the 16/9 kMemory inflation of transformed filters,",
@@ -656,7 +585,7 @@ def observability_section(bench_path: str | Path = "BENCH_obs.json") -> str:
         "dumps the always-on metrics registry — cache hits/misses/",
         "evictions/lock waits, sweep points, mapping candidates",
         "enumerated/pruned/scored, supervisor retries/respawns/deadline",
-        "kills, kernel backend dispatches — and `sweep`/`map` print a",
+        "kills — and `sweep`/`map` print a",
         "one-line stats footer from the same registry even untraced:",
         "",
         "```text",
@@ -790,7 +719,6 @@ def render_experiments_md(report: Optional[ReproductionReport] = None,
                           functional_bench_path: str | Path = "BENCH_functional.json",
                           mapping_bench_path: str | Path = "BENCH_mapping.json",
                           parallel_bench_path: str | Path = "BENCH_parallel.json",
-                          kernels_bench_path: str | Path = "BENCH_kernels.json",
                           faults_bench_path: str | Path = "BENCH_faults.json",
                           winograd_bench_path: str | Path = "BENCH_winograd.json",
                           obs_bench_path: str | Path = "BENCH_obs.json",
@@ -838,8 +766,6 @@ def render_experiments_md(report: Optional[ReproductionReport] = None,
         "\n"
         f"{fault_tolerance_section(faults_bench_path)}\n"
         "\n"
-        f"{compiled_kernels_section(kernels_bench_path)}\n"
-        "\n"
         f"{winograd_execution_section(winograd_bench_path)}\n"
         "\n"
         f"{observability_section(obs_bench_path)}\n"
@@ -866,7 +792,6 @@ def write_experiments_md(path: str | Path = "EXPERIMENTS.md",
             functional_bench_path=root / "BENCH_functional.json",
             mapping_bench_path=root / "BENCH_mapping.json",
             parallel_bench_path=root / "BENCH_parallel.json",
-            kernels_bench_path=root / "BENCH_kernels.json",
             faults_bench_path=root / "BENCH_faults.json",
             winograd_bench_path=root / "BENCH_winograd.json",
             obs_bench_path=root / "BENCH_obs.json",

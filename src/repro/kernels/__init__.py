@@ -1,43 +1,22 @@
-"""Pluggable compiled-kernel backends for the hottest inner loops.
+"""The hottest inner loops, as NumPy kernels.
 
-``repro.kernels`` hosts named implementations of the functional
-simulator's ofmap block product, the mapping-candidate scorer, and their
-Winograd F(2x2,3x3) counterparts (``winograd_group_conv``,
-``score_mappings_winograd``): the ``numpy`` reference (the specification)
-and a ``numba`` JIT backend with graceful fallback when numba is not
-installed.  The direct kernels are bit-identical to NumPy's pairwise
-reduction order; the Winograd kernels are bit-identical *to each other*
-across backends and block partitions, and tolerance-checked against the
-im2col golden (the transforms reassociate the reduction).  See
-:mod:`repro.kernels.registry` for the selection precedence
-(explicit argument > ``--kernel-backend`` CLI override >
-``REPRO_KERNEL_BACKEND`` environment variable > autodetection).
+``repro.kernels`` holds the functional simulator's ofmap block product,
+the mapping-candidate scorer, and their Winograd F(2x2,3x3) counterparts
+(``winograd_group_conv``, ``score_mappings_winograd``) in
+:mod:`repro.kernels.numpy_backend`.  The direct ofmap kernel is
+bit-identical to the scalar per-window walk; the Winograd kernel is
+bit-identical across ofmap block partitions and tolerance-checked against
+the im2col golden (the transforms reassociate the reduction).  Consumers
+fetch the kernels through :func:`get_backend` (see
+:mod:`repro.kernels.registry`).
 """
 
-from repro.kernels.registry import (
-    KERNEL_BACKEND_ENV,
-    KNOWN_BACKENDS,
-    KernelBackend,
-    MappingCostParams,
-    available_backends,
-    backend_fingerprint,
-    get_backend,
-    numba_version,
-    resolve_backend_name,
-    set_default_backend,
-    warmup,
-)
+from repro.kernels.numpy_backend import MappingCostParams
+from repro.kernels.registry import KernelBackend, get_backend, resolve_backend_name
 
 __all__ = [
-    "KERNEL_BACKEND_ENV",
-    "KNOWN_BACKENDS",
     "KernelBackend",
     "MappingCostParams",
-    "available_backends",
-    "backend_fingerprint",
     "get_backend",
-    "numba_version",
     "resolve_backend_name",
-    "set_default_backend",
-    "warmup",
 ]

@@ -1,67 +1,57 @@
-"""NumPy reference implementations of the hot kernels.
+"""The hot kernels: ofmap block product, Winograd tile conv and scorers.
 
-This backend *is* the specification: every other backend must reproduce its
-float64 results bit-for-bit.  The code here is the inner arithmetic that
-previously lived inline in :mod:`repro.sim.functional_vectorized` and
-:class:`repro.analysis.batch.MappingBatchEvaluator`, moved behind the
-:mod:`repro.kernels` registry unchanged.
-
-**The reduction-order contract.**  Bit-identity between the vectorized
-ofmap path, the scalar per-window walk and any compiled backend hinges on
-one NumPy implementation detail: ``np.sum`` over a contiguous float64 axis
-of length ``n`` uses *pairwise summation* with an unrolled base case.  The
-exact order, which :func:`pairwise_sum_reference` transcribes (and
-``tests/test_kernels.py`` pins against ``np.sum`` for every ``n`` up to
-128):
-
-* ``n < 8`` — a sequential left-to-right sum starting from ``0.0``;
-* ``8 <= n <= 128`` — eight running accumulators seeded from the first
-  eight elements, advanced eight-at-a-time over the unrolled body, combined
-  as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then a sequential tail;
-* ``n > 128`` — recursive halving (the split point rounded down to a
-  multiple of 8).
-
-The kernel axes are merged before the reduction (``reshape(..., K*K)``)
-precisely so the reduction runs over the same ``K^2`` contiguous elements
-in this order as the scalar ``np.sum(window * kernel)``.
+The inner arithmetic of :mod:`repro.sim.functional_vectorized`,
+:mod:`repro.sim.winograd` and
+:class:`repro.analysis.batch.MappingBatchEvaluator`, which fetch these
+functions through :func:`repro.kernels.get_backend`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np
 
-from repro.kernels.registry import MappingCostParams
 
+@dataclass(frozen=True)
+class MappingCostParams:
+    """Layer/hardware constants of one mapping-candidate scoring problem.
 
-def pairwise_sum_reference(values: np.ndarray) -> float:
-    """Pure-Python transcription of NumPy's pairwise float64 sum order.
-
-    Bit-identical to ``float(np.sum(values))`` for contiguous 1D float64
-    input — the order specification the compiled backends implement.
+    Everything :meth:`repro.analysis.batch.MappingBatchEvaluator.evaluate`
+    needs besides the candidate columns themselves, flattened to plain
+    scalars so :func:`score_mappings` and :func:`score_mappings_winograd`
+    depend on nothing but this record and the columns.
     """
-    n = values.shape[0]
-    if n < 8:
-        result = 0.0
-        for i in range(n):
-            result = result + values[i]
-        return result
-    if n <= 128:
-        r = [float(values[i]) for i in range(8)]
-        i = 8
-        while i < n - (n % 8):
-            for j in range(8):
-                r[j] = r[j] + values[i + j]
-            i += 8
-        result = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        while i < n:
-            result = result + values[i]
-            i += 1
-        return result
-    half = n // 2
-    half -= half % 8
-    return pairwise_sum_reference(values[:half]) + pairwise_sum_reference(values[half:])
+
+    kernel_area: int
+    channel_pairs: int
+    per_stripe_cycles: int
+    out_height: int
+    weight_count: int
+    batch: int
+    ofmap_words: int
+    stride: int
+    kernel_size: int
+    padded_width: int
+    in_channels_per_group: int
+    frequency_hz: float
+    word_bytes: int
+    pe_cycle_j: float
+    static_fraction: float
+    kmemory_access_j: float
+    imemory_access_j: float
+    omemory_access_j: float
+    dram_byte_j: float
+    # ---- Winograd F(2x2,3x3) extension (see repro.analysis.winograd) --- #
+    # zero/identity defaults mean "layer not eligible"; the batch evaluator
+    # fills them via winograd_cost_fields() and only dispatches
+    # score_mappings_winograd when they are set
+    wino_tiles_h: int = 0
+    wino_tiles_w: int = 0
+    wino_weight_count: int = 0
+    wino_ext_width: int = 0
+    wino_pe_energy_factor: float = 1.0
 
 
 def ofmap_block_product(plane_windows: np.ndarray, kernels: np.ndarray,
@@ -73,16 +63,16 @@ def ofmap_block_product(plane_windows: np.ndarray, kernels: np.ndarray,
     kernels of the ofmap block, ``out_block`` the ``(Mb, out_h, out_w)``
     float64 ofmap slice to accumulate into (``+=``).
 
-    One broadcasted multiply followed by a merged-kernel-axis reduction:
-    the product is contiguous, so the ``axis=-1`` sum runs over the same
-    ``K^2`` contiguous elements with the same pairwise order NumPy uses for
-    the scalar per-window ``np.sum(window * kernel)``.
+    One broadcasted multiply followed by a reduction over the merged
+    ``K*K`` axis: summing the contiguous ``K^2`` products along one axis
+    reduces them in the same order as the scalar walk's per-window
+    ``np.sum(window * kernel)``, so the ofmaps stay bit-identical to it
+    (summing over ``axis=(-2, -1)`` reassociates the additions).
     """
     m_count, out_h, out_w = out_block.shape
     k = kernels.shape[-1]
     # contiguous (Mb, out_h, out_w, K, K) product; merging the kernel axes
-    # before the sum keeps NumPy's pairwise reduction order identical to
-    # the scalar per-window np.sum
+    # before the sum keeps the reduction order of the scalar per-window np.sum
     product = plane_windows[None] * kernels[:, None, None]
     sums = np.sum(product.reshape(m_count, out_h, out_w, k * k), axis=-1)
     # release the block product before the caller's next block allocates:
@@ -102,14 +92,13 @@ def winograd_group_conv(ext: np.ndarray, u: np.ndarray,
     ``(Mb, out_h, out_w)`` float64 ofmap block, **assigned** (not
     accumulated).
 
-    Unlike the direct kernels, the Winograd backends are not bit-identical
-    to the im2col golden — the transforms reassociate the 3x3 reduction —
-    but the numpy and numba implementations *are* bit-identical to each
-    other: the input transform is explicit adds, the transform-domain
-    accumulation runs over input channels in ascending order element by
-    element, and the inverse transform uses the same association, so any
-    partition of the ofmap block (serial, parallel workers, either backend)
-    produces the same bits.
+    Unlike the direct kernel, this one is not bit-identical to the im2col
+    golden — the transforms reassociate the 3x3 reduction — but it is
+    deterministic per ofmap channel: the input transform is explicit adds,
+    the transform-domain accumulation runs over input channels in ascending
+    order element by element, and the inverse transform uses a fixed
+    association, so any partition of the ofmap block (serial or parallel
+    workers) produces the same bits.
     """
     cg = ext.shape[0]
     mb, out_h, out_w = out_block.shape
@@ -120,8 +109,7 @@ def winograd_group_conv(ext: np.ndarray, u: np.ndarray,
     d = np.lib.stride_tricks.sliding_window_view(
         ext, (4, 4), axis=(1, 2))[:, ::2, ::2]
     # input transform B^T d B — B has entries in {0, +-1}, so the transform
-    # is pure adds; rows first, then columns, association fixed for the
-    # cross-backend bit-identity contract
+    # is pure adds; rows first, then columns
     n = np.empty((cg, th, tw, 4, 4), dtype=np.float64)
     n[..., 0, :] = d[..., 0, :] - d[..., 2, :]
     n[..., 1, :] = d[..., 1, :] + d[..., 2, :]
@@ -136,7 +124,7 @@ def winograd_group_conv(ext: np.ndarray, u: np.ndarray,
     u2 = np.ascontiguousarray(u, dtype=np.float64).reshape(mb, cg, 16)
     # transform-domain Hadamard product, accumulated over input channels in
     # ascending order (one rounded multiply + one rounded add per element
-    # per channel — the order every backend and block partition reproduces)
+    # per channel — the order every block partition reproduces)
     m = np.zeros((mb, tiles, 16), dtype=np.float64)
     for ci in range(cg):
         m += u2[:, ci, :][:, None, :] * v2[ci]

@@ -465,12 +465,6 @@ class LazyRuntime:
         if runtime is not None:
             if self.policy is not None and hasattr(runtime, "policy"):
                 runtime.policy = self.policy
-            # pre-warm the kernel backend once per worker, so JIT compilation
-            # (numba backend) never lands inside a timed or per-layer task
-            from repro.kernels import resolve_backend_name
-
-            runtime.broadcast("kernels.configure",
-                              {"backend": resolve_backend_name()})
         return runtime
 
     def close(self) -> None:

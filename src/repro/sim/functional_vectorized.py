@@ -27,17 +27,14 @@ operations:
   :class:`~repro.sim.functional.FunctionalRunStats` counter is a per-pair
   constant (closed form over the stripe plan) multiplied by the number of
   channel pairs.
-* **Kernels.**  The per-block multiply/reduce/accumulate itself dispatches
-  through :mod:`repro.kernels`, so the same decomposition runs on the NumPy
-  reference backend or the compiled (numba) backend — bit-identically, the
-  compiled kernel reproducing the pairwise reduction order in its fused
-  loop.
+* **Kernels.**  The per-block multiply/reduce/accumulate itself is
+  :func:`repro.kernels.numpy_backend.ofmap_block_product`, fetched through
+  the module-level :func:`~repro.kernels.get_backend` on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -122,26 +119,22 @@ def stride_keep_mask(layer: ConvLayer) -> np.ndarray:
 
 
 def vectorized_layer_ofmaps(layer: ConvLayer, padded: np.ndarray,
-                            weights: np.ndarray,
-                            kernel_backend: Optional[str] = None) -> np.ndarray:
+                            weights: np.ndarray) -> np.ndarray:
     """Float64 ofmaps of the whole layer, bit-identical to the scalar path.
 
     ``padded`` is the zero-padded ``(C, Hp, Wp)`` float64 input, ``weights``
     the ``(M, C/groups, K, K)`` float64 kernels.  Ofmap blocks are sized so
     the broadcasted product stays within :data:`_PRODUCT_BLOCK_BYTES`.
-    ``kernel_backend`` selects the :mod:`repro.kernels` backend (``None`` =
-    the process default).
     """
     ofmaps = np.zeros(layer.out_shape, dtype=np.float64)
     vectorized_ofmap_block(layer, padded, weights, 0, layer.out_channels,
-                           out=ofmaps, kernel_backend=kernel_backend)
+                           out=ofmaps)
     return ofmaps
 
 
 def vectorized_ofmap_block(layer: ConvLayer, padded: np.ndarray,
                            weights: np.ndarray, m_start: int, m_stop: int,
-                           out: np.ndarray,
-                           kernel_backend: Optional[str] = None) -> None:
+                           out: np.ndarray) -> None:
     """Compute ofmap channels ``[m_start, m_stop)`` into ``out``.
 
     Every ofmap channel is an independent broadcast-multiply / merged-axis
@@ -150,11 +143,9 @@ def vectorized_ofmap_block(layer: ConvLayer, padded: np.ndarray,
     produces values bit-identical to the whole-layer computation.  ``out``
     must be the full ``layer.out_shape`` float64 tensor (a shared-memory
     assembly buffer in the parallel path); only ``[m_start, m_stop)`` planes
-    are written.  The inner multiply/reduce/accumulate runs on the
-    ``kernel_backend`` :mod:`repro.kernels` backend — every backend is
-    bit-identical, so the choice never changes the result.
+    are written.
     """
-    backend = get_backend(kernel_backend)
+    backend = get_backend()
     k = layer.kernel_size
     stride = layer.stride
     out_h = layer.out_height

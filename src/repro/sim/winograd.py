@@ -4,9 +4,9 @@ The transform-domain counterpart of :mod:`repro.cnn.reference`: each 4x4
 input tile ``d`` becomes ``V = B^T d B``, each 3x3 filter plane ``g``
 becomes the 4x4 plane ``U = G g G^T``, the per-tile product is the
 element-wise ``U (*) V`` accumulated over input channels, and the 2x2
-output tile is recovered as ``Y = A^T M A``.  The hot per-group kernel
-dispatches through :mod:`repro.kernels` (``winograd_group_conv``) so the
-numpy reference and the compiled numba backend share this decomposition.
+output tile is recovered as ``Y = A^T M A``.  The hot per-group kernel is
+:func:`repro.kernels.numpy_backend.winograd_group_conv`, fetched through the
+module-level :func:`~repro.kernels.get_backend` on every call.
 
 **Tolerance contract.**  The Winograd transforms reassociate the 3x3
 reduction, so results are *not* bit-identical to the im2col golden (or to
@@ -14,10 +14,9 @@ the direct dataflow); they agree to float64 round-off of the accumulator
 scale.  :func:`winograd_tolerance` is the documented bound —
 ``1e-6 * max(1, max|reference|)`` — used by every cross-check in tests,
 ``repro verify --algorithm winograd`` and searched-schedule verification.
-Within the Winograd path itself determinism is strict: the numpy and numba
-kernels are bit-identical to each other, and any partition of the ofmap
-channels (serial, ``--workers N``) produces the same bits, so the parallel
-runtime's bit-identity ladder still holds.
+Within the Winograd path itself determinism is strict: any partition of the
+ofmap channels (serial, ``--workers N``) produces the same bits, so the
+parallel runtime's bit-identity ladder still holds.
 """
 
 from __future__ import annotations
@@ -61,9 +60,9 @@ def winograd_tolerance(reference: np.ndarray) -> float:
 def transform_filters(weights: np.ndarray) -> np.ndarray:
     """``G g G^T`` for every 3x3 plane of ``weights`` (..., 3, 3) -> (..., 4, 4).
 
-    Computed once per layer in float64 and shared by every backend —
-    multiplications by G's 0.5 entries are exact (power-of-two scaling),
-    so the transformed planes are identical however they are consumed.
+    Computed once per layer in float64 — multiplications by G's 0.5
+    entries are exact (power-of-two scaling), so the transformed planes are
+    identical however they are consumed.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.shape[-2:] != (3, 3):
@@ -103,8 +102,7 @@ def _extend_group(padded_group: np.ndarray, rows_ext: int,
 
 def winograd_ofmap_block(layer: ConvLayer, padded: np.ndarray,
                          weights: np.ndarray, m_start: int, m_stop: int,
-                         out: np.ndarray,
-                         kernel_backend: Optional[str] = None) -> None:
+                         out: np.ndarray) -> None:
     """Compute ofmap channels ``[m_start, m_stop)`` via Winograd tiles.
 
     The Winograd counterpart of
@@ -119,7 +117,7 @@ def winograd_ofmap_block(layer: ConvLayer, padded: np.ndarray,
     tiles_h, tiles_w = winograd_tile_grid(layer)
     rows_ext = WINOGRAD_TILE_OUT * tiles_h + 2
     cols_ext = WINOGRAD_TILE_OUT * tiles_w + 2
-    backend = get_backend(kernel_backend)
+    backend = get_backend()
     in_per_group = layer.in_channels_per_group
     out_per_group = layer.out_channels_per_group
     for group in range(layer.groups):
@@ -135,8 +133,8 @@ def winograd_ofmap_block(layer: ConvLayer, padded: np.ndarray,
 
 
 def conv2d_winograd(layer: ConvLayer, ifmaps: np.ndarray,
-                    weights: np.ndarray, bias: Optional[np.ndarray] = None,
-                    kernel_backend: Optional[str] = None) -> np.ndarray:
+                    weights: np.ndarray,
+                    bias: Optional[np.ndarray] = None) -> np.ndarray:
     """Winograd F(2x2,3x3) formulation of the layer's convolution.
 
     Same signature and shapes as :func:`repro.cnn.reference.conv2d_im2col`
@@ -149,8 +147,7 @@ def conv2d_winograd(layer: ConvLayer, ifmaps: np.ndarray,
     padded = pad_input(np.asarray(ifmaps, dtype=np.float64), layer.padding)
     out = np.zeros((layer.out_channels, layer.out_height, layer.out_width),
                    dtype=np.float64)
-    winograd_ofmap_block(layer, padded, weights, 0, layer.out_channels, out,
-                         kernel_backend=kernel_backend)
+    winograd_ofmap_block(layer, padded, weights, 0, layer.out_channels, out)
     if bias is not None:
         out += np.asarray(bias, dtype=np.float64)[:, None, None]
     return out

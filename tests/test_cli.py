@@ -73,6 +73,16 @@ class TestCommands:
         assert main(["verify", "--sim", "functional"]) == 0
         out = capsys.readouterr().out
         assert "PASSED" in out and "[both]" in out
+        assert "golden only" not in out
+        # the scalar walk has no Winograd form: those stages are only
+        # checked against the im2col golden, and each line says so
+        assert main(["verify", "--sim", "functional",
+                     "--algorithm", "winograd"]) == 0
+        out = capsys.readouterr().out
+        assert "PASSED" in out and "[both]" in out
+        stages = [line for line in out.splitlines() if " conv  -> " in line]
+        assert stages and all(line.endswith(" wino (golden only)")
+                              for line in stages)
 
     def test_verify_functional_network(self, capsys):
         assert main(["verify", "--sim", "functional", "--network", "lenet5"]) == 0

@@ -143,20 +143,6 @@ class TestLazyRuntime:
         finally:
             owner.close()
 
-    def test_get_prewarms_kernel_backend_in_workers(self):
-        from repro.kernels import resolve_backend_name
-
-        owner = LazyRuntime(2)
-        pool = owner.get()  # broadcasts kernels.configure on creation
-        if pool is None:
-            pytest.skip("platform cannot provide process pools")
-        try:
-            results = pool.broadcast("kernels.configure", {"backend": None})
-            assert [entry["kernel_backend"] for entry in results] == \
-                [resolve_backend_name()] * 2
-        finally:
-            owner.close()
-
     def test_task_hint_caps_creation_then_grows(self):
         owner = LazyRuntime(3)
         pool = owner.get(task_hint=2)

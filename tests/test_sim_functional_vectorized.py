@@ -46,7 +46,7 @@ def _run_both(layer, seed=0):
 
 class TestScalarVectorizedEquivalence:
     @given(
-        kernel=st.sampled_from([1, 3, 5, 7, 11]),
+        kernel=st.sampled_from([1, 3, 5, 7, 11, 13]),
         stride=st.sampled_from([1, 2, 4]),
         pad=st.sampled_from([0, 1, 2]),
         groups=st.sampled_from([1, 2]),

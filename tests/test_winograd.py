@@ -169,7 +169,7 @@ class TestFunctionalBackend:
         expected = np.einsum("ij,mcjk,lk->mcil", g_matrix, weights, g_matrix)
         assert transformed.shape == weights.shape[:-2] + (4, 4)
         # association order differs from the einsum oracle, so the match is
-        # up to float64 round-off (the library's own cross-backend identity
+        # up to float64 round-off (the library's own partition identity
         # only requires the one transform_filters result to be shared)
         np.testing.assert_allclose(transformed, expected, rtol=0, atol=1e-15)
 
@@ -231,18 +231,6 @@ class TestFunctionalBackend:
                                          int(m_start), int(m_stop),
                                          out=assembled)
                 assert np.array_equal(whole, assembled)
-
-    def test_kernel_backends_are_bit_identical(self, generator):
-        from repro.kernels import resolve_backend_name
-
-        layer = _eligible_layer(in_channels=6, out_channels=8, in_height=17,
-                                in_width=15)
-        ifmaps, weights = generator.layer_pair(layer)
-        reference = conv2d_winograd(layer, ifmaps, weights,
-                                    kernel_backend="numpy")
-        default = conv2d_winograd(layer, ifmaps, weights,
-                                  kernel_backend=resolve_backend_name(None))
-        assert np.array_equal(reference, default)
 
     def test_ineligible_layer_is_rejected(self, generator):
         strided = ConvLayer("s2", in_channels=3, out_channels=4, in_height=13,
