@@ -39,7 +39,7 @@ from repro.engine.executor import SweepExecutor
 from repro.mapping import ScheduleOptimizer
 from repro.obs import trace as obs_trace
 from repro.obs.export import export_trace, validate_chrome_trace
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, Counter
 from repro.runtime import FaultPlan, RetryPolicy, SupervisedRuntime
 
 #: worker processes for the parallel identity leg
@@ -61,7 +61,7 @@ def _workload(network):
     with SweepExecutor(engine="analytical", network=network,
                        batch=16) as executor:
         records = executor.run(configs, parallel=False)
-    schedule = ScheduleOptimizer(objective="throughput", strategy="greedy",
+    schedule = ScheduleOptimizer(objective="throughput",
                                  batch=16).optimize(network)
     return [r.metrics for r in records], schedule.to_json_dict()
 
@@ -93,8 +93,26 @@ def _disabled_op_costs():
     return span_s, counter_s
 
 
-def _counter_total():
-    return sum(REGISTRY.snapshot()["counters"].values())
+def _counter_calls(fn):
+    """``(Counter.inc calls, result)`` of one ``fn()`` run.
+
+    Calls, not the amounts added: one ``inc(n)`` of a whole layer's
+    candidate count costs one operation.
+    """
+    calls = 0
+    inc = Counter.inc
+
+    def counting(self, amount=1):
+        nonlocal calls
+        calls += 1
+        inc(self, amount)
+
+    Counter.inc = counting
+    try:
+        result = fn()
+    finally:
+        Counter.inc = inc
+    return calls, result
 
 
 def test_observability_overhead_and_identity(benchmark):
@@ -108,14 +126,13 @@ def test_observability_overhead_and_identity(benchmark):
 
     # -- traced run: wall-clock overhead + op counts + bit-identity --------
     recorder = obs_trace.enable(env=False)
-    counters_before = _counter_total()
     try:
         traced_seconds, (traced_metrics, traced_schedule) = _best_of(
             lambda: _workload(network))
         span_events = len(recorder.events)
-        metric_increments = (_counter_total() - counters_before) // ROUNDS
     finally:
         obs_trace.disable()
+    metric_increments, _ = _counter_calls(lambda: _workload(network))
     assert traced_metrics == base_metrics
     assert traced_schedule == base_schedule
     enabled_overhead_pct = (traced_seconds / base_seconds - 1.0) * 100.0

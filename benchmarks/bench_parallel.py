@@ -77,12 +77,11 @@ def test_parallel_functional_verification_scaling(benchmark):
 
     # mapping search: parallel schedules must equal serial ones exactly
     started = time.perf_counter()
-    searched = ScheduleOptimizer(objective="latency", strategy="exhaustive",
+    searched = ScheduleOptimizer(objective="latency",
                                  batch=16).optimize(network)
     map_serial_seconds = time.perf_counter() - started
     started = time.perf_counter()
-    searched_parallel = ScheduleOptimizer(objective="latency",
-                                          strategy="exhaustive", batch=16,
+    searched_parallel = ScheduleOptimizer(objective="latency", batch=16,
                                           workers=max(WORKER_COUNTS)
                                           ).optimize(network)
     map_parallel_seconds = time.perf_counter() - started

@@ -90,7 +90,7 @@ def test_winograd_model_and_algorithm_axis(benchmark):
             for mode in ("direct", "auto"):
                 optimizer = ScheduleOptimizer(
                     config=config, objective=objective,
-                    strategy="exhaustive", batch=BATCH, algorithm=mode,
+                    batch=BATCH, algorithm=mode,
                 )
                 start = time.perf_counter()
                 schedule = optimizer.optimize(network)
@@ -154,7 +154,6 @@ def test_winograd_model_and_algorithm_axis(benchmark):
 
     def one_auto_search():
         return ScheduleOptimizer(config=config, objective="throughput",
-                                 strategy="exhaustive", batch=BATCH,
-                                 algorithm="auto").optimize(vgg16)
+                                 batch=BATCH, algorithm="auto").optimize(vgg16)
 
     benchmark.pedantic(one_auto_search, rounds=3, iterations=1)

@@ -634,8 +634,8 @@ class MappingBatchEvaluator:
     and sweeps the *mapping* of one layer: arrays of (primitive count, stripe
     height, kernel-streaming chunk, batch-interleave policy) evaluate to
     arrays of cycle/energy metrics in one pass of NumPy arithmetic, which is
-    what lets the search strategies of :mod:`repro.mapping` score 10^4+
-    candidates per layer in milliseconds.
+    what lets the exhaustive search of :mod:`repro.mapping` score a layer's
+    whole pruned space (up to ~10^5 candidates) in one call.
 
     The cost model is the *integral-pass* form of the analytical model
     (honest ``ceil`` accounting instead of the paper's fractional stripes and

@@ -21,12 +21,11 @@ writing any Python:
   small layers (``--sim cycle``), or run whole-network functional dataflow
   verification (``--sim functional [--network alexnet]``) through the
   vectorized window-enumeration backend;
-* ``map``         — search the per-layer mapping space (primitive partition,
-  stripe height, kernel chunking, batch interleave) for a latency /
-  throughput / EDP / energy objective with ``--strategy
-  {exhaustive,random,greedy,anneal}``, report searched-vs-baseline
-  schedules and optionally ``--verify`` every searched mapping against the
-  im2col golden reference;
+* ``map``         — exhaustively search the pruned per-layer mapping space
+  (primitive partition, stripe height, kernel chunking, batch interleave)
+  for a latency / throughput / EDP / energy objective, report
+  searched-vs-baseline schedules and optionally ``--verify`` every searched
+  mapping against the im2col golden reference;
 * ``networks``    — list the network zoo with per-network layer counts,
   MACs, parameter totals and Winograd-eligible MAC coverage;
 * ``bench``       — run a registered benchmark (``sweep``, ``cycle``,
@@ -95,7 +94,7 @@ from repro.engine import (
     create_engine,
 )
 from repro.hwmodel.clock import ClockDomain
-from repro.mapping import OBJECTIVES, STRATEGIES, ScheduleOptimizer, make_strategy
+from repro.mapping import OBJECTIVES, ScheduleOptimizer
 from repro.mapping.mapspace import ALGORITHM_MODES
 from repro.obs import trace as obs_trace
 from repro.obs.export import export_trace, render_summary, summarize_trace
@@ -533,26 +532,9 @@ def cmd_networks(args: argparse.Namespace) -> int:
 
 def cmd_map(args: argparse.Namespace) -> int:
     """Search the mapping space and report the optimised schedule."""
-    # knobs that don't apply to the chosen strategy are errors, not no-ops
-    if args.samples is not None and args.strategy != "random":
-        print(f"error: --samples applies to --strategy random only, "
-              f"not {args.strategy}", file=sys.stderr)
-        return 2
-    if args.iterations is not None and args.strategy != "anneal":
-        print(f"error: --iterations applies to --strategy anneal only, "
-              f"not {args.strategy}", file=sys.stderr)
-        return 2
-    strategy_kwargs = {}
-    if args.strategy in ("random", "anneal"):
-        strategy_kwargs["seed"] = args.seed
-    if args.samples is not None:
-        strategy_kwargs["samples"] = args.samples
-    if args.iterations is not None:
-        strategy_kwargs["iterations"] = args.iterations
     optimizer = ScheduleOptimizer(
         config=_config_from_args(args),
         objective=args.objective,
-        strategy=make_strategy(args.strategy, **strategy_kwargs),
         batch=args.batch,
         cache=_cache_from_args(args),
         workers=args.workers,
@@ -912,18 +894,14 @@ def build_parser() -> argparse.ArgumentParser:
     map_cmd.add_argument("--objective", default="throughput",
                          choices=tuple(OBJECTIVES),
                          help="objective the schedule is optimised for")
-    map_cmd.add_argument("--strategy", default="anneal", choices=STRATEGIES,
-                         help="search strategy (exhaustive scans the pruned "
-                              "space; anneal/random/greedy sample it)")
+    map_cmd.add_argument("--strategy", default="exhaustive",
+                         choices=("exhaustive",),
+                         help="search strategy; exhaustive, the only one, "
+                              "scores the whole pruned space")
     map_cmd.add_argument("--batch", type=_positive_int, default=16,
                          help="batch size the schedule is optimised for")
     map_cmd.add_argument("--seed", type=int, default=2017,
-                         help="seed for the stochastic strategies and the "
-                              "verification tensors")
-    map_cmd.add_argument("--samples", type=_positive_int, default=None,
-                         help="candidates sampled by --strategy random")
-    map_cmd.add_argument("--iterations", type=_positive_int, default=None,
-                         help="steps of --strategy anneal")
+                         help="seed for the --verify tensors")
     map_cmd.add_argument("--algorithm", choices=ALGORITHM_MODES,
                          default="direct",
                          help="algorithm axis of the search: 'auto' lets the "

@@ -27,11 +27,11 @@ def stable_seed(*parts) -> int:
     """Platform-stable derived seed from arbitrary labelled parts.
 
     Hashes the string forms of ``parts`` (SHA-256, first 8 bytes), so
-    ``stable_seed(2017, "anneal", "conv3")`` is the same integer on every
+    ``stable_seed(2017, "verify", "conv3")`` is the same integer on every
     platform and Python version — unlike ``hash()``, whose salting would make
-    searches and generated tensors irreproducible across CI runs.  Used to
-    fan one user-facing seed out into independent, reproducible RNG streams
-    (per layer, per strategy, per worker).
+    generated tensors irreproducible across CI runs.  Used to fan one
+    user-facing seed out into independent, reproducible RNG streams (per
+    layer, per worker).
     """
     text = "\x1f".join(str(part) for part in parts)
     digest = hashlib.sha256(text.encode("utf-8")).digest()

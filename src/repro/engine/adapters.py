@@ -177,26 +177,22 @@ class AnalyticalBatchEngine(Engine):
 class MappedAnalyticalEngine(Engine):
     """Mapping-searched analytical evaluation (the ``analytical-mapped`` engine).
 
-    Every evaluation first optimises the per-layer mapping with the
-    configured objective and search strategy (:mod:`repro.mapping`), then
-    reports the searched schedule's metrics next to the Table II baseline's.
-    The full search configuration — objective, strategy knobs, seed, unit
-    energies — enters :meth:`fingerprint`, so cached sweep records from
+    Every evaluation first optimises the per-layer mapping for the
+    configured objective with the exhaustive search of :mod:`repro.mapping`,
+    then reports the searched schedule's metrics next to the Table II
+    baseline's.  The search configuration — objective, shortlist, algorithm
+    mode — enters :meth:`fingerprint`, so cached sweep records from
     different searches can never collide.
     """
 
     def __init__(self, config: Optional[ChainConfig] = None,
-                 objective: str = "throughput", strategy: str = "exhaustive",
-                 shortlist: int = 4, algorithm: str = "direct",
-                 **strategy_kwargs) -> None:
-        from repro.mapping import make_strategy
-
+                 objective: str = "throughput", shortlist: int = 4,
+                 algorithm: str = "direct") -> None:
         self.name = "analytical-mapped"
         self.default_config = config or ChainConfig()
         self.objective = objective
         self.shortlist = shortlist
         self.algorithm = algorithm
-        self.strategy = make_strategy(strategy, **strategy_kwargs)
         self._memo: Dict[str, Any] = {}
 
     def _optimize(self, network: Network, config: ChainConfig, batch: int):
@@ -211,7 +207,6 @@ class MappedAnalyticalEngine(Engine):
             optimizer = ScheduleOptimizer(
                 config=config,
                 objective=self.objective,
-                strategy=self.strategy,
                 batch=batch,
                 shortlist=self.shortlist,
                 algorithm=self.algorithm,
@@ -251,7 +246,6 @@ class MappedAnalyticalEngine(Engine):
         fingerprint = {
             "name": self.name,
             "objective": self.objective,
-            "strategy": self.strategy.fingerprint(),
             "shortlist": self.shortlist,
             "default_config": dataclasses.asdict(self.default_config),
         }

@@ -252,15 +252,16 @@ def mapping_search_section(bench_path: str | Path = "BENCH_mapping.json") -> str
         "The paper maps every layer with one fixed decomposition (Table II:",
         "`floor(P/K^2)` primitives, full `K`-row stripes, kernels streamed in",
         "kMemory-sized chunks, batch-interleaved kernel loads).  `repro map`",
-        "searches the space of legal alternatives per layer — primitive",
-        "partition, stripe height, kernel-streaming chunk, batch interleave —",
-        "for a chosen objective, scoring candidates through the columnar",
-        "`MappingBatchEvaluator` and assembling a schedule that is never",
-        "worse than the Table II baseline by construction:",
+        "searches the pruned space of legal alternatives per layer —",
+        "primitive partition, stripe height, kernel-streaming chunk, batch",
+        "interleave — exhaustively for a chosen objective, scoring every",
+        "candidate through the columnar `MappingBatchEvaluator` and",
+        "assembling a schedule that is never worse than the Table II",
+        "baseline by construction:",
         "",
         "```text",
-        "repro map --network alexnet --objective latency --strategy exhaustive --verify",
-        "repro map --network vgg16 --objective energy --strategy anneal --seed 2017",
+        "repro map --network alexnet --objective latency --verify",
+        "repro map --network vgg16 --objective energy",
         "```",
         "",
         "Objectives: `latency` (first-image), `throughput` (batch makespan),",
@@ -489,7 +490,7 @@ def winograd_execution_section(bench_path: str | Path = "BENCH_winograd.json") -
         "",
         "```text",
         "repro map --network vgg16 --objective throughput --algorithm auto",
-        "repro run --engine functional-vectorized --algorithm winograd",
+        "repro run alexnet --engine functional-vectorized --algorithm winograd",
         "repro verify --sim functional --network vgg16 --algorithm winograd",
         "repro networks --json   # per-layer eligibility + MAC coverage",
         "```",
@@ -612,7 +613,7 @@ def observability_section(bench_path: str | Path = "BENCH_obs.json") -> str:
     if bench:
         lines += [
             f"Measured (`BENCH_obs.json`, {bench.get('sweep_points', '?')}-point",
-            "analytical sweep + greedy AlexNet mapping search):",
+            "analytical sweep + AlexNet mapping search):",
             "",
             "| metric | value |",
             "| --- | --- |",

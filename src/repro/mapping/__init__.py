@@ -3,14 +3,15 @@
 The paper maps every layer with one fixed decomposition (Table II:
 ``floor(P/K^2)`` primitives, channel pairs round-robined into passes, full
 ``K``-row stripes, kernels streamed in kMemory-sized chunks).  This package
-explores the *space* of legal mappings around that point:
+searches the *space* of legal mappings around that point:
 
 * :mod:`repro.mapping.mapspace` — :class:`MappingCandidate`,
   :class:`LayerMapSpace` and :class:`MapSpace`: legal per-layer candidates
   (primitive partition, stripe height, kernel-streaming chunk, batch
-  interleave) with analytic pruning bounds;
-* :mod:`repro.mapping.strategies` — the :class:`Strategy` protocol and the
-  exhaustive / random / greedy / annealing searches;
+  interleave, algorithm) with analytic pruning bounds, enumerated as
+  :class:`CandidateColumns`;
+* :mod:`repro.mapping.strategies` — :class:`ExhaustiveStrategy`, the one
+  search: score the whole pruned space, keep a best-first shortlist;
 * :mod:`repro.mapping.optimizer` — :class:`ScheduleOptimizer` producing an
   :class:`OptimizedSchedule` (consumed by
   :meth:`repro.core.scheduler.BatchScheduler.schedule_optimized`, the
@@ -18,12 +19,18 @@ explores the *space* of legal mappings around that point:
   verification of searched mappings against the im2col golden reference.
 
 Candidates are scored columnar through
-:class:`repro.analysis.batch.MappingBatchEvaluator` (10^4+ candidates per
-layer per millisecond-scale call) and whole searches are memoised in
+:class:`repro.analysis.batch.MappingBatchEvaluator` (one call per layer
+scores its whole pruned space) and whole searches are memoised in
 :class:`repro.engine.cache.RunCache`.
 """
 
-from repro.mapping.mapspace import INTERLEAVES, LayerMapSpace, MappingCandidate, MapSpace
+from repro.mapping.mapspace import (
+    INTERLEAVES,
+    CandidateColumns,
+    LayerMapSpace,
+    MappingCandidate,
+    MapSpace,
+)
 from repro.mapping.optimizer import (
     OBJECTIVES,
     LayerSchedule,
@@ -31,19 +38,11 @@ from repro.mapping.optimizer import (
     OptimizedSchedule,
     ScheduleOptimizer,
 )
-from repro.mapping.strategies import (
-    STRATEGIES,
-    AnnealStrategy,
-    ExhaustiveStrategy,
-    GreedyStrategy,
-    RandomStrategy,
-    SearchResult,
-    Strategy,
-    make_strategy,
-)
+from repro.mapping.strategies import ExhaustiveStrategy, SearchResult
 
 __all__ = [
     "INTERLEAVES",
+    "CandidateColumns",
     "LayerMapSpace",
     "MapSpace",
     "MappingCandidate",
@@ -52,12 +51,6 @@ __all__ = [
     "MappingVerification",
     "OptimizedSchedule",
     "ScheduleOptimizer",
-    "STRATEGIES",
-    "AnnealStrategy",
     "ExhaustiveStrategy",
-    "GreedyStrategy",
-    "RandomStrategy",
     "SearchResult",
-    "Strategy",
-    "make_strategy",
 ]

@@ -45,13 +45,16 @@ Legality checks reuse :class:`~repro.errors.MappingError` via
 
 Both bounds follow the ``ceil``-plateau structure (there are at most
 ``O(sqrt(Q))`` distinct values of ``ceil(Q / p)``), which is what keeps the
-pruned space around 10^3–10^4 candidates per layer even for VGG-scale
-``Q = 262144`` channel-pair layers whose full space has ~10^5 points.
+pruned space around 10^3–10^5 candidates per layer even for VGG-scale
+``Q = 262144`` channel-pair layers.  :meth:`LayerMapSpace.enumerate` builds
+that space directly as :class:`CandidateColumns` — one NumPy array per axis,
+with intermediate arrays no larger than the output — so no per-candidate
+object exists until a search picks its shortlist.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -158,6 +161,88 @@ def candidate_arrays(candidates: List[MappingCandidate]
     )
 
 
+@dataclass(frozen=True)
+class CandidateColumns:
+    """A layer's candidates as columns; ``len()`` is the row count."""
+
+    primitives: np.ndarray
+    stripe_height: np.ndarray
+    chunk: np.ndarray
+    image_major: np.ndarray
+    winograd: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.primitives)
+
+    def arrays(self) -> Tuple[np.ndarray, ...]:
+        """The columns in :meth:`MappingBatchEvaluator.evaluate` order."""
+        return (self.primitives, self.stripe_height, self.chunk,
+                self.image_major, self.winograd)
+
+    def candidate(self, row: int) -> MappingCandidate:
+        """Row ``row`` as a :class:`MappingCandidate`."""
+        return MappingCandidate(
+            primitives=int(self.primitives[row]),
+            stripe_height=int(self.stripe_height[row]),
+            chunk=int(self.chunk[row]),
+            interleave=INTERLEAVES[int(self.image_major[row])],
+            algorithm=ALGORITHMS[int(self.winograd[row])],
+        )
+
+
+def _ragged(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(owner, offset)`` of every element when group ``i`` holds ``counts[i]``.
+
+    Groups are laid out contiguously in order; ``offset`` is the position
+    of an element within its group.
+    """
+    owner = np.repeat(np.arange(len(counts)), counts)
+    starts = np.cumsum(counts) - counts
+    return owner, np.arange(len(owner)) - starts[owner]
+
+
+def _isqrt(values: np.ndarray) -> np.ndarray:
+    """Exact elementwise ``floor(sqrt(values))`` of non-negative int64s."""
+    root = np.sqrt(values).astype(np.int64)
+    root -= root * root > values
+    root += (root + 1) * (root + 1) <= values
+    return root
+
+
+def _chunk_plateaus(passes: np.ndarray,
+                    capacity: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The maximal chunk of every refill plateau, for each pass count.
+
+    The legal chunks at ``n`` passes are ``1..min(capacity, n)``.  Returns
+    ``(owner, chunk)``: one row per distinct ``ceil(n / chunk)``, holding
+    the largest chunk with that refill count, chunks descending within each
+    owner (an index into ``passes``).
+
+    With ``t = isqrt(n)``, every chunk above ``t`` has a refill count of at
+    most ``ceil(n / (t + 1))`` and neighbouring chunks there differ by at
+    most one refill, so that range yields every count in it once: the
+    largest chunk with ``r`` refills is ``(n - 1) // (r - 1)``.  Chunks up
+    to ``t`` are tested one by one.  Both parts are ``O(sqrt(n))`` rows,
+    which is the size of the result, so no array spans the capacity.
+    """
+    top = np.minimum(capacity, passes)
+    root = _isqrt(passes)
+    low = np.minimum(root, top)
+    first = -(-passes // top)
+    high = np.where(top > root, -(-passes // (root + 1)) - first + 1, 0)
+    owner, offset = _ragged(high + low)
+    n, top, high = passes[owner], top[owner], high[owner]
+    in_high = offset < high
+    refills = first[owner] + offset
+    chunk = np.where(
+        in_high,
+        np.where(offset == 0, top, (n - 1) // np.maximum(refills - 1, 1)),
+        low[owner] - (offset - high),
+    )
+    keep = in_high | (chunk == top) | (-(-n // chunk) != -(-n // (chunk + 1)))
+    return owner[keep], chunk[keep]
+
+
 class LayerMapSpace:
     """The legal mapping candidates of one layer on one chain configuration."""
 
@@ -192,11 +277,6 @@ class LayerMapSpace:
             }[algorithm]
         else:
             self.algorithms = ("direct",)
-        # plateau walks are pure functions of the (immutable) layer geometry;
-        # memoising them turns the annealer's and beam search's candidate
-        # generation from repeated Python loops into dict lookups
-        self._pruned_primitives: Optional[List[int]] = None
-        self._pruned_chunks: Dict[Tuple[int, bool], List[int]] = {}
 
     @property
     def winograd_axis(self) -> bool:
@@ -210,19 +290,23 @@ class LayerMapSpace:
         """The paper's Table II mapping as a candidate of this space.
 
         In the winograd-forced mode (no direct axis) the baseline is the
-        Table II mapping normalised onto the Winograd sub-space, so search
-        strategies seeded from the baseline never leave the space.
+        Table II mapping normalised onto the Winograd sub-space: the same
+        partition, the pinned stripe height and the chunk capped by the
+        transformed-plane capacity.
         """
         passes = -(-self.channel_pairs // self.max_primitives)
-        candidate = MappingCandidate(
+        if "direct" in self.algorithms:
+            return MappingCandidate(
+                primitives=self.max_primitives,
+                stripe_height=self.layer.kernel_size,
+                chunk=min(self.kmemory_capacity, passes),
+            )
+        return MappingCandidate(
             primitives=self.max_primitives,
             stripe_height=self.layer.kernel_size,
-            chunk=min(self.kmemory_capacity, passes),
-            interleave="batch",
+            chunk=min(self.winograd_capacity, passes),
+            algorithm="winograd",
         )
-        if "direct" not in self.algorithms:
-            candidate = self._as_winograd(candidate)
-        return candidate
 
     def validate(self, candidate: MappingCandidate) -> None:
         """Raise :class:`MappingError` unless ``candidate`` is legal here.
@@ -257,19 +341,6 @@ class LayerMapSpace:
                     f"{self.winograd_capacity}"
                 )
 
-    def passes_for(self, primitives: int) -> int:
-        """Round-robin passes needed at a given primitive count."""
-        if not (1 <= primitives <= self.max_primitives):
-            raise MappingError(
-                f"{self.layer.name}: primitives must be in [1, {self.max_primitives}], "
-                f"got {primitives}"
-            )
-        return -(-self.channel_pairs // primitives)
-
-    def refills_for(self, passes: int, chunk: int) -> int:
-        """kMemory refills at a given pass count and chunk size."""
-        return -(-passes // min(chunk, passes))
-
     # ------------------------------------------------------------------ #
     # pruning bounds
     # ------------------------------------------------------------------ #
@@ -282,8 +353,6 @@ class LayerMapSpace:
         ``ceil(Q/p)`` plateau dominates the rest of it — the plateau walk
         visits O(sqrt(Q)) values instead of all ``max_primitives``.
         """
-        if self._pruned_primitives is not None:
-            return self._pruned_primitives
         q = self.channel_pairs
         values: List[int] = []
         p = 1
@@ -292,38 +361,31 @@ class LayerMapSpace:
             values.append(p)
             if passes == 1:
                 break
-            # largest p with the same ceil(Q/p) plateau
+            # first p of the next ceil(Q/p) plateau
             p = (q - 1) // (passes - 1) + 1
         if self.max_primitives not in values:
             values.append(self.max_primitives)
-        self._pruned_primitives = sorted(values)
-        return self._pruned_primitives
-
-    def pruned_chunks(self, passes: int, winograd: bool = False) -> List[int]:
-        """Maximal chunk per distinct refill count (descending).
-
-        Cost depends on ``chunk`` only through ``refills``, so one chunk per
-        plateau of ``ceil(passes / chunk)`` covers every distinct cost.
-        Winograd candidates start the walk from the reduced
-        transformed-plane capacity.
-        """
-        cached = self._pruned_chunks.get((passes, winograd))
-        if cached is not None:
-            return cached
-        capacity = self.winograd_capacity if winograd else self.kmemory_capacity
-        chunk = min(capacity, passes)
-        values: List[int] = []
-        while chunk >= 1:
-            refills = -(-passes // chunk)
-            values.append(chunk)
-            # smallest chunk still achieving `refills`, then step below it
-            chunk = -(-passes // refills) - 1
-        self._pruned_chunks[(passes, winograd)] = values
         return values
 
-    def stripe_heights(self) -> List[int]:
-        """All legal stripe heights (``1..K`` — K is at most 11, no pruning)."""
-        return list(range(1, self.layer.kernel_size + 1))
+    def _pairs(self, algorithm: str
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The kept (primitive count, chunk) pairs of one algorithm.
+
+        Returns ``(primitives, chunk, interleaves)`` columns: primitive
+        counts ascend, chunks descend within one, and ``interleaves`` is 2
+        where the weights need refills (``chunk < passes``) and 1 where the
+        two policies coincide.
+        """
+        primitives = np.asarray(self.pruned_primitives(), dtype=np.int64)
+        passes = -(-self.channel_pairs // primitives)
+        capacity = (self.winograd_capacity if algorithm == "winograd"
+                    else self.kmemory_capacity)
+        owner, chunk = _chunk_plateaus(passes, capacity)
+        return primitives[owner], chunk, 1 + (chunk < passes[owner])
+
+    def _heights(self, algorithm: str) -> int:
+        """Stripe heights per (partition, chunk, interleave) of an algorithm."""
+        return 1 if algorithm == "winograd" else self.layer.kernel_size
 
     # ------------------------------------------------------------------ #
     # enumeration
@@ -340,131 +402,42 @@ class LayerMapSpace:
                       * len(INTERLEAVES))
         return total
 
-    def enumerate(self) -> List[MappingCandidate]:
-        """Every cost-distinct legal candidate (the pruned space)."""
-        candidates = list(self.iter_candidates())
-        _M_ENUMERATED.inc(len(candidates))
-        _M_PRUNED.inc(max(0, self.full_size() - len(candidates)))
-        return candidates
-
-    def iter_candidates(self) -> Iterator[MappingCandidate]:
-        """Yield the pruned space lazily (see the module docstring bounds)."""
-        heights = self.stripe_heights()
-        for primitives in self.pruned_primitives():
-            passes = self.passes_for(primitives)
-            if "direct" in self.algorithms:
-                for chunk in self.pruned_chunks(passes):
-                    refills = self.refills_for(passes, chunk)
-                    interleaves = INTERLEAVES if refills > 1 else ("batch",)
-                    for height in heights:
-                        for interleave in interleaves:
-                            yield MappingCandidate(
-                                primitives=primitives,
-                                stripe_height=height,
-                                chunk=chunk,
-                                interleave=interleave,
-                            )
-            if self.winograd_axis:
-                for chunk in self.pruned_chunks(passes, winograd=True):
-                    refills = self.refills_for(passes, chunk)
-                    interleaves = INTERLEAVES if refills > 1 else ("batch",)
-                    for interleave in interleaves:
-                        yield MappingCandidate(
-                            primitives=primitives,
-                            stripe_height=self.layer.kernel_size,
-                            chunk=chunk,
-                            interleave=interleave,
-                            algorithm="winograd",
-                        )
-
     def pruned_size(self) -> int:
-        """Number of candidates :meth:`enumerate` yields."""
-        total = 0
-        for primitives in self.pruned_primitives():
-            passes = self.passes_for(primitives)
-            if "direct" in self.algorithms:
-                for chunk in self.pruned_chunks(passes):
-                    refills = self.refills_for(passes, chunk)
-                    total += self.layer.kernel_size * (2 if refills > 1 else 1)
-            if self.winograd_axis:
-                for chunk in self.pruned_chunks(passes, winograd=True):
-                    refills = self.refills_for(passes, chunk)
-                    total += 2 if refills > 1 else 1
-        return total
+        """Number of rows :meth:`enumerate` returns, without building them."""
+        return sum(self._heights(algorithm)
+                   * int(self._pairs(algorithm)[2].sum())
+                   for algorithm in self.algorithms)
 
-    # ------------------------------------------------------------------ #
-    # stochastic access (random sampling / annealing moves)
-    # ------------------------------------------------------------------ #
-    def _as_winograd(self, candidate: MappingCandidate) -> MappingCandidate:
-        """Normalise a candidate onto the Winograd sub-space (pin h, cap chunk)."""
-        passes = self.passes_for(candidate.primitives)
-        return replace(
-            candidate,
-            algorithm="winograd",
-            stripe_height=self.layer.kernel_size,
-            chunk=min(candidate.chunk, min(self.winograd_capacity, passes)),
-        )
+    def enumerate(self) -> CandidateColumns:
+        """Every cost-distinct legal candidate (the pruned space), as columns.
 
-    def sample(self, rng: np.random.Generator, count: int) -> List[MappingCandidate]:
-        """``count`` candidates drawn uniformly from the *full* space.
-
-        Direct-only spaces consume exactly the RNG stream they always did;
-        the algorithm draw only exists when the Winograd axis is enabled,
-        so seeded searches without the axis are unchanged.
+        Row order is part of the contract, because searches break score
+        ties by it: primitives ascending; for each primitive count the
+        direct rows (chunk descending, then stripe height ascending, then
+        ``batch`` before ``image``), then the Winograd rows (chunk
+        descending, then ``batch`` before ``image``).
         """
-        candidates = []
-        for _ in range(count):
-            primitives = int(rng.integers(1, self.max_primitives + 1))
-            passes = self.passes_for(primitives)
-            candidate = MappingCandidate(
-                primitives=primitives,
-                stripe_height=int(rng.integers(1, self.layer.kernel_size + 1)),
-                chunk=int(rng.integers(1, min(self.kmemory_capacity, passes) + 1)),
-                interleave=INTERLEAVES[int(rng.integers(len(INTERLEAVES)))],
-            )
-            if self.winograd_axis:
-                pick = self.algorithms[int(rng.integers(len(self.algorithms)))]
-                if pick == "winograd":
-                    candidate = self._as_winograd(candidate)
-            candidates.append(candidate)
-        return candidates
-
-    def neighbor(self, candidate: MappingCandidate,
-                 rng: np.random.Generator) -> MappingCandidate:
-        """A legal single-dimension mutation of ``candidate`` (annealing move).
-
-        With the Winograd axis enabled a fifth dimension flips the
-        algorithm (normalising stripe height and chunk on the way in);
-        the other dimensions respect the pinned height/reduced chunk of a
-        Winograd candidate.
-        """
-        wino = candidate.is_winograd
-        dimension = int(rng.integers(5 if self.winograd_axis else 4))
-        if dimension == 0:
-            values = self.pruned_primitives()
-            mutated = replace(candidate,
-                              primitives=values[int(rng.integers(len(values)))])
-            return self._as_winograd(mutated) if wino else mutated
-        if dimension == 1:
-            if wino:  # stripe height is pinned; mutate the chunk instead
-                dimension = 2
-            else:
-                return replace(
-                    candidate,
-                    stripe_height=int(rng.integers(1, self.layer.kernel_size + 1)))
-        if dimension == 2:
-            passes = self.passes_for(candidate.primitives)
-            chunks = self.pruned_chunks(passes, winograd=wino)
-            return replace(candidate, chunk=chunks[int(rng.integers(len(chunks)))])
-        if dimension == 3:
-            flipped = "image" if candidate.interleave == "batch" else "batch"
-            return replace(candidate, interleave=flipped)
-        # dimension 4: the algorithm axis
-        if wino:
-            if "direct" in self.algorithms:
-                return replace(candidate, algorithm="direct")
-            return candidate
-        return self._as_winograd(candidate)
+        blocks = []
+        for algorithm in self.algorithms:
+            primitives, chunk, interleaves = self._pairs(algorithm)
+            pair, offset = _ragged(self._heights(algorithm) * interleaves)
+            winograd = algorithm == "winograd"
+            blocks.append((
+                primitives[pair],
+                np.full(len(pair), self.layer.kernel_size) if winograd
+                else offset // interleaves[pair] + 1,
+                chunk[pair],
+                offset % interleaves[pair] == 1,
+                np.full(len(pair), winograd),
+            ))
+        merged = [np.concatenate(column) for column in zip(*blocks)]
+        # stable: per primitive count the direct rows stay before the
+        # Winograd rows
+        order = np.argsort(merged[0], kind="stable")
+        columns = CandidateColumns(*(column[order] for column in merged))
+        _M_ENUMERATED.inc(len(columns))
+        _M_PRUNED.inc(max(0, self.full_size() - len(columns)))
+        return columns
 
     def describe(self) -> str:
         """One-line space summary (sizes before/after pruning)."""

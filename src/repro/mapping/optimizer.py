@@ -1,10 +1,10 @@
 """Schedule optimisation over per-layer mapspaces, with verification.
 
 :class:`ScheduleOptimizer` searches every layer's
-:class:`~repro.mapping.mapspace.LayerMapSpace` with a
-:class:`~repro.mapping.strategies.Strategy`, scoring candidates columnar
-through :class:`repro.analysis.batch.MappingBatchEvaluator`, and assembles an
-:class:`OptimizedSchedule` for one of four objectives:
+:class:`~repro.mapping.mapspace.LayerMapSpace` exhaustively
+(:class:`~repro.mapping.strategies.ExhaustiveStrategy`), scoring the pruned
+space columnar through :class:`repro.analysis.batch.MappingBatchEvaluator`,
+and assembles an :class:`OptimizedSchedule` for one of four objectives:
 
 * ``latency``    — first-image latency (image-pipelined network view);
 * ``throughput`` — batch makespan (the paper's fps metric);
@@ -18,8 +18,8 @@ even for the non-additive EDP objective, where per-layer proxy scores alone
 would not guarantee it.
 
 Whole searches are memoised in :class:`repro.engine.cache.RunCache` (keyed
-by configuration, workload, batch, objective and the full strategy
-fingerprint), and :meth:`ScheduleOptimizer.verify` drives every searched
+by configuration, workload, batch, objective, shortlist, unit energies and
+algorithm mode), and :meth:`ScheduleOptimizer.verify` drives every searched
 mapping through the :class:`~repro.sim.functional.FunctionalChainSimulator`:
 the candidate's ofmaps must match the im2col golden reference to float
 round-off and be bit-identical to the baseline-stripe simulation.
@@ -57,7 +57,7 @@ from repro.mapping.mapspace import (
     MapSpace,
     candidate_arrays,
 )
-from repro.mapping.strategies import SearchResult, Strategy, make_strategy
+from repro.mapping.strategies import ExhaustiveStrategy
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime import WorkerError, shared_runtime
@@ -109,28 +109,8 @@ def network_objective(objective: str,
     return energy_j * time_s
 
 
-def make_layer_scorer(layer, config: ChainConfig, objective: str, batch: int,
-                      energy: EnergyParams):
-    """(evaluator, scorer) for one layer — the single scoring construction.
-
-    Both the serial :meth:`ScheduleOptimizer.search_layer` and the parallel
-    ``map.search_layer`` worker task score through this, so there is exactly
-    one definition of how a candidate list becomes objective values.
-    """
-    evaluator = MappingBatchEvaluator(layer, config=config, batch=batch,
-                                      energy=energy)
-    proxy = OBJECTIVES[objective]
-
-    def scorer(candidates):
-        columns = evaluator.evaluate(*candidate_arrays(list(candidates)))
-        return np.asarray(columns[proxy], dtype=np.float64)
-
-    return evaluator, scorer
-
-
 def search_layer_entry(layer, config: ChainConfig, objective: str,
-                       strategy: Strategy, batch: int, energy: EnergyParams,
-                       shortlist: int,
+                       batch: int, energy: EnergyParams, shortlist: int,
                        algorithm: str = "direct") -> Dict[str, Any]:
     """Search one layer's mapspace and score its shortlist pool.
 
@@ -138,17 +118,21 @@ def search_layer_entry(layer, config: ChainConfig, objective: str,
     factored out so the serial loop and the parallel runtime's
     ``map.search_layer`` task execute the *same* code on the same inputs —
     the construction that makes parallel search results bit-identical to
-    serial ones.  Stochastic strategies derive their RNG stream from
-    ``(seed, strategy, layer)`` via ``stable_seed``, so the outcome is
-    independent of which process runs the search.  ``algorithm`` is the
-    space's algorithm-axis mode (``direct`` | ``winograd`` | ``auto``).
+    serial ones.  ``algorithm`` is the space's algorithm-axis mode
+    (``direct`` | ``winograd`` | ``auto``).
     """
     with obs_trace.span("map.search_layer", layer=layer.name,
-                        strategy=strategy.name, objective=objective) as layer_span:
+                        objective=objective) as layer_span:
         space = LayerMapSpace(layer, config, algorithm=algorithm)
-        evaluator, scorer = make_layer_scorer(layer, config, objective, batch,
-                                              energy)
-        result = strategy.search(space, scorer, shortlist=shortlist)
+        evaluator = MappingBatchEvaluator(layer, config=config, batch=batch,
+                                          energy=energy)
+        proxy = OBJECTIVES[objective]
+
+        def scorer(columns):
+            scores = evaluator.evaluate(*columns.arrays())[proxy]
+            return np.asarray(scores, dtype=np.float64)
+
+        result = ExhaustiveStrategy().search(space, scorer, shortlist=shortlist)
         layer_span.set(evaluations=result.evaluations)
         baseline = space.baseline()
         pool = list(result.candidates)
@@ -200,7 +184,6 @@ class OptimizedSchedule:
 
     network_name: str
     objective: str
-    strategy: str
     batch: int
     frequency_hz: float
     layers: List[LayerSchedule]
@@ -264,7 +247,7 @@ class OptimizedSchedule:
     def describe(self) -> str:
         """Human-readable per-layer schedule with the objective summary."""
         lines = [f"{self.network_name}: objective={self.objective} "
-                 f"strategy={self.strategy} batch={self.batch} "
+                 f"strategy=exhaustive batch={self.batch} "
                  f"({self.evaluations} candidates evaluated"
                  + (", cached)" if self.cached else ")")]
         for searched, base in zip(self.layers, self.baseline):
@@ -289,7 +272,7 @@ class OptimizedSchedule:
         return {
             "network": self.network_name,
             "objective": self.objective,
-            "strategy": self.strategy,
+            "strategy": "exhaustive",  # the only search; a stable --json key
             "batch": self.batch,
             "frequency_hz": self.frequency_hz,
             "evaluations": self.evaluations,
@@ -307,7 +290,6 @@ class OptimizedSchedule:
         return cls(
             network_name=str(data["network"]),
             objective=str(data["objective"]),
-            strategy=str(data["strategy"]),
             batch=int(data["batch"]),
             frequency_hz=float(data["frequency_hz"]),
             layers=[LayerSchedule.from_json_dict(s) for s in data["layers"]],
@@ -390,7 +372,6 @@ class ScheduleOptimizer:
         self,
         config: Optional[ChainConfig] = None,
         objective: str = "throughput",
-        strategy: str | Strategy = "exhaustive",
         batch: int = 16,
         energy: Optional[EnergyParams] = None,
         cache: Optional[RunCache] = None,
@@ -419,8 +400,6 @@ class ScheduleOptimizer:
         #: reproduces the pre-axis search space and its cache keys bit for
         #: bit; "auto" lets eligible layers pick Winograd when it wins)
         self.algorithm = algorithm
-        self.strategy = (strategy if isinstance(strategy, Strategy)
-                         else make_strategy(strategy))
         self.batch = int(batch)
         self.energy = energy or EnergyParams()
         self.cache = cache
@@ -434,12 +413,6 @@ class ScheduleOptimizer:
     # ------------------------------------------------------------------ #
     # search
     # ------------------------------------------------------------------ #
-    def search_layer(self, space: LayerMapSpace) -> SearchResult:
-        """Run the configured strategy over one layer's space."""
-        _, scorer = make_layer_scorer(space.layer, self.config, self.objective,
-                                      self.batch, self.energy)
-        return self.strategy.search(space, scorer, shortlist=self.shortlist)
-
     def optimize(self, network: Network) -> OptimizedSchedule:
         """Search every layer and assemble the never-worse network schedule."""
         if self.cache is not None:
@@ -452,7 +425,6 @@ class ScheduleOptimizer:
                 _M_CANDIDATES_SEARCHED.inc(schedule.evaluations)
                 return schedule
         with obs_trace.span("map.optimize", network=network.name,
-                            strategy=self.strategy.name,
                             objective=self.objective):
             schedule = self._optimize_uncached(network)
         if self.cache is not None:
@@ -473,10 +445,10 @@ class ScheduleOptimizer:
     def _search_all_layers(self, network: Network) -> List[Dict[str, Any]]:
         """One :func:`search_layer_entry` result per conv layer, in order.
 
-        Per-layer searches are independent (stochastic strategies seed from
-        ``(seed, strategy, layer)``), so they fan out over the parallel
-        runtime when ``workers`` asks for it; the serial loop runs the exact
-        same entry function, so both paths return bit-identical results.
+        Per-layer searches are independent, so they fan out over the
+        parallel runtime when ``workers`` asks for it; the serial loop runs
+        the exact same entry function, so both paths return bit-identical
+        results.
         Platforms without process pools degrade to the serial loop.
         """
         layers = network.conv_layers
@@ -489,7 +461,6 @@ class ScheduleOptimizer:
                         "layer": layer,
                         "config": self.config,
                         "objective": self.objective,
-                        "strategy": self.strategy,
                         "batch": self.batch,
                         "energy": self.energy,
                         "shortlist": self.shortlist,
@@ -503,8 +474,7 @@ class ScheduleOptimizer:
                     pass  # degradation ladder's last rung: the serial loop
         return [
             search_layer_entry(layer, self.config, self.objective,
-                               self.strategy, self.batch, self.energy,
-                               self.shortlist,
+                               self.batch, self.energy, self.shortlist,
                                algorithm=self.algorithm)
             for layer in layers
         ]
@@ -562,7 +532,6 @@ class ScheduleOptimizer:
         return OptimizedSchedule(
             network_name=network.name,
             objective=self.objective,
-            strategy=self.strategy.name,
             batch=self.batch,
             frequency_hz=self.config.frequency_hz,
             layers=layers,
@@ -583,7 +552,6 @@ class ScheduleOptimizer:
         """
         fingerprint: Dict[str, Any] = {
             "objective": self.objective,
-            "strategy": self.strategy.fingerprint(),
             "batch": self.batch,
             "shortlist": self.shortlist,
             "energy": asdict(self.energy),

@@ -105,7 +105,6 @@ def _map_search_layer(payload: Dict[str, Any], context: Dict[str, Any]) -> Any:
         layer=payload["layer"],
         config=payload["config"],
         objective=payload["objective"],
-        strategy=payload["strategy"],
         batch=payload["batch"],
         energy=payload["energy"],
         shortlist=payload["shortlist"],

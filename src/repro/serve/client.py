@@ -147,14 +147,22 @@ async def request_json(host: str, port: int, path: str,
         status_line = await reader.readline()
         status = int(status_line.split()[1])
         chunked = False
+        length = None
         while True:
             line = await reader.readline()
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
-            if (name.strip().lower() == "transfer-encoding"
-                    and "chunked" in value.lower()):
+            name = name.strip().lower()
+            if name == "transfer-encoding" and "chunked" in value.lower():
                 chunked = True
+            elif name == "content-length":
+                length = int(value)
+        if length is not None:
+            # the body ends at Content-Length, not at EOF: a pool worker
+            # forked while this connection was open holds a copy of the
+            # server's socket, so the server's close() sends no EOF
+            return status, await reader.readexactly(length)
         if not chunked:
             return status, await reader.read()
         parts = []

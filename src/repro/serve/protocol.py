@@ -105,11 +105,8 @@ class MapParams:
 
     network: str = "alexnet"
     objective: str = "throughput"
-    strategy: str = "anneal"
     batch: int = 16
     seed: int = 2017
-    samples: Optional[int] = None
-    iterations: Optional[int] = None
     algorithm: str = "direct"
     verify: bool = False
     workers: Optional[int] = None

@@ -35,7 +35,7 @@ from repro.cnn.zoo import NETWORKS, get_network, tiny_test_network
 from repro.engine import available_engines, create_engine
 from repro.engine.cache import RunCache
 from repro.errors import ConfigurationError, WorkloadError
-from repro.mapping import OBJECTIVES, STRATEGIES, ScheduleOptimizer, make_strategy
+from repro.mapping import OBJECTIVES, ScheduleOptimizer
 from repro.mapping.mapspace import ALGORITHM_MODES
 from repro.memory.traffic import TrafficModel
 from repro.obs import metrics as obs_metrics
@@ -290,14 +290,13 @@ class EvalServer:
     async def _handle_map(self, request: HttpRequest,
                           writer: asyncio.StreamWriter) -> None:
         params = parse_params(MapParams, request.json())
-        strategy_kwargs = _validate_map(params)
+        _validate_map(params)
         network = _zoo_network(params.network)
 
         def work(emit: Callable[[Dict[str, Any]], None]) -> Tuple[Dict[str, Any], int]:
             optimizer = ScheduleOptimizer(
                 config=config_of(params),
                 objective=params.objective,
-                strategy=make_strategy(params.strategy, **strategy_kwargs),
                 batch=params.batch,
                 cache=self.cache,
                 workers=params.workers if params.workers is not None
@@ -436,27 +435,11 @@ def _validate_run(params: RunParams) -> Dict[str, Any]:
     return engine_kwargs
 
 
-def _validate_map(params: MapParams) -> Dict[str, Any]:
+def _validate_map(params: MapParams) -> None:
     if params.objective not in OBJECTIVES:
         raise ProtocolError(f"unknown objective {params.objective!r}")
-    if params.strategy not in STRATEGIES:
-        raise ProtocolError(f"unknown strategy {params.strategy!r}")
     if params.algorithm not in ALGORITHM_MODES:
         raise ProtocolError(f"unknown algorithm mode {params.algorithm!r}")
-    if params.samples is not None and params.strategy != "random":
-        raise ProtocolError(
-            f"samples applies to strategy random only, not {params.strategy}")
-    if params.iterations is not None and params.strategy != "anneal":
-        raise ProtocolError(
-            f"iterations applies to strategy anneal only, not {params.strategy}")
-    strategy_kwargs: Dict[str, Any] = {}
-    if params.strategy in ("random", "anneal"):
-        strategy_kwargs["seed"] = params.seed
-    if params.samples is not None:
-        strategy_kwargs["samples"] = params.samples
-    if params.iterations is not None:
-        strategy_kwargs["iterations"] = params.iterations
-    return strategy_kwargs
 
 
 def _validate_verify(params: VerifyParams) -> str:

@@ -3,10 +3,67 @@
 from __future__ import annotations
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.serve.protocol import (
+    MapParams,
+    RunParams,
+    SweepParams,
+    VerifyParams,
+    parse_params,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: documents whose fenced code blocks show ``repro`` commands
+DOCUMENTS = ("README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md")
+
+#: how a documented line invokes the CLI
+PREFIXES = ("PYTHONPATH=src python -m repro ", "python -m repro ", "repro ")
+
+REQUEST_PARAMS = {"run": RunParams, "sweep": SweepParams, "map": MapParams,
+                  "verify": VerifyParams}
+
+
+def documented_commands():
+    """``(document, argv)`` of every CLI line in a fenced code block."""
+    commands = []
+    for name in DOCUMENTS:
+        text = (ROOT / name).read_text(encoding="utf-8")
+        for block in re.findall(r"^```[^\n]*\n(.*?)^```", text,
+                                flags=re.M | re.S):
+            for line in re.sub(r"\\\n\s*", " ", block).splitlines():
+                line = line.strip()
+                prefix = next((p for p in PREFIXES if line.startswith(p)), None)
+                if prefix is None or "<command>" in line:
+                    continue
+                argv = shlex.split(line[len(prefix):], comments=True)
+                if argv and argv[-1] == "&":
+                    argv.pop()
+                commands.append((name, argv))
+    return commands
+
+
+class TestDocumentedCommands:
+    def test_every_documented_command_parses(self):
+        """Parse (never run) each documented command, request bodies too."""
+        commands = documented_commands()
+        assert len(commands) >= 50
+        failures = []
+        for name, argv in commands:
+            try:
+                args = build_parser().parse_args(argv)
+                if args.command == "request" and args.op in REQUEST_PARAMS:
+                    parse_params(REQUEST_PARAMS[args.op],
+                                 json.loads(args.params or "{}"))
+            except (SystemExit, ValueError) as error:
+                failures.append(f"{name}: repro {shlex.join(argv)} ({error!r})")
+        assert not failures, "\n".join(failures)
 
 
 class TestParser:
@@ -274,35 +331,28 @@ class TestMapCommand:
 
     def test_map_json_with_verification(self, capsys):
         assert main(["map", "--network", "lenet5", "--objective", "throughput",
-                     "--strategy", "exhaustive", "--batch", "4", "--verify",
-                     "--json"]) == 0
+                     "--batch", "4", "--verify", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["objective_value"] <= payload["baseline_objective_value"]
         assert payload["verification"]["passed"]
         assert len(payload["layers"]) == 2
 
-    def test_map_anneal_is_seed_deterministic(self, capsys):
-        args = ["map", "--network", "lenet5", "--objective", "energy",
-                "--strategy", "anneal", "--batch", "4", "--seed", "3",
-                "--iterations", "32", "--json"]
-        assert main(args) == 0
-        first = json.loads(capsys.readouterr().out)
-        assert main(args) == 0
-        second = json.loads(capsys.readouterr().out)
-        assert first == second
-
     def test_map_rejects_inapplicable_strategy_knobs(self, capsys):
-        assert main(["map", "--network", "lenet5", "--strategy", "exhaustive",
-                     "--iterations", "500"]) == 2
-        assert "--iterations" in capsys.readouterr().err
-        assert main(["map", "--network", "lenet5", "--strategy", "greedy",
-                     "--samples", "9"]) == 2
-        assert "--samples" in capsys.readouterr().err
+        # exhaustive is the only search: other strategy names and the knobs
+        # of the retired sampling searches are usage errors
+        with pytest.raises(SystemExit) as exit_info:
+            main(["map", "--network", "lenet5", "--strategy", "random"])
+        assert exit_info.value.code == 2
+        assert "--strategy" in capsys.readouterr().err
+        for knob in ("samples", "iterations"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["map", "--network", "lenet5", f"--{knob}", "9"])
+            assert exit_info.value.code == 2
+            assert f"--{knob}" in capsys.readouterr().err
 
     def test_map_uses_the_search_cache(self, capsys, tmp_path):
         args = ["map", "--network", "lenet5", "--objective", "latency",
-                "--strategy", "exhaustive", "--batch", "4",
-                "--cache-dir", str(tmp_path)]
+                "--batch", "4", "--cache-dir", str(tmp_path)]
         assert main(args) == 0
         capsys.readouterr()
         assert main(args) == 0

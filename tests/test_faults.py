@@ -271,11 +271,11 @@ class TestChaosEquivalence:
     def test_mapping_search_is_bit_identical_under_crashes(self, chaos,
                                                            monkeypatch):
         network = tiny_test_network()
-        serial = ScheduleOptimizer(objective="latency", strategy="exhaustive",
+        serial = ScheduleOptimizer(objective="latency",
                                    batch=4).optimize(network)
         _set_chaos(monkeypatch)
-        chaotic = ScheduleOptimizer(objective="latency", strategy="exhaustive",
-                                    batch=4, workers=2).optimize(network)
+        chaotic = ScheduleOptimizer(objective="latency", batch=4,
+                                    workers=2).optimize(network)
         assert chaotic.to_json_dict() == serial.to_json_dict()
 
     def test_functional_verify_is_bit_identical_under_crashes(self, chaos,

@@ -1,4 +1,4 @@
-"""Tests for the mapping-search subsystem (mapspace, strategies, optimizer).
+"""Tests for the mapping-search subsystem (mapspace, search, optimizer).
 
 The searched-vs-baseline equivalence tests in this module are part of the CI
 equivalence gate (skips are failures): the searched schedule must never be
@@ -16,22 +16,59 @@ from repro.analysis.batch import MAPPING_RESULT_COLUMNS, MappingBatchEvaluator
 from repro.cnn.generator import WorkloadGenerator, stable_seed
 from repro.cnn.layer import ConvLayer
 from repro.cnn.reference import conv2d_im2col
-from repro.cnn.zoo import alexnet, tiny_test_network
+from repro.cnn.zoo import alexnet, get_network, tiny_test_network
 from repro.core.config import ChainConfig
 from repro.core.scheduler import BatchScheduler
 from repro.engine import RunCache, create_engine
 from repro.errors import ConfigurationError, MappingError
 from repro.mapping import (
     OBJECTIVES,
+    ExhaustiveStrategy,
     LayerMapSpace,
     MappingCandidate,
     MapSpace,
     OptimizedSchedule,
     ScheduleOptimizer,
-    make_strategy,
 )
-from repro.mapping.mapspace import candidate_arrays
+from repro.mapping import strategies
+from repro.mapping.mapspace import ALGORITHM_MODES, candidate_arrays
 from repro.sim.functional import FunctionalChainSimulator
+
+
+def rows(columns):
+    """Every row of an enumerated space as a MappingCandidate."""
+    return [columns.candidate(row) for row in range(len(columns))]
+
+
+def reference_rows(space):
+    """The pruned space by nested loops, in the documented row order.
+
+    Primitives ascending; per primitive count the direct rows (chunk
+    descending, stripe height ascending, batch before image), then the
+    Winograd rows (chunk descending, batch before image).  Image-major
+    rows exist only where the weights need refills (chunk < passes).
+    """
+    def plateau_chunks(passes, capacity):
+        chunk, chunks = min(capacity, passes), []
+        while chunk >= 1:
+            chunks.append(chunk)
+            chunk = -(-passes // -(-passes // chunk)) - 1
+        return chunks
+
+    kernel = space.layer.kernel_size
+    out = []
+    for primitives in space.pruned_primitives():
+        passes = -(-space.channel_pairs // primitives)
+        for algorithm in space.algorithms:
+            wino = algorithm == "winograd"
+            capacity = (space.winograd_capacity if wino
+                        else space.kmemory_capacity)
+            heights = (kernel,) if wino else range(1, kernel + 1)
+            for chunk in plateau_chunks(passes, capacity):
+                images = (0, 1) if chunk < passes else (0,)
+                out += [(primitives, height, chunk, image, int(wino))
+                        for height in heights for image in images]
+    return np.array(out, dtype=np.int64).reshape(-1, 5)
 
 
 @pytest.fixture(scope="module")
@@ -62,10 +99,10 @@ class TestLayerMapSpace:
         assert baseline.interleave == "batch"
 
     def test_baseline_is_enumerated(self, small_space):
-        assert small_space.baseline() in small_space.enumerate()
+        assert small_space.baseline() in rows(small_space.enumerate())
 
     def test_every_enumerated_candidate_is_legal(self, small_space):
-        for candidate in small_space.enumerate():
+        for candidate in rows(small_space.enumerate()):
             small_space.validate(candidate)
 
     def test_pruned_size_matches_enumeration(self, small_space):
@@ -105,14 +142,33 @@ class TestLayerMapSpace:
         for column in ("first_image_latency_s", "time_per_batch_s",
                        "energy_per_batch_j", "edp_js"):
             full_best = evaluator.evaluate(*candidate_arrays(full))[column].min()
-            pruned_best = evaluator.evaluate(*candidate_arrays(pruned))[column].min()
+            pruned_best = evaluator.evaluate(*pruned.arrays())[column].min()
             assert pruned_best == pytest.approx(full_best, rel=1e-12)
 
-    def test_sample_and_neighbor_stay_legal(self, small_space):
-        rng = np.random.default_rng(stable_seed(1, "sample"))
-        for candidate in small_space.sample(rng, 64):
-            small_space.validate(candidate)
-            small_space.validate(small_space.neighbor(candidate, rng))
+    @staticmethod
+    def _assert_matches_reference(space):
+        columns = np.stack([column.astype(np.int64)
+                            for column in space.enumerate().arrays()], axis=1)
+        assert np.array_equal(columns, reference_rows(space)), space.describe()
+        assert space.pruned_size() == len(columns)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHM_MODES)
+    @pytest.mark.parametrize("network", ["alexnet", "vgg16", "lenet5",
+                                         "cifar10"])
+    def test_enumeration_order_matches_nested_loops(self, network, algorithm):
+        """Row for row: ties in the search break by this order."""
+        for layer in get_network(network).conv_layers:
+            self._assert_matches_reference(
+                LayerMapSpace(layer, algorithm=algorithm))
+
+    def test_enumeration_order_on_small_and_large_chains(self, small_space,
+                                                         alexnet_net):
+        self._assert_matches_reference(small_space)
+        # a kMemory far above sqrt(passes) takes both chunk-plateau regimes
+        config = ChainConfig(num_pes=4096, kmemory_words_per_pe=4096)
+        self._assert_matches_reference(
+            LayerMapSpace(alexnet_net.conv_layer("conv3"), config,
+                          algorithm="auto"))
 
     def test_network_mapspace(self, alexnet_net):
         space = MapSpace(alexnet_net)
@@ -143,7 +199,7 @@ class TestMappingBatchEvaluator:
         """Evaluating a batch of candidates == evaluating them one by one."""
         evaluator = MappingBatchEvaluator(small_space.layer, small_space.config,
                                           batch=8)
-        candidates = small_space.enumerate()[::7]
+        candidates = rows(small_space.enumerate())[::7]
         together = evaluator.evaluate(*candidate_arrays(candidates))
         for index, candidate in enumerate(candidates):
             alone = evaluator.evaluate(*candidate_arrays([candidate]))
@@ -181,40 +237,27 @@ class TestMappingBatchEvaluator:
 
 
 class TestStrategies:
-    def _scorer(self, space, objective="time_per_batch_s", batch=4):
-        evaluator = MappingBatchEvaluator(space.layer, space.config, batch=batch)
-
-        def scorer(candidates):
-            return evaluator.evaluate(*candidate_arrays(list(candidates)))[objective]
-
-        return scorer
-
     def test_exhaustive_finds_the_pruned_optimum(self, small_space):
-        scorer = self._scorer(small_space)
-        result = make_strategy("exhaustive").search(small_space, scorer)
+        evaluator = MappingBatchEvaluator(small_space.layer, small_space.config,
+                                          batch=4)
+
+        def scorer(columns):
+            return evaluator.evaluate(*columns.arrays())["time_per_batch_s"]
+
+        result = ExhaustiveStrategy().search(small_space, scorer)
         everything = scorer(small_space.enumerate())
-        assert result.best_score == pytest.approx(float(everything.min()))
+        assert result.scores[0] == pytest.approx(float(everything.min()))
+        assert result.evaluations == small_space.pruned_size()
 
-    @pytest.mark.parametrize("name", ["random", "anneal"])
-    def test_stochastic_strategies_are_seed_deterministic(self, small_space, name):
-        scorer = self._scorer(small_space)
-        first = make_strategy(name, seed=7).search(small_space, scorer)
-        second = make_strategy(name, seed=7).search(small_space, scorer)
-        assert first.candidates == second.candidates
-        assert first.scores == second.scores
+    def test_size_guard_raises_before_enumerating(self, alexnet_net,
+                                                  monkeypatch):
+        def enumerate_called(space):
+            raise AssertionError("the guard must run before enumerate()")
 
-    @pytest.mark.parametrize("name", ["random", "greedy", "anneal"])
-    def test_strategies_never_lose_to_baseline(self, small_space, name):
-        scorer = self._scorer(small_space, objective="first_image_latency_s")
-        baseline_score = float(scorer([small_space.baseline()])[0])
-        result = make_strategy(name).search(small_space, scorer)
-        assert result.best_score <= baseline_score * (1 + 1e-12)
-
-    def test_make_strategy_rejects_unknown_names_and_knobs(self):
-        with pytest.raises(ConfigurationError):
-            make_strategy("tabu")
-        with pytest.raises(ConfigurationError):
-            make_strategy("exhaustive", seed=1)
+        monkeypatch.setattr(strategies, "MAX_CANDIDATES", 100)
+        monkeypatch.setattr(LayerMapSpace, "enumerate", enumerate_called)
+        with pytest.raises(ConfigurationError, match="conv1"):
+            ScheduleOptimizer(objective="latency", batch=4).optimize(alexnet_net)
 
 
 class TestScheduleOptimizer:
@@ -222,8 +265,7 @@ class TestScheduleOptimizer:
     def test_searched_never_worse_than_table2_on_alexnet(self, alexnet_net,
                                                          objective):
         """The equivalence-gate claim, per objective (CI fails on skips)."""
-        optimizer = ScheduleOptimizer(objective=objective, strategy="exhaustive",
-                                      batch=16)
+        optimizer = ScheduleOptimizer(objective=objective, batch=16)
         schedule = optimizer.optimize(alexnet_net)
         assert (schedule.objective_value()
                 <= schedule.baseline_objective_value() * (1 + 1e-12))
@@ -231,15 +273,13 @@ class TestScheduleOptimizer:
     def test_latency_strictly_better_on_alexnet(self, alexnet_net):
         """Image-major interleave beats batch-blocked loading on refill-heavy
         layers — the strictly-better half of the acceptance criterion."""
-        optimizer = ScheduleOptimizer(objective="latency", strategy="exhaustive",
-                                      batch=16)
+        optimizer = ScheduleOptimizer(objective="latency", batch=16)
         schedule = optimizer.optimize(alexnet_net)
         assert schedule.objective_value() < schedule.baseline_objective_value()
         assert schedule.improvement_fraction() > 0.25
 
     def test_schedule_round_trips_through_json(self, alexnet_net):
-        optimizer = ScheduleOptimizer(objective="energy", strategy="exhaustive",
-                                      batch=8)
+        optimizer = ScheduleOptimizer(objective="energy", batch=8)
         schedule = optimizer.optimize(alexnet_net)
         clone = OptimizedSchedule.from_json_dict(schedule.to_json_dict())
         assert clone.to_json_dict() == schedule.to_json_dict()
@@ -247,30 +287,27 @@ class TestScheduleOptimizer:
 
     def test_search_is_memoised_in_run_cache(self, alexnet_net, tmp_path):
         cache = RunCache(tmp_path)
-        optimizer = ScheduleOptimizer(objective="latency", strategy="exhaustive",
-                                      batch=16, cache=cache)
+        optimizer = ScheduleOptimizer(objective="latency", batch=16, cache=cache)
         first = optimizer.optimize(alexnet_net)
         assert not first.cached
         second = optimizer.optimize(alexnet_net)
         assert second.cached
         assert second.to_json_dict() == first.to_json_dict()
         # a different search configuration misses (fingerprint in the key)
-        other = ScheduleOptimizer(objective="energy", strategy="exhaustive",
-                                  batch=16, cache=cache)
+        other = ScheduleOptimizer(objective="energy", batch=16, cache=cache)
         assert other.cache_key(alexnet_net) != optimizer.cache_key(alexnet_net)
 
     def test_verify_searched_mappings_on_tiny_network(self):
         network = tiny_test_network()
-        optimizer = ScheduleOptimizer(objective="latency", strategy="exhaustive",
-                                      batch=4, config=ChainConfig(num_pes=36))
+        optimizer = ScheduleOptimizer(objective="latency", batch=4,
+                                      config=ChainConfig(num_pes=36))
         schedule = optimizer.optimize(network)
         verification = optimizer.verify(network, schedule)
         assert verification.passed
         assert verification.max_abs_error <= 1e-9
 
     def test_batch_scheduler_consumes_optimized_schedules(self, alexnet_net):
-        optimizer = ScheduleOptimizer(objective="throughput",
-                                      strategy="exhaustive", batch=16)
+        optimizer = ScheduleOptimizer(objective="throughput", batch=16)
         schedule = optimizer.optimize(alexnet_net)
         timeline = BatchScheduler().schedule_optimized(alexnet_net, schedule)
         assert timeline.batch == 16
@@ -280,8 +317,7 @@ class TestScheduleOptimizer:
             schedule.frames_per_second())
 
     def test_batch_scheduler_rejects_foreign_schedules(self, alexnet_net):
-        optimizer = ScheduleOptimizer(objective="throughput",
-                                      strategy="exhaustive", batch=4,
+        optimizer = ScheduleOptimizer(objective="throughput", batch=4,
                                       config=ChainConfig(num_pes=36))
         schedule = optimizer.optimize(tiny_test_network())
         with pytest.raises(ConfigurationError):
@@ -340,8 +376,7 @@ class TestFunctionalEquivalence:
 
 class TestMappedEngine:
     def test_registered_and_reports_improvement(self, alexnet_net):
-        engine = create_engine("analytical-mapped", objective="latency",
-                               strategy="exhaustive")
+        engine = create_engine("analytical-mapped", objective="latency")
         record = engine.evaluate(alexnet_net, batch=16)
         assert record.engine == "analytical-mapped"
         assert record.batch == 16
@@ -352,29 +387,29 @@ class TestMappedEngine:
 
     def test_requested_batch_is_honored(self, alexnet_net):
         # batch=1 must evaluate batch 1, not be rewritten to a default
-        engine = create_engine("analytical-mapped", strategy="exhaustive")
+        engine = create_engine("analytical-mapped")
         record = engine.evaluate(alexnet_net, batch=1)
         assert record.batch == 1
         assert record.extra["schedule"]["batch"] == 1
 
     def test_fingerprint_carries_the_search_configuration(self):
-        engine = create_engine("analytical-mapped", objective="energy",
-                               strategy="anneal", seed=11, iterations=16)
+        engine = create_engine("analytical-mapped", objective="energy")
         fingerprint = engine.fingerprint()
         assert fingerprint["objective"] == "energy"
-        assert fingerprint["strategy"]["name"] == "anneal"
-        assert fingerprint["strategy"]["seed"] == 11
-        other = create_engine("analytical-mapped", objective="energy",
-                              strategy="anneal", seed=12, iterations=16)
-        assert other.fingerprint() != fingerprint
+        assert "strategy" not in fingerprint
+        other_objective = create_engine("analytical-mapped", objective="latency")
+        other_algorithm = create_engine("analytical-mapped", objective="energy",
+                                        algorithm="auto")
+        assert other_objective.fingerprint() != fingerprint
+        assert other_algorithm.fingerprint() != fingerprint
 
 
 class TestStableSeed:
     def test_stable_seed_is_deterministic_and_sensitive(self):
-        assert stable_seed(2017, "anneal", "conv3") == stable_seed(
-            2017, "anneal", "conv3")
-        assert stable_seed(2017, "anneal", "conv3") != stable_seed(
-            2017, "anneal", "conv4")
+        assert stable_seed(2017, "verify", "conv3") == stable_seed(
+            2017, "verify", "conv3")
+        assert stable_seed(2017, "verify", "conv3") != stable_seed(
+            2017, "verify", "conv4")
         assert stable_seed(1) != stable_seed(2)
 
     def test_generator_spawn_is_order_independent(self, small_layer):

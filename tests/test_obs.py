@@ -378,10 +378,10 @@ class TestBitIdentity:
 
     def test_mapping_search_identical_with_tracing_on(self):
         network = tiny_test_network()
-        baseline = ScheduleOptimizer(objective="latency", strategy="exhaustive",
+        baseline = ScheduleOptimizer(objective="latency",
                                      batch=4).optimize(network)
         obs_trace.enable(env=False)
-        traced = ScheduleOptimizer(objective="latency", strategy="exhaustive",
+        traced = ScheduleOptimizer(objective="latency",
                                    batch=4).optimize(network)
         assert traced.to_json_dict() == baseline.to_json_dict()
 
@@ -408,8 +408,7 @@ class TestCli:
         assert "cli.sweep" in out
 
     def test_footer_without_trace_flag(self, capsys):
-        status = cli_main(["map", "--network", "alexnet",
-                           "--strategy", "greedy"])
+        status = cli_main(["map", "--network", "alexnet"])
         assert status == 0
         err = capsys.readouterr().err
         assert "[obs] map:" in err and "candidates" in err
@@ -418,8 +417,7 @@ class TestCli:
     def test_jsonl_trace_export(self, tmp_path, capsys):
         path = tmp_path / "trace.jsonl"
         status = cli_main(["--trace", str(path),
-                           "map", "--network", "alexnet", "--strategy",
-                           "greedy"])
+                           "map", "--network", "alexnet"])
         assert status == 0
         capsys.readouterr()
         events, meta = load_trace(str(path))

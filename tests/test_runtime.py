@@ -211,10 +211,8 @@ class TestSerialDegradation:
 
     def test_map_degrades(self, no_pools):
         network = tiny_test_network()
-        schedule = ScheduleOptimizer(strategy="exhaustive", batch=4,
-                                     workers=4).optimize(network)
-        baseline = ScheduleOptimizer(strategy="exhaustive",
-                                     batch=4).optimize(network)
+        schedule = ScheduleOptimizer(batch=4, workers=4).optimize(network)
+        baseline = ScheduleOptimizer(batch=4).optimize(network)
         assert schedule.to_json_dict() == baseline.to_json_dict()
 
     def test_verify_degrades(self, no_pools):
@@ -332,13 +330,12 @@ class TestParallelSerialEquivalence:
         assert [s.chain_cycles for s in serial.stages] == \
             [s.chain_cycles for s in parallel.stages]
 
-    @pytest.mark.parametrize("strategy", ["exhaustive", "anneal"])
-    def test_mapping_search_parallel_matches_serial(self, strategy):
+    def test_mapping_search_parallel_matches_serial(self):
         network = alexnet()
-        serial = ScheduleOptimizer(objective="latency", strategy=strategy,
+        serial = ScheduleOptimizer(objective="latency",
                                    batch=16).optimize(network)
-        parallel = ScheduleOptimizer(objective="latency", strategy=strategy,
-                                     batch=16, workers=2).optimize(network)
+        parallel = ScheduleOptimizer(objective="latency", batch=16,
+                                     workers=2).optimize(network)
         assert serial.to_json_dict() == parallel.to_json_dict()
 
     def test_sweep_parallel_matches_serial_and_reuses_pool(self):

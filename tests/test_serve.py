@@ -34,6 +34,7 @@ from repro.serve.protocol import (
     RunParams,
     SweepParams,
     coalesce_key,
+    http_response,
     parse_params,
 )
 from repro.serve.server import EvalServer
@@ -209,6 +210,32 @@ class TestProtocol:
         assert key != coalesce_key("analytical-batch", network,
                                    ChainConfig(num_pes=64))
 
+    def test_client_body_ends_at_content_length(self):
+        """The client must not wait for EOF: a pool worker forked while a
+        connection is open keeps the server's socket alive after close()."""
+        async def main():
+            release = asyncio.Event()
+
+            async def handler(reader, writer):
+                await reader.readuntil(b"\r\n\r\n")
+                writer.write(http_response(200, b'{"ok": true}'))
+                await writer.drain()
+                await release.wait()  # the connection stays open
+                writer.close()
+
+            server = await asyncio.start_server(handler, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                return await asyncio.wait_for(
+                    request_json("127.0.0.1", port, "/v1/health",
+                                 method="GET"), timeout=10.0)
+            finally:
+                release.set()
+                server.close()
+                await server.wait_closed()
+
+        assert asyncio.run(main()) == (200, b'{"ok": true}')
+
 
 # --------------------------------------------------------------------- #
 # server round-trips (event-loop clients)
@@ -273,8 +300,7 @@ class TestServerBitIdentity:
         """A seeded crash plan killing pool workers must not change bytes."""
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         monkeypatch.delenv(FAULT_SPEC_ENV, raising=False)
-        map_argv = ["map", "--network", "alexnet", "--strategy", "greedy",
-                    "--json"]
+        map_argv = ["map", "--network", "alexnet", "--json"]
         serial_map = _cli_out(map_argv)
         serial_sweep = _cli_out(
             ["sweep", "--grid", "pe=128:512:128,freq=700:700:1", "--json"])
@@ -284,8 +310,7 @@ class TestServerBitIdentity:
         async def clients(server):
             return await asyncio.gather(
                 request_json(server.host, server.port, "/v1/map",
-                             {"network": "alexnet", "strategy": "greedy",
-                              "workers": 2}),
+                             {"network": "alexnet", "workers": 2}),
                 request_json(server.host, server.port, "/v1/sweep",
                              {"grid": "pe=128:512:128,freq=700:700:1"}),
             )
@@ -326,11 +351,16 @@ class TestServerBitIdentity:
                              {"network": "alexnet", "workers": 2}),
                 request_json(server.host, server.port, "/v1/map",
                              {"samples": 5}),
+                # exhaustive is the only search, so the key is gone
+                request_json(server.host, server.port, "/v1/map",
+                             {"strategy": "exhaustive"}),
             )
 
         responses = _serve(clients)
-        assert [status for status, _ in responses] == [400, 404, 400, 400, 400]
+        assert [status for status, _ in responses] == [400, 404, 400, 400,
+                                                       400, 400]
         assert b"workers" in responses[3][1]
+        assert b"strategy" in responses[5][1]
 
     def test_health_and_metrics_endpoints(self):
         async def clients(server):

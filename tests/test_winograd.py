@@ -38,7 +38,7 @@ from repro.cnn.reference import conv2d_im2col, pad_input
 from repro.cnn.zoo import get_network
 from repro.core.config import ChainConfig
 from repro.errors import ConfigurationError, MappingError
-from repro.mapping import ScheduleOptimizer, make_strategy
+from repro.mapping import ScheduleOptimizer
 from repro.mapping.mapspace import (
     ALGORITHM_MODES,
     ALGORITHMS,
@@ -314,13 +314,12 @@ class TestMapSpaceAxis:
         direct = LayerMapSpace(layer, algorithm="direct")
         assert auto.algorithms == ALGORITHMS
         assert direct.algorithms == ("direct",)
-        candidates = auto.enumerate()
-        assert len(candidates) == auto.pruned_size()
-        algorithms = {c.algorithm for c in candidates}
-        assert algorithms == {"direct", "winograd"}
+        columns = auto.enumerate()
+        assert len(columns) == auto.pruned_size()
+        assert set(columns.winograd.tolist()) == {False, True}
         assert auto.pruned_size() > direct.pruned_size()
-        for candidate in candidates:
-            auto.validate(candidate)
+        for row in range(len(columns)):
+            auto.validate(columns.candidate(row))
 
     def test_ineligible_layer_degrades_every_mode_to_direct(self):
         strided = ConvLayer("s2", in_channels=8, out_channels=8, in_height=13,
@@ -336,10 +335,10 @@ class TestMapSpaceAxis:
         baseline = space.baseline()
         assert baseline.is_winograd
         space.validate(baseline)
-        for candidate in space.enumerate():
-            assert candidate.is_winograd
-            assert candidate.stripe_height == layer.kernel_size
-            assert candidate.chunk <= space.winograd_capacity
+        columns = space.enumerate()
+        assert columns.winograd.all()
+        assert (columns.stripe_height == layer.kernel_size).all()
+        assert (columns.chunk <= space.winograd_capacity).all()
         bad_height = dataclasses.replace(baseline, stripe_height=1)
         with pytest.raises(MappingError):
             space.validate(bad_height)
@@ -360,16 +359,6 @@ class TestMapSpaceAxis:
         assert rebuilt == candidate
         assert "wino" in candidate.describe()
 
-    def test_direct_sampling_stream_is_unchanged_by_the_axis(self):
-        # the direct-only RNG stream predates the algorithm axis; auto mode
-        # must not perturb it (cache keys and seeded searches must reproduce)
-        layer = _eligible_layer(in_channels=16, out_channels=16)
-        direct = LayerMapSpace(layer, algorithm="direct")
-        samples = direct.sample(np.random.default_rng(3), 8)
-        replay = direct.sample(np.random.default_rng(3), 8)
-        assert samples == replay
-        assert all(not c.is_winograd for c in samples)
-
 
 # --------------------------------------------------------------------- #
 # columnar candidate scoring with the algorithm column
@@ -378,16 +367,14 @@ class TestEvaluatorDispatch:
     def test_mixed_batches_merge_per_algorithm_scores(self):
         layer = _eligible_layer(in_channels=32, out_channels=32,
                                 in_height=28, in_width=28)
-        space = LayerMapSpace(layer, algorithm="auto")
-        candidates = space.enumerate()
+        columns = LayerMapSpace(layer, algorithm="auto").enumerate()
         evaluator = MappingBatchEvaluator(layer, batch=4)
-        mixed = evaluator.evaluate(*candidate_arrays(candidates))
-        mask = np.array([c.is_winograd for c in candidates])
+        mixed = evaluator.evaluate(*columns.arrays())
+        mask = columns.winograd
         assert mask.any() and (~mask).any()
-        direct_only = [c for c, wino in zip(candidates, mask) if not wino]
-        wino_only = [c for c, wino in zip(candidates, mask) if wino]
-        direct = evaluator.evaluate(*candidate_arrays(direct_only))
-        wino = evaluator.evaluate(*candidate_arrays(wino_only))
+        direct = evaluator.evaluate(
+            *(column[~mask] for column in columns.arrays()))
+        wino = evaluator.evaluate(*(column[mask] for column in columns.arrays()))
         for name in MAPPING_RESULT_COLUMNS:
             assert np.array_equal(mixed[name][~mask], direct[name])
             assert np.array_equal(mixed[name][mask], wino[name])
@@ -410,9 +397,9 @@ class TestEvaluatorDispatch:
                           in_height=56, in_width=56, kernel_size=3,
                           stride=1, padding=1)
         evaluator = MappingBatchEvaluator(layer, batch=1)
-        space = LayerMapSpace(layer, algorithm="auto")
-        base = space.baseline()
-        pair = [base, space._as_winograd(base)]
+        pair = [LayerMapSpace(layer, algorithm=mode).baseline()
+                for mode in ("direct", "winograd")]
+        assert pair[1].is_winograd
         columns = evaluator.evaluate(*candidate_arrays(pair))
         assert columns["conv_cycles_per_image"][1] < \
             columns["conv_cycles_per_image"][0]
@@ -430,11 +417,8 @@ class TestSearchNeverWorse:
         config = ChainConfig()
         results = {}
         for mode in ("direct", "auto"):
-            optimizer = ScheduleOptimizer(
-                config=config, objective=objective,
-                strategy=make_strategy("exhaustive"), batch=8,
-                algorithm=mode,
-            )
+            optimizer = ScheduleOptimizer(config=config, objective=objective,
+                                          batch=8, algorithm=mode)
             results[mode] = optimizer.optimize(network).objective_value()
         assert results["auto"] <= results["direct"] * (1 + 1e-12)
 
@@ -442,20 +426,17 @@ class TestSearchNeverWorse:
         network = get_network("vgg16")
         optimizer = ScheduleOptimizer(
             config=ChainConfig(), objective="throughput",
-            strategy=make_strategy("exhaustive"), batch=16, algorithm="auto",
+            batch=16, algorithm="auto",
         )
         schedule = optimizer.optimize(network)
         algorithms = schedule.algorithms()
         assert set(algorithms.values()) == {"winograd"}
-        direct = ScheduleOptimizer(
-            config=ChainConfig(), objective="throughput",
-            strategy=make_strategy("exhaustive"), batch=16,
-        ).optimize(network)
+        direct = ScheduleOptimizer(config=ChainConfig(), objective="throughput",
+                                   batch=16).optimize(network)
         assert schedule.objective_value() < direct.objective_value()
 
     def test_fingerprint_only_changes_for_non_direct_modes(self):
-        common = dict(config=ChainConfig(), objective="latency",
-                      strategy=make_strategy("exhaustive"), batch=4)
+        common = dict(config=ChainConfig(), objective="latency", batch=4)
         direct = ScheduleOptimizer(**common)
         explicit = ScheduleOptimizer(algorithm="direct", **common)
         auto = ScheduleOptimizer(algorithm="auto", **common)
@@ -469,11 +450,9 @@ class TestSearchNeverWorse:
 
     def test_verify_winograd_schedule_against_golden(self):
         network = get_network("alexnet")
-        optimizer = ScheduleOptimizer(
-            config=ChainConfig(), objective="throughput",
-            strategy=make_strategy("exhaustive"), batch=4,
-            algorithm="winograd",
-        )
+        optimizer = ScheduleOptimizer(config=ChainConfig(),
+                                      objective="throughput", batch=4,
+                                      algorithm="winograd")
         schedule = optimizer.optimize(network)
         verification = optimizer.verify(network, schedule, seed=5)
         assert verification.passed
