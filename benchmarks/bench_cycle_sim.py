@@ -12,6 +12,7 @@ import pytest
 
 from repro.cnn.generator import WorkloadGenerator
 from repro.cnn.layer import ConvLayer
+from repro.cnn.quantize import quantize_layer_tensors
 from repro.core.config import ChainConfig
 from repro.core.performance import PerformanceModel
 from repro.sim.cycle import CycleAccurateChainSimulator
@@ -47,8 +48,9 @@ def test_functional_simulator_throughput(benchmark, tensors):
     """The dataflow-level simulator handles a conv2-like geometry quickly."""
     layer = ConvLayer("func", in_channels=8, out_channels=8, in_height=27, in_width=27,
                       kernel_size=5, padding=2)
-    generator = WorkloadGenerator(seed=2)
-    ifmaps, weights = generator.layer_pair(layer)
+    # 16-bit fixed point: the functional simulator's input domain
+    ifmaps, weights, _, _ = quantize_layer_tensors(
+        *WorkloadGenerator(seed=2).layer_pair(layer))
     simulator = FunctionalChainSimulator(ChainConfig())
 
     result = benchmark(simulator.run_layer, layer, ifmaps, weights)

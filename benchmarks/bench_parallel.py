@@ -15,10 +15,9 @@ functional verification, mapping-search and sweep parallel timings, CPU
 count) at the repo root; the "Parallel runtime" section of EXPERIMENTS.md is
 regenerated from that file.
 
-Whole-network verification of VGG-16 (the acceptance criterion's workload,
-~4 minutes serial) is exercised when ``REPRO_BENCH_NETWORK=vgg16`` is set;
-the default CI smoke pass measures AlexNet so the benchmark stays a
-seconds-scale step.
+Whole-network verification of VGG-16 (the acceptance criterion's workload)
+is exercised when ``REPRO_BENCH_NETWORK=vgg16`` is set; the default CI
+smoke pass measures AlexNet.
 """
 
 from __future__ import annotations

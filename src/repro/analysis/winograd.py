@@ -70,9 +70,9 @@ WINOGRAD_FILTER_EXPANSION = WINOGRAD_MULTIPLIES_PER_TILE / WINOGRAD_KERNEL**2  #
 #: PE-energy multiplier for the wider transform-domain accumulators
 WINOGRAD_PE_ENERGY_FACTOR = 1.25
 
-#: relative float tolerance of the Winograd functional path vs the im2col
-#: golden — the transforms reassociate the 3x3 reduction, so results agree
-#: to round-off of the accumulator scale rather than bit-exactly
+#: relative tolerance of the Winograd functional path vs the im2col golden
+#: on raw floats, where the transforms reassociate the 3x3 reduction (on the
+#: simulator's fixed-point operands the error is exactly 0)
 WINOGRAD_RELATIVE_TOLERANCE = 1e-6
 
 

@@ -953,7 +953,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run eligible 3x3-stride-1 layers through the "
                              "Winograd F(2x2,3x3) transform domain "
                              "(--sim functional; checked against the im2col "
-                             "golden within the documented tolerance)")
+                             "golden, exact on the fixed-point path)")
 
     bench = sub.add_parser(
         "bench",

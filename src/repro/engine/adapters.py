@@ -35,6 +35,7 @@ from repro.baselines.memory_centric import MemoryCentricAccelerator
 from repro.baselines.spatial_2d import Spatial2DAccelerator
 from repro.cnn.generator import WorkloadGenerator
 from repro.cnn.network import Network
+from repro.cnn.quantize import quantize_layer_tensors
 from repro.core.accelerator import ChainNN
 from repro.core.config import MAINSTREAM_KERNEL_SIZES, ChainConfig
 from repro.core.utilization import minimum_utilization
@@ -406,7 +407,9 @@ class FunctionalEngine(Engine):
         windows_kept = 0
         max_error = 0.0
         for layer in network.conv_layers:
-            ifmaps, weights = generator.layer_pair(layer)
+            # the simulator's input domain is the chip's fixed point
+            ifmaps, weights, _, _ = quantize_layer_tensors(
+                *generator.layer_pair(layer), config.word_bits)
             algorithm = "direct"
             if self.algorithm != "direct":
                 # lazy: repro.analysis closes an import cycle back into this

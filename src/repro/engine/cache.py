@@ -80,8 +80,10 @@ CACHE_MAX_MB_ENV = "REPRO_CACHE_MAX_MB"
 
 #: cache-key schema generation — bump whenever model code changes in a way
 #: that should invalidate previously cached results (keys also embed the
-#: package version, so releases invalidate automatically)
-CACHE_SCHEMA = 1
+#: package version, so releases invalidate automatically).  2: functional
+#: engines and ``repro map --verify`` simulate fixed-point tensors, so their
+#: ``max_abs_error`` is exactly 0.
+CACHE_SCHEMA = 2
 
 #: ``*.tmp`` spool files older than this are crash orphans (a healthy
 #: mkstemp -> write -> replace cycle lives milliseconds); eviction reaps them

@@ -177,13 +177,16 @@ def functional_verification_section(
         "## Functional verification throughput",
         "",
         "The functional (dataflow-level) simulator enumerates every scan",
-        "window of the Chain-NN stripe/column-scan decomposition.  Its",
-        "vectorized NumPy backend evaluates whole window grids per channel",
-        "pair at once and derives the dataflow counters in closed form —",
+        "window of the Chain-NN stripe/column-scan decomposition.  Its input",
+        "domain is the chip's 16-bit fixed point, checked by an",
+        "accumulator-width guard, so every float64 sum is exact.  Its",
+        "vectorized backend computes each conv group's kept windows as one",
+        "im2col BLAS GEMM and derives the dataflow counters in closed form —",
         "bit-identical ofmaps and identical `FunctionalRunStats` to the",
         "scalar per-window walk (asserted by",
         "`tests/test_sim_functional_vectorized.py`), which turns",
-        "whole-network dataflow verification into a seconds-scale CI step:",
+        "whole-network dataflow verification, VGG-16 included, into a",
+        "seconds-scale CI step:",
         "",
         "```text",
         "repro verify --sim functional                     # tiny net, scalar-vs-vectorized cross-check",
@@ -495,9 +498,10 @@ def winograd_execution_section(bench_path: str | Path = "BENCH_winograd.json") -
         "repro networks --json   # per-layer eligibility + MAC coverage",
         "```",
         "",
-        "The functional Winograd backend is bit-identical across block",
-        "partitions, and matches the im2col golden",
-        "reference within `1e-6` relative to the accumulator scale",
+        "The functional Winograd backend runs the transform-domain products",
+        "as 16 batched GEMMs.  On the fixed-point path its transforms and",
+        "sums are exact, so it equals the im2col golden bit for bit",
+        "(`max|err|=0.00e+00`) and is bit-identical across block partitions",
         "(`tests/test_winograd.py` in the CI equivalence gate).  The cost",
         "model charges the 16/9 kMemory inflation of transformed filters,",
         "a 1.25x PE energy factor and the tile transforms, so `auto`",

@@ -20,7 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import QuantizationError
+from repro.errors import QuantizationError, SimulationError
+
+#: Winograd F(2x2,3x3) transform growth in bits: x4 (input transform), x9
+#: (filter transform, on a 2**-2 finer grid), x9 (inverse); 324 < 2**9
+WINOGRAD_GROWTH_BITS = 9
 
 
 @dataclass(frozen=True)
@@ -178,6 +182,44 @@ def quantize_value(value: float, fmt: FixedPointFormat = DEFAULT_FORMAT) -> floa
 def quantize_array(values: np.ndarray, fmt: FixedPointFormat = DEFAULT_FORMAT) -> np.ndarray:
     """Quantise an array to ``fmt`` and return the representable reals."""
     return fmt.quantize(values)
+
+
+def on_fixed_point_grid(values: np.ndarray, bits: int) -> bool:
+    """True when ``values`` are finite and fit ``bits`` significant bits.
+
+    With ``2**E > max|x|`` from :func:`numpy.frexp`, every ``x * 2**(bits-E)``
+    must be an integer.  Every ``choose_format(x, bits).quantize(x)`` passes,
+    also when rounding lifted its maximum onto a power of two.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        return False
+    _, exponent = np.frexp(np.max(np.abs(arr), initial=0.0))
+    scaled = np.ldexp(arr, bits - int(exponent))
+    return bool(np.array_equal(scaled, np.trunc(scaled)))
+
+
+def check_exact_accumulation(name: str, terms: int, bits: int,
+                             *tensors: np.ndarray,
+                             growth_bits: int = 0) -> None:
+    """Raise :class:`SimulationError` unless float64 accumulation is exact.
+
+    Products of ``bits``-bit fixed-point operands are integers below
+    ``2**(2*bits)`` on one grid, so a sum of ``terms`` of them (grown by
+    ``2**growth_bits`` in transforms) is exact in any order while it stays
+    below ``2**53``.  ``tensors`` must pass :func:`on_fixed_point_grid`;
+    callers holding raw integers pass none and check only the geometry.
+    """
+    if terms << (2 * bits + growth_bits) >= 1 << 53:
+        raise SimulationError(
+            f"{name}: {terms} accumulated products of {bits}-bit operands "
+            f"(growth 2**{growth_bits}) can reach 2**53, beyond exact float64 "
+            "accumulation; quantise to a narrower word with repro.cnn.quantize")
+    if not all(on_fixed_point_grid(tensor, bits) for tensor in tensors):
+        raise SimulationError(
+            f"{name}: operands are not {bits}-bit fixed point (non-finite or "
+            "off a power-of-two grid); quantise them with "
+            "repro.cnn.quantize.quantize_layer_tensors first")
 
 
 def fixed_point_mac(

@@ -1,14 +1,13 @@
 """The hottest inner loops, as NumPy kernels.
 
-``repro.kernels`` holds the functional simulator's ofmap block product,
-the mapping-candidate scorer, and their Winograd F(2x2,3x3) counterparts
-(``winograd_group_conv``, ``score_mappings_winograd``) in
-:mod:`repro.kernels.numpy_backend`.  The direct ofmap kernel is
-bit-identical to the scalar per-window walk; the Winograd kernel is
-bit-identical across ofmap block partitions and tolerance-checked against
-the im2col golden (the transforms reassociate the reduction).  Consumers
-fetch the kernels through :func:`get_backend` (see
-:mod:`repro.kernels.registry`).
+``repro.kernels`` holds the functional simulator's ofmap block product
+(one BLAS GEMM), the mapping-candidate scorer, and their Winograd
+F(2x2,3x3) counterparts (``winograd_group_conv``, 16 batched GEMMs;
+``score_mappings_winograd``) in :mod:`repro.kernels.numpy_backend`.  On the
+fixed-point operands the simulator enforces, both convolution kernels are
+exact: equal to the scalar per-window walk and to the im2col golden bit for
+bit, in any block partition.  Consumers fetch the kernels through
+:func:`get_backend` (see :mod:`repro.kernels.registry`).
 """
 
 from repro.kernels.numpy_backend import MappingCostParams

@@ -13,6 +13,10 @@ from typing import Dict
 
 import numpy as np
 
+#: byte budget of what one GEMM block materialises: an im2col patch block
+#: (direct) or the row- and column-transformed input tiles (Winograd)
+GEMM_BLOCK_BYTES = 32 * 1024 * 1024
+
 
 @dataclass(frozen=True)
 class MappingCostParams:
@@ -54,91 +58,80 @@ class MappingCostParams:
     wino_pe_energy_factor: float = 1.0
 
 
-def ofmap_block_product(plane_windows: np.ndarray, kernels: np.ndarray,
+def ofmap_block_product(patches: np.ndarray, kernel_matrix: np.ndarray,
                         out_block: np.ndarray) -> None:
-    """Accumulate one ifmap channel's contribution to an ofmap block.
+    """One GEMM, ``out_block = kernel_matrix @ patches`` (assigned).
 
-    ``plane_windows`` is the channel's contiguous ``(out_h, out_w, K, K)``
-    float64 kept-window tensor, ``kernels`` the ``(Mb, K, K)`` float64
-    kernels of the ofmap block, ``out_block`` the ``(Mb, out_h, out_w)``
-    float64 ofmap slice to accumulate into (``+=``).
-
-    One broadcasted multiply followed by a reduction over the merged
-    ``K*K`` axis: summing the contiguous ``K^2`` products along one axis
-    reduces them in the same order as the scalar walk's per-window
-    ``np.sum(window * kernel)``, so the ofmaps stay bit-identical to it
-    (summing over ``axis=(-2, -1)`` reassociates the additions).
+    ``patches`` is one conv group's ``(C/g*K*K, positions)`` float64 im2col
+    block, ``kernel_matrix`` the ``(Mb, C/g*K*K)`` kernels of an ofmap
+    block, ``out_block`` the ``(Mb, positions)`` ofmap slice.  On operands
+    within the accumulator-width guard every sum is exact, in any order.
     """
-    m_count, out_h, out_w = out_block.shape
-    k = kernels.shape[-1]
-    # contiguous (Mb, out_h, out_w, K, K) product; merging the kernel axes
-    # before the sum keeps the reduction order of the scalar per-window np.sum
-    product = plane_windows[None] * kernels[:, None, None]
-    sums = np.sum(product.reshape(m_count, out_h, out_w, k * k), axis=-1)
-    # release the block product before the caller's next block allocates:
-    # keeping it alive across iterations doubles peak memory
-    del product
-    out_block += sums
+    np.matmul(kernel_matrix, patches, out=out_block)
 
 
 def winograd_group_conv(ext: np.ndarray, u: np.ndarray,
                         out_block: np.ndarray) -> None:
-    """One group's Winograd F(2x2,3x3) convolution, vectorized.
+    """One group's Winograd F(2x2,3x3) convolution as batched GEMMs.
 
     ``ext`` is the group's ``(Cg, 2*th+2, 2*tw+2)`` float64 input plane,
     zero-extended to the 4x4 tile grid; ``u`` the ``(Mb, Cg, 4, 4)`` float64
     *transformed* filters (``G g G^T``, see
     :func:`repro.sim.winograd.transform_filters`); ``out_block`` the
     ``(Mb, out_h, out_w)`` float64 ofmap block, **assigned** (not
-    accumulated).
-
-    Unlike the direct kernel, this one is not bit-identical to the im2col
-    golden — the transforms reassociate the 3x3 reduction — but it is
-    deterministic per ofmap channel: the input transform is explicit adds,
-    the transform-domain accumulation runs over input channels in ascending
-    order element by element, and the inverse transform uses a fixed
-    association, so any partition of the ofmap block (serial or parallel
-    workers) produces the same bits.
+    accumulated).  The transform-domain products are 16 batched
+    ``(Mb, Cg) @ (Cg, tiles)`` GEMMs, one per 4x4 position, over blocks of
+    tile rows whose row- and column-transformed inputs fit
+    :data:`GEMM_BLOCK_BYTES`.
     """
     cg = ext.shape[0]
     mb, out_h, out_w = out_block.shape
     th = (ext.shape[1] - 2) // 2
     tw = (ext.shape[2] - 2) // 2
-    tiles = th * tw
-    # 4x4 input tiles at stride 2: (Cg, th, tw, 4, 4)
+    # (16, Mb, Cg): one filter matrix per transform-domain position
+    u16 = np.ascontiguousarray(u.transpose(2, 3, 0, 1)).reshape(16, mb, cg)
+    rows = max(1, GEMM_BLOCK_BYTES // (2 * 16 * max(cg, mb) * tw * 8))
+    for t0 in range(0, th, rows):
+        out_rows = out_block[:, 2 * t0:2 * (t0 + rows)]
+        tiles = _winograd_tile_rows(ext[:, 2 * t0:2 * (t0 + rows) + 2], u16)
+        out_rows[:] = tiles[:, :out_rows.shape[1], :out_w]
+
+
+def _winograd_tile_rows(ext_rows: np.ndarray, u16: np.ndarray) -> np.ndarray:
+    """The ``(Mb, 2*rows, 2*tw)`` output tiles of one block of tile rows.
+
+    A function of its own so that its intermediates are freed before the
+    next block allocates.
+    """
+    mb, cg = u16.shape[1:]
+    # 4x4 input tiles at stride 2, tile axes first: (4, 4, Cg, rows, tw)
     d = np.lib.stride_tricks.sliding_window_view(
-        ext, (4, 4), axis=(1, 2))[:, ::2, ::2]
+        ext_rows, (4, 4), axis=(1, 2))[:, ::2, ::2].transpose(3, 4, 0, 1, 2)
+    rows, tw = d.shape[3:]
     # input transform B^T d B — B has entries in {0, +-1}, so the transform
     # is pure adds; rows first, then columns
-    n = np.empty((cg, th, tw, 4, 4), dtype=np.float64)
-    n[..., 0, :] = d[..., 0, :] - d[..., 2, :]
-    n[..., 1, :] = d[..., 1, :] + d[..., 2, :]
-    n[..., 2, :] = d[..., 2, :] - d[..., 1, :]
-    n[..., 3, :] = d[..., 1, :] - d[..., 3, :]
+    n = np.empty(d.shape, dtype=np.float64)
+    n[0] = d[0] - d[2]
+    n[1] = d[1] + d[2]
+    n[2] = d[2] - d[1]
+    n[3] = d[1] - d[3]
     v = np.empty_like(n)
-    v[..., 0] = n[..., 0] - n[..., 2]
-    v[..., 1] = n[..., 1] + n[..., 2]
-    v[..., 2] = n[..., 2] - n[..., 1]
-    v[..., 3] = n[..., 1] - n[..., 3]
-    v2 = v.reshape(cg, tiles, 16)
-    u2 = np.ascontiguousarray(u, dtype=np.float64).reshape(mb, cg, 16)
-    # transform-domain Hadamard product, accumulated over input channels in
-    # ascending order (one rounded multiply + one rounded add per element
-    # per channel — the order every block partition reproduces)
-    m = np.zeros((mb, tiles, 16), dtype=np.float64)
-    for ci in range(cg):
-        m += u2[:, ci, :][:, None, :] * v2[ci]
-    # inverse transform A^T m A — again pure adds with fixed association
-    m4 = m.reshape(mb, tiles, 4, 4)
-    q = np.empty((mb, tiles, 2, 4), dtype=np.float64)
-    q[..., 0, :] = (m4[..., 0, :] + m4[..., 1, :]) + m4[..., 2, :]
-    q[..., 1, :] = (m4[..., 1, :] - m4[..., 2, :]) - m4[..., 3, :]
-    y = np.empty((mb, tiles, 2, 2), dtype=np.float64)
-    y[..., 0] = (q[..., 0] + q[..., 1]) + q[..., 2]
-    y[..., 1] = (q[..., 1] - q[..., 2]) - q[..., 3]
-    # scatter the 2x2 tiles back onto the ofmap grid and crop ragged edges
-    full = y.reshape(mb, th, tw, 2, 2).transpose(0, 1, 3, 2, 4)
-    out_block[:] = full.reshape(mb, 2 * th, 2 * tw)[:, :out_h, :out_w]
+    v[:, 0] = n[:, 0] - n[:, 2]
+    v[:, 1] = n[:, 1] + n[:, 2]
+    v[:, 2] = n[:, 2] - n[:, 1]
+    v[:, 3] = n[:, 1] - n[:, 3]
+    del n
+    m = np.matmul(u16, v.reshape(16, cg, -1)).reshape(4, 4, mb, rows, tw)
+    del v
+    # inverse transform A^T m A — again pure adds
+    q = np.empty((2,) + m.shape[1:], dtype=np.float64)
+    q[0] = (m[0] + m[1]) + m[2]
+    q[1] = (m[1] - m[2]) - m[3]
+    y = np.empty((2, 2) + m.shape[2:], dtype=np.float64)
+    y[:, 0] = (q[:, 0] + q[:, 1]) + q[:, 2]
+    y[:, 1] = (q[:, 1] - q[:, 2]) - q[:, 3]
+    # scatter the 2x2 tiles back onto the ofmap grid
+    return y.transpose(2, 3, 0, 4, 1).reshape(mb, 2 * rows, 2 * tw)
 
 
 #: Winograd tile cost on a K^2=9-PE primitive — keep in lock-step with the

@@ -21,8 +21,8 @@ Whole searches are memoised in :class:`repro.engine.cache.RunCache` (keyed
 by configuration, workload, batch, objective, shortlist, unit energies and
 algorithm mode), and :meth:`ScheduleOptimizer.verify` drives every searched
 mapping through the :class:`~repro.sim.functional.FunctionalChainSimulator`:
-the candidate's ofmaps must match the im2col golden reference to float
-round-off and be bit-identical to the baseline-stripe simulation.
+the candidate's ofmaps on fixed-point tensors must match the im2col golden
+reference exactly and be bit-identical to the baseline-stripe simulation.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import numpy as np
 from repro.analysis.batch import MAPPING_RESULT_COLUMNS, MappingBatchEvaluator
 from repro.cnn.generator import WorkloadGenerator
 from repro.cnn.network import Network
+from repro.cnn.quantize import quantize_layer_tensors
 from repro.core.config import ChainConfig
 from repro.energy.components import EnergyParams
 from repro.engine.base import RunRecord
@@ -308,8 +309,7 @@ class LayerVerification:
     transform-domain result against an ofmap-channel block partition (the
     parallel runtime's bit-identity ladder).  ``tolerance`` overrides the
     network-wide golden tolerance when set — Winograd entries carry the
-    documented :func:`repro.sim.winograd.winograd_tolerance` bound because
-    the transforms reassociate the reduction.
+    documented :func:`repro.sim.winograd.winograd_tolerance` bound.
     """
 
     layer_name: str
@@ -583,20 +583,20 @@ class ScheduleOptimizer:
         """Functionally verify every searched mapping of ``schedule``.
 
         Each distinct (layer geometry, stripe height) pair drives the
-        vectorized :class:`FunctionalChainSimulator` on seeded tensors; the
-        ofmaps must match the im2col golden reference within ``tolerance``
-        (float round-off — the simulator accumulates in window order, the
-        GEMM reference in im2col order) and be **bit-identical** to the
-        baseline full-stripe simulation.  A searched stripe height equal to
-        the baseline's runs the identical stripe plan, so the bit-identity
-        re-simulation only happens for genuinely re-striped layers.
+        vectorized :class:`FunctionalChainSimulator` on seeded tensors,
+        quantised to the chip's ``word_bits`` fixed point (the simulator's
+        input domain); the ofmaps must match the im2col golden reference
+        within ``tolerance`` (on that domain both are exact, so the error is
+        0) and be **bit-identical** to the baseline full-stripe simulation.
+        A searched stripe height equal to the baseline's runs the identical
+        stripe plan, so the bit-identity re-simulation only happens for
+        genuinely re-striped layers.
 
         Winograd mappings run :func:`repro.sim.winograd.conv2d_winograd`
         instead: the golden bound is the per-layer
-        :func:`~repro.sim.winograd.winograd_tolerance` (the transforms
-        reassociate the reduction) and the bit-identity check partitions the
-        ofmap channels into two blocks — the invariant the parallel runtime
-        relies on.
+        :func:`~repro.sim.winograd.winograd_tolerance` and the bit-identity
+        check partitions the ofmap channels into two blocks — the invariant
+        the parallel runtime relies on.
         """
         outcome = MappingVerification(network_name=network.name, seed=seed,
                                       tolerance=tolerance)
@@ -615,15 +615,15 @@ class ScheduleOptimizer:
             if deduplicate and key in verified:
                 covers[verified[key]].append(layer.name)
                 continue
-            generator = parent.spawn(layer.name)
-            ifmaps, weights = generator.layer_pair(layer)
+            ifmaps, weights, _, _ = quantize_layer_tensors(
+                *parent.spawn(layer.name).layer_pair(layer),
+                self.config.word_bits)
             started = time.perf_counter()
             if entry.candidate.is_winograd:
                 reference = conv2d_im2col(layer, ifmaps, weights)
                 ofmaps = conv2d_winograd(layer, ifmaps, weights)
                 error = float(np.max(np.abs(ofmaps - reference)))
-                padded = pad_input(np.asarray(ifmaps, dtype=np.float64),
-                                   layer.padding)
+                padded = pad_input(ifmaps, layer.padding)
                 split = np.zeros_like(ofmaps)
                 half = max(1, layer.out_channels // 2)
                 winograd_ofmap_block(layer, padded, weights, 0, half, split)

@@ -122,11 +122,10 @@ def _verify_sim_block(payload: Dict[str, Any], context: Dict[str, Any]) -> int:
     The padded ifmaps, weights and the assembly buffer arrive as
     :class:`~repro.runtime.shm.SharedTensor` handles, so a VGG-scale tensor
     crosses the process boundary as a few dozen bytes.  Block values are
-    bit-identical to the serial whole-layer computation because every ofmap
-    channel is an independent broadcast-multiply/merged-axis reduction.
-    ``algorithm`` routes the block to the direct sliding-window kernel
-    (default) or the Winograd F(2x2,3x3) tile kernel — whose per-channel
-    independence gives the same partition bit-identity.
+    bit-identical to the serial whole-layer computation because the
+    simulator's fixed-point operands make every sum exact.  ``algorithm``
+    routes the block to the direct im2col GEMM (default) or the Winograd
+    F(2x2,3x3) tile kernel.
     """
     from repro.sim.functional_vectorized import vectorized_ofmap_block
     from repro.sim.winograd import winograd_ofmap_block

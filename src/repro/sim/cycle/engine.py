@@ -14,9 +14,9 @@ Two backends share the same decomposition and produce bit-identical results:
 
 ``vectorized`` (default)
     Batches each stripe's MAC schedule into NumPy array operations (one
-    integer GEMM per channel group, closed-form cycle/MAC counters — see
-    :mod:`repro.sim.cycle.vectorized`).  Fast enough to cycle-verify full
-    AlexNet-scale layers.
+    exact im2col GEMM per channel group on the raw integers, closed-form
+    cycle/MAC counters — see :mod:`repro.sim.cycle.vectorized`).  Fast
+    enough to cycle-verify full AlexNet-scale layers.
 
 ``scalar``
     The original register-accurate path: every stripe is streamed through a
@@ -213,9 +213,8 @@ class CycleAccurateChainSimulator:
             outputs_discarded_by_stride=geometry.outputs_discarded * pairs,
             kmemory_reads=k * k * pairs,
         )
-        raw_ofmaps = correlate_layer_raw(
-            layer, raw_ifmaps, raw_weights, geometry.kept_rows, geometry.kept_cols
-        )
+        raw_ofmaps = correlate_layer_raw(layer, raw_ifmaps, raw_weights,
+                                         self.total_bits)
         return raw_ofmaps, stats
 
     def _run_layer_scalar(

@@ -15,11 +15,14 @@ Two observations make this possible:
   all of its ``K^2`` pixels, so its raw value is the exact integer dot
   product of the window with the kernel.  The stripes partition the stride-1
   output rows exactly, hence the union of all valid windows of a pair is the
-  full stride-1 correlation of the padded plane — one integer GEMM per
-  channel group reproduces every collected output.  The 39-bit saturating
+  full stride-1 correlation of the padded plane, and one im2col GEMM per
+  channel group (the functional simulator's, run on the raw integers as
+  float64) reproduces every collected output.  Under the geometry half of
+  the accumulator-width guard
+  (:func:`repro.hwmodel.fixed_point.check_exact_accumulation`) every sum is
+  an integer below ``2**53``, hence exact; the 39-bit saturating
   accumulator of the scalar MAC never saturates for ``K <= 11`` (at most
-  121 products of 16-bit operands), so plain ``int64`` arithmetic is
-  bit-identical.
+  121 products of 16-bit operands), so the exact sum is the hardware's.
 
 * **Counters.**  Whether a PE performs a MAC in a given cycle depends only
   on the stripe geometry, never on pixel values: the window injected at
@@ -38,18 +41,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.cnn.layer import ConvLayer
+from repro.hwmodel.fixed_point import check_exact_accumulation
+from repro.sim.functional_vectorized import vectorized_layer_ofmaps
 
 #: kernel area above which the scalar MAC's saturating accumulator (sized for
 #: 121 products) could saturate mid-window; beyond it the fast path would no
 #: longer be bit-exact, so callers must fall back to the scalar engine.
 MAX_EXACT_KERNEL_PES = 121
-
-#: channel-block budget for the im2col GEMM (bytes); keeps the materialised
-#: window matrix small on wide layers (e.g. VGG 224x224 inputs).
-_GEMM_BLOCK_BYTES = 48 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,6 @@ class PairGeometryStats:
     valid_windows: int
     outputs_kept: int
     outputs_discarded: int
-    kept_rows: int
-    kept_cols: int
 
 
 def stripe_mac_count(kernel_size: int, width: int, rows: int) -> int:
@@ -91,7 +89,6 @@ def stripe_mac_count(kernel_size: int, width: int, rows: int) -> int:
 def pair_geometry(layer: ConvLayer) -> PairGeometryStats:
     """Counters for one channel pair of ``layer`` (shared by all its pairs)."""
     k = layer.kernel_size
-    stride = layer.stride
     padded_h = layer.padded_height
     padded_w = layer.padded_width
     drain = 2 * k * k + 2
@@ -107,9 +104,7 @@ def pair_geometry(layer: ConvLayer) -> PairGeometryStats:
         valid_windows += (rows - k + 1) * (padded_w - k + 1)
         stripes += 1
 
-    kept_rows = min(layer.out_height, (padded_h - k) // stride + 1)
-    kept_cols = min(layer.out_width, (padded_w - k) // stride + 1)
-    kept = kept_rows * kept_cols
+    kept = layer.out_height * layer.out_width
     return PairGeometryStats(
         primitive_cycles=primitive_cycles,
         macs=macs,
@@ -117,51 +112,21 @@ def pair_geometry(layer: ConvLayer) -> PairGeometryStats:
         valid_windows=valid_windows,
         outputs_kept=kept,
         outputs_discarded=valid_windows - kept,
-        kept_rows=kept_rows,
-        kept_cols=kept_cols,
     )
 
 
-def correlate_layer_raw(
-    layer: ConvLayer,
-    raw_ifmaps: np.ndarray,
-    raw_weights: np.ndarray,
-    kept_rows: int,
-    kept_cols: int,
-) -> np.ndarray:
+def correlate_layer_raw(layer: ConvLayer, raw_ifmaps: np.ndarray,
+                        raw_weights: np.ndarray, bits: int) -> np.ndarray:
     """Raw integer ofmaps of the whole layer via blocked im2col GEMMs.
 
     ``raw_ifmaps`` is the padded ``(C, Hp, Wp)`` int64 plane stack,
-    ``raw_weights`` the ``(M, C/groups, K, K)`` int64 kernels.  Only the
-    stride-grid windows the scalar engine keeps are computed; the result is
-    bit-identical to its accumulation because integer addition is exact and
-    the hardware accumulator never saturates for ``K <= 11``.
+    ``raw_weights`` the ``(M, C/groups, K, K)`` int64 kernels of ``bits``-bit
+    words, evaluated as float64 by
+    :func:`repro.sim.functional_vectorized.vectorized_layer_ofmaps` after
+    the geometry half of the accumulator-width guard (module docstring).
     """
-    k = layer.kernel_size
-    stride = layer.stride
-    in_per_group = layer.in_channels_per_group
-    out_per_group = layer.out_channels_per_group
-    raw_ofmaps = np.zeros(layer.out_shape, dtype=np.int64)
-
-    # (C, Hp-K+1, Wp-K+1, K, K) strided view, then the stride-grid subset
-    windows = sliding_window_view(raw_ifmaps, (k, k), axis=(1, 2))
-    windows = windows[:, ::stride, ::stride][:, :kept_rows, :kept_cols]
-
-    positions = kept_rows * kept_cols
-    block = max(1, _GEMM_BLOCK_BYTES // max(1, positions * k * k * 8))
-    for group in range(layer.groups):
-        c0 = group * in_per_group
-        m0 = group * out_per_group
-        acc = np.zeros((positions, out_per_group), dtype=np.int64)
-        for c_base in range(0, in_per_group, block):
-            c_stop = min(in_per_group, c_base + block)
-            chunk = windows[c0 + c_base:c0 + c_stop]
-            # (positions, chunk_channels * K * K) im2col matrix
-            x = np.ascontiguousarray(chunk.transpose(1, 2, 0, 3, 4))
-            x = x.reshape(positions, -1)
-            w = raw_weights[m0:m0 + out_per_group, c_base:c_stop]
-            acc += x @ w.reshape(out_per_group, -1).T
-        raw_ofmaps[m0:m0 + out_per_group, :kept_rows, :kept_cols] = (
-            acc.T.reshape(out_per_group, kept_rows, kept_cols)
-        )
-    return raw_ofmaps
+    check_exact_accumulation(
+        layer.name, layer.kernel_size ** 2 * layer.in_channels_per_group, bits)
+    ofmaps = vectorized_layer_ofmaps(layer, raw_ifmaps.astype(np.float64),
+                                     raw_weights.astype(np.float64))
+    return ofmaps.astype(np.int64)

@@ -8,12 +8,18 @@ into the right output pixels?"* for layers of any size in reasonable time,
 and provides the golden intermediate results the cycle-accurate simulator is
 checked against.
 
+The input domain is the chip's ``config.word_bits`` fixed point, within
+the accumulator-width guard
+(:func:`repro.hwmodel.fixed_point.check_exact_accumulation`; anything else
+raises :class:`~repro.errors.SimulationError`), where every float64 sum is
+exact: the backends agree bit for bit whatever order they add in.
+
 Two backends share one result contract (mirroring the cycle simulator):
 
 * ``scalar`` — the per-window Python walk over every channel pair;
 * ``vectorized`` — :mod:`repro.sim.functional_vectorized`, the same
-  decomposition as whole-array NumPy operations with closed-form counters,
-  bit-identical ofmaps and identical :class:`FunctionalRunStats`;
+  decomposition as im2col GEMMs with closed-form counters, bit-identical
+  ofmaps and identical :class:`FunctionalRunStats`;
 * ``both`` — run both and raise :class:`~repro.errors.SimulationError` on
   any divergence (the cross-check mode ``repro verify`` uses).  Winograd
   layers are the exception: the scalar walk has no transform-domain form,
@@ -38,6 +44,7 @@ from repro.core.config import ChainConfig
 from repro.core.mapper import LayerMapper, LayerMapping
 from repro.core.scan import ColumnScanSchedule
 from repro.errors import ConfigurationError, SimulationError, WorkloadError
+from repro.hwmodel.fixed_point import WINOGRAD_GROWTH_BITS, check_exact_accumulation
 from repro.sim.functional_vectorized import pair_window_stats, vectorized_layer_ofmaps
 
 # NOTE: repro.analysis.winograd / repro.sim.winograd are imported lazily
@@ -166,11 +173,18 @@ class FunctionalChainSimulator:
     # ------------------------------------------------------------------ #
     # shared plumbing (serial and parallel paths must stay identical)
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _validate_tensors(layer: ConvLayer, ifmaps: np.ndarray,
-                          weights: np.ndarray,
-                          stripe_height: Optional[int]):
-        """Common input validation; returns float64 tensors + stripe height."""
+    def _validate_tensors(self, layer: ConvLayer, ifmaps: np.ndarray,
+                          weights: np.ndarray, stripe_height: Optional[int],
+                          algorithm: str):
+        """Common input validation (accumulator-width guard included).
+
+        Returns the float64 tensors and the stripe height.
+        """
+        if algorithm not in SIM_ALGORITHMS:
+            raise ConfigurationError(
+                f"unknown algorithm {algorithm!r}; "
+                f"available: {', '.join(SIM_ALGORITHMS)}"
+            )
         ifmaps = np.asarray(ifmaps, dtype=np.float64)
         weights = np.asarray(weights, dtype=np.float64)
         if stripe_height is None:
@@ -190,6 +204,12 @@ class FunctionalChainSimulator:
             raise WorkloadError(
                 f"{layer.name}: weights shape {weights.shape} does not match {expected_w}"
             )
+        if algorithm == "winograd":
+            terms, growth = layer.in_channels_per_group, WINOGRAD_GROWTH_BITS
+        else:
+            terms, growth = layer.kernel_size ** 2 * layer.in_channels_per_group, 0
+        check_exact_accumulation(layer.name, terms, self.config.word_bits,
+                                 ifmaps, weights, growth_bits=growth)
         return ifmaps, weights, stripe_height
 
     @staticmethod
@@ -293,18 +313,13 @@ class FunctionalChainSimulator:
         streamed pixels, primitive cycles) honestly reflect the choice.
 
         ``algorithm="winograd"`` executes the F(2x2,3x3) transform-domain
-        mode instead (3x3 stride-1 layers only): results match the im2col
-        golden within :func:`repro.sim.winograd.winograd_tolerance` rather
-        than bit-identically, and the stripe-height knob does not apply (the
-        4x4 tile grid fixes the stripe plan).
+        mode instead (3x3 stride-1 layers only; its guard also carries the
+        transform growth), and the stripe-height knob does not apply (the
+        4x4 tile grid fixes the stripe plan).  Float tensors must be
+        quantised first (:func:`repro.cnn.quantize.quantize_layer_tensors`).
         """
-        if algorithm not in SIM_ALGORITHMS:
-            raise ConfigurationError(
-                f"unknown algorithm {algorithm!r}; "
-                f"available: {', '.join(SIM_ALGORITHMS)}"
-            )
         ifmaps, weights, stripe_height = self._validate_tensors(
-            layer, ifmaps, weights, stripe_height)
+            layer, ifmaps, weights, stripe_height, algorithm)
         mapping = self.mapper.map_layer(layer)
         padded = pad_input(ifmaps, layer.padding)
 
@@ -336,16 +351,13 @@ class FunctionalChainSimulator:
                            algorithm: str = "direct") -> FunctionalRunResult:
         """Simulate one layer with ofmap blocks fanned over ``runtime``.
 
-        Requires the vectorized backend: every ofmap channel is an
-        independent broadcast-multiply/merged-axis reduction, so the padded
-        ifmaps and weights ship to the persistent workers once through
-        shared memory, each worker writes its channel block into a shared
-        assembly buffer, and the dataflow counters come from the same closed
-        forms the vectorized backend uses — ofmaps *and* stats are
-        bit-identical to :meth:`run_layer`.  The Winograd algorithm keeps
-        the same decomposition (its transform-domain accumulation is also
-        per-ofmap-channel independent), so the partition invariant holds for
-        both algorithms.
+        Requires the vectorized backend: every ofmap channel is computed
+        independently and exactly, so the padded ifmaps and weights ship to
+        the persistent workers once through shared memory, each worker
+        writes its channel block into a shared assembly buffer, and the
+        dataflow counters come from the same closed forms the vectorized
+        backend uses — ofmaps *and* stats are bit-identical to
+        :meth:`run_layer`, for both algorithms.
         """
         from repro.runtime import SharedTensor
         from repro.sim.functional_vectorized import ofmap_block_ranges
@@ -355,13 +367,8 @@ class FunctionalChainSimulator:
                 f"run_layer_parallel requires the vectorized backend, "
                 f"not {self.backend!r}"
             )
-        if algorithm not in SIM_ALGORITHMS:
-            raise ConfigurationError(
-                f"unknown algorithm {algorithm!r}; "
-                f"available: {', '.join(SIM_ALGORITHMS)}"
-            )
         ifmaps, weights, stripe_height = self._validate_tensors(
-            layer, ifmaps, weights, stripe_height)
+            layer, ifmaps, weights, stripe_height, algorithm)
         mapping = self.mapper.map_layer(layer)
         padded = pad_input(ifmaps, layer.padding)
 
@@ -436,10 +443,8 @@ class FunctionalChainSimulator:
                       algorithm: str = "direct") -> Dict[str, float]:
         """Run the simulation and compare against the reference convolution.
 
-        Winograd runs should pass the documented
-        :func:`repro.sim.winograd.winograd_tolerance` bound as ``tolerance``
-        (the transforms reassociate the reduction, so the direct float
-        round-off default is not the right contract).
+        On the fixed-point input domain both algorithms are exact, so the
+        error is 0 and the check passes at any ``tolerance >= 0``.
         """
         result = self.run_layer(layer, ifmaps, weights, algorithm=algorithm)
         error = result.max_abs_error_vs_reference(ifmaps, weights)

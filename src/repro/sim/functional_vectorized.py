@@ -11,25 +11,27 @@ operations:
   and a stride-grid selection (the regular-grid form of
   :func:`stride_keep_mask`) keeps exactly the windows the per-window discard
   test keeps.
-* **Dot products.**  One broadcasted multiply per (ifmap channel, ofmap
-  block) followed by a sum over the merged kernel axis reproduces the scalar
-  ``np.sum(window * kernel)`` *bit-exactly*: the product array is contiguous
-  and the reduction runs over the same ``K^2`` contiguous elements with the
-  same pairwise-summation order NumPy uses for the per-window sum.  (Summing
-  over ``axis=(-2, -1)`` without the merge is **not** bit-identical — NumPy
-  reduces the axes separately, reassociating the additions.)
-* **Accumulation.**  Channel contributions are added into the ofmaps one
-  ifmap channel at a time, in ascending channel order — the same float64
-  addition order as the scalar pair loop — so the result is bit-identical,
-  not merely allclose.
+* **Products.**  The kept windows of one conv group become an im2col patch
+  matrix, built in output-row blocks under one byte budget, and each block
+  is one ``(M/g, C/g*K^2) @ (C/g*K^2, positions)`` BLAS GEMM
+  (:func:`repro.kernels.numpy_backend.ofmap_block_product`, fetched through
+  the module-level :func:`~repro.kernels.get_backend` on every call).
+* **Exactness.**  The simulator only accepts fixed-point operands within the
+  accumulator-width guard
+  (:func:`repro.hwmodel.fixed_point.check_exact_accumulation`): every
+  product and partial sum is then an integer multiple of one grid step
+  below ``2**53``, so the GEMM, the scalar walk and the im2col golden give
+  the same bits whatever order they add in.
 * **Counters.**  Whether a window exists and whether it survives the stride
   filter depends only on the layer geometry, never on pixel values, so every
   :class:`~repro.sim.functional.FunctionalRunStats` counter is a per-pair
   constant (closed form over the stripe plan) multiplied by the number of
   channel pairs.
-* **Kernels.**  The per-block multiply/reduce/accumulate itself is
-  :func:`repro.kernels.numpy_backend.ofmap_block_product`, fetched through
-  the module-level :func:`~repro.kernels.get_backend` on every call.
+
+What this path verifies that the im2col golden does not: the kept-window
+selection, the group and padding assembly of the ofmaps, and the
+closed-form counters.  The scalar walk proves the stripe/column-scan
+dataflow itself on small layers (``backend="both"``).
 """
 
 from __future__ import annotations
@@ -41,10 +43,7 @@ import numpy as np
 from repro.cnn.layer import ConvLayer
 from repro.cnn.reference import strided_windows
 from repro.kernels import get_backend
-
-#: byte budget for one broadcasted (ofmap block, windows, K, K) product; keeps
-#: the materialised array small on wide layers (e.g. VGG 224x224 inputs).
-_PRODUCT_BLOCK_BYTES = 64 * 1024 * 1024
+from repro.kernels.numpy_backend import GEMM_BLOCK_BYTES
 
 
 @dataclass(frozen=True)
@@ -90,14 +89,12 @@ def pair_window_stats(layer: ConvLayer,
         cycles += k * (padded_w - 1) + rows
         evaluated += (rows - k + 1) * (padded_w - k + 1)
 
-    kept_rows = min(layer.out_height, (padded_h - k) // layer.stride + 1)
-    kept_cols = min(layer.out_width, (padded_w - k) // layer.stride + 1)
     return PairWindowStats(
         stripes=stripes,
         pixels_streamed=pixels,
         primitive_cycles=cycles,
         windows_evaluated=evaluated,
-        windows_kept=kept_rows * kept_cols,
+        windows_kept=layer.out_height * layer.out_width,
     )
 
 
@@ -120,11 +117,10 @@ def stride_keep_mask(layer: ConvLayer) -> np.ndarray:
 
 def vectorized_layer_ofmaps(layer: ConvLayer, padded: np.ndarray,
                             weights: np.ndarray) -> np.ndarray:
-    """Float64 ofmaps of the whole layer, bit-identical to the scalar path.
+    """Float64 ofmaps of the whole layer (see :func:`vectorized_ofmap_block`).
 
-    ``padded`` is the zero-padded ``(C, Hp, Wp)`` float64 input, ``weights``
-    the ``(M, C/groups, K, K)`` float64 kernels.  Ofmap blocks are sized so
-    the broadcasted product stays within :data:`_PRODUCT_BLOCK_BYTES`.
+    ``padded`` is the zero-padded ``(C, Hp, Wp)`` input, ``weights`` the
+    ``(M, C/groups, K, K)`` kernels.
     """
     ofmaps = np.zeros(layer.out_shape, dtype=np.float64)
     vectorized_ofmap_block(layer, padded, weights, 0, layer.out_channels,
@@ -137,54 +133,49 @@ def vectorized_ofmap_block(layer: ConvLayer, padded: np.ndarray,
                            out: np.ndarray) -> None:
     """Compute ofmap channels ``[m_start, m_stop)`` into ``out``.
 
-    Every ofmap channel is an independent broadcast-multiply / merged-axis
-    reduction accumulated over ascending ifmap channels, so any partition of
-    the channel range — including the parallel runtime's per-worker blocks —
-    produces values bit-identical to the whole-layer computation.  ``out``
-    must be the full ``layer.out_shape`` float64 tensor (a shared-memory
-    assembly buffer in the parallel path); only ``[m_start, m_stop)`` planes
-    are written.
+    Each conv group's kept windows become an im2col patch matrix, built in
+    output-row blocks within
+    :data:`~repro.kernels.numpy_backend.GEMM_BLOCK_BYTES`, and each block is
+    one GEMM (:func:`repro.kernels.numpy_backend.ofmap_block_product`).
+    ``out`` must be the full C-contiguous ``layer.out_shape`` float64 tensor
+    (a shared-memory assembly buffer in the parallel path); only
+    ``[m_start, m_stop)`` planes are written.  On operands within the
+    accumulator-width guard every sum is exact, so any partition of the
+    channel range — including the parallel runtime's per-worker blocks —
+    gives the same bits as the whole layer.
     """
-    backend = get_backend()
-    k = layer.kernel_size
-    stride = layer.stride
-    out_h = layer.out_height
-    out_w = layer.out_width
-    in_per_group = layer.in_channels_per_group
-    out_per_group = layer.out_channels_per_group
     if not (0 <= m_start <= m_stop <= layer.out_channels):
         raise ValueError(
             f"{layer.name}: ofmap block [{m_start}, {m_stop}) outside "
             f"[0, {layer.out_channels})"
         )
-
+    backend = get_backend()
+    k = layer.kernel_size
+    out_h = layer.out_height
+    in_per_group = layer.in_channels_per_group
+    out_per_group = layer.out_channels_per_group
     # (C, out_h, out_w, K, K) zero-copy view of the kept windows: the
     # stride-grid subset (regular-grid form of stride_keep_mask) of the
     # stride-1 window grid every stripe's valid windows union to
-    kept = strided_windows(padded, k, stride, out_h, out_w)
-
-    m_block = max(1, _PRODUCT_BLOCK_BYTES // max(1, out_h * out_w * k * k * 8))
+    kept = strided_windows(padded, k, layer.stride, out_h, layer.out_width)
+    patch_rows = in_per_group * k * k
+    rows = max(1, GEMM_BLOCK_BYTES // (patch_rows * layer.out_width * 8))
     for group in range(layer.groups):
-        # this group's slice of the requested block, in group-local indices
-        lo = max(m_start, group * out_per_group) - group * out_per_group
-        hi = min(m_stop, (group + 1) * out_per_group) - group * out_per_group
+        lo = max(m_start, group * out_per_group)
+        hi = min(m_stop, (group + 1) * out_per_group)
         if lo >= hi:
             continue
         c0 = group * in_per_group
-        m0 = group * out_per_group
-        out_group = out[m0:m0 + out_per_group]
-        # ifmap channels accumulate outermost, in ascending order — the same
-        # float64 addition order as the scalar (pair-at-a-time) loop
-        for c_local in range(in_per_group):
-            # one contiguous copy of the channel's kept windows: the strided
-            # view has K*K-strided inner axes that slow every broadcasted
-            # multiply over the ofmap block
-            plane_windows = np.ascontiguousarray(kept[c0 + c_local])
-            for m_base in range(lo, hi, m_block):
-                m_top = min(hi, m_base + m_block)
-                kernels = weights[m0 + m_base:m0 + m_top, c_local]
-                backend.ofmap_block_product(plane_windows, kernels,
-                                            out_group[m_base:m_top])
+        windows = kept[c0:c0 + in_per_group]
+        kernel_matrix = weights[lo:hi].reshape(hi - lo, patch_rows)
+        for r0 in range(0, out_h, rows):
+            # (C/g*K*K, rows*out_w) patch matrix, rows in (channel, i, j)
+            # order like the kernel matrix's columns; passed as a temporary
+            # so it is released before the next block's copy allocates
+            backend.ofmap_block_product(
+                windows[:, r0:r0 + rows].transpose(0, 3, 4, 1, 2).reshape(
+                    patch_rows, -1),
+                kernel_matrix, out[lo:hi, r0:r0 + rows].reshape(hi - lo, -1))
 
 
 def ofmap_block_ranges(layer: ConvLayer, blocks: int) -> list:

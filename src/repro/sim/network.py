@@ -13,9 +13,12 @@ applied in NumPy so inter-layer feature-map shapes stay faithful; fully
 connected layers end the chain (the paper's accelerator only executes
 convolutions).
 
-With the vectorized backend this turns whole-network functional
-verification of AlexNet/VGG from an overnight job into a seconds-scale step
-(``repro verify --sim functional --network alexnet``).
+Weights and activations are ``total_bits`` fixed point at every conv
+layer, the input domain the simulator enforces, so every sum is exact and
+each conv stage — Winograd stages included — equals its golden bit for bit
+(``max|err|=0.00e+00``).  With the vectorized backend whole-network
+verification of AlexNet or VGG-16 takes seconds
+(``repro verify --sim functional --network vgg16``).
 """
 
 from __future__ import annotations
@@ -164,7 +167,6 @@ class FunctionalNetworkRunner:
     def __init__(self, config: Optional[ChainConfig] = None,
                  backend: str = "vectorized", seed: int = 2017,
                  total_bits: int = 16, tolerance: float = 1e-6,
-                 quantize_between_stages: bool = True,
                  workers: Optional[int] = None,
                  algorithm: str = "direct") -> None:
         if workers is not None and workers < 1:
@@ -179,11 +181,10 @@ class FunctionalNetworkRunner:
         self.seed = seed
         self.total_bits = total_bits
         self.tolerance = tolerance
-        self.quantize_between_stages = quantize_between_stages
         #: execution-algorithm mode: ``winograd``/``auto`` run the
         #: F(2x2,3x3) transform domain on every eligible (3x3 stride-1)
-        #: conv layer, with the documented per-stage tolerance; ineligible
-        #: layers always run direct
+        #: conv layer (exact like the direct layers); ineligible layers always
+        #: run direct
         self.algorithm = algorithm
         #: fan each conv layer's ofmap blocks over this many persistent
         #: workers (vectorized backend only; ``None``/1 = serial); the
@@ -221,8 +222,6 @@ class FunctionalNetworkRunner:
 
     def _quantize(self, activations: np.ndarray) -> np.ndarray:
         """Snap activations onto the fixed-point grid the datapath carries."""
-        if not self.quantize_between_stages:
-            return activations
         return choose_format(activations, self.total_bits).quantize(activations)
 
     def _algorithm_for(self, layer: ConvLayer) -> str:

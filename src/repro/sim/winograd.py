@@ -2,21 +2,22 @@
 
 The transform-domain counterpart of :mod:`repro.cnn.reference`: each 4x4
 input tile ``d`` becomes ``V = B^T d B``, each 3x3 filter plane ``g``
-becomes the 4x4 plane ``U = G g G^T``, the per-tile product is the
-element-wise ``U (*) V`` accumulated over input channels, and the 2x2
+becomes the 4x4 plane ``U = G g G^T``, the element-wise products
+``U (*) V`` summed over input channels are 16 batched GEMMs, one per
+transform-domain position (Lavin & Gray, arXiv:1509.09308), and the 2x2
 output tile is recovered as ``Y = A^T M A``.  The hot per-group kernel is
 :func:`repro.kernels.numpy_backend.winograd_group_conv`, fetched through the
 module-level :func:`~repro.kernels.get_backend` on every call.
 
-**Tolerance contract.**  The Winograd transforms reassociate the 3x3
-reduction, so results are *not* bit-identical to the im2col golden (or to
-the direct dataflow); they agree to float64 round-off of the accumulator
-scale.  :func:`winograd_tolerance` is the documented bound —
-``1e-6 * max(1, max|reference|)`` — used by every cross-check in tests,
-``repro verify --algorithm winograd`` and searched-schedule verification.
-Within the Winograd path itself determinism is strict: any partition of the
-ofmap channels (serial, ``--workers N``) produces the same bits, so the
-parallel runtime's bit-identity ladder still holds.
+**Exactness.**  The transforms grow magnitudes by at most
+``4 * 9 * 9 = 324 < 2**9`` (``WINOGRAD_GROWTH_BITS``).  On fixed-point
+operands within the accumulator-width guard that includes this growth
+(:func:`~repro.hwmodel.fixed_point.check_exact_accumulation`), every
+transform, product and sum is exact in float64: the result equals the
+im2col golden bit for bit, and any partition of the ofmap channels (serial,
+``--workers N``) produces the same bits.  :func:`winograd_tolerance`,
+``1e-6 * max(1, max|reference|)``, stays the documented bound of the
+per-stage verification reports and of raw-float cross-checks.
 """
 
 from __future__ import annotations
@@ -49,9 +50,10 @@ def winograd_tolerance(reference: np.ndarray) -> float:
     """The documented absolute tolerance vs the im2col golden.
 
     Relative to the accumulator scale: ``1e-6 * max(1, max|reference|)``.
-    Float64 round-off of the reassociated reduction sits orders of
-    magnitude below this for every layer in the zoo; a real defect (wrong
-    transform, mis-scattered tile) lands orders of magnitude above it.
+    On raw floats the round-off of the reassociated reduction sits orders
+    of magnitude below this for every layer in the zoo (on fixed-point
+    operands the error is 0); a real defect (wrong transform, mis-scattered
+    tile) lands orders of magnitude above it.
     """
     scale = float(np.max(np.abs(reference))) if reference.size else 0.0
     return WINOGRAD_RELATIVE_TOLERANCE * max(1.0, scale)
@@ -91,15 +93,6 @@ def _require_eligible(layer: ConvLayer) -> None:
             f"stride=1, got K={layer.kernel_size} S={layer.stride}")
 
 
-def _extend_group(padded_group: np.ndarray, rows_ext: int,
-                  cols_ext: int) -> np.ndarray:
-    """Zero-extend one group's padded planes to the 4x4 tile grid extent."""
-    cg, rows, cols = padded_group.shape
-    ext = np.zeros((cg, rows_ext, cols_ext), dtype=np.float64)
-    ext[:, :rows, :cols] = padded_group
-    return ext
-
-
 def winograd_ofmap_block(layer: ConvLayer, padded: np.ndarray,
                          weights: np.ndarray, m_start: int, m_stop: int,
                          out: np.ndarray) -> None:
@@ -109,14 +102,15 @@ def winograd_ofmap_block(layer: ConvLayer, padded: np.ndarray,
     :func:`repro.sim.functional_vectorized.vectorized_ofmap_block`:
     ``padded`` is the zero-padded ``(C, H+2P, W+2P)`` float64 input, ``out``
     the full ``(M, out_h, out_w)`` ofmap tensor (only the requested block
-    is written).  Because every output channel's transform-domain
-    accumulation is independent and walks input channels in ascending
-    order, any block partition is bit-identical to the serial whole.
+    is written).  Every output channel is computed independently and
+    exactly, so any block partition is bit-identical to the serial whole.
     """
     _require_eligible(layer)
     tiles_h, tiles_w = winograd_tile_grid(layer)
-    rows_ext = WINOGRAD_TILE_OUT * tiles_h + 2
-    cols_ext = WINOGRAD_TILE_OUT * tiles_w + 2
+    # zero-extend the padded planes to the 4x4 tile grid's extent
+    ext = np.pad(padded, ((0, 0),
+                          (0, WINOGRAD_TILE_OUT * tiles_h + 2 - layer.padded_height),
+                          (0, WINOGRAD_TILE_OUT * tiles_w + 2 - layer.padded_width)))
     backend = get_backend()
     in_per_group = layer.in_channels_per_group
     out_per_group = layer.out_channels_per_group
@@ -126,10 +120,9 @@ def winograd_ofmap_block(layer: ConvLayer, padded: np.ndarray,
         if lo >= hi:
             continue
         in_lo = group * in_per_group
-        ext = _extend_group(padded[in_lo:in_lo + in_per_group],
-                            rows_ext, cols_ext)
-        u = transform_filters(weights[lo:hi])
-        backend.winograd_group_conv(ext, u, out[lo:hi])
+        backend.winograd_group_conv(ext[in_lo:in_lo + in_per_group],
+                                    transform_filters(weights[lo:hi]),
+                                    out[lo:hi])
 
 
 def conv2d_winograd(layer: ConvLayer, ifmaps: np.ndarray,
@@ -139,8 +132,8 @@ def conv2d_winograd(layer: ConvLayer, ifmaps: np.ndarray,
 
     Same signature and shapes as :func:`repro.cnn.reference.conv2d_im2col`
     (single-image CHW in, ``(M, out_h, out_w)`` float64 out); grouped
-    convolutions are transformed per group.  Matches the im2col golden
-    within :func:`winograd_tolerance`.
+    convolutions are transformed per group.  Equals the im2col golden on
+    fixed-point operands within the Winograd accumulator-width guard.
     """
     _require_eligible(layer)
     _check_shapes(layer, ifmaps, weights)

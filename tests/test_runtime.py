@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.cnn.quantize import quantize_layer_tensors
 from repro.cnn.zoo import alexnet, tiny_test_network
 from repro.core.config import ChainConfig
 from repro.engine.executor import SweepExecutor
@@ -26,6 +27,12 @@ from repro.runtime import pool as pool_module
 from repro.runtime import shm as shm_module
 from repro.sim.functional import FunctionalChainSimulator
 from repro.sim.network import FunctionalNetworkRunner
+
+
+def _fixed_point_pair(generator, layer):
+    """One layer's tensors on the simulator's 16-bit fixed-point domain."""
+    ifmaps, weights, _, _ = quantize_layer_tensors(*generator.layer_pair(layer))
+    return ifmaps, weights
 
 
 @pytest.fixture(autouse=True)
@@ -292,7 +299,7 @@ class TestParallelSerialEquivalence:
         )
 
         for layer in (strided_layer, grouped_layer):
-            ifmaps, weights = generator.layer_pair(layer)
+            ifmaps, weights = _fixed_point_pair(generator, layer)
             padded = pad_input(ifmaps, layer.padding)
             whole = vectorized_layer_ofmaps(layer, padded, weights)
             for blocks in (2, 3, layer.out_channels):
@@ -307,7 +314,7 @@ class TestParallelSerialEquivalence:
                                                grouped_layer):
         simulator = FunctionalChainSimulator(backend="vectorized")
         for layer in (tiny_layer, strided_layer, grouped_layer):
-            ifmaps, weights = generator.layer_pair(layer)
+            ifmaps, weights = _fixed_point_pair(generator, layer)
             for stripe_height in (None, 1):
                 serial = simulator.run_layer(layer, ifmaps, weights,
                                              stripe_height=stripe_height)

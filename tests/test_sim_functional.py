@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.cnn.generator import WorkloadGenerator
 from repro.cnn.layer import ConvLayer
+from repro.cnn.quantize import quantize_layer_tensors
 from repro.cnn.reference import conv2d_direct
 from repro.core.config import ChainConfig
 from repro.errors import WorkloadError
@@ -22,8 +23,10 @@ def simulator(request):
 
 
 def _tensors(layer, seed=0):
-    gen = WorkloadGenerator(seed=seed)
-    return gen.layer_pair(layer)
+    """Seeded tensors on the simulator's 16-bit fixed-point input domain."""
+    ifmaps, weights, _, _ = quantize_layer_tensors(
+        *WorkloadGenerator(seed=seed).layer_pair(layer))
+    return ifmaps, weights
 
 
 class TestFunctionalCorrectness:

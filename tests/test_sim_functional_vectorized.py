@@ -3,9 +3,11 @@
 The vectorized backend must be *bit-identical* to the scalar per-window walk
 — ofmaps compared with ``np.array_equal`` (no tolerance) and every
 ``FunctionalRunStats`` counter equal — across strides, paddings, groups and
-kernel sizes.  CI treats skips in this module as failures (the equivalence
-guarantee is what makes the fast path trustworthy), so no test here may be
-conditionally skipped.
+kernel sizes.  The simulator's input domain is fixed point: the tests feed
+it quantised tensors, and :class:`TestExactnessGuard` checks that raw floats
+and over-wide geometries are rejected.  CI treats skips in this module as
+failures (the equivalence guarantee is what makes the fast path
+trustworthy), so no test here may be conditionally skipped.
 """
 
 from __future__ import annotations
@@ -20,10 +22,13 @@ from hypothesis import strategies as st
 from repro.cnn.generator import WorkloadGenerator
 from repro.cnn.layer import ConvLayer, PoolingLayer
 from repro.cnn.network import Network
-from repro.cnn.reference import conv2d_direct
-from repro.cnn.zoo import lenet5, tiny_test_network
+from repro.cnn.quantize import choose_format, quantize_layer_tensors
+from repro.cnn.reference import conv2d_direct, conv2d_im2col, pad_input
+from repro.cnn.zoo import alexnet, lenet5, tiny_test_network
 from repro.core.config import ChainConfig
 from repro.errors import ConfigurationError, SimulationError, WorkloadError
+from repro.hwmodel.fixed_point import check_exact_accumulation, on_fixed_point_grid
+from repro.kernels.numpy_backend import GEMM_BLOCK_BYTES
 from repro.sim.functional import FUNCTIONAL_BACKENDS, FunctionalChainSimulator
 from repro.sim.functional_vectorized import (
     pair_window_stats,
@@ -34,7 +39,10 @@ from repro.sim.network import FunctionalNetworkRunner, pool2d
 
 
 def _tensors(layer, seed=0):
-    return WorkloadGenerator(seed=seed).layer_pair(layer)
+    """Seeded tensors on the simulator's 16-bit fixed-point input domain."""
+    ifmaps, weights, _, _ = quantize_layer_tensors(
+        *WorkloadGenerator(seed=seed).layer_pair(layer))
+    return ifmaps, weights
 
 
 def _run_both(layer, seed=0):
@@ -150,7 +158,6 @@ class TestClosedFormCounters:
     def test_vectorized_ofmaps_helper_matches_reference(self):
         layer = ConvLayer("helper", 2, 4, 10, 10, kernel_size=3, padding=1, groups=2)
         ifmaps, weights = _tensors(layer, seed=11)
-        from repro.cnn.reference import pad_input
         ofmaps = vectorized_layer_ofmaps(
             layer, pad_input(ifmaps.astype(np.float64), layer.padding), weights)
         np.testing.assert_allclose(ofmaps, conv2d_direct(layer, ifmaps, weights),
@@ -175,15 +182,14 @@ class TestNetworkRunner:
         assert len(result.conv_stages) == 2
 
     def test_activations_are_quantized_between_stages(self):
-        runner = FunctionalNetworkRunner(backend="vectorized", seed=3, total_bits=8)
-        plain = FunctionalNetworkRunner(backend="vectorized", seed=3,
-                                        quantize_between_stages=False)
-        coarse = runner.run(tiny_test_network())
-        exact = plain.run(tiny_test_network())
+        coarse = FunctionalNetworkRunner(backend="vectorized", seed=3,
+                                         total_bits=8).run(tiny_test_network())
+        fine = FunctionalNetworkRunner(backend="vectorized", seed=3,
+                                       total_bits=16).run(tiny_test_network())
         # 8-bit grids change the downstream numbers; both still verify
         # against the golden model because the reference sees the same inputs
-        assert coarse.passed and exact.passed
-        assert coarse.stats == exact.stats
+        assert coarse.passed and fine.passed
+        assert coarse.stats == fine.stats
 
     def test_shape_mismatch_raises(self):
         broken = Network(name="broken")
@@ -230,43 +236,168 @@ class TestConfigSensitivity:
         assert cycles_narrow > cycles_wide
 
 
-class TestOfmapBlockSizing:
-    def test_vgg_scale_layer_peak_memory_stays_bounded(self):
-        """The ofmap-block byte budget caps peak allocation.
+class TestExactnessGuard:
+    """Fixed point is the simulator's enforced input domain."""
 
-        A VGG-scale out-channel count (512) over a 56x56 feature map would
-        materialise a ~116 MB broadcast product in one piece; the block
-        sizing must keep the peak close to ``_PRODUCT_BLOCK_BYTES`` instead,
-        releasing each block's product before the next one allocates.
+    LAYER = ConvLayer("guarded", 3, 4, 9, 9, kernel_size=3, padding=1)
+
+    @staticmethod
+    def _runs(layer, ifmaps, weights, algorithm="direct"):
+        """Every entry point that validates tensors: serial, parallel, both.
+
+        The parallel path validates before it touches the runtime, so an
+        object that is never used stands in for the worker pool.
         """
+        vectorized = FunctionalChainSimulator(backend="vectorized")
+        return {
+            "run_layer": lambda: vectorized.run_layer(
+                layer, ifmaps, weights, algorithm=algorithm),
+            "run_layer_parallel": lambda: vectorized.run_layer_parallel(
+                layer, ifmaps, weights, runtime=object(), algorithm=algorithm),
+            "both": lambda: FunctionalChainSimulator(backend="both").run_layer(
+                layer, ifmaps, weights, algorithm=algorithm),
+        }
+
+    @pytest.mark.parametrize("entry", ["run_layer", "run_layer_parallel", "both"])
+    def test_raw_floats_are_rejected(self, entry):
+        raw = WorkloadGenerator(seed=1).layer_pair(self.LAYER)
+        with pytest.raises(SimulationError, match=r"guarded: .*repro\.cnn\.quantize"):
+            self._runs(self.LAYER, *raw)[entry]()
+
+    @pytest.mark.parametrize("entry", ["run_layer", "run_layer_parallel", "both"])
+    def test_nan_is_rejected(self, entry):
+        ifmaps, weights = _tensors(self.LAYER)
+        weights = weights.copy()
+        weights[1, 0, 1, 1] = np.nan
+        with pytest.raises(SimulationError, match="guarded: .*fixed point"):
+            self._runs(self.LAYER, ifmaps, weights)[entry]()
+
+    def test_direct_geometry_bound(self):
+        # K^2 * C/g * 2^(2*16) reaches 2^53 at K^2 * C/g = 2^21
+        check_exact_accumulation("edge", 2 ** 21 - 1, 16)
+        with pytest.raises(SimulationError, match="edge"):
+            check_exact_accumulation("edge", 2 ** 21, 16)
+        wide = ConvLayer("wide", 2 ** 21, 1, 1, 1, kernel_size=1)
+        zeros = (np.zeros(wide.in_shape), np.zeros((1, 2 ** 21, 1, 1)))
+        for run in self._runs(wide, *zeros).values():
+            with pytest.raises(SimulationError, match=r"wide: .*2\*\*53"):
+                run()
+
+    def test_winograd_geometry_bound_is_tighter(self):
+        # C/g * 2^(2*16 + 9) reaches 2^53 at C/g = 2^12, while the direct
+        # bound 9 * 2^12 * 2^32 < 2^53 still holds
+        layer = ConvLayer("deep", 2 ** 12, 1, 4, 4, kernel_size=3)
+        ifmaps = np.zeros(layer.in_shape)
+        weights = np.zeros((1, 2 ** 12, 3, 3))
+        simulator = FunctionalChainSimulator(backend="vectorized")
+        assert not simulator.run_layer(layer, ifmaps, weights).ofmaps.any()
+        with pytest.raises(SimulationError, match=r"deep: .*growth 2\*\*9"):
+            simulator.run_layer(layer, ifmaps, weights, algorithm="winograd")
+        shallow = layer.scaled(name="shallow", in_channels=2 ** 12 - 1)
+        result = simulator.run_layer(shallow, ifmaps[1:], weights[:, 1:],
+                                     algorithm="winograd")
+        assert not result.ofmaps.any()
+
+    @pytest.mark.parametrize("bits", [8, 12, 16])
+    def test_every_quantised_tensor_passes(self, bits):
+        rng = np.random.default_rng(bits)
+        tensors = [rng.normal(0.0, scale, size=(3, 7, 7))
+                   for scale in (1e-4, 0.05, 1.0, 9.0)]
+        tensors.append(np.abs(rng.normal(size=(4, 5))))
+        tensors.append(np.zeros((2, 2)))
+        # the maximum rounds up onto a power of two: choose_format on the
+        # quantised data would pick a coarser format than the one used
+        lifted = np.array([1.0 - 2.0 ** -(bits + 1), -0.3, 0.2])
+        tensors.append(lifted)
+        for values in tensors:
+            quantised = choose_format(values, bits).quantize(values)
+            assert on_fixed_point_grid(quantised, bits)
+            assert on_fixed_point_grid(quantised, 16)
+        quantised = choose_format(lifted, bits).quantize(lifted)
+        assert np.max(np.abs(quantised)) == 1.0
+        coarser = choose_format(quantised, bits)
+        assert coarser.frac_bits < choose_format(lifted, bits).frac_bits
+        assert not np.array_equal(coarser.quantize(quantised), quantised)
+
+    def test_off_grid_values_fail(self):
+        assert not on_fixed_point_grid(np.array([1.0, 1.0 + 2.0 ** -16]), 16)
+        assert on_fixed_point_grid(np.array([1.0, 1.0 + 2.0 ** -15]), 16)
+        for bad in (np.inf, -np.inf, np.nan):
+            assert not on_fixed_point_grid(np.array([0.5, bad]), 16)
+
+    @pytest.mark.parametrize("algorithm", ["direct", "auto"])
+    def test_alexnet_stages_are_exact(self, algorithm):
+        result = FunctionalNetworkRunner(backend="vectorized", seed=4,
+                                         algorithm=algorithm).run(alexnet())
+        stages = result.conv_stages
+        assert len(stages) == 5
+        assert all(stage.max_abs_error == 0.0 for stage in stages)
+        wino = {stage.name for stage in stages if stage.algorithm == "winograd"}
+        assert wino == ({"conv3", "conv4", "conv5"} if algorithm == "auto" else set())
+
+
+class TestOfmapBlockSizing:
+    """The GEMM byte budget caps the peak allocation of both algorithms."""
+
+    @staticmethod
+    def _traced_peak(fn):
         import tracemalloc
 
-        from repro.cnn.reference import conv2d_im2col, pad_input
-        from repro.sim.functional_vectorized import _PRODUCT_BLOCK_BYTES
-
-        layer = ConvLayer("vgg-scale", in_channels=4, out_channels=512,
-                          in_height=56, in_width=56, kernel_size=3, padding=1)
-        window_bytes = (layer.out_height * layer.out_width
-                        * layer.kernel_size * layer.kernel_size * 8)
-        unblocked_product_bytes = layer.out_channels * window_bytes
-        # the scenario must actually engage the blocking to test anything
-        assert unblocked_product_bytes > _PRODUCT_BLOCK_BYTES
-
-        ifmaps, weights = _tensors(layer, seed=3)
-        padded = pad_input(ifmaps, layer.padding)
         tracemalloc.start()
         try:
-            ofmaps = vectorized_layer_ofmaps(layer, padded, weights)
+            result = fn()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return result, peak
 
-        ofmap_bytes = ofmaps.nbytes
-        bound = int(1.25 * _PRODUCT_BLOCK_BYTES) + ofmap_bytes + 16 * 1024 * 1024
+    def test_vgg_scale_layer_peak_memory_stays_bounded(self):
+        """VGG conv2_2's 116 MB im2col patch matrix is built in row blocks."""
+        layer = ConvLayer("vgg-scale", in_channels=128, out_channels=8,
+                          in_height=112, in_width=112, kernel_size=3, padding=1)
+        patch_bytes = (layer.in_channels * layer.kernel_size ** 2
+                       * layer.out_height * layer.out_width * 8)
+        # the scenario must actually engage the blocking to test anything
+        assert patch_bytes > 2 * GEMM_BLOCK_BYTES
+
+        ifmaps, weights = _tensors(layer, seed=3)
+        padded = pad_input(ifmaps, layer.padding)
+        ofmaps, peak = self._traced_peak(
+            lambda: vectorized_layer_ofmaps(layer, padded, weights))
+
+        bound = int(1.1 * GEMM_BLOCK_BYTES) + ofmaps.nbytes + 1024 * 1024
         assert peak <= bound, (
             f"peak {peak / 1e6:.1f} MB above the blocked bound "
             f"{bound / 1e6:.1f} MB"
         )
-        assert peak < unblocked_product_bytes  # far from the unblocked cliff
-        reference = conv2d_im2col(layer, ifmaps, weights)
-        assert float(np.max(np.abs(ofmaps - reference))) < 1e-9
+        assert np.array_equal(ofmaps, conv2d_im2col(layer, ifmaps, weights))
+
+    def test_winograd_tiles_are_blocked(self):
+        """A 105 MB transformed input is built a few tile rows at a time.
+
+        Next to the zero-extended input plane and the ofmaps, one tile-row
+        block holds the row- and column-transformed inputs (together within
+        the budget) and the transform temporaries.
+        """
+        from repro.sim.winograd import winograd_ofmap_block
+
+        layer = ConvLayer("wide-tiles", in_channels=128, out_channels=8,
+                          in_height=160, in_width=160, kernel_size=3, padding=1)
+        tiles = (layer.out_height // 2) * (layer.out_width // 2)
+        transformed_bytes = 16 * layer.in_channels * tiles * 8
+        assert transformed_bytes > 3 * GEMM_BLOCK_BYTES
+
+        ifmaps, weights = _tensors(layer, seed=5)
+        padded = pad_input(ifmaps, layer.padding)
+        ofmaps = np.zeros(layer.out_shape)
+        _, peak = self._traced_peak(lambda: winograd_ofmap_block(
+            layer, padded, weights, 0, layer.out_channels, ofmaps))
+
+        extended_bytes = padded.nbytes
+        bound = (int(1.3 * GEMM_BLOCK_BYTES) + extended_bytes
+                 + ofmaps.nbytes + 1024 * 1024)
+        assert peak <= bound, (
+            f"peak {peak / 1e6:.1f} MB above the blocked bound "
+            f"{bound / 1e6:.1f} MB"
+        )
+        assert np.array_equal(ofmaps, conv2d_im2col(layer, ifmaps, weights))

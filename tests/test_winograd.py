@@ -3,8 +3,8 @@
 Covers the three tentpole pieces end to end:
 
 * the functional transform-domain backend (`repro.sim.winograd`) against the
-  im2col golden within the documented tolerance, including bit-identity of
-  ofmap-block partitions and kernel backends;
+  im2col golden: within the documented tolerance on raw floats, bit for bit
+  on fixed-point operands, including bit-identity of ofmap-block partitions;
 * the analytical transform-domain cost model (`repro.analysis.winograd` +
   the ``winograd`` column of :class:`MappingBatchEvaluator`);
 * the per-layer algorithm axis in the mapping search (never-worse vs
@@ -34,6 +34,7 @@ from repro.analysis.winograd import (
 )
 from repro.cnn.generator import WorkloadGenerator
 from repro.cnn.layer import ConvLayer
+from repro.cnn.quantize import quantize_layer_tensors
 from repro.cnn.reference import conv2d_im2col, pad_input
 from repro.cnn.zoo import get_network
 from repro.core.config import ChainConfig
@@ -59,6 +60,12 @@ from repro.sim.winograd import (
 @pytest.fixture(scope="module")
 def generator():
     return WorkloadGenerator(seed=2017)
+
+
+def _fixed_point_pair(generator, layer):
+    """One layer's tensors on the simulator's 16-bit fixed-point domain."""
+    ifmaps, weights, _, _ = quantize_layer_tensors(*generator.layer_pair(layer))
+    return ifmaps, weights
 
 
 def _eligible_layer(name="wino", in_channels=5, out_channels=7,
@@ -218,7 +225,7 @@ class TestFunctionalBackend:
         for layer in (_eligible_layer(),
                       _eligible_layer(in_channels=4, out_channels=6,
                                       groups=2, in_height=10, in_width=12)):
-            ifmaps, weights = generator.layer_pair(layer)
+            ifmaps, weights = _fixed_point_pair(generator, layer)
             whole = conv2d_winograd(layer, ifmaps, weights)
             padded = pad_input(np.asarray(ifmaps, dtype=np.float64),
                                layer.padding)
@@ -247,12 +254,12 @@ class TestSimulator:
     def test_run_layer_winograd_matches_golden(self, generator):
         simulator = FunctionalChainSimulator(backend="vectorized")
         layer = _eligible_layer(in_channels=6, out_channels=8)
-        ifmaps, weights = generator.layer_pair(layer)
+        ifmaps, weights = _fixed_point_pair(generator, layer)
         result = simulator.run_layer(layer, ifmaps, weights,
                                      algorithm="winograd")
-        reference = conv2d_im2col(layer, ifmaps, weights)
-        error = float(np.max(np.abs(reference - result.ofmaps)))
-        assert error <= winograd_tolerance(reference)
+        # exact on the fixed-point domain, not merely within tolerance
+        assert np.array_equal(result.ofmaps,
+                              conv2d_im2col(layer, ifmaps, weights))
         tiles_h, tiles_w = winograd_tile_grid(layer)
         assert result.stats.windows_kept == \
             tiles_h * tiles_w * layer.channel_pairs()
@@ -260,7 +267,7 @@ class TestSimulator:
     def test_run_and_check_passes_with_documented_tolerance(self, generator):
         simulator = FunctionalChainSimulator(backend="vectorized")
         layer = _eligible_layer()
-        ifmaps, weights = generator.layer_pair(layer)
+        ifmaps, weights = _fixed_point_pair(generator, layer)
         reference = conv2d_im2col(layer, ifmaps, weights)
         tolerance = winograd_tolerance(reference)
         # run_and_check raises on deviation; returning at all is the pass
