@@ -11,17 +11,12 @@ The acceptance bars for the observability PR:
   best-of-N min-time comparison (floor asserted in timing mode, recorded
   honestly in the smoke pass);
 * **tracing observes, never perturbs** — sweep metrics and the searched
-  schedule are bit-identical with tracing on vs off, serial *and* through
-  a real 2-worker supervised pool (always asserted), and the merged
-  parallel trace passes structural validation.
+  schedule are bit-identical with tracing on vs off (always asserted),
+  and the exported trace passes structural validation.
 
 Records ``BENCH_obs.json`` (per-op costs, op counts, overhead percentages,
 trace sizes) at the repo root; the "Observability" section of
 EXPERIMENTS.md is regenerated from that file.
-
-Pools are constructed directly (not through ``LazyRuntime``) so the
-parallel identity check exercises real worker processes even on
-single-core runners where the lazy path would degrade to serial.
 """
 
 from __future__ import annotations
@@ -33,17 +28,11 @@ import time
 from _record import record_benchmark
 from repro.cnn.zoo import get_network
 from repro.core.config import ChainConfig
-from repro.engine import workload_fingerprint
-from repro.engine.cache import canonical_json
 from repro.engine.executor import SweepExecutor
 from repro.mapping import ScheduleOptimizer
 from repro.obs import trace as obs_trace
 from repro.obs.export import export_trace, validate_chrome_trace
 from repro.obs.metrics import REGISTRY, Counter
-from repro.runtime import FaultPlan, RetryPolicy, SupervisedRuntime
-
-#: worker processes for the parallel identity leg
-WORKERS = 2
 
 #: timing repetitions per configuration (best-of suppresses runner noise)
 ROUNDS = 3
@@ -51,16 +40,15 @@ ROUNDS = 3
 #: repetitions for the per-op disabled-cost microbenchmarks
 NOOP_OPS = 200_000
 
-#: the sweep half of the workload (same grid as the faults benchmark)
+#: the sweep half of the workload
 SWEEP_PES = range(128, 1153, 16)
 
 
 def _workload(network):
     """One sweep + one mapping search; returns the comparable outputs."""
     configs = [ChainConfig(num_pes=pes) for pes in SWEEP_PES]
-    with SweepExecutor(engine="analytical", network=network,
-                       batch=16) as executor:
-        records = executor.run(configs, parallel=False)
+    records = SweepExecutor(engine="analytical", network=network,
+                            batch=16).run(configs)
     schedule = ScheduleOptimizer(objective="throughput",
                                  batch=16).optimize(network)
     return [r.metrics for r in records], schedule.to_json_dict()
@@ -125,11 +113,15 @@ def test_observability_overhead_and_identity(benchmark):
     span_op_s, counter_op_s = _disabled_op_costs()
 
     # -- traced run: wall-clock overhead + op counts + bit-identity --------
-    recorder = obs_trace.enable(env=False)
+    recorder = obs_trace.enable()
     try:
         traced_seconds, (traced_metrics, traced_schedule) = _best_of(
             lambda: _workload(network))
         span_events = len(recorder.events)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "trace.json")
+            export_trace(path)
+            trace_info = validate_chrome_trace(path)
     finally:
         obs_trace.disable()
     metric_increments, _ = _counter_calls(lambda: _workload(network))
@@ -142,47 +134,8 @@ def test_observability_overhead_and_identity(benchmark):
         + metric_increments * counter_op_s
     disabled_overhead_pct = disabled_cost_s / base_seconds * 100.0
 
-    # -- parallel identity through a real supervised pool ------------------
-    fingerprint = canonical_json(workload_fingerprint(network))
-    payloads = [
-        {"engine": "analytical", "engine_kwargs": {},
-         "network_fingerprint": fingerprint, "config": config, "batch": 16}
-        for config in (ChainConfig(num_pes=pes) for pes in SWEEP_PES)
-    ]
-
-    def _pool_map():
-        pool = SupervisedRuntime.create(WORKERS, fault_plan=FaultPlan.none())
-        if pool is None:
-            return None
-        pool.policy = RetryPolicy(backoff=0.01)
-        try:
-            pool.broadcast("sweep.set_network",
-                           {"fingerprint": fingerprint, "network": network})
-            return pool.map("sweep.point", payloads)
-        finally:
-            pool.close()
-
-    untraced_parallel = _pool_map()
-    pools_available = untraced_parallel is not None
-    merged_trace = None
-    if pools_available:
-        assert [r.metrics for r in untraced_parallel] == base_metrics
-        obs_trace.enable()  # env export: the pool workers must self-enable
-        try:
-            traced_parallel = _pool_map()
-            assert [r.metrics for r in traced_parallel] == base_metrics
-            with tempfile.TemporaryDirectory() as tmp:
-                path = os.path.join(tmp, "trace.json")
-                export_trace(path)
-                merged_trace = validate_chrome_trace(path)
-            assert merged_trace["processes"] >= WORKERS
-        finally:
-            obs_trace.disable()
-
     record_benchmark("obs", {
-        "workers": WORKERS if pools_available else 0,
-        "pools_available": pools_available,
-        "sweep_points": len(payloads),
+        "sweep_points": len(SWEEP_PES),
         "base_seconds": base_seconds,
         "traced_seconds": traced_seconds,
         "enabled_overhead_pct": enabled_overhead_pct,
@@ -191,14 +144,12 @@ def test_observability_overhead_and_identity(benchmark):
         "span_events_per_run": span_events // ROUNDS,
         "metric_increments_per_run": metric_increments,
         "disabled_overhead_pct": disabled_overhead_pct,
-        "merged_trace_spans": (merged_trace or {}).get("spans", 0),
-        "merged_trace_processes": (merged_trace or {}).get("processes", 0),
+        "trace_spans": trace_info["spans"],
         "bit_identical_serial": True,
-        "bit_identical_parallel": pools_available,
     })
 
     def traced_workload():
-        obs_trace.enable(env=False)
+        obs_trace.enable()
         try:
             return _workload(network)
         finally:

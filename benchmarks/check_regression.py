@@ -9,7 +9,7 @@ fresh files can overwrite the working tree copies first):
   warning — shared CI runners are noisy, so a modest slide only surfaces;
 * a fresh value below ``committed / fail_factor`` (default 5x) **fails the
   build** — a collapse of that size is a lost fast path (a vectorized
-  kernel silently degraded to a Python loop, a pool degraded to serial),
+  kernel silently degraded to a Python loop),
   not machine noise.
 
 Usage::
@@ -31,22 +31,14 @@ from typing import Any, Dict, List, Optional
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: benchmark name -> higher-is-better fields guarded against regression.
-#: Only same-machine ratios belong here: a field like the parallel bench's
-#: ``verify_best_speedup`` tracks the runner's *core count*, so comparing it
+#: Only same-machine ratios belong here: a raw wall-clock field compared
 #: against a baseline committed from a different machine would fail CI for
-#: lacking hardware (the parallel bench asserts its own bit-identity and
-#: core-gated speedup floors instead).
+#: the runner's speed, not for the code.
 WATCHED_FIELDS: Dict[str, List[str]] = {
     "sweep": ["batch_points_per_s", "speedup_vs_scalar"],
     "cycle": ["speedup_vs_scalar"],
     "functional": ["speedup_vs_scalar", "vectorized_windows_per_s"],
     "mapping": ["candidates_per_second"],
-    "parallel": [],
-    # overhead percentages and recovery latencies are wall-clock deltas on
-    # a shared runner — pure machine noise between machines; the benchmark
-    # asserts its own bit-identity and (in timing mode) the 5% overhead
-    # budget, so the record is tracked but not ratio-gated
-    "faults": [],
     # both fields are deterministic model outputs (no wall clock): the
     # modeled multiply reduction of the worst eligible VGG-16 layer and the
     # modeled cycle speedup the algorithm axis buys on VGG-16 throughput

@@ -50,8 +50,7 @@ from repro.kernels import MappingCostParams, get_backend
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
-# columnar-path throughput counters (process-local: workers running grid
-# chunks feed their own registry and ship deltas with their results)
+# columnar-path throughput counters
 _M_BATCH_POINTS = obs_metrics.counter("batch.points_evaluated")
 _M_CANDIDATES_SCORED = obs_metrics.counter("mapping.candidates_scored")
 

@@ -9,9 +9,8 @@ area trends collected in one table per sweep.
 Since the unified engine layer landed, every design point is evaluated
 through :class:`~repro.engine.executor.SweepExecutor`: pick any registered
 engine (``analytical``, ``analytical-detailed``, ``cycle``, ``functional``,
-...), optionally attach an on-disk :class:`~repro.engine.cache.RunCache`, and
-evaluate points in parallel — the sweep table is identical serial or
-parallel, cached or fresh.
+...) and optionally attach an on-disk :class:`~repro.engine.cache.RunCache`
+— the sweep table is identical cached or fresh.
 
 Dense grids (10^4+ points) go through :meth:`DesignSpaceExplorer.sweep_grid`
 instead: the ``analytical-batch`` engine evaluates the whole grid as columnar
@@ -65,26 +64,23 @@ class SweepPoint:
 class DesignSpaceExplorer:
     """Evaluates Chain-NN variants over a workload through one engine.
 
-    ``engine`` is any registered engine name; ``parallel`` fans design points
-    out over worker processes, and ``cache`` memoises results on disk so
-    repeated sweeps (and sweeps sharing points) skip re-evaluation.
+    ``engine`` is any registered engine name, and ``cache`` memoises
+    results on disk so repeated sweeps (and sweeps sharing points) skip
+    re-evaluation.
     """
 
     def __init__(self, network: Optional[Network] = None, batch: int = 128,
                  engine: str = "analytical", engine_kwargs: Optional[Dict] = None,
-                 cache: Optional[RunCache] = None, parallel: bool = False,
-                 max_workers: Optional[int] = None) -> None:
+                 cache: Optional[RunCache] = None) -> None:
         self.network = network or alexnet()
         self.batch = batch
         self.engine_name = engine
-        self.parallel = parallel
         self.executor = SweepExecutor(
             engine=engine,
             network=self.network,
             batch=batch,
             engine_kwargs=engine_kwargs,
             cache=cache,
-            max_workers=max_workers,
         )
 
     # ------------------------------------------------------------------ #
@@ -95,15 +91,14 @@ class DesignSpaceExplorer:
         return self._to_point(self.executor.evaluate(config), config, label)
 
     def evaluate_many(self, configs: Sequence[ChainConfig],
-                      labels: Optional[Sequence[Optional[str]]] = None,
-                      parallel: Optional[bool] = None) -> List[SweepPoint]:
-        """Evaluate many configurations (in parallel when requested)."""
+                      labels: Optional[Sequence[Optional[str]]] = None
+                      ) -> List[SweepPoint]:
+        """Evaluate many configurations."""
         if labels is not None and len(labels) != len(configs):
             raise ValueError(
                 f"got {len(labels)} labels for {len(configs)} configurations"
             )
-        parallel = self.parallel if parallel is None else parallel
-        records = self.executor.run(configs, parallel=parallel)
+        records = self.executor.run(configs)
         labels = labels or [None] * len(configs)
         return [
             self._to_point(record, config, label)
@@ -149,12 +144,10 @@ class DesignSpaceExplorer:
         return self.evaluate_many([base.with_frequency(f * 1e6) for f in frequencies_mhz])
 
     def sweep_batch_size(self, batches: Sequence[int] = (1, 2, 4, 8, 16, 32, 64, 128),
-                         base: Optional[ChainConfig] = None,
-                         parallel: Optional[bool] = None) -> Dict[int, float]:
+                         base: Optional[ChainConfig] = None) -> Dict[int, float]:
         """Frame rate versus batch size (kernel loading amortisation, Sec. V.B)."""
         config = base or ChainConfig()
-        parallel = self.parallel if parallel is None else parallel
-        records = self.executor.run_batches(config, batches, parallel=parallel)
+        records = self.executor.run_batches(config, batches)
         return {batch: record.metrics.get("fps", 0.0)
                 for batch, record in zip(batches, records)}
 

@@ -11,7 +11,7 @@ writing any Python:
 * ``experiments`` — regenerate every paper table/figure (paper vs measured),
   with ``--json`` machine-readable headline export;
 * ``sweep``       — chain-length / frequency / batch design-space sweeps,
-  with ``--engine``, ``--parallel`` and an on-disk result cache; dense grids
+  with ``--engine`` and an on-disk result cache; dense grids
   via ``--grid pe=128:1152:32,freq=200:1000:50`` run through the columnar
   ``analytical-batch`` fast path, with ``--pareto`` / ``--top`` reduction;
 * ``pareto``      — grid sweep + Pareto frontier (time vs. power vs. area)
@@ -29,21 +29,20 @@ writing any Python:
 * ``networks``    — list the network zoo with per-network layer counts,
   MACs, parameter totals and Winograd-eligible MAC coverage;
 * ``bench``       — run a registered benchmark (``sweep``, ``cycle``,
-  ``functional``, ``mapping``, ``obs``, ``parallel``, ``faults``,
-  ``winograd``, ``serve`` or ``all``) and write its ``BENCH_*.json``
+  ``functional``, ``mapping``, ``obs``, ``winograd``, ``serve`` or
+  ``all``) and write its ``BENCH_*.json``
   trajectory record;
 * ``trace``       — ``summarize FILE`` renders per-span statistics for a
   wall-clock trace exported with ``--trace``.
 
 Observability (:mod:`repro.obs`) is global: ``--trace FILE`` records a
-wall-clock span trace of the whole command — engines, cache, mapping
-search and pool workers merged onto one timeline — as Chrome trace-event
-JSON (load in Perfetto / chrome://tracing; a ``.jsonl`` suffix selects the
-line-oriented format instead), and ``--metrics`` dumps the metrics
-registry (cache hits/misses, candidates enumerated/pruned/scored, retries,
-...) to stderr after the command.  ``sweep`` and
-``map`` always print a one-line stats footer (wall time, throughput,
-cache hit-rate, workers) even without either flag.
+wall-clock span trace of the whole command — engines, cache and mapping
+search on one timeline — as Chrome trace-event JSON (load in Perfetto /
+chrome://tracing; a ``.jsonl`` suffix selects the line-oriented format
+instead), and ``--metrics`` dumps the metrics registry (cache
+hits/misses, candidates enumerated/pruned/scored, ...) to stderr after
+the command.  ``sweep`` and ``map`` always print a one-line stats footer
+(wall time, throughput, cache hit-rate) even without either flag.
 
 ``run``/``map``/``verify`` take ``--algorithm {direct,winograd,auto}`` to
 select the conv execution algorithm: ``winograd`` runs (or pins the search
@@ -52,16 +51,11 @@ layers, ``auto`` lets the mapping search pick direct vs Winograd per layer
 under the never-worse guarantee.
 
 Every command takes ``--pes`` and ``--frequency-mhz`` so non-paper
-instantiations can be explored from the shell; ``run``/``sweep``/``map``/
-``verify`` additionally take ``--workers`` to fan work over the persistent
-shared-memory parallel runtime (:mod:`repro.runtime`) with bit-identical
-results.  The supervised runtime's fault-tolerance knobs are global too:
-``--task-deadline`` / ``--task-retries`` set the hang deadline and retry
-budget (exported as ``$REPRO_TASK_DEADLINE`` / ``$REPRO_TASK_RETRIES`` so
-workers spawned anywhere downstream inherit them), and cache-carrying
+instantiations can be explored from the shell, and cache-carrying
 commands take ``--cache-max-mb`` to bound the on-disk store with LRU
-eviction.  All evaluation dispatches through the unified engine layer
-(:mod:`repro.engine`).
+eviction.  Every command runs in one process: the exact GEMM kernels
+already use every core through BLAS.  All evaluation dispatches through
+the unified engine layer (:mod:`repro.engine`).
 """
 
 from __future__ import annotations
@@ -99,7 +93,6 @@ from repro.mapping.mapspace import ALGORITHM_MODES
 from repro.obs import trace as obs_trace
 from repro.obs.export import export_trace, render_summary, summarize_trace
 from repro.obs.metrics import REGISTRY, render_metrics
-from repro.runtime.supervisor import DEADLINE_ENV, RETRIES_ENV
 from repro.memory.traffic import TrafficModel
 from repro.serve import payloads as serve_payloads
 from repro.serve.protocol import DEFAULT_PORT
@@ -179,14 +172,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(f"error: --mode {args.mode} conflicts with --engine {args.engine}",
                   file=sys.stderr)
             return 2
-    if args.workers is not None:
-        # only the functional simulator decomposes a single evaluation into
-        # parallel ofmap-block tasks; other engines evaluate one closed form
-        if args.engine != "functional-vectorized":
-            print("error: --workers applies to --engine functional-vectorized "
-                  f"only, not {args.engine}", file=sys.stderr)
-            return 2
-        engine_kwargs["workers"] = args.workers
     if args.algorithm != "direct":
         # the algorithm axis exists where convolutions are actually executed
         # or mapped; the closed-form analytical engines model direct only
@@ -272,14 +257,6 @@ def _print_cache_counters(explorer: DesignSpaceExplorer) -> None:
 
 def cmd_sweep_grid(args: argparse.Namespace) -> int:
     """Dense-grid sweep through the columnar batch path."""
-    if (getattr(args, "parallel", False) or getattr(args, "jobs", None)
-            or getattr(args, "workers", None)):
-        # grids run through the columnar evaluate_batch path (serial by
-        # design: the fast path is array arithmetic, the fallback a per-point
-        # loop); refusing beats silently ignoring the requested workers
-        print("error: --parallel/--jobs/--workers apply to axis sweeps only; "
-              "--grid evaluates through the columnar batch path", file=sys.stderr)
-        return 2
     # the columnar engines are numerically identical to their scalar
     # counterparts; dense grids dispatch to them in either fidelity mode
     engine = serve_payloads.upgrade_grid_engine(args.engine)
@@ -327,19 +304,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     if args.grid is not None:
         return cmd_sweep_grid(args)
-    if args.workers is not None and args.jobs is not None:
-        print("error: give either --workers or its legacy alias --jobs, not both",
-              file=sys.stderr)
-        return 2
-    workers = args.workers if args.workers is not None else args.jobs
-    args.parallel = args.parallel or args.workers is not None
     explorer = DesignSpaceExplorer(
         get_network(args.network),
         batch=args.batch,
         engine=args.engine,
         cache=_cache_from_args(args),
-        parallel=args.parallel,
-        max_workers=workers,
     )
     base = _config_from_args(args)
     if args.axis == "pes":
@@ -363,7 +332,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "engine": args.engine,
             "network": args.network,
             "batch": args.batch,
-            "parallel": args.parallel,
             "points": [{"label": point.label, **point.as_row()} for point in points],
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -442,11 +410,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.algorithm != "direct":
         print("error: --algorithm applies to --sim functional only (the "
               "cycle simulator executes the direct dataflow)", file=sys.stderr)
-        return 2
-    if args.workers is not None:
-        print("error: --workers applies to --sim functional only (the cycle "
-              "cross-check runs tiny layers where fan-out cannot pay off)",
-              file=sys.stderr)
         return 2
     if args.network != "tiny":
         print("error: --network applies to --sim functional only (the scalar "
@@ -537,7 +500,6 @@ def cmd_map(args: argparse.Namespace) -> int:
         objective=args.objective,
         batch=args.batch,
         cache=_cache_from_args(args),
-        workers=args.workers,
         algorithm=args.algorithm,
     )
     network = get_network(args.network)
@@ -573,7 +535,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     server = EvalServer(
         args.host, args.port,
         window_ms=args.window_ms,
-        workers=args.workers,
         cache=_cache_from_args(args),
     )
 
@@ -649,8 +610,6 @@ BENCHMARKS = {
     "cycle": ("benchmarks/bench_vectorized_cycle.py",),
     "functional": ("benchmarks/bench_functional.py",),
     "mapping": ("benchmarks/bench_mapping.py",),
-    "parallel": ("benchmarks/bench_parallel.py",),
-    "faults": ("benchmarks/bench_faults.py",),
     "winograd": ("benchmarks/bench_winograd.py",),
     "obs": ("benchmarks/bench_obs.py",),
     "serve": ("benchmarks/bench_serve.py",),
@@ -727,15 +686,11 @@ def _verify_functional(args: argparse.Namespace) -> int:
     network = (tiny_test_network() if args.network == "tiny"
                else get_network(args.network))
     backend = args.backend or ("both" if args.network == "tiny" else "vectorized")
-    if args.workers is not None and backend != "vectorized":
-        print(f"error: --workers requires the vectorized backend, not {backend}",
-              file=sys.stderr)
-        return 2
-    with FunctionalNetworkRunner(
+    runner = FunctionalNetworkRunner(
         _config_from_args(args), backend=backend, seed=args.seed,
-        workers=args.workers, algorithm=args.algorithm,
-    ) as runner:
-        result = runner.run(network)
+        algorithm=args.algorithm,
+    )
+    result = runner.run(network)
     print(result.describe())
     return 0 if result.passed else 1
 
@@ -750,23 +705,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--pes", type=int, default=576, help="number of PEs in the chain")
     parser.add_argument("--frequency-mhz", type=float, default=700.0, help="core clock (MHz)")
-    parser.add_argument("--task-deadline", type=_positive_float, default=None,
-                        metavar="SECONDS",
-                        help="supervised-runtime hang deadline: a worker "
-                             "silent on one task this long is killed and the "
-                             "task retried (default: "
-                             f"${DEADLINE_ENV} or no deadline)")
-    parser.add_argument("--task-retries", type=_positive_int, default=None,
-                        metavar="N",
-                        help="worker deaths one task may cause before it is "
-                             "quarantined to serial parent execution "
-                             f"(default: ${RETRIES_ENV} or 3)")
     parser.add_argument("--trace", default=None, metavar="FILE",
                         help="record a wall-clock span trace of the command "
-                             "(engines, cache, mapping search and pool "
-                             "workers merged) as Chrome trace-event JSON "
-                             "for Perfetto/chrome://tracing; a .jsonl "
-                             "suffix writes line-oriented JSON instead")
+                             "(engines, cache, mapping search) as Chrome "
+                             "trace-event JSON for Perfetto/chrome://tracing; "
+                             "a .jsonl suffix writes line-oriented JSON "
+                             "instead")
     parser.add_argument("--metrics", action="store_true",
                         help="dump the repro.obs metrics registry to stderr "
                              "after the command")
@@ -785,9 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="execution engine to dispatch through")
     run.add_argument("--json", action="store_true", help="emit the run record as JSON")
     run.add_argument("--traffic", action="store_true", help="also print the traffic table")
-    run.add_argument("--workers", type=_positive_int, default=None,
-                     help="worker processes for the functional-vectorized "
-                          "engine's per-layer ofmap blocks (default: serial)")
     run.add_argument("--algorithm", choices=ALGORITHM_MODES, default="direct",
                      help="conv execution algorithm: winograd/auto run "
                           "eligible 3x3-stride-1 layers in the transform "
@@ -851,14 +792,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reduce a --grid sweep to its Pareto frontier")
     sweep.add_argument("--top", type=_positive_int, default=None, metavar="K",
                        help="also report the top-K points by --metric")
-    sweep.add_argument("--parallel", action="store_true",
-                       help="evaluate design points in worker processes")
-    sweep.add_argument("--workers", type=_positive_int, default=None,
-                       help="worker processes for axis sweeps (implies "
-                            "--parallel; default: CPU cores)")
-    sweep.add_argument("--jobs", type=_positive_int, default=None,
-                       help="legacy alias of --workers (only sets the count "
-                            "when --parallel is given)")
 
     pareto = sub.add_parser("pareto",
                             help="grid sweep reduced to its Pareto frontier "
@@ -911,9 +844,6 @@ def build_parser() -> argparse.ArgumentParser:
     map_cmd.add_argument("--verify", action="store_true",
                          help="functionally verify every searched mapping "
                               "against the im2col golden reference")
-    map_cmd.add_argument("--workers", type=_positive_int, default=None,
-                         help="fan per-layer searches over this many worker "
-                              "processes (bit-identical to serial search)")
     map_cmd.add_argument("--json", action="store_true",
                          help="emit the optimised schedule as JSON")
     map_cmd.add_argument("--cache-dir", default=None, metavar="DIR",
@@ -945,9 +875,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "to the vectorized fast path; under 'both', "
                              "Winograd stages are checked against the im2col "
                              "golden only)")
-    verify.add_argument("--workers", type=_positive_int, default=None,
-                        help="worker processes for --sim functional ofmap "
-                             "blocks (bit-identical to the serial path)")
     verify.add_argument("--algorithm", choices=ALGORITHM_MODES,
                         default="direct",
                         help="run eligible 3x3-stride-1 layers through the "
@@ -979,10 +906,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="coalescing micro-batch window: how long the "
                                 "first sweep request of a batch waits for "
                                 "compatible company (default: 4 ms)")
-    serve_cmd.add_argument("--workers", type=_positive_int, default=None,
-                           help="default worker processes for map/verify "
-                                "requests that do not set their own "
-                                "(default: serial, like the CLI)")
     serve_cmd.add_argument("--cache-dir", default=None, metavar="DIR",
                            help="shared RunCache for mapping searches "
                                 f"(${CACHE_DIR_ENV} enables the default "
@@ -1042,26 +965,15 @@ def _print_stats_footer(args: argparse.Namespace, wall_s: float) -> None:
     lookups = hits + flat.get("cache.misses", 0)
     cache_part = (f"cache {hits}/{lookups} hits ({hits / lookups:.0%})"
                   if lookups else "cache off")
-    workers = getattr(args, "workers", None) or getattr(args, "jobs", None)
-    if workers is None:
-        workers = "auto" if getattr(args, "parallel", False) else 1
     rate = f", {count / wall_s:.1f} {unit}/s" if wall_s > 0 and count else ""
     print(f"[obs] {args.command}: {count} {unit} in {wall_s:.2f}s{rate}, "
-          f"{cache_part}, workers={workers}", file=sys.stderr)
+          + cache_part, file=sys.stderr)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    if args.task_deadline is not None:
-        # exported (not threaded through call chains) so RetryPolicy.from_env
-        # picks it up wherever a supervised pool is constructed downstream
-        os.environ[DEADLINE_ENV] = str(args.task_deadline)
-    if args.task_retries is not None:
-        os.environ[RETRIES_ENV] = str(args.task_retries)
     if args.trace:
-        # enabling before dispatch also exports $REPRO_TRACE, so pool
-        # workers spawned lazily anywhere downstream record and ship spans
         obs_trace.enable()
     handlers = {
         "info": cmd_info,

@@ -4,7 +4,7 @@ One ``Engine`` interface over every evaluator of the library — the analytical
 models (``paper`` and ``detailed`` fidelity), the cycle-accurate simulator
 (vectorized or scalar backend), the functional simulator and the Table V
 baselines — plus a registry to instantiate engines by name, a deterministic
-on-disk result cache and a parallel sweep executor.
+on-disk result cache and a cached sweep executor.
 
 >>> from repro.engine import available_engines, create_engine
 >>> "analytical" in available_engines() and "cycle" in available_engines()

@@ -368,7 +368,6 @@ class FunctionalEngine(Engine):
     """
 
     def __init__(self, seed: int = 2017, backend: str = "scalar",
-                 workers: Optional[int] = None,
                  algorithm: str = "direct") -> None:
         self.seed = seed
         self.backend = backend
@@ -378,19 +377,6 @@ class FunctionalEngine(Engine):
         self.algorithm = algorithm
         self.name = "functional" if backend == "scalar" else f"functional-{backend}"
         self._memo: Dict[str, Dict[str, Any]] = {}
-        #: fan ofmap blocks over this many workers (vectorized backend only);
-        #: results are bit-identical serial or parallel, so the worker count
-        #: deliberately stays out of the engine fingerprint
-        self.workers = workers
-        from repro.runtime import shared_runtime
-
-        self._pool = shared_runtime()
-
-    def _runtime(self):
-        """The engine's persistent pool, or ``None`` for the serial path."""
-        if self.workers is None or self.workers <= 1 or self.backend != "vectorized":
-            return None
-        return self._pool.get(workers=self.workers)
 
     def _simulate(self, network: Network, config: ChainConfig) -> Dict[str, Any]:
         memo_key = canonical_json({
@@ -401,7 +387,6 @@ class FunctionalEngine(Engine):
             return self._memo[memo_key]
         simulator = FunctionalChainSimulator(config, backend=self.backend)
         generator = WorkloadGenerator(seed=self.seed)
-        runtime = self._runtime()
         layers: Dict[str, Dict[str, float]] = {}
         chain_cycles = 0.0
         windows_kept = 0
@@ -418,13 +403,8 @@ class FunctionalEngine(Engine):
 
                 if winograd_eligible(layer):
                     algorithm = "winograd"
-            if runtime is not None:
-                result = simulator.run_layer_parallel(layer, ifmaps, weights,
-                                                      runtime,
-                                                      algorithm=algorithm)
-            else:
-                result = simulator.run_layer(layer, ifmaps, weights,
-                                             algorithm=algorithm)
+            result = simulator.run_layer(layer, ifmaps, weights,
+                                         algorithm=algorithm)
             error = result.max_abs_error_vs_reference(ifmaps, weights)
             chain_cycles += result.chain_cycles_estimate
             windows_kept += result.stats.windows_kept

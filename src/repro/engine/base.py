@@ -10,7 +10,7 @@ protocol:
     ``engine.evaluate(network, config, batch) -> RunRecord``
 
 where the :class:`RunRecord` is a flat, JSON-serialisable summary that the
-sweep executor can cache on disk and ship across process boundaries.
+sweep executor can cache on disk.
 Concrete engines live in :mod:`repro.engine.adapters` and are instantiated
 by name through :mod:`repro.engine.registry`.
 """

@@ -8,8 +8,8 @@ so the key is stable across processes and sessions: the same design point
 evaluated by the same engine on the same workload always maps to the same
 file, and a cache hit returns the stored :class:`~repro.engine.base.RunRecord`
 without evaluating anything.  Records are stored one-JSON-file-per-key with
-atomic writes, which makes the cache safe under the parallel sweep executor
-(two workers racing on the same key simply write identical bytes).
+atomic writes, which makes the cache safe when several processes share one
+root (two processes racing on the same key simply write identical bytes).
 
 The cache is also safe as a **shared cross-process store** (the
 evaluation-as-a-service prerequisite):

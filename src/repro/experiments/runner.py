@@ -323,154 +323,6 @@ def mapping_search_section(bench_path: str | Path = "BENCH_mapping.json") -> str
     return "\n".join(lines)
 
 
-def parallel_runtime_section(bench_path: str | Path = "BENCH_parallel.json") -> str:
-    """The parallel-runtime chapter of EXPERIMENTS.md.
-
-    Documents the ``--workers`` workflow and quotes the measured
-    worker-count scaling curve from ``BENCH_parallel.json`` when the
-    benchmark has been run (``repro bench parallel``).
-    """
-    lines = [
-        "## Parallel runtime",
-        "",
-        "Sweeps, mapping search and whole-network functional verification",
-        "fan out over `repro.runtime` — persistent worker processes with",
-        "zero-copy shared-memory tensors (`multiprocessing.shared_memory`),",
-        "ordered result assembly and graceful serial degradation on",
-        "platforms without process pools.  Results are **bit-identical**",
-        "serial or parallel (the CI equivalence gate holds",
-        "`tests/test_runtime.py` to that), so `--workers` only changes",
-        "wall-clock time:",
-        "",
-        "```text",
-        "repro verify --sim functional --network vgg16 --workers 4",
-        "repro map --network vgg16 --objective energy --workers 4",
-        "repro sweep pes --network alexnet --workers 4",
-        "repro run alexnet --engine functional-vectorized --workers 4",
-        "```",
-        "",
-    ]
-    bench_path = Path(bench_path)
-    bench = None
-    if bench_path.is_file():
-        try:
-            bench = json.loads(bench_path.read_text(encoding="utf-8"))
-        except ValueError:
-            bench = None
-    if bench and "verify_scaling" in bench:
-        lines += [
-            f"Measured scaling (`BENCH_parallel.json`, whole-network",
-            f"functional verification of `{bench.get('network', '?')}` on a",
-            f"{bench.get('cpu_count', '?')}-core machine; serial baseline "
-            f"{bench.get('verify_serial_seconds', 0):.2f} s):",
-            "",
-            "| workers | seconds | speedup vs serial |",
-            "| --- | --- | --- |",
-        ]
-        scaling = bench["verify_scaling"]
-        for workers in sorted(scaling, key=int):
-            entry = scaling[workers]
-            lines.append(
-                f"| {workers} | {entry.get('seconds', 0):.2f} | "
-                f"{entry.get('speedup_vs_serial', 0):.2f}x |"
-            )
-        lines += [
-            "",
-            f"Mapping search (exhaustive, per-layer fan-out): "
-            f"{bench.get('map_serial_seconds', 0):.2f} s serial vs "
-            f"{bench.get('map_parallel_seconds', 0):.2f} s parallel; "
-            f"axis sweep: {bench.get('sweep_serial_seconds', 0):.3f} s serial "
-            f"vs {bench.get('sweep_parallel_seconds', 0):.3f} s parallel "
-            "(persistent pool, engines and network shipped to workers once).",
-            "",
-            "Speedups track the physical core count: single-core CI runners",
-            "record ~1x by construction while the bit-identity assertions",
-            "still hold; on a 4+-core machine the benchmark enforces >=3x",
-            "on 4-worker verification in timing mode.",
-        ]
-    else:
-        lines += [
-            "Measured scaling: run `repro bench parallel` to populate",
-            "`BENCH_parallel.json` (the numbers quoted here are regenerated",
-            "from it).",
-        ]
-    return "\n".join(lines)
-
-
-def fault_tolerance_section(bench_path: str | Path = "BENCH_faults.json") -> str:
-    """The fault-tolerance chapter of EXPERIMENTS.md.
-
-    Documents the supervised runtime and the hardened cache, and quotes the
-    measured supervision overhead / recovery latency from
-    ``BENCH_faults.json`` when the benchmark has been run
-    (``repro bench faults``).
-    """
-    lines = [
-        "## Fault tolerance",
-        "",
-        "The parallel runtime is supervised: per-task deadlines recover",
-        "hung workers, dead workers are respawned (with exponential",
-        "backoff and broadcast-context replay) and their in-flight tasks",
-        "retried, poison tasks are quarantined to serial parent execution,",
-        "and with no parallel capacity left the run drains serially — the",
-        "degradation ladder parallel -> respawn -> serial, every rung",
-        "**bit-identical** (tasks are pure functions of their payloads).",
-        "Chaos is injected deterministically: `$REPRO_FAULT_SPEC` (e.g.",
-        "`crash:p=0.2,seed=7,attempts=1`) maps `(task_id, attempt)`",
-        "through SHA-256 to fault decisions, so the same seed exercises",
-        "the same recovery path on every run — `tests/test_faults.py`",
-        "holds sweep/map/verify to serial bit-identity under that plan,",
-        "and an 8-process stress test holds the `RunCache` (advisory",
-        "locking, corrupt-entry quarantine, orphan reaping, size-bounded",
-        "LRU eviction) to zero lost or torn records:",
-        "",
-        "```text",
-        "REPRO_FAULT_SPEC='crash:p=0.2,seed=7,attempts=1' \\",
-        "    repro --task-deadline 5 verify --sim functional --workers 4",
-        "repro sweep pes --workers 4 --cache-dir /tmp/cache --cache-max-mb 64",
-        "repro bench faults --timing",
-        "```",
-        "",
-    ]
-    bench_path = Path(bench_path)
-    bench = None
-    if bench_path.is_file():
-        try:
-            bench = json.loads(bench_path.read_text(encoding="utf-8"))
-        except ValueError:
-            bench = None
-    if bench and bench.get("pools_available"):
-        lines += [
-            f"Measured (`BENCH_faults.json`, {bench.get('points', '?')}-point",
-            f"analytical sweep over {bench.get('workers', '?')} workers; chaos",
-            f"plan `{bench.get('fault_spec', '?')}`):",
-            "",
-            "| metric | value |",
-            "| --- | --- |",
-            f"| supervision overhead (no-fault path) | "
-            f"{bench.get('supervision_overhead_pct', 0):.1f}% |",
-            f"| worker deaths under chaos | "
-            f"{bench.get('chaos_worker_deaths', 0)} |",
-            f"| respawns / retries | {bench.get('chaos_respawns', 0)} / "
-            f"{bench.get('chaos_retries', 0)} |",
-            f"| recovery latency per death | "
-            f"{bench.get('recovery_latency_seconds_per_death', 0) * 1e3:.1f} ms |",
-            f"| results bit-identical to serial | "
-            f"{bench.get('bit_identical', False)} |",
-            "",
-            "The 5% overhead budget is asserted in timing mode; the",
-            "recovery latency is dominated by the respawn backoff plus the",
-            "broadcast replay into the fresh worker.",
-        ]
-    else:
-        lines += [
-            "Measured overhead and recovery latency: run `repro bench",
-            "faults` to populate `BENCH_faults.json` (the numbers quoted",
-            "here are regenerated from it).",
-        ]
-    return "\n".join(lines)
-
-
 def winograd_execution_section(bench_path: str | Path = "BENCH_winograd.json") -> str:
     """The Winograd-execution chapter of EXPERIMENTS.md.
 
@@ -583,28 +435,23 @@ def observability_section(bench_path: str | Path = "BENCH_obs.json") -> str:
         "",
         "Every command can record a wall-clock span trace of itself:",
         "`--trace FILE` exports Chrome trace-event JSON covering the CLI,",
-        "engines, cache, mapping search and every pool worker merged onto",
-        "one timeline (workers ship completed spans and metric deltas back",
-        "over the result channel; `time.monotonic` is system-wide on",
-        "Linux, so no clock offset arithmetic is needed).  `--metrics`",
+        "engines, cache and mapping search on one timeline.  `--metrics`",
         "dumps the always-on metrics registry — cache hits/misses/",
         "evictions/lock waits, sweep points, mapping candidates",
-        "enumerated/pruned/scored, supervisor retries/respawns/deadline",
-        "kills — and `sweep`/`map` print a",
+        "enumerated/pruned/scored — and `sweep`/`map` print a",
         "one-line stats footer from the same registry even untraced:",
         "",
         "```text",
-        "repro --trace sweep.json --metrics sweep pes --workers 4",
+        "repro --trace sweep.json --metrics sweep pes",
         "repro trace summarize sweep.json   # or load in ui.perfetto.dev",
         "repro map --network alexnet        # footer: candidates/s, cache",
         "repro bench obs --timing           # asserts the overhead budgets",
         "```",
         "",
-        "Only *closed* spans are recorded, so a merged trace structurally",
-        "cannot contain unclosed spans even when chaos kills workers",
-        "mid-task (`tests/test_obs.py` validates the merged trace under a",
-        "crash-every-first-attempt fault plan); cycle-domain simulator",
-        "traces (`repro.sim.trace`) remain a separate, unrelated layer.",
+        "Only *closed* spans are recorded, so an exported trace",
+        "structurally cannot contain unclosed spans; cycle-domain",
+        "simulator traces (`repro.sim.trace`) remain a separate, unrelated",
+        "layer.",
         "",
     ]
     bench_path = Path(bench_path)
@@ -631,12 +478,8 @@ def observability_section(bench_path: str | Path = "BENCH_obs.json") -> str:
             f"| span events / metric increments per run | "
             f"{bench.get('span_events_per_run', 0)} / "
             f"{bench.get('metric_increments_per_run', 0)} |",
-            f"| merged parallel trace | {bench.get('merged_trace_spans', 0)} "
-            f"spans across {bench.get('merged_trace_processes', 0)} "
-            "processes |",
-            f"| bit-identical serial / parallel | "
-            f"{bench.get('bit_identical_serial', False)} / "
-            f"{bench.get('bit_identical_parallel', False)} |",
+            f"| bit-identical traced / untraced | "
+            f"{bench.get('bit_identical_serial', False)} |",
         ]
     else:
         lines += [
@@ -663,8 +506,8 @@ def evaluation_service_section(bench_path: str | Path = "BENCH_serve.json") -> s
         "with compatible sweep requests arriving within a few-millisecond",
         "window coalesced into one columnar `evaluate_batch` call and the",
         "per-request slices scattered back (byte-identical to `repro",
-        "<cmd> --json`; `tests/test_serve.py` pins this, chaos leg",
-        "included).  The shared `RunCache` gains a WAL-mode sqlite index",
+        "<cmd> --json`; `tests/test_serve.py` pins this).  The shared",
+        "`RunCache` gains a WAL-mode sqlite index",
         "so lookups, stats and LRU eviction stop scaling with the record",
         "count while staying safe for 8+ concurrent processes:",
         "",
@@ -723,8 +566,6 @@ def render_experiments_md(report: Optional[ReproductionReport] = None,
                           bench_path: str | Path = "BENCH_sweep.json",
                           functional_bench_path: str | Path = "BENCH_functional.json",
                           mapping_bench_path: str | Path = "BENCH_mapping.json",
-                          parallel_bench_path: str | Path = "BENCH_parallel.json",
-                          faults_bench_path: str | Path = "BENCH_faults.json",
                           winograd_bench_path: str | Path = "BENCH_winograd.json",
                           obs_bench_path: str | Path = "BENCH_obs.json",
                           serve_bench_path: str | Path = "BENCH_serve.json",
@@ -767,10 +608,6 @@ def render_experiments_md(report: Optional[ReproductionReport] = None,
         "\n"
         f"{mapping_search_section(mapping_bench_path)}\n"
         "\n"
-        f"{parallel_runtime_section(parallel_bench_path)}\n"
-        "\n"
-        f"{fault_tolerance_section(faults_bench_path)}\n"
-        "\n"
         f"{winograd_execution_section(winograd_bench_path)}\n"
         "\n"
         f"{observability_section(obs_bench_path)}\n"
@@ -796,8 +633,6 @@ def write_experiments_md(path: str | Path = "EXPERIMENTS.md",
             bench_path=root / "BENCH_sweep.json",
             functional_bench_path=root / "BENCH_functional.json",
             mapping_bench_path=root / "BENCH_mapping.json",
-            parallel_bench_path=root / "BENCH_parallel.json",
-            faults_bench_path=root / "BENCH_faults.json",
             winograd_bench_path=root / "BENCH_winograd.json",
             obs_bench_path=root / "BENCH_obs.json",
             serve_bench_path=root / "BENCH_serve.json",

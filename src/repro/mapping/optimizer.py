@@ -61,18 +61,9 @@ from repro.mapping.mapspace import (
 from repro.mapping.strategies import ExhaustiveStrategy
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.runtime import WorkerError, shared_runtime
 from repro.sim.functional import FunctionalChainSimulator
-from repro.sim.winograd import (
-    conv2d_winograd,
-    winograd_ofmap_block,
-    winograd_tolerance,
-)
+from repro.sim.winograd import conv2d_winograd, winograd_ofmap_block
 
-# parent-side search counters: candidates_searched aggregates the per-layer
-# evaluation counts from the entry results, so it is correct whether layers
-# searched serially or inside pool workers (candidates_scored, by contrast,
-# counts scoring calls in whichever process performed them)
 _M_LAYERS_SEARCHED = obs_metrics.counter("mapping.layers_searched")
 _M_CANDIDATES_SEARCHED = obs_metrics.counter("mapping.candidates_searched")
 _M_SCHEDULE_CACHE_HITS = obs_metrics.counter("mapping.schedule_cache_hits")
@@ -115,11 +106,8 @@ def search_layer_entry(layer, config: ChainConfig, objective: str,
                        algorithm: str = "direct") -> Dict[str, Any]:
     """Search one layer's mapspace and score its shortlist pool.
 
-    This is the per-layer body of :meth:`ScheduleOptimizer.optimize`,
-    factored out so the serial loop and the parallel runtime's
-    ``map.search_layer`` task execute the *same* code on the same inputs —
-    the construction that makes parallel search results bit-identical to
-    serial ones.  ``algorithm`` is the space's algorithm-axis mode
+    This is the per-layer body of :meth:`ScheduleOptimizer.optimize`.
+    ``algorithm`` is the space's algorithm-axis mode
     (``direct`` | ``winograd`` | ``auto``).
     """
     with obs_trace.span("map.search_layer", layer=layer.name,
@@ -306,10 +294,7 @@ class LayerVerification:
 
     For direct mappings ``bit_identical`` compares against the baseline-
     stripe simulation; for Winograd mappings it compares the whole-ofmap
-    transform-domain result against an ofmap-channel block partition (the
-    parallel runtime's bit-identity ladder).  ``tolerance`` overrides the
-    network-wide golden tolerance when set — Winograd entries carry the
-    documented :func:`repro.sim.winograd.winograd_tolerance` bound.
+    transform-domain result against an ofmap-channel block partition.
     """
 
     layer_name: str
@@ -319,7 +304,6 @@ class LayerVerification:
     windows_kept: int
     seconds: float
     covers: Tuple[str, ...] = ()  # geometry-identical layers this result covers
-    tolerance: Optional[float] = None  # per-entry golden bound override
 
     def describe(self) -> str:
         """One verification line."""
@@ -348,8 +332,7 @@ class MappingVerification:
     def passed(self) -> bool:
         """True when every mapping is golden-close and baseline-bit-identical."""
         return all(
-            entry.bit_identical and entry.max_abs_error
-            <= (entry.tolerance if entry.tolerance is not None else self.tolerance)
+            entry.bit_identical and entry.max_abs_error <= self.tolerance
             for entry in self.layers
         )
 
@@ -376,7 +359,6 @@ class ScheduleOptimizer:
         energy: Optional[EnergyParams] = None,
         cache: Optional[RunCache] = None,
         shortlist: int = 4,
-        workers: Optional[int] = None,
         algorithm: str = "direct",
     ) -> None:
         if objective not in OBJECTIVES:
@@ -387,8 +369,6 @@ class ScheduleOptimizer:
             raise ConfigurationError(f"batch must be >= 1, got {batch}")
         if shortlist < 1:
             raise ConfigurationError(f"shortlist must be >= 1, got {shortlist}")
-        if workers is not None and workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
         if algorithm not in ALGORITHM_MODES:
             raise ConfigurationError(
                 f"unknown algorithm {algorithm!r}; available: "
@@ -404,11 +384,6 @@ class ScheduleOptimizer:
         self.energy = energy or EnergyParams()
         self.cache = cache
         self.shortlist = shortlist
-        #: per-layer searches fan out over this many worker processes
-        #: (``None``/1 = serial); results are bit-identical either way, so
-        #: the worker count deliberately stays out of the cache fingerprint
-        self.workers = workers
-        self._pool = shared_runtime()
 
     # ------------------------------------------------------------------ #
     # search
@@ -442,43 +417,6 @@ class ScheduleOptimizer:
             ))
         return schedule
 
-    def _search_all_layers(self, network: Network) -> List[Dict[str, Any]]:
-        """One :func:`search_layer_entry` result per conv layer, in order.
-
-        Per-layer searches are independent, so they fan out over the
-        parallel runtime when ``workers`` asks for it; the serial loop runs
-        the exact same entry function, so both paths return bit-identical
-        results.
-        Platforms without process pools degrade to the serial loop.
-        """
-        layers = network.conv_layers
-        if self.workers is not None and self.workers > 1 and len(layers) > 1:
-            runtime = self._pool.get(task_hint=len(layers),
-                                     workers=self.workers)
-            if runtime is not None:
-                payloads = [
-                    {
-                        "layer": layer,
-                        "config": self.config,
-                        "objective": self.objective,
-                        "batch": self.batch,
-                        "energy": self.energy,
-                        "shortlist": self.shortlist,
-                        "algorithm": self.algorithm,
-                    }
-                    for layer in layers
-                ]
-                try:
-                    return runtime.map("map.search_layer", payloads)
-                except WorkerError:
-                    pass  # degradation ladder's last rung: the serial loop
-        return [
-            search_layer_entry(layer, self.config, self.objective,
-                               self.batch, self.energy, self.shortlist,
-                               algorithm=self.algorithm)
-            for layer in layers
-        ]
-
     def _optimize_uncached(self, network: Network) -> OptimizedSchedule:
         # raises early on unmappable networks / illegal algorithm modes
         MapSpace(network, self.config, algorithm=self.algorithm)
@@ -486,7 +424,10 @@ class ScheduleOptimizer:
         metric_cache: List[Dict[MappingCandidate, Dict[str, float]]] = []
         baseline_rows: List[LayerSchedule] = []
         evaluations = 0
-        for entry in self._search_all_layers(network):
+        for layer in network.conv_layers:
+            entry = search_layer_entry(layer, self.config, self.objective,
+                                       self.batch, self.energy, self.shortlist,
+                                       algorithm=self.algorithm)
             _M_LAYERS_SEARCHED.inc()
             _M_CANDIDATES_SEARCHED.inc(entry["evaluations"])
             evaluations += entry["evaluations"]
@@ -593,10 +534,8 @@ class ScheduleOptimizer:
         genuinely re-striped layers.
 
         Winograd mappings run :func:`repro.sim.winograd.conv2d_winograd`
-        instead: the golden bound is the per-layer
-        :func:`~repro.sim.winograd.winograd_tolerance` and the bit-identity
-        check partitions the ofmap channels into two blocks — the invariant
-        the parallel runtime relies on.
+        instead, and the bit-identity check partitions the ofmap channels
+        into two blocks.
         """
         outcome = MappingVerification(network_name=network.name, seed=seed,
                                       tolerance=tolerance)
@@ -640,7 +579,6 @@ class ScheduleOptimizer:
                     bit_identical=identical,
                     windows_kept=tiles_h * tiles_w * layer.out_channels,
                     seconds=time.perf_counter() - started,
-                    tolerance=winograd_tolerance(reference),
                 ))
                 continue
             run = simulator.run_layer(layer, ifmaps, weights, stripe_height=height)
@@ -670,7 +608,6 @@ class ScheduleOptimizer:
                 windows_kept=entry.windows_kept,
                 seconds=entry.seconds,
                 covers=tuple(covers.get(index, ())),
-                tolerance=entry.tolerance,
             )
             for index, entry in enumerate(outcome.layers)
         ]

@@ -3,19 +3,15 @@
 The observability layer over the whole stack:
 
 * :mod:`repro.obs.trace` — span-based *wall-clock* tracing with nested
-  spans, monotonic timestamps, attributes, and process/worker identity;
+  spans, monotonic timestamps, attributes, and process identity;
   near-zero overhead while disabled.  (Distinct from
   :mod:`repro.sim.trace`, the simulated *cycle-domain* event log of the
   cycle-accurate PE-chain simulator.)
 * :mod:`repro.obs.metrics` — an always-on registry of counters, gauges,
   and histograms fed by ``RunCache``, the sweep executors, the mapping
-  search, the supervised runtime, and the kernel registry.
+  search, and the evaluation service.
 * :mod:`repro.obs.export` — JSONL and Chrome trace-event (Perfetto /
   ``chrome://tracing``) exporters plus trace summarization/validation.
-
-Pool workers record locally and ship ``(events, metrics delta)`` payloads
-back on the existing result channel (see ``repro.runtime.pool``), so one
-merged trace covers the whole pool and survives crash/respawn.
 
 Enabled by the CLI ``--trace FILE`` / ``--metrics`` flags or
 programmatically::
@@ -50,18 +46,14 @@ from repro.obs.metrics import (
     render_metrics,
 )
 from repro.obs.trace import (
-    TRACE_ENV,
     TraceRecorder,
-    absorb,
     disable,
     enable,
     enabled,
     get_recorder,
     instant,
-    ship,
     span,
     traced,
-    worker_init,
 )
 
 __all__ = [
@@ -76,18 +68,14 @@ __all__ = [
     "gauge",
     "histogram",
     "render_metrics",
-    "TRACE_ENV",
     "TraceRecorder",
-    "absorb",
     "disable",
     "enable",
     "enabled",
     "get_recorder",
     "instant",
-    "ship",
     "span",
     "traced",
-    "worker_init",
     "export_trace",
     "load_trace",
     "render_summary",

@@ -5,8 +5,7 @@ Three output shapes:
 * **Chrome trace-event JSON** (default, any ``--trace`` path not ending
   in ``.jsonl``): a ``{"traceEvents": [...]}`` document loadable in
   Perfetto (https://ui.perfetto.dev) or ``chrome://tracing`` — each
-  process (main + every pool worker) renders as its own named track, so
-  the pool timeline is visible at a glance.
+  process renders as its own named track.
 * **JSONL event log** (``--trace out.jsonl``): one JSON object per line,
   spans/instants in recording order, a final ``{"type": "metrics"}``
   line — grep/jq friendly.
@@ -44,7 +43,7 @@ def chrome_trace_document(events: List[Dict[str, Any]],
     """Assemble the ``{"traceEvents": [...]}`` document.
 
     Emits one ``process_name`` metadata event per pid so Perfetto labels
-    the main/worker tracks, then the span (``ph:"X"``) and instant
+    the process tracks, then the span (``ph:"X"``) and instant
     (``ph:"i"``) events with microsecond ``ts``/``dur``.
     """
     labels = dict(labels or {})
@@ -101,7 +100,7 @@ def write_jsonl(path: str, events: List[Dict[str, Any]],
 
 
 def export_trace(path: str, recorder: Optional[Any] = None) -> int:
-    """Write the active recorder's merged trace to ``path``.
+    """Write the active recorder's trace to ``path``.
 
     Dispatches on extension (``.jsonl`` -> event log, anything else ->
     Chrome trace JSON).  Returns the number of events written.

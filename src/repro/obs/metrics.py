@@ -1,23 +1,15 @@
 """Process-wide metrics registry: counters, gauges, histograms.
 
 Every performance-critical subsystem (``RunCache``, ``SweepExecutor``,
-``BatchDesignEvaluator``, the mapping search, ``SupervisedRuntime``, the
-kernel registry) increments named metrics through the module-global
-:data:`REGISTRY`.  Metrics are *always on*: an increment is a plain Python
-attribute add on a memoised object, cheap enough to leave in the hot
-paths unconditionally — that is what lets the CLI print its stats footer
-after every ``sweep``/``map`` without ``--trace``.
+``BatchDesignEvaluator``, the mapping search, the evaluation service)
+increments named metrics through the module-global :data:`REGISTRY`.
+Metrics are *always on*: an increment is a plain Python attribute add on
+a memoised object, cheap enough to leave in the hot paths unconditionally
+— that is what lets the CLI print its stats footer after every
+``sweep``/``map`` without ``--trace``.
 
-Worker processes carry the same registry (it travels across ``fork`` /
-is rebuilt on ``spawn``); :meth:`MetricsRegistry.collect_delta` diffs the
-registry against the last shipped baseline so each task result can carry
-only the increments it caused, and :meth:`MetricsRegistry.merge` folds a
-shipped delta into the parent registry — counters add, gauges take the
-last write, histograms merge count/total/min/max.
-
-The registry is deliberately not thread-safe: the runtime is
-process-parallel (one registry per process) and CPython attribute
-increments are only ever raced by signal handlers we do not use.
+The registry takes no lock: it holds one process's statistics, and no
+computed result depends on them.
 """
 
 from __future__ import annotations
@@ -66,8 +58,7 @@ class Histogram:
     """A streaming summary (count/total/min/max) of observed samples.
 
     Full bucketed distributions are overkill for the latencies tracked
-    here (lock waits, span durations); count+total+extrema merge exactly
-    across processes, which the worker shipping path requires.
+    here (lock waits, span durations).
     """
 
     __slots__ = ("name", "count", "total", "min", "max")
@@ -98,14 +89,12 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Memoised name -> instrument store with delta shipping and merge."""
+    """Memoised name -> instrument store."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        # baseline snapshot the next collect_delta() diffs against
-        self._baseline: Optional[Dict[str, Any]] = None
 
     # -- instrument access ------------------------------------------------
 
@@ -127,7 +116,7 @@ class MetricsRegistry:
             inst = self._histograms[name] = Histogram(name)
         return inst
 
-    # -- snapshots / shipping ---------------------------------------------
+    # -- snapshots ----------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
         """Nested view of every non-zero instrument (JSON-serialisable)."""
@@ -139,71 +128,6 @@ class MetricsRegistry:
             "histograms": {h.name: h.as_dict()
                            for h in self._histograms.values() if h.count},
         }
-
-    def rebase(self) -> None:
-        """Make the current state the shipping baseline.
-
-        Called in freshly initialised workers so counts inherited across
-        ``fork`` are not re-shipped to the parent (which already has them).
-        """
-        self._baseline = self.snapshot()
-
-    def collect_delta(self) -> Optional[Dict[str, Any]]:
-        """Increments since the last ``rebase``/``collect_delta``.
-
-        Returns ``None`` when nothing changed.  Histogram deltas carry the
-        count/total diff plus the current extrema (min of mins is exact
-        under merge; a baseline-era extremum re-shipping is harmless).
-        """
-        base = self._baseline or {"counters": {}, "gauges": {}, "histograms": {}}
-        now = self.snapshot()
-        delta: Dict[str, Any] = {}
-        counters = {
-            name: value - base["counters"].get(name, 0)
-            for name, value in now["counters"].items()
-            if value != base["counters"].get(name, 0)
-        }
-        if counters:
-            delta["counters"] = counters
-        gauges = {
-            name: value
-            for name, value in now["gauges"].items()
-            if value != base["gauges"].get(name)
-        }
-        if gauges:
-            delta["gauges"] = gauges
-        histograms = {}
-        for name, summary in now["histograms"].items():
-            before = base["histograms"].get(name, {"count": 0, "total": 0.0})
-            if summary["count"] == before["count"]:
-                continue
-            histograms[name] = {
-                "count": summary["count"] - before["count"],
-                "total": summary["total"] - before["total"],
-                "min": summary["min"],
-                "max": summary["max"],
-            }
-        if histograms:
-            delta["histograms"] = histograms
-        self._baseline = now
-        return delta or None
-
-    def merge(self, delta: Optional[Dict[str, Any]]) -> None:
-        """Fold a shipped delta (from :meth:`collect_delta`) into this registry."""
-        if not delta:
-            return
-        for name, amount in delta.get("counters", {}).items():
-            self.counter(name).inc(amount)
-        for name, value in delta.get("gauges", {}).items():
-            self.gauge(name).set(value)
-        for name, summary in delta.get("histograms", {}).items():
-            hist = self.histogram(name)
-            hist.count += summary["count"]
-            hist.total += summary["total"]
-            if summary["min"] < hist.min:
-                hist.min = summary["min"]
-            if summary["max"] > hist.max:
-                hist.max = summary["max"]
 
     # -- maintenance -------------------------------------------------------
 
@@ -223,7 +147,6 @@ class MetricsRegistry:
             h.total = 0.0
             h.min = float("inf")
             h.max = float("-inf")
-        self._baseline = None
 
     def flat(self) -> Dict[str, float]:
         """Flat ``name -> number`` view for the ``--metrics`` text dump."""

@@ -1,30 +1,22 @@
 """Span-based structured tracing (wall-clock domain).
 
 Nested spans with monotonic timestamps, free-form attributes, and
-process/worker identity, behind a context-manager/decorator API:
+process identity, behind a context-manager/decorator API:
 
 >>> from repro.obs import trace
 >>> trace.enable()                       # or `repro ... --trace out.json`
 >>> with trace.span("sweep.run_points", points=64):
 ...     ...
->>> trace.instant("runtime.respawns", worker_id=3)
+>>> trace.instant("sweep.done", points=64)
 
 Disabled (the default) every call is a near-zero no-op: :func:`span`
 returns a shared null context manager and :func:`instant` falls through
 a single ``None`` check — cheap enough to leave in hot paths (the
 ``repro bench obs`` record asserts the <=1% budget).
 
-Two design points matter for the parallel runtime:
-
-* **One timeline across processes.**  Timestamps come from
-  ``time.monotonic``, which on Linux is CLOCK_MONOTONIC — a *system-wide*
-  clock, so forked/spawned workers share the parent's epoch and their
-  spans land on the same timeline without offset arithmetic.
-* **Only closed spans are recorded.**  A span buffers nothing until its
-  ``__exit__`` appends one complete event, so a shipped or exported
-  trace structurally cannot contain unclosed spans — a worker that
-  crashes mid-task simply loses that task's span, while the supervisor's
-  death/respawn instants (parent side) keep the failure visible.
+**Only closed spans are recorded.**  A span buffers nothing until its
+``__exit__`` appends one complete event, so an exported trace
+structurally cannot contain unclosed spans.
 
 The clock is injectable (``TraceRecorder(clock=...)``) so tests can
 assert exact timestamps.  Not to be confused with
@@ -40,10 +32,7 @@ import os
 import time
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.obs.metrics import REGISTRY
-
 __all__ = [
-    "TRACE_ENV",
     "TraceRecorder",
     "enable",
     "disable",
@@ -52,13 +41,7 @@ __all__ = [
     "span",
     "instant",
     "traced",
-    "worker_init",
-    "ship",
-    "absorb",
 ]
-
-#: set by :func:`enable` so later-spawned pool workers inherit tracing
-TRACE_ENV = "REPRO_TRACE"
 
 
 class _Span:
@@ -125,16 +108,14 @@ _NULL_SPAN = _NullSpan()
 class TraceRecorder:
     """Collects complete span/instant events for one process.
 
-    ``label`` names the process lane in exported traces (``main``,
-    ``worker-3``); ``clock`` defaults to the system-wide monotonic clock
-    and is injectable for deterministic tests.
+    ``label`` names the process lane in exported traces (``main``);
+    ``clock`` defaults to the monotonic clock and is injectable for
+    deterministic tests.
     """
 
     def __init__(self, label: str = "main",
-                 clock: Optional[Callable[[], float]] = None,
-                 worker_id: Optional[int] = None) -> None:
+                 clock: Optional[Callable[[], float]] = None) -> None:
         self.label = label
-        self.worker_id = worker_id
         self.clock = time.monotonic if clock is None else clock
         self.pid = os.getpid()
         self.tid = 0
@@ -165,11 +146,8 @@ class TraceRecorder:
         return events
 
     def process_labels(self) -> Dict[int, str]:
-        """pid -> label map over buffered events (merged traces span pids)."""
-        labels = {self.pid: self.label}
-        for event in self.events:
-            labels.setdefault(event["pid"], event.get("proc", "worker"))
-        return labels
+        """pid -> label map of the exported process track."""
+        return {self.pid: self.label}
 
 
 #: the process-global recorder; ``None`` means tracing is disabled
@@ -185,23 +163,17 @@ def get_recorder() -> Optional[TraceRecorder]:
 
 
 def enable(clock: Optional[Callable[[], float]] = None,
-           label: str = "main", env: bool = True) -> TraceRecorder:
-    """Install a recorder; with ``env`` also mark :data:`TRACE_ENV` so
-    pool workers created afterwards enable themselves (os.environ is
-    inherited across both fork and spawn)."""
+           label: str = "main") -> TraceRecorder:
+    """Install the process recorder (a no-op when one is installed)."""
     global _recorder
     if _recorder is None:
         _recorder = TraceRecorder(label=label, clock=clock)
-    if env:
-        os.environ[TRACE_ENV] = "1"
     return _recorder
 
 
-def disable(env: bool = True) -> None:
+def disable() -> None:
     global _recorder
     _recorder = None
-    if env:
-        os.environ.pop(TRACE_ENV, None)
 
 
 def span(name: str, **attrs: Any):
@@ -213,7 +185,7 @@ def span(name: str, **attrs: Any):
 
 
 def instant(name: str, **attrs: Any) -> None:
-    """Record a point event (worker death, respawn, quarantine...)."""
+    """Record a point event (a zero-duration marker on the timeline)."""
     rec = _recorder
     if rec is not None:
         rec.instant(name, attrs or None)
@@ -233,64 +205,3 @@ def traced(name: Optional[str] = None) -> Callable:
                 return fn(*args, **kwargs)
         return wrapper
     return decorate
-
-
-# -- worker-side collection -----------------------------------------------
-
-
-def worker_init(worker_id: int) -> bool:
-    """Called at the top of every pool worker's main loop.
-
-    Replaces any recorder inherited across ``fork`` (its buffer belongs
-    to the parent) with a fresh worker-labelled one when the parent
-    enabled tracing, and rebases the metrics registry so inherited
-    counts are not re-shipped.  Returns whether tracing is live.
-    """
-    global _recorder
-    if os.environ.get(TRACE_ENV):
-        _recorder = TraceRecorder(label=f"worker-{worker_id}",
-                                  worker_id=worker_id)
-        REGISTRY.rebase()
-        return True
-    _recorder = None
-    return False
-
-
-def ship() -> Optional[Dict[str, Any]]:
-    """The observability payload a worker attaches to a result message.
-
-    Completed span/instant events since the last ship, plus the metrics
-    delta.  ``None`` when tracing is disabled or nothing happened —
-    the common case for untraced runs, costing one ``None`` check.
-    """
-    rec = _recorder
-    if rec is None:
-        return None
-    events = rec.drain()
-    for event in events:
-        event.setdefault("proc", rec.label)
-    delta = REGISTRY.collect_delta()
-    if not events and not delta:
-        return None
-    payload: Dict[str, Any] = {}
-    if events:
-        payload["events"] = events
-    if delta:
-        payload["metrics"] = delta
-    return payload
-
-
-def absorb(payload: Optional[Dict[str, Any]]) -> None:
-    """Merge a shipped worker payload into this (parent) process.
-
-    Metrics merge into the registry unconditionally (they feed the stats
-    footer); events only land when the parent itself is recording.
-    """
-    if not payload:
-        return
-    REGISTRY.merge(payload.get("metrics"))
-    rec = _recorder
-    if rec is not None:
-        events = payload.get("events")
-        if events:
-            rec.events.extend(events)

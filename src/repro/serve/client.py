@@ -159,9 +159,7 @@ async def request_json(host: str, port: int, path: str,
             elif name == "content-length":
                 length = int(value)
         if length is not None:
-            # the body ends at Content-Length, not at EOF: a pool worker
-            # forked while this connection was open holds a copy of the
-            # server's socket, so the server's close() sends no EOF
+            # the body ends at Content-Length; no need to wait for EOF
             return status, await reader.readexactly(length)
         if not chunked:
             return status, await reader.read()

@@ -120,9 +120,6 @@ def map_payload(schedule, algorithm_mode: str,
                     "max_abs_error": entry.max_abs_error,
                     "bit_identical": entry.bit_identical,
                     "covers": list(entry.covers),
-                    "tolerance": (entry.tolerance
-                                  if entry.tolerance is not None
-                                  else verification.tolerance),
                 }
                 for entry in verification.layers
             ],

@@ -77,7 +77,6 @@ class RunParams:
     engine: str = "analytical"
     mode: Optional[str] = None
     traffic: bool = False
-    workers: Optional[int] = None
     algorithm: str = "direct"
     pes: int = 576
     frequency_mhz: float = 700.0
@@ -109,7 +108,6 @@ class MapParams:
     seed: int = 2017
     algorithm: str = "direct"
     verify: bool = False
-    workers: Optional[int] = None
     pes: int = 576
     frequency_mhz: float = 700.0
 
@@ -121,7 +119,6 @@ class VerifyParams:
     network: str = "tiny"
     seed: int = 2017
     backend: Optional[str] = None
-    workers: Optional[int] = None
     algorithm: str = "direct"
     pes: int = 576
     frequency_mhz: float = 700.0

@@ -10,11 +10,8 @@ One process, three execution lanes:
   serialisation is what makes coalescing pay: concurrent requests pile
   into the window instead of contending for cores);
 * a single **long-op thread** runs mapping searches and functional
-  verifies against the one process-wide
-  :func:`repro.runtime.shared_runtime` pool, streaming progress back as
-  chunked JSON-line events.  One thread means the shared pool is
-  multiplexed across requests for the life of the server, never
-  double-spawned.
+  verifies one at a time, streaming progress back as chunked JSON-line
+  events, so a long search never blocks the sweep lane.
 
 Responses are built by :mod:`repro.serve.payloads` — the same builders
 the CLI prints through — so every response body is byte-identical to
@@ -86,12 +83,11 @@ class EvalServer:
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = DEFAULT_PORT,
-                 *, window_ms: float = 4.0, workers: Optional[int] = None,
+                 *, window_ms: float = 4.0,
                  cache: Optional[RunCache] = None,
                  max_requests: int = 256) -> None:
         self.host = host
         self.port = port
-        self.workers = workers
         self.cache = cache
         self.window_ms = window_ms
         self.coalescer = Coalescer(self._evaluate_merged,
@@ -137,8 +133,6 @@ class EvalServer:
             writer.close()
         self._eval_pool.shutdown(wait=True)
         self._long_pool.shutdown(wait=True)
-        # the shared runtime pool deliberately outlives the server: it is
-        # process-wide and other consumers (tests, CLI-in-process) reuse it
 
     # ------------------------------------------------------------------ #
     # connection handling
@@ -299,8 +293,6 @@ class EvalServer:
                 objective=params.objective,
                 batch=params.batch,
                 cache=self.cache,
-                workers=params.workers if params.workers is not None
-                else self.workers,
                 algorithm=params.algorithm,
             )
             schedule = optimizer.optimize(network)
@@ -324,15 +316,10 @@ class EvalServer:
         def work(emit: Callable[[Dict[str, Any]], None]) -> Tuple[Dict[str, Any], int]:
             runner = FunctionalNetworkRunner(
                 config_of(params), backend=backend, seed=params.seed,
-                workers=params.workers if params.workers is not None
-                else self.workers,
                 algorithm=params.algorithm,
             )
-            try:
-                result = runner.run(network, progress=lambda stage: emit(
-                    {"event": "stage", **payloads.stage_event(stage)}))
-            finally:
-                runner.close()
+            result = runner.run(network, progress=lambda stage: emit(
+                {"event": "stage", **payloads.stage_event(stage)}))
             return payloads.verify_payload(result), 0 if result.passed else 1
 
         await self._stream_long_op(writer, work, label="verify")
@@ -418,12 +405,6 @@ def _validate_run(params: RunParams) -> Dict[str, Any]:
         if params.mode != expected:
             raise ProtocolError(
                 f"mode {params.mode} conflicts with engine {params.engine}")
-    if params.workers is not None:
-        if params.engine != "functional-vectorized":
-            raise ProtocolError(
-                "workers applies to engine functional-vectorized only, "
-                f"not {params.engine}")
-        engine_kwargs["workers"] = params.workers
     if params.algorithm != "direct":
         algorithm_engines = ("functional", "functional-vectorized",
                              "analytical-mapped")
@@ -449,7 +430,4 @@ def _validate_verify(params: VerifyParams) -> str:
                                  else "vectorized")
     if backend not in ("both", "vectorized", "scalar"):
         raise ProtocolError(f"unknown backend {backend!r}")
-    if params.workers is not None and backend != "vectorized":
-        raise ProtocolError(
-            f"workers requires the vectorized backend, not {backend}")
     return backend

@@ -171,7 +171,7 @@ class FunctionalChainSimulator:
         stats.pairs_processed += 1
 
     # ------------------------------------------------------------------ #
-    # shared plumbing (serial and parallel paths must stay identical)
+    # shared plumbing
     # ------------------------------------------------------------------ #
     def _validate_tensors(self, layer: ConvLayer, ifmaps: np.ndarray,
                           weights: np.ndarray, stripe_height: Optional[int],
@@ -344,71 +344,6 @@ class FunctionalChainSimulator:
             return result
         return self._run_backend(self.backend, layer, padded, weights, mapping,
                                  stripe_height)
-
-    def run_layer_parallel(self, layer: ConvLayer, ifmaps: np.ndarray,
-                           weights: np.ndarray, runtime,
-                           stripe_height: Optional[int] = None,
-                           algorithm: str = "direct") -> FunctionalRunResult:
-        """Simulate one layer with ofmap blocks fanned over ``runtime``.
-
-        Requires the vectorized backend: every ofmap channel is computed
-        independently and exactly, so the padded ifmaps and weights ship to
-        the persistent workers once through shared memory, each worker
-        writes its channel block into a shared assembly buffer, and the
-        dataflow counters come from the same closed forms the vectorized
-        backend uses — ofmaps *and* stats are bit-identical to
-        :meth:`run_layer`, for both algorithms.
-        """
-        from repro.runtime import SharedTensor
-        from repro.sim.functional_vectorized import ofmap_block_ranges
-
-        if self.backend != "vectorized":
-            raise ConfigurationError(
-                f"run_layer_parallel requires the vectorized backend, "
-                f"not {self.backend!r}"
-            )
-        ifmaps, weights, stripe_height = self._validate_tensors(
-            layer, ifmaps, weights, stripe_height, algorithm)
-        mapping = self.mapper.map_layer(layer)
-        padded = pad_input(ifmaps, layer.padding)
-
-        handles = []
-        try:
-            shared_out = SharedTensor.zeros(layer.out_shape)
-            handles.append(shared_out)
-            if shared_out.name is None:
-                # inline fallback: workers would write their blocks into
-                # private pickled copies and the parent would read back
-                # zeros — run the (bit-identical) serial path instead
-                return self.run_layer(layer, ifmaps, weights,
-                                      stripe_height=stripe_height,
-                                      algorithm=algorithm)
-            shared_padded = SharedTensor.create(padded)
-            handles.append(shared_padded)
-            shared_weights = SharedTensor.create(weights)
-            handles.append(shared_weights)
-            runtime.map("verify.sim_block", [
-                {
-                    "layer": layer,
-                    "padded": shared_padded,
-                    "weights": shared_weights,
-                    "out": shared_out,
-                    "m_start": m_start,
-                    "m_stop": m_stop,
-                    "algorithm": algorithm,
-                }
-                for m_start, m_stop in ofmap_block_ranges(layer, runtime.workers)
-            ])
-            ofmaps = np.array(shared_out.open(), copy=True)
-        finally:
-            for handle in handles:
-                handle.unlink()
-
-        if algorithm == "winograd":
-            stats = self._winograd_stats(layer)
-        else:
-            stats = self._closed_form_stats(layer, stripe_height)
-        return self._finalize(layer, ofmaps, stats, mapping)
 
     def _run_backend(self, backend: str, layer: ConvLayer, padded: np.ndarray,
                      weights: np.ndarray, mapping: LayerMapping,

@@ -137,12 +137,10 @@ def vectorized_ofmap_block(layer: ConvLayer, padded: np.ndarray,
     output-row blocks within
     :data:`~repro.kernels.numpy_backend.GEMM_BLOCK_BYTES`, and each block is
     one GEMM (:func:`repro.kernels.numpy_backend.ofmap_block_product`).
-    ``out`` must be the full C-contiguous ``layer.out_shape`` float64 tensor
-    (a shared-memory assembly buffer in the parallel path); only
-    ``[m_start, m_stop)`` planes are written.  On operands within the
-    accumulator-width guard every sum is exact, so any partition of the
-    channel range — including the parallel runtime's per-worker blocks —
-    gives the same bits as the whole layer.
+    ``out`` must be the full C-contiguous ``layer.out_shape`` float64
+    tensor; only ``[m_start, m_stop)`` planes are written.  On operands
+    within the accumulator-width guard every sum is exact, so any partition
+    of the channel range gives the same bits as the whole layer.
     """
     if not (0 <= m_start <= m_stop <= layer.out_channels):
         raise ValueError(
@@ -177,17 +175,3 @@ def vectorized_ofmap_block(layer: ConvLayer, padded: np.ndarray,
                     patch_rows, -1),
                 kernel_matrix, out[lo:hi, r0:r0 + rows].reshape(hi - lo, -1))
 
-
-def ofmap_block_ranges(layer: ConvLayer, blocks: int) -> list:
-    """Split the ofmap channel axis into at most ``blocks`` contiguous ranges.
-
-    Used by the parallel verification path to fan one layer's simulation out
-    over workers; any partition yields bit-identical values (see
-    :func:`vectorized_ofmap_block`), so the block count is free to track the
-    worker count.
-    """
-    channels = layer.out_channels
-    blocks = max(1, min(blocks, channels))
-    size = -(-channels // blocks)
-    return [(start, min(channels, start + size))
-            for start in range(0, channels, size)]

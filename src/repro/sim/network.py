@@ -37,12 +37,7 @@ from repro.cnn.reference import conv2d_im2col, strided_windows
 from repro.core.config import ChainConfig
 from repro.errors import WorkloadError
 from repro.obs import trace as obs_trace
-from repro.runtime import ParallelRuntime, WorkerError, shared_runtime
-from repro.sim.functional import (
-    FunctionalChainSimulator,
-    FunctionalRunResult,
-    FunctionalRunStats,
-)
+from repro.sim.functional import FunctionalChainSimulator, FunctionalRunStats
 
 # NOTE: repro.analysis.winograd / repro.sim.winograd are imported lazily
 # inside the Winograd code paths — repro.sim is itself imported while
@@ -83,10 +78,6 @@ class StageReport:
     chain_cycles: float = 0.0
     #: execution algorithm of a conv stage
     algorithm: str = "direct"
-    #: per-stage golden bound override (Winograd stages carry the documented
-    #: :func:`repro.sim.winograd.winograd_tolerance`; ``None`` falls back to
-    #: the network-wide tolerance)
-    tolerance: Optional[float] = None
 
     def describe(self) -> str:
         """One verification line, mirroring the cycle CLI output."""
@@ -126,16 +117,9 @@ class NetworkRunResult:
 
     @property
     def passed(self) -> bool:
-        """True when every conv stage stayed within its tolerance.
-
-        Each stage checks against its own bound when set (Winograd stages),
-        the network-wide tolerance otherwise.
-        """
-        return all(
-            stage.max_abs_error
-            <= (stage.tolerance if stage.tolerance is not None else self.tolerance)
-            for stage in self.conv_stages
-        )
+        """True when every conv stage stayed within the tolerance."""
+        return all(stage.max_abs_error <= self.tolerance
+                   for stage in self.conv_stages)
 
     def describe(self) -> str:
         """Multi-line human-readable verification report.
@@ -167,10 +151,7 @@ class FunctionalNetworkRunner:
     def __init__(self, config: Optional[ChainConfig] = None,
                  backend: str = "vectorized", seed: int = 2017,
                  total_bits: int = 16, tolerance: float = 1e-6,
-                 workers: Optional[int] = None,
                  algorithm: str = "direct") -> None:
-        if workers is not None and workers < 1:
-            raise WorkloadError(f"workers must be >= 1, got {workers}")
         if algorithm not in NETWORK_ALGORITHMS:
             raise WorkloadError(
                 f"unknown algorithm {algorithm!r}; available: "
@@ -186,39 +167,6 @@ class FunctionalNetworkRunner:
         #: conv layer (exact like the direct layers); ineligible layers always
         #: run direct
         self.algorithm = algorithm
-        #: fan each conv layer's ofmap blocks over this many persistent
-        #: workers (vectorized backend only; ``None``/1 = serial); the
-        #: chained forward pass stays serial — layer N+1 needs layer N's
-        #: ofmaps — but within a layer every ofmap channel is independent
-        self.workers = workers
-        self._pool = shared_runtime()
-
-    # ------------------------------------------------------------------ #
-    # parallel runtime lifecycle
-    # ------------------------------------------------------------------ #
-    def _ensure_runtime(self) -> Optional[ParallelRuntime]:
-        """The runner's persistent pool (``None`` = run serially).
-
-        Only the vectorized backend decomposes into independent ofmap
-        blocks; the scalar and cross-checking backends always run serially.
-        A platform without process pools degrades to serial as well — the
-        results are bit-identical either way.
-        """
-        if self.workers is None or self.workers <= 1:
-            return None
-        if self.backend != "vectorized":
-            return None
-        return self._pool.get(workers=self.workers)
-
-    def close(self) -> None:
-        """Detach from the shared pool (idempotent; serial use needs none)."""
-        self._pool.release()
-
-    def __enter__(self) -> "FunctionalNetworkRunner":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
 
     def _quantize(self, activations: np.ndarray) -> np.ndarray:
         """Snap activations onto the fixed-point grid the datapath carries."""
@@ -231,32 +179,6 @@ class FunctionalNetworkRunner:
         if self.algorithm != "direct" and winograd_eligible(layer):
             return "winograd"
         return "direct"
-
-    def _run_conv(self, layer: ConvLayer, activations: np.ndarray,
-                  weights: np.ndarray,
-                  stripe_height: Optional[int],
-                  algorithm: str = "direct") -> FunctionalRunResult:
-        """One conv layer's simulation, parallel over ofmap blocks when on.
-
-        The parallel path ships the padded ifmaps and weights to the workers
-        once through shared memory, lets every worker write its ofmap
-        channel block into a shared assembly buffer, and derives the
-        dataflow counters from the same closed forms the vectorized backend
-        uses — so ofmaps *and* stats are bit-identical to the serial path
-        (`tests/test_runtime.py` holds this in the equivalence gate; the
-        Winograd block kernel preserves the same partition invariant).
-        """
-        runtime = self._ensure_runtime()
-        if runtime is not None:
-            try:
-                return self.simulator.run_layer_parallel(
-                    layer, activations, weights, runtime,
-                    stripe_height=stripe_height, algorithm=algorithm)
-            except WorkerError:
-                pass  # degradation ladder's last rung: the serial layer walk
-        return self.simulator.run_layer(layer, activations, weights,
-                                        stripe_height=stripe_height,
-                                        algorithm=algorithm)
 
     def run(self, network: Network,
             stripe_heights: Optional[Dict[str, int]] = None,
@@ -278,8 +200,6 @@ class FunctionalNetworkRunner:
         full ``K``-row stripes.  ``algorithms`` likewise maps layer names to
         execution algorithms (:meth:`~repro.mapping.OptimizedSchedule.
         algorithms`); unlisted layers follow the runner's algorithm mode.
-        Winograd stages record the documented per-stage tolerance instead of
-        the network-wide one.
 
         ``progress`` is called with each :class:`StageReport` as it lands
         (the evaluation service streams these to clients as chunked
@@ -327,20 +247,13 @@ class FunctionalNetworkRunner:
                          or self._algorithm_for(layer))
             with obs_trace.span("verify.layer", layer=layer.name,
                                 network=network.name, algorithm=algorithm):
-                run = self._run_conv(
+                run = self.simulator.run_layer(
                     layer, activations, weights,
                     stripe_height=(stripe_heights or {}).get(layer.name),
                     algorithm=algorithm,
                 )
-            if algorithm == "winograd":
-                from repro.sim.winograd import winograd_tolerance
-
-                reference = conv2d_im2col(layer, activations, weights)
-                error = float(np.max(np.abs(reference - run.ofmaps)))
-                stage_tolerance: Optional[float] = winograd_tolerance(reference)
-            else:
-                error = run.max_abs_error_vs_reference(activations, weights)
-                stage_tolerance = None
+            error = float(np.max(np.abs(
+                conv2d_im2col(layer, activations, weights) - run.ofmaps)))
             result.stages.append(StageReport(
                 name=layer.name,
                 kind="conv",
@@ -350,7 +263,6 @@ class FunctionalNetworkRunner:
                 windows_kept=run.stats.windows_kept,
                 chain_cycles=run.chain_cycles_estimate,
                 algorithm=algorithm,
-                tolerance=stage_tolerance,
             ))
             if progress is not None:
                 progress(result.stages[-1])

@@ -11,8 +11,8 @@ Two trace layers exist in this codebase and they are deliberately separate:
   by the cycle-accurate simulator, and has nothing to do with how long the
   simulation took to run;
 * :mod:`repro.obs.trace` records *wall-clock host execution* — spans and
-  instants timed with ``time.monotonic`` across the CLI, engines, cache,
-  mapping search and pool workers, exported via ``--trace`` to
+  instants timed with ``time.monotonic`` across the CLI, engines, cache
+  and mapping search, exported via ``--trace`` to
   Perfetto/chrome://tracing.
 
 Rule of thumb: debugging the modelled hardware's schedule → this module;

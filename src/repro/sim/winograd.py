@@ -14,10 +14,11 @@ module-level :func:`~repro.kernels.get_backend` on every call.
 operands within the accumulator-width guard that includes this growth
 (:func:`~repro.hwmodel.fixed_point.check_exact_accumulation`), every
 transform, product and sum is exact in float64: the result equals the
-im2col golden bit for bit, and any partition of the ofmap channels (serial,
-``--workers N``) produces the same bits.  :func:`winograd_tolerance`,
-``1e-6 * max(1, max|reference|)``, stays the documented bound of the
-per-stage verification reports and of raw-float cross-checks.
+im2col golden bit for bit, and any partition of the ofmap channels
+produces the same bits.  :func:`winograd_tolerance`,
+``1e-6 * max(1, max|reference|)``, is the documented bound of
+:func:`conv2d_winograd` on raw floats, where the reassociated reduction
+rounds differently from im2col.
 """
 
 from __future__ import annotations

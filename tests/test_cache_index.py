@@ -6,11 +6,15 @@ path keeps index and directory consistent, a missing/corrupt/disabled
 index costs speed but never correctness, ``migrate`` reconciles any
 drift idempotently (including against concurrent writers), and the
 WAL-mode database survives the 8-process fork+Barrier stress with zero
-lost or corrupt records.  Part of the CI equivalence gate.
+lost or corrupt records.  The same 8-process harness holds the record
+files themselves to zero lost or torn records, with and without
+concurrent LRU eviction, and checks that crash debris is reaped.  Part
+of the CI equivalence gate.
 """
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import sqlite3
 import threading
@@ -212,7 +216,7 @@ class TestRunCacheIntegration:
 
 
 # --------------------------------------------------------------------- #
-# 8-process fork+Barrier stress (same harness shape as test_faults.py)
+# 8-process fork+Barrier stress
 # --------------------------------------------------------------------- #
 def _index_stress_worker(root: str, worker_id: int, barrier) -> None:
     cache = RunCache(root)
@@ -268,3 +272,91 @@ class TestConcurrentIndexStress:
         # and the reconciler agrees there is nothing to reconcile
         outcome = cache.migrate()
         assert (outcome["added"], outcome["pruned"]) == (0, 0)
+
+
+# --------------------------------------------------------------------- #
+# 8-process concurrent cache stress: record files, LRU eviction, debris
+# --------------------------------------------------------------------- #
+def _stress_record(worker_id: int, i: int) -> RunRecord:
+    return RunRecord(engine="stress", network="tiny", batch=1,
+                     config_summary=f"worker {worker_id}",
+                     metrics={"fps": float(i), "worker": float(worker_id)},
+                     extra={"payload": "x" * 64})
+
+
+def _cache_stress_worker(root: str, worker_id: int, max_mb, barrier) -> None:
+    """Hammer one shared cache root: contended writes, reads, re-writes."""
+    cache = RunCache(root, max_mb=max_mb)
+    barrier.wait(timeout=60)  # maximise overlap across the 8 processes
+    for i in range(STRESS_SHARED_KEYS):
+        cache.put(f"shared{i:04d}", _stress_record(worker_id, i))
+        cache.get(f"shared{(i * 7) % STRESS_SHARED_KEYS:04d}")
+    for i in range(STRESS_PRIVATE_KEYS):
+        cache.put(f"private{worker_id}_{i:04d}", _stress_record(worker_id, i))
+    # a record must never come back corrupt (a quarantine here would mean a
+    # torn write escaped into a reader)
+    assert cache.quarantined == 0, "reader saw a torn record"
+
+
+def _run_stress(tmp_path, max_mb):
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+    barrier = ctx.Barrier(STRESS_PROCESSES)
+    processes = [
+        ctx.Process(target=_cache_stress_worker,
+                    args=(str(tmp_path), worker_id, max_mb, barrier))
+        for worker_id in range(STRESS_PROCESSES)
+    ]
+    for process in processes:
+        process.start()
+    for process in processes:
+        process.join(120)
+    assert all(p.exitcode == 0 for p in processes), \
+        [p.exitcode for p in processes]
+
+
+class TestConcurrentCacheStress:
+    def test_eight_processes_share_one_root_without_loss(self, tmp_path):
+        """Unbounded: every record lands whole; nothing lost, torn or orphaned."""
+        _run_stress(tmp_path, max_mb=None)
+        cache = RunCache(tmp_path)
+        expected = ({f"shared{i:04d}" for i in range(STRESS_SHARED_KEYS)}
+                    | {f"private{w}_{i:04d}"
+                       for w in range(STRESS_PROCESSES)
+                       for i in range(STRESS_PRIVATE_KEYS)})
+        on_disk = {path.stem for path in tmp_path.glob("*.json")}
+        assert on_disk == expected  # zero lost records
+        for key in expected:  # zero corrupt/partially-written records
+            record = cache.get(key)
+            assert record is not None, f"{key} failed to decode"
+            assert record.engine == "stress"
+        assert cache.quarantined == 0
+        assert cache.stats()["corrupt"] == 0
+        stats = cache.stats()
+        assert stats["entries"] == len(expected)
+
+    def test_eight_processes_with_concurrent_lru_eviction(self, tmp_path):
+        """Bounded: all 8 processes evict concurrently; survivors stay whole."""
+        record_bytes = len(json.dumps(
+            _stress_record(0, 0).to_json_dict(), sort_keys=True, indent=1))
+        # room for roughly a third of the records: eviction runs constantly
+        bound_mb = (record_bytes * STRESS_SHARED_KEYS * 3) / (1024.0 * 1024.0)
+        _run_stress(tmp_path, max_mb=bound_mb)
+        cache = RunCache(tmp_path)
+        survivors = sorted(path.stem for path in tmp_path.glob("*.json"))
+        assert survivors, "eviction must not empty the cache"
+        for key in survivors:  # every survivor parses whole
+            assert cache.get(key) is not None, f"{key} failed to decode"
+        assert cache.quarantined == 0
+        assert cache.stats()["corrupt"] == 0
+        assert cache.stats()["bytes"] <= int(bound_mb * 1024 * 1024) * 2
+
+    def test_orphaned_tmp_from_killed_writer_is_reported_and_reaped(
+            self, tmp_path):
+        """A writer dying mid-spool leaves debris that stats/clear handle."""
+        cache = RunCache(tmp_path)
+        cache.put("live0", _stress_record(0, 0))
+        (tmp_path / "crashed-writer.tmp").write_text("{ torn")
+        assert cache.stats()["tmp_orphans"] == 1
+        assert cache.clear() == 1  # one live record; debris reaped silently
+        assert list(tmp_path.glob("*.tmp")) == []

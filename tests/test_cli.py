@@ -53,7 +53,7 @@ class TestDocumentedCommands:
     def test_every_documented_command_parses(self):
         """Parse (never run) each documented command, request bodies too."""
         commands = documented_commands()
-        assert len(commands) >= 50
+        assert len(commands) >= 45
         failures = []
         for name, argv in commands:
             try:
@@ -91,6 +91,27 @@ class TestParser:
         assert args.axis == "frequency"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "voltage"])
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "lenet5", "--workers", "2"],
+        ["sweep", "pes", "--workers", "2"],
+        ["sweep", "pes", "--parallel"],
+        ["sweep", "pes", "--jobs", "2"],
+        ["sweep", "--grid", "pe=128:256:64", "--parallel"],
+        ["map", "--workers", "2"],
+        ["verify", "--sim", "functional", "--workers", "2"],
+        ["serve", "--workers", "2"],
+        *([f"--task-{knob}=5", "sweep", "pes"]
+          for knob in ("deadline", "retries")),
+    ], ids=" ".join)
+    def test_removed_worker_options_are_usage_errors(self, argv, capsys):
+        """Every command runs serially; the old pool knobs exit 2."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        option = next(arg for arg in argv if arg.startswith("--")
+                      and arg not in ("--sim", "--grid"))
+        assert option in capsys.readouterr().err
 
 
 class TestCommands:
@@ -181,16 +202,6 @@ class TestEngineCommands:
         assert record["engine"] == "analytical"
         assert record["metrics"]["fps"] > 0
 
-    def test_sweep_parallel_json_matches_serial(self, capsys, tmp_path):
-        # distinct cache dirs so the parallel invocation really evaluates
-        # in workers instead of replaying the serial run's cache entries
-        args = ["sweep", "pes", "--network", "lenet5", "--batch", "4", "--json"]
-        assert main(args + ["--cache-dir", str(tmp_path / "serial")]) == 0
-        serial = json.loads(capsys.readouterr().out)
-        assert main(args + ["--cache-dir", str(tmp_path / "par"), "--parallel"]) == 0
-        parallel = json.loads(capsys.readouterr().out)
-        assert serial["points"] == parallel["points"]
-
     def test_sweep_batch_honors_global_config(self, capsys):
         assert main(["sweep", "batch", "--network", "lenet5", "--json"]) == 0
         default = json.loads(capsys.readouterr().out)["fps_by_batch"]
@@ -260,10 +271,6 @@ class TestGridCommands:
         assert "not both" in capsys.readouterr().err
         assert main(["sweep"]) == 2
         assert "need a sweep axis" in capsys.readouterr().err
-
-    def test_sweep_grid_rejects_parallel(self, capsys):
-        assert main(["sweep", "--grid", "pe=128:256:64", "--parallel"]) == 2
-        assert "axis sweeps only" in capsys.readouterr().err
 
     def test_sweep_grid_upgrades_detailed_engine(self, capsys):
         assert main(["sweep", "--grid", "pe=128:256:64", "--network", "lenet5",

@@ -369,29 +369,15 @@ class TestSweepExecutor:
         assert not second.cached
         assert second.metric("fps") != first.metric("fps")
 
-    def test_run_batches_parallel_equals_serial(self, network):
-        executor = SweepExecutor(engine="analytical", network=network)
-        batches = (1, 2, 4, 8)
-        serial = executor.run_batches(ChainConfig(), batches, parallel=False)
-        parallel = executor.run_batches(ChainConfig(), batches, parallel=True)
-        assert [r.metrics for r in serial] == [r.metrics for r in parallel]
-        assert [r.batch for r in serial] == list(batches)
-
-    def test_parallel_equals_serial(self, network):
-        executor = SweepExecutor(engine="analytical", network=network, batch=8)
-        configs = [ChainConfig().with_pes(p) for p in (144, 288, 576, 1152)]
-        serial = executor.run(configs, parallel=False)
-        parallel = executor.run(configs, parallel=True)
-        assert [r.metrics for r in serial] == [r.metrics for r in parallel]
-        assert [r.config_summary for r in serial] == [r.config_summary for r in parallel]
-
     def test_results_aligned_with_input_order(self, network):
         executor = SweepExecutor(engine="analytical", network=network, batch=4)
         pe_counts = (1152, 144, 576)
-        records = executor.run([ChainConfig().with_pes(p) for p in pe_counts],
-                               parallel=True)
+        records = executor.run([ChainConfig().with_pes(p) for p in pe_counts])
         assert [f"{p} PEs" in r.config_summary for p, r in zip(pe_counts, records)] \
             == [True, True, True]
+        batches = (8, 1, 4)
+        records = executor.run_batches(ChainConfig(), batches)
+        assert [r.batch for r in records] == list(batches)
 
     def test_prebuilt_engine_instance_supported(self, network):
         engine = create_engine("analytical")
@@ -403,7 +389,3 @@ class TestSweepExecutor:
         executor = SweepExecutor(engine="analytical")
         with pytest.raises(ValueError, match="network"):
             executor.run([ChainConfig()])
-
-    def test_invalid_max_workers_rejected(self):
-        with pytest.raises(ValueError, match="max_workers"):
-            SweepExecutor(engine="analytical", max_workers=0)

@@ -1,10 +1,6 @@
 """Observability suite: span tracing, the metrics registry, exporters,
-worker-side trace merging (including under seeded fault injection) and the
-CLI ``--trace`` / ``--metrics`` / stats-footer surfaces.
-
-Part of the CI equivalence gate: the trace-merge-under-faults test is the
-structural guarantee that a crashing pool still yields a well-formed
-merged trace (no unclosed spans, recovery visible as instants)."""
+tracing bit-identity and the CLI ``--trace`` / ``--metrics`` /
+stats-footer surfaces."""
 
 from __future__ import annotations
 
@@ -29,16 +25,11 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import REGISTRY, MetricsRegistry, render_metrics
 from repro.obs.trace import TraceRecorder
-from repro.runtime import FaultPlan, RetryPolicy, SupervisedRuntime
-from repro.runtime import pool as pool_module
-from repro.runtime.faults import FAULT_SPEC_ENV
 
 
 @pytest.fixture(autouse=True)
-def obs_clean(monkeypatch):
-    """Every test starts untraced with a clean env and leaves no residue
-    (a leaked $REPRO_TRACE would make *other* tests' pool workers record)."""
-    monkeypatch.delenv(obs_trace.TRACE_ENV, raising=False)
+def obs_clean():
+    """Every test starts untraced and leaves no residue."""
     obs_trace.disable()
     yield
     obs_trace.disable()
@@ -90,7 +81,7 @@ class TestSpans:
 
     def test_module_level_span_uses_injected_clock(self):
         clock = FakeClock()
-        rec = obs_trace.enable(clock=clock, env=False)
+        rec = obs_trace.enable(clock=clock)
         with obs_trace.span("a"):
             clock.advance(0.5)
         obs_trace.instant("tick", n=3)
@@ -108,17 +99,13 @@ class TestSpans:
         with first as span:
             span.set(anything=True)
         obs_trace.instant("ignored")
-        assert obs_trace.ship() is None
         assert obs_trace.get_recorder() is None
 
-    def test_enable_is_idempotent_and_sets_env(self, monkeypatch):
-        monkeypatch.delenv(obs_trace.TRACE_ENV, raising=False)
-        import os
+    def test_enable_is_idempotent(self):
         rec = obs_trace.enable()
         assert obs_trace.enable() is rec
-        assert os.environ[obs_trace.TRACE_ENV] == "1"
         obs_trace.disable()
-        assert obs_trace.TRACE_ENV not in os.environ
+        assert obs_trace.get_recorder() is None
 
     def test_traced_decorator(self):
         @obs_trace.traced("my.fn")
@@ -130,7 +117,7 @@ class TestSpans:
             return x
 
         assert doubled(3) == 6  # disabled: plain call, nothing recorded
-        rec = obs_trace.enable(clock=FakeClock(), env=False)
+        rec = obs_trace.enable(clock=FakeClock())
         assert doubled(4) == 8
         assert named(5) == 5
         assert [e["name"] for e in rec.events] == \
@@ -155,26 +142,6 @@ class TestMetrics:
         assert snap["gauges"] == {"g": 1.5}
         assert snap["histograms"]["h"] == {
             "count": 2, "total": 6.0, "min": 2.0, "max": 4.0, "mean": 3.0}
-
-    def test_delta_ship_merge_round_trip(self):
-        worker = MetricsRegistry()
-        worker.counter("c").inc(5)
-        worker.rebase()  # fork-inherited counts must not re-ship
-        assert worker.collect_delta() is None
-        worker.counter("c").inc(2)
-        worker.histogram("h").observe(1.0)
-        delta = worker.collect_delta()
-        assert delta["counters"] == {"c": 2}
-        assert delta["histograms"]["h"]["count"] == 1
-        assert worker.collect_delta() is None  # delta consumed the baseline
-
-        parent = MetricsRegistry()
-        parent.counter("c").inc(10)
-        parent.merge(delta)
-        parent.merge(None)  # the untraced common case
-        assert parent.counter("c").value == 12
-        assert parent.histogram("h").count == 1
-        assert parent.histogram("h").min == 1.0
 
     def test_reset_zeroes_in_place(self):
         reg = MetricsRegistry()
@@ -278,101 +245,17 @@ class TestExport:
 
 
 # --------------------------------------------------------------------- #
-# worker-side collection: one merged trace across the pool
-# --------------------------------------------------------------------- #
-@pytest.fixture
-def force_parallel(monkeypatch):
-    monkeypatch.setenv(pool_module.FORCE_PARALLEL_ENV, "1")
-
-
-def _pool(fault_plan, **policy):
-    pool = SupervisedRuntime.create(2, fault_plan=fault_plan)
-    if pool is None:
-        pytest.skip("platform cannot provide process pools")
-    if policy:
-        pool.policy = RetryPolicy(**policy)
-    return pool
-
-
-class TestWorkerMerge:
-    def test_worker_spans_merge_into_parent_recorder(self, force_parallel):
-        obs_trace.enable()
-        pool = _pool(FaultPlan.none())
-        try:
-            pool.broadcast("runtime.selftest", {"action": "count"})
-            results = pool.map(
-                "runtime.selftest",
-                [{"action": "echo", "value": i} for i in range(6)])
-            assert [r["value"] for r in results] == list(range(6))
-        finally:
-            pool.close()
-        rec = obs_trace.get_recorder()
-        events = rec.events
-        # the broadcast reached every worker: both lanes are on the timeline
-        procs = {e.get("proc") for e in events if "proc" in e}
-        assert {"worker-0", "worker-1"} <= procs
-        assert len({e["pid"] for e in events}) >= 2
-        task_spans = [e for e in events if e["name"] == "task:runtime.selftest"]
-        assert len(task_spans) == 8  # 2 broadcast legs + 6 mapped tasks
-        assert all("dur" in e for e in task_spans)
-
-    def test_worker_metrics_unshipped_when_untraced(self, force_parallel):
-        # tracing off: workers ship None; the parent registry sees only
-        # parent-side increments (which is what the stats footer reads)
-        pool = _pool(FaultPlan.none())
-        try:
-            results = pool.map("runtime.selftest",
-                               [{"action": "echo", "value": 1}])
-            assert results[0]["value"] == 1
-        finally:
-            pool.close()
-        assert obs_trace.ship() is None
-
-    def test_fault_injected_merge_is_well_formed(self, force_parallel,
-                                                 monkeypatch, tmp_path):
-        """Satellite: every first attempt crashes its worker, yet the merged
-        trace validates — no orphan/unclosed spans, respawns visible."""
-        monkeypatch.delenv(FAULT_SPEC_ENV, raising=False)
-        obs_trace.enable()
-        pool = _pool("crash:p=1,seed=11,attempts=1", backoff=0.01)
-        try:
-            payloads = [{"action": "echo", "value": i} for i in range(6)]
-            results = pool.map("runtime.selftest", payloads)
-            assert [r["value"] for r in results] == list(range(6))
-            assert pool.stats.worker_deaths > 0
-            assert pool.stats.respawns > 0
-        finally:
-            pool.close()
-        path = tmp_path / "faulty.json"
-        exported = export_trace(str(path))
-        assert exported > 0
-        info = validate_chrome_trace(str(path))  # raises on malformed nesting
-        assert info["spans"] >= 6  # every task retried to completion
-        events, _ = load_trace(str(path))
-        spans = [e for e in events if e["ph"] == "X"]
-        assert all("dur" in e and e["dur"] >= 0 for e in spans)
-        # recovery is visible on the parent lane as instants
-        instant_names = {e["name"] for e in events if e["ph"] == "i"}
-        assert "runtime.worker_deaths" in instant_names
-        assert "runtime.respawns" in instant_names
-        # and the supervisor's stats were absorbed into the registry
-        flat = REGISTRY.flat()
-        assert flat["runtime.worker_deaths"] == pool.stats.worker_deaths
-        assert flat["runtime.respawns"] == pool.stats.respawns
-
-
-# --------------------------------------------------------------------- #
 # bit-identity: tracing must observe, never perturb
 # --------------------------------------------------------------------- #
 class TestBitIdentity:
     def test_sweep_identical_with_tracing_on(self):
         network = tiny_test_network()
         configs = [ChainConfig(num_pes=pes) for pes in (96, 192, 288)]
-        with SweepExecutor(engine="analytical", network=network) as executor:
-            baseline = executor.run(configs, parallel=False)
-        obs_trace.enable(env=False)
-        with SweepExecutor(engine="analytical", network=network) as executor:
-            traced = executor.run(configs, parallel=False)
+        baseline = SweepExecutor(engine="analytical",
+                                 network=network).run(configs)
+        obs_trace.enable()
+        traced = SweepExecutor(engine="analytical",
+                               network=network).run(configs)
         assert [r.metrics for r in traced] == [r.metrics for r in baseline]
         assert obs_trace.get_recorder().events  # it did record
 
@@ -380,7 +263,7 @@ class TestBitIdentity:
         network = tiny_test_network()
         baseline = ScheduleOptimizer(objective="latency",
                                      batch=4).optimize(network)
-        obs_trace.enable(env=False)
+        obs_trace.enable()
         traced = ScheduleOptimizer(objective="latency",
                                    batch=4).optimize(network)
         assert traced.to_json_dict() == baseline.to_json_dict()

@@ -4,8 +4,7 @@ The service's core promise is that turning the stack into a server
 changes *where* evaluation happens but not *what* comes back: every
 response must be byte-identical to the matching ``repro <cmd> --json``
 invocation, including when many clients overlap inside one coalescing
-window and when a seeded fault plan is killing pool workers mid-run.
-Part of the CI equivalence gate (fail-if-skipped).
+window.  Part of the CI equivalence gate (fail-if-skipped).
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ from repro.cnn.zoo import tiny_test_network
 from repro.core.config import ChainConfig
 from repro.engine import create_engine
 from repro.obs.metrics import REGISTRY
-from repro.runtime import pool as pool_module
-from repro.runtime.faults import FAULT_SPEC_ENV
 from repro.serve.client import ServeClient, ServeError, request_json
 from repro.serve.coalesce import Coalescer, merge_grids, scatter_result
 from repro.serve.protocol import (
@@ -39,7 +36,6 @@ from repro.serve.protocol import (
 )
 from repro.serve.server import EvalServer
 
-CHAOS_SPEC = "crash:p=0.2,seed=7,attempts=1"
 BASE = ChainConfig()
 
 
@@ -296,21 +292,17 @@ class TestServerBitIdentity:
         # must have shared at least one coalesced batch
         assert REGISTRY.flat()["serve.coalesced_batches"] > before
 
-    def test_chaos_leg_is_bit_identical_to_faultfree_serial(self, monkeypatch):
-        """A seeded crash plan killing pool workers must not change bytes."""
+    def test_map_stream_result_matches_cli(self, monkeypatch):
+        """A streamed map result and an overlapping sweep == CLI bytes."""
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        monkeypatch.delenv(FAULT_SPEC_ENV, raising=False)
-        map_argv = ["map", "--network", "alexnet", "--json"]
-        serial_map = _cli_out(map_argv)
+        serial_map = _cli_out(["map", "--network", "alexnet", "--json"])
         serial_sweep = _cli_out(
             ["sweep", "--grid", "pe=128:512:128,freq=700:700:1", "--json"])
-        monkeypatch.setenv(pool_module.FORCE_PARALLEL_ENV, "1")
-        monkeypatch.setenv(FAULT_SPEC_ENV, CHAOS_SPEC)
 
         async def clients(server):
             return await asyncio.gather(
                 request_json(server.host, server.port, "/v1/map",
-                             {"network": "alexnet", "workers": 2}),
+                             {"network": "alexnet"}),
                 request_json(server.host, server.port, "/v1/sweep",
                              {"grid": "pe=128:512:128,freq=700:700:1"}),
             )
@@ -354,13 +346,20 @@ class TestServerBitIdentity:
                 # exhaustive is the only search, so the key is gone
                 request_json(server.host, server.port, "/v1/map",
                              {"strategy": "exhaustive"}),
+                # every request runs serially, so the key is gone
+                request_json(server.host, server.port, "/v1/map",
+                             {"workers": 2}),
+                request_json(server.host, server.port, "/v1/verify",
+                             {"workers": 2}),
             )
 
         responses = _serve(clients)
         assert [status for status, _ in responses] == [400, 404, 400, 400,
-                                                       400, 400]
+                                                       400, 400, 400, 400]
         assert b"workers" in responses[3][1]
         assert b"strategy" in responses[5][1]
+        for _, raw in responses[6:]:
+            assert b"unknown parameter(s) workers" in raw
 
     def test_health_and_metrics_endpoints(self):
         async def clients(server):

@@ -34,6 +34,7 @@ from repro.sim.functional_vectorized import (
     pair_window_stats,
     stride_keep_mask,
     vectorized_layer_ofmaps,
+    vectorized_ofmap_block,
 )
 from repro.sim.network import FunctionalNetworkRunner, pool2d
 
@@ -108,6 +109,22 @@ class TestScalarVectorizedEquivalence:
             fast.ofmaps, conv2d_direct(layer, ifmaps, weights),
             rtol=1e-10, atol=1e-10,
         )
+
+    def test_ofmap_block_partition_is_bit_identical(self, generator,
+                                                    strided_layer,
+                                                    grouped_layer):
+        for layer in (strided_layer, grouped_layer):
+            ifmaps, weights, _, _ = quantize_layer_tensors(
+                *generator.layer_pair(layer))
+            padded = pad_input(ifmaps, layer.padding)
+            whole = vectorized_layer_ofmaps(layer, padded, weights)
+            for size in (1, 2, 3):
+                assembled = np.zeros(layer.out_shape)
+                for m_start in range(0, layer.out_channels, size):
+                    m_stop = min(layer.out_channels, m_start + size)
+                    vectorized_ofmap_block(layer, padded, weights,
+                                           m_start, m_stop, out=assembled)
+                assert np.array_equal(whole, assembled)
 
 
 class TestBackendSelection:
@@ -243,28 +260,22 @@ class TestExactnessGuard:
 
     @staticmethod
     def _runs(layer, ifmaps, weights, algorithm="direct"):
-        """Every entry point that validates tensors: serial, parallel, both.
-
-        The parallel path validates before it touches the runtime, so an
-        object that is never used stands in for the worker pool.
-        """
+        """Every entry point that validates tensors: vectorized and both."""
         vectorized = FunctionalChainSimulator(backend="vectorized")
         return {
             "run_layer": lambda: vectorized.run_layer(
                 layer, ifmaps, weights, algorithm=algorithm),
-            "run_layer_parallel": lambda: vectorized.run_layer_parallel(
-                layer, ifmaps, weights, runtime=object(), algorithm=algorithm),
             "both": lambda: FunctionalChainSimulator(backend="both").run_layer(
                 layer, ifmaps, weights, algorithm=algorithm),
         }
 
-    @pytest.mark.parametrize("entry", ["run_layer", "run_layer_parallel", "both"])
+    @pytest.mark.parametrize("entry", ["run_layer", "both"])
     def test_raw_floats_are_rejected(self, entry):
         raw = WorkloadGenerator(seed=1).layer_pair(self.LAYER)
         with pytest.raises(SimulationError, match=r"guarded: .*repro\.cnn\.quantize"):
             self._runs(self.LAYER, *raw)[entry]()
 
-    @pytest.mark.parametrize("entry", ["run_layer", "run_layer_parallel", "both"])
+    @pytest.mark.parametrize("entry", ["run_layer", "both"])
     def test_nan_is_rejected(self, entry):
         ifmaps, weights = _tensors(self.LAYER)
         weights = weights.copy()
