@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.batch import BatchDesignEvaluator
 from repro.core.config import ChainConfig
-from repro.core.performance import PerformanceModel
 from repro.memory.traffic import TrafficModel
 
 
@@ -23,9 +23,9 @@ def test_ablation_dual_channel(benchmark, alexnet_network):
     """Single- vs dual-channel chain runtime on AlexNet."""
 
     def run():
-        dual = PerformanceModel(ChainConfig()).network_performance(alexnet_network, 4)
-        single = PerformanceModel(ChainConfig().single_channel()).network_performance(
-            alexnet_network, 4)
+        dual = BatchDesignEvaluator(alexnet_network, base=ChainConfig()).breakdown(4)
+        single = BatchDesignEvaluator(
+            alexnet_network, base=ChainConfig().single_channel()).breakdown(4)
         return single.conv_time_per_batch_s / dual.conv_time_per_batch_s
 
     slowdown = benchmark(run)

@@ -32,11 +32,10 @@ def test_fig5_single_vs_dual_channel(benchmark):
 def test_fig5_alexnet_impact(benchmark, alexnet_network):
     """End-to-end impact on AlexNet: a single-channel chain is several times slower."""
     from repro.baselines.single_channel import SingleChannelChain
-    from repro.core.config import ChainConfig
-    from repro.core.performance import PerformanceModel
+    from repro.core.accelerator import ChainNN
 
     def run():
-        dual = PerformanceModel(ChainConfig()).network_performance(alexnet_network, 4)
+        dual = ChainNN().evaluate(alexnet_network, 4)
         single = SingleChannelChain().workload_time_s(alexnet_network, 4)
         return single / dual.total_time_per_batch_s
 

@@ -43,7 +43,7 @@ def test_fig9_batch_amortisation(benchmark, paper_chip, alexnet_network):
 
     def sweep():
         return [
-            paper_chip.performance_model.network_performance(alexnet_network, batch).frames_per_second
+            paper_chip.evaluate(alexnet_network, batch).fps
             for batch in (1, 4, 16, 64, 128)
         ]
 

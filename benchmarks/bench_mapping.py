@@ -5,7 +5,7 @@ searched schedule's objective value is **never worse** than the Table II
 baseline for any objective, and **strictly better** for at least one
 network/objective pair — with every searched mapping functionally verified
 (bit-identical to the baseline stripe plan, im2col golden reference matched
-to float round-off).  Measured baseline-vs-searched objective values land in
+exactly).  Measured baseline-vs-searched objective values land in
 ``BENCH_mapping.json`` at the repo root; the "Mapping search" section of
 EXPERIMENTS.md is regenerated from that file.
 """

@@ -10,7 +10,10 @@ fresh files can overwrite the working tree copies first):
 * a fresh value below ``committed / fail_factor`` (default 5x) **fails the
   build** — a collapse of that size is a lost fast path (a vectorized
   kernel silently degraded to a Python loop),
-  not machine noise.
+  not machine noise;
+* a deterministic field that misses its exact value (a mapping
+  verification error other than 0.0, see :func:`exact_failures`) **fails
+  the build**, whatever the committed record says.
 
 Usage::
 
@@ -56,6 +59,28 @@ WATCHED_FIELDS: Dict[str, List[str]] = {
 }
 
 
+def exact_failures(name: str, fresh: Dict[str, Any]) -> List[str]:
+    """Deterministic fields of a fresh record that miss their exact value.
+
+    The fixed-point datapath is exact, so every searched mapping must
+    reproduce the im2col golden reference bit for bit: each network's
+    ``verification.max_abs_error`` in the mapping record is exactly 0.0.
+    """
+    if name != "mapping":
+        return []
+    networks = fresh.get("networks") or {}
+    failures = [] if networks else ["mapping: the fresh record has no networks"]
+    for network in sorted(networks):
+        error = networks[network].get("verification", {}).get("max_abs_error")
+        verdict = "ok" if error == 0.0 else "FAIL"
+        print(f"[mapping] {network} verification.max_abs_error: {error!r} "
+              f"(required exactly 0.0) {verdict}")
+        if verdict == "FAIL":
+            failures.append(f"mapping.networks.{network}.verification.max_abs_error: "
+                            f"{error!r}, required exactly 0.0")
+    return failures
+
+
 def committed_record(name: str) -> Optional[Dict[str, Any]]:
     """The ``BENCH_<name>.json`` committed at HEAD (``None`` when absent)."""
     result = subprocess.run(
@@ -88,10 +113,11 @@ def compare(name: str, warn_factor: float, fail_factor: float) -> List[str]:
     if fresh is None:
         print(f"[{name}] no fresh record — benchmark did not run, skipping")
         return []
+    failures = exact_failures(name, fresh)
     if committed is None:
-        print(f"[{name}] no committed baseline — first measurement, skipping")
-        return []
-    failures: List[str] = []
+        print(f"[{name}] no committed baseline — first measurement, "
+              "skipping the ratio checks")
+        return failures
     for field in WATCHED_FIELDS.get(name, []):
         was, now = committed.get(field), fresh.get(field)
         if not isinstance(was, (int, float)) or not isinstance(now, (int, float)):

@@ -25,23 +25,22 @@ def main() -> None:
     print()
 
     for batch in (4, 128):
-        result = chip.run_network(network, batch=batch)
+        result = chip.evaluate(network, batch=batch)
         print(f"--- batch {batch} ---")
-        print(f"  frame rate            : {result.frames_per_second:7.1f} fps")
-        print(f"  conv time per batch   : {result.performance.conv_time_per_batch_s * 1e3:7.1f} ms")
-        print(f"  kernel-load per batch : {result.performance.kernel_load_time_s * 1e3:7.2f} ms")
-        print(f"  sustained throughput  : {result.performance.achieved_gops:7.1f} GOPS "
+        print(f"  frame rate            : {result.fps:7.1f} fps")
+        print(f"  conv time per batch   : {result.conv_time_per_batch_s * 1e3:7.1f} ms")
+        print(f"  kernel-load per batch : {result.kernel_load_time_per_batch_s * 1e3:7.2f} ms")
+        print(f"  sustained throughput  : {result.achieved_gops:7.1f} GOPS "
               f"(peak {chip.peak_gops:.1f})")
-        print(f"  chip power            : {result.power.total_w * 1e3:7.1f} mW")
-        print(f"  energy efficiency     : {chip.peak_gops / result.power.total_w:7.1f} GOPS/W")
+        print(f"  chip power            : {result.power_w * 1e3:7.1f} mW")
+        print(f"  energy efficiency     : {chip.peak_gops / result.power_w:7.1f} GOPS/W")
         print()
 
-    result = chip.run_network(network, batch=128)
-    print(render_bar_chart(result.performance.layer_times_ms(),
+    print(render_bar_chart(result.layer_times_ms(),
                            title="Per-layer convolution time (ms, batch 128) — Fig. 9",
                            unit=" ms"))
     print()
-    print(render_dict_table(result.traffic.table(),
+    print(render_dict_table(result.traffic_mb(),
                             title="Memory traffic (MB, batch 128) — Table IV dataflow",
                             row_label="layer"))
 

@@ -27,8 +27,8 @@ def main() -> None:
     network = vgg16()
     chip = ChainNN.paper_configuration(calibrate_power_to=alexnet())
 
-    result = chip.run_network(network, batch=16)
-    reference = chip.run_network(alexnet(), batch=16)
+    result = chip.evaluate(network, batch=16)
+    reference = chip.evaluate(alexnet(), batch=16)
 
     print(chip.describe())
     print(network.summary())
@@ -41,7 +41,7 @@ def main() -> None:
     ))
     print()
 
-    print(render_bar_chart(result.performance.layer_times_ms(),
+    print(render_bar_chart(result.layer_times_ms(),
                            title="VGG-16 per-layer convolution time (ms, batch 16)",
                            unit=" ms"))
     print()

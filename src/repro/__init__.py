@@ -31,7 +31,6 @@ from repro.core import (
     ChainNN,
     ColumnScanSchedule,
     LayerMapper,
-    NetworkResult,
     PerformanceModel,
     SystolicPrimitive,
     utilization_table,
@@ -63,7 +62,6 @@ __all__ = [
     "SystolicPrimitive",
     "LayerMapper",
     "PerformanceModel",
-    "NetworkResult",
     "TrafficModel",
     "PowerModel",
     "EnergyParams",

@@ -1,26 +1,31 @@
-"""Columnar (struct-of-arrays) batch evaluation of the analytical models.
+"""The analytical model of Chain-NN, evaluated columnar (struct-of-arrays).
 
-Design-space exploration wants 10^5–10^6 design points evaluated
-interactively; the per-point path (``PerformanceModel`` + ``TrafficModel`` +
-``PowerModel`` + ``AreaModel`` behind one ``ChainConfig`` object each) tops
-out at a few hundred points per second because every point rebuilds mapper,
-planner and report objects.  This module evaluates a whole grid of design
+:class:`BatchDesignEvaluator` is the one place network-level analytical
+numbers come from: Fig. 9 layer times, Table IV memory traffic, the Fig. 10
+power split and the sweep columns.  It evaluates a whole grid of design
 points — PE count x clock frequency x batch size x datapath precision — as
 whole-NumPy-array expressions:
 
-* the per-layer *closed forms* are exactly the ones the scalar models use
+* the per-layer *closed forms* are shared with the per-layer helpers
   (:func:`repro.core.performance.pair_cycles_for`,
+  :meth:`repro.memory.traffic.TrafficModel.kmemory_words` and its siblings,
+  :func:`repro.memory.traffic.imemory_words_for` /
+  :func:`~repro.memory.traffic.dram_words_for`,
   :func:`repro.energy.power.chain_power_w` /
   :func:`~repro.energy.power.memory_power_w`,
   :meth:`repro.energy.area.AreaModel.total_gates_for`), applied to arrays of
-  design points instead of scalars, so the columnar path is numerically
-  identical to :class:`repro.analysis.sweep.DesignSpaceExplorer` point by
-  point (asserted by the equivalence tests);
+  design points instead of scalars;
 * layer-constant factors (pair cycles, channel pairs, traffic word counts
   per image, tile heights per precision) are hoisted out of the grid loop and
   computed once per network.
 
-The engine layer exposes this as the ``analytical-batch`` engine
+:meth:`BatchDesignEvaluator.breakdown` runs the same layer loop on a
+one-point grid and keeps the per-layer terms: every ``analytical`` run
+record, ``run --traffic`` table and paper experiment is such a breakdown.
+The tests check the evaluator, bit for bit, against an oracle that sums the
+per-layer helpers (``layer_performance``, ``layer_traffic``) layer by layer.
+
+The engine layer exposes grids as the ``analytical-batch`` engine
 (:class:`repro.engine.adapters.AnalyticalBatchEngine`);
 :meth:`repro.engine.executor.SweepExecutor.run_grid` feeds it cache-aware
 chunks.  :mod:`repro.analysis.pareto` reduces the resulting columns to a
@@ -29,7 +34,6 @@ Pareto frontier or a top-k list.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -37,16 +41,18 @@ import numpy as np
 
 from repro.analysis.pareto import objective_matrix, pareto_mask, top_k_indices
 from repro.analysis.winograd import winograd_cost_fields, winograd_eligible
+from repro.cnn.layer import ConvLayer
 from repro.cnn.network import Network
 from repro.core.config import MAINSTREAM_KERNEL_SIZES, ChainConfig
-from repro.core.dataflow import DataflowPlanner
+from repro.core.dataflow import DataflowPlanner, tm_for
 from repro.core.performance import Mode, pair_cycles_for, per_stripe_cycles_paper
 from repro.energy.area import AreaModel
 from repro.energy.components import EnergyParams, GateCountParams
-from repro.energy.power import chain_power_w, memory_power_w
+from repro.energy.power import PowerReport, chain_power_w, memory_power_w
 from repro.errors import ConfigurationError
 from repro.hwmodel.clock import ClockDomain
 from repro.kernels import MappingCostParams, get_backend
+from repro.memory.traffic import TrafficModel, dram_words_for, imemory_words_for
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
@@ -399,33 +405,110 @@ class BatchSweepResult:
 
 
 @dataclass(frozen=True)
+class PointBreakdown:
+    """The analytical model at one design point, layer by layer.
+
+    Per-layer times and word counts cover the whole batch (kernels load
+    once per batch); the power split is the average over the batch.  The
+    headline fields are the :data:`RESULT_COLUMNS` of a one-point grid.
+    """
+
+    network_name: str
+    config: ChainConfig
+    batch: int
+    layer_names: Tuple[str, ...]
+    conv_time_s: Tuple[float, ...]
+    kernel_load_time_s: Tuple[float, ...]
+    dram_words: Tuple[float, ...]
+    imemory_words: Tuple[float, ...]
+    kmemory_words: Tuple[float, ...]
+    omemory_words: Tuple[float, ...]
+    conv_time_per_batch_s: float
+    kernel_load_time_per_batch_s: float
+    power_components_w: Dict[str, float]
+    peak_gops: float
+    fps: float
+    total_time_per_batch_s: float
+    achieved_gops: float
+    power_w: float
+    gops_per_watt: float
+    worst_case_utilization: float
+    total_gates: float
+
+    def summary(self) -> Dict[str, float]:
+        """The headline numbers of a run, as ``run`` tables and records show them."""
+        return {
+            "batch": float(self.batch),
+            "fps": self.fps,
+            "conv_time_per_batch_ms": self.conv_time_per_batch_s * 1e3,
+            "kernel_load_time_ms": self.kernel_load_time_per_batch_s * 1e3,
+            "achieved_gops": self.achieved_gops,
+            "total_power_w": self.power_w,
+            "gops_per_watt": self.gops_per_watt,
+        }
+
+    def layer_times_ms(self) -> Dict[str, float]:
+        """Per-layer convolution time in milliseconds for the batch (Fig. 9 bars)."""
+        return {name: seconds * 1e3
+                for name, seconds in zip(self.layer_names, self.conv_time_s)}
+
+    def kernel_load_times_ms(self) -> Dict[str, float]:
+        """Per-layer kernel-load time in milliseconds (Fig. 9 small bars)."""
+        return {name: seconds * 1e3
+                for name, seconds in zip(self.layer_names, self.kernel_load_time_s)}
+
+    def traffic_mb(self) -> Dict[str, Dict[str, float]]:
+        """Table IV: layer name -> {store -> decimal MB} plus the "Total" row."""
+        word = self.config.word_bytes
+        stores = {
+            "DRAM": self.dram_words,
+            "iMemory": self.imemory_words,
+            "kMemory": self.kmemory_words,
+            "oMemory": self.omemory_words,
+        }
+        table = {
+            name: {store: words[index] * word / 1e6 for store, words in stores.items()}
+            for index, name in enumerate(self.layer_names)
+        }
+        table["Total"] = {store: sum(words) * word / 1e6
+                          for store, words in stores.items()}
+        return table
+
+    def power_report(self) -> PowerReport:
+        """The Fig. 10 power split as a :class:`~repro.energy.power.PowerReport`."""
+        return PowerReport(
+            name=self.network_name,
+            components_w=dict(self.power_components_w),
+            throughput_gops=self.achieved_gops,
+        )
+
+
+@dataclass(frozen=True)
 class _LayerConstants:
     """Per-layer factors that do not depend on the design point."""
 
+    layer: ConvLayer
     kernel_area: int            # K^2 (PEs per primitive)
     pair_cycles: float          # per-pair cycles, dual-channel adjusted
     channel_pairs: int
-    kernel_load_cycles: int
-    macs: int
-    out_height: int
-    out_width: int
-    padded_width: int
-    out_channels: int           # M (total)
-    out_channels_per_group: int
-    in_channels_per_group: int
-    groups: int
     kmemory_words: int          # per image
     omemory_words: int          # per image
-    tiles_by_bits: Dict[int, Tuple[int, int, int]]  # bits -> (th, stripe_rows, stripes)
+    tiles_by_bits: Dict[int, Tuple[int, int]]  # bits -> (th, stripe_rows)
+
+
+#: per-layer terms :meth:`BatchDesignEvaluator._evaluate` sums over layers
+_LAYER_TERMS = ("conv_time_s", "kernel_load_time_s", "busy_pe_cycles",
+                "kmemory_words", "imemory_words", "omemory_words")
 
 
 class BatchDesignEvaluator:
-    """Evaluates a fixed network over arrays of design points, columnar.
+    """The analytical model of a fixed network, over arrays of design points.
 
     Everything that only depends on the network (pair cycles, channel pairs,
     traffic word counts per image) is computed once at construction;
     :meth:`evaluate_grid` is then pure array arithmetic — no per-point Python
-    objects — and numerically identical to the scalar per-point path.
+    objects.  :meth:`breakdown` is the same arithmetic at the base design
+    point, with the per-layer terms kept.
     """
 
     def __init__(
@@ -447,55 +530,36 @@ class BatchDesignEvaluator:
         if not self._layers:
             raise ConfigurationError(f"{network.name}: no convolutional layers to evaluate")
         self._max_kernel_area = max(layer.kernel_area for layer in self._layers)
-        self._total_macs = sum(layer.macs for layer in self._layers)
+        self._total_macs = sum(layer.macs for layer in network.conv_layers)
 
     # ------------------------------------------------------------------ #
     # per-layer constants
     # ------------------------------------------------------------------ #
-    def _constants_for(self, layer) -> _LayerConstants:
-        pair = pair_cycles_for(layer, self.mode)
-        if not self.base.dual_channel:
-            pair = pair * layer.kernel_size
-        k = layer.kernel_size
-        if layer.stride == 1:
-            kmem_repeats = math.ceil(layer.out_height / k)
-        else:
-            kmem_repeats = layer.out_height
+    def _constants_for(self, layer: ConvLayer) -> _LayerConstants:
         return _LayerConstants(
-            kernel_area=k * k,
-            pair_cycles=pair,
+            layer=layer,
+            kernel_area=layer.kernel_size * layer.kernel_size,
+            pair_cycles=pair_cycles_for(layer, self.mode, self.base.dual_channel),
             channel_pairs=layer.channel_pairs(),
-            kernel_load_cycles=layer.weight_count,
-            macs=layer.macs,
-            out_height=layer.out_height,
-            out_width=layer.out_width,
-            padded_width=layer.padded_width,
-            out_channels=layer.out_channels,
-            out_channels_per_group=layer.out_channels_per_group,
-            in_channels_per_group=layer.in_channels_per_group,
-            groups=layer.groups,
-            kmemory_words=k * k * layer.channel_pairs() * kmem_repeats,
-            omemory_words=2 * layer.out_height * layer.out_width
-            * layer.out_channels * layer.in_channels_per_group,
+            kmemory_words=TrafficModel.kmemory_words(layer),
+            omemory_words=TrafficModel.omemory_words(layer),
             tiles_by_bits={},
         )
 
-    def _tile_for(self, layer_index: int, bits: int) -> Tuple[int, int, int]:
-        """(th, stripe_rows, stripes) of one layer at one datapath width.
+    def _tile_for(self, layer_index: int, bits: int) -> Tuple[int, int]:
+        """(th, stripe_rows) of one layer at one datapath width.
 
         Delegates to the real :class:`DataflowPlanner` so capacity-driven tile
-        shrinking stays byte-for-byte identical to the scalar path (``Tm`` is
-        recomputed per design point later; it does not influence ``Th``).
+        shrinking is the per-layer model's (``Tm`` is recomputed per design
+        point later; it does not influence ``Th``).
         """
         constants = self._layers[layer_index]
         cached = constants.tiles_by_bits.get(bits)
         if cached is not None:
             return cached
         planner = DataflowPlanner(replace(self.base, word_bits=bits))
-        layer = self.network.conv_layers[layer_index]
-        tile = planner.plan(layer, active_primitives=1)
-        stripes = math.ceil(layer.out_height / tile.th)
-        constants.tiles_by_bits[bits] = (tile.th, tile.stripe_rows, stripes)
+        tile = planner.plan(constants.layer, active_primitives=1)
+        constants.tiles_by_bits[bits] = (tile.th, tile.stripe_rows)
         return constants.tiles_by_bits[bits]
 
     def mapping_evaluator(self, layer_index: int,
@@ -514,96 +578,149 @@ class BatchDesignEvaluator:
         )
 
     # ------------------------------------------------------------------ #
-    # grid evaluation
+    # evaluation
     # ------------------------------------------------------------------ #
     def evaluate_grid(self, grid: DesignGrid) -> BatchSweepResult:
         """Evaluate every grid point; all metrics as whole-array expressions."""
         _M_BATCH_POINTS.inc(grid.n_points)
         with obs_trace.span("batch.evaluate_grid", network=self.network.name,
                             points=grid.n_points):
-            return self._evaluate_grid(grid)
+            if grid.n_points == 0:
+                empty = np.zeros(0, dtype=np.float64)
+                return BatchSweepResult(grid=grid, **{name: empty for name in RESULT_COLUMNS})
+            return self._evaluate(grid)[0]
 
-    def _evaluate_grid(self, grid: DesignGrid) -> BatchSweepResult:
+    def breakdown(self, batch: int) -> PointBreakdown:
+        """The base design point at one batch size, layer by layer.
+
+        The same layer loop and arithmetic as :meth:`evaluate_grid` on a
+        one-point grid, so every number equals the grid's at that point.
+        """
+        base = self.base
+        grid = DesignGrid.from_axes(pe_counts=(base.num_pes,),
+                                    frequencies_hz=(base.frequency_hz,),
+                                    batches=(batch,), word_bits=(base.word_bits,))
+        result, totals, power, layers = self._evaluate(grid, per_layer=True)
+        return PointBreakdown(
+            network_name=self.network.name,
+            config=base,
+            batch=batch,
+            layer_names=tuple(layer.name for layer in self.network.conv_layers),
+            conv_time_s=layers["conv_time_s"],
+            kernel_load_time_s=layers["kernel_load_time_s"],
+            dram_words=layers["dram_words"],
+            imemory_words=layers["imemory_words"],
+            kmemory_words=layers["kmemory_words"],
+            omemory_words=layers["omemory_words"],
+            conv_time_per_batch_s=float(totals["conv_time_s"][0]),
+            kernel_load_time_per_batch_s=float(totals["kernel_load_time_s"][0]),
+            power_components_w={name: float(watts[0]) for name, watts in power.items()},
+            **{name: float(getattr(result, name)[0]) for name in RESULT_COLUMNS},
+        )
+
+    def _tile_terms(self, layer_index: int, bits: int, primitives: np.ndarray,
+                    batch: np.ndarray, dram: bool
+                    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """(iMemory words, DRAM words or None) of one layer at points of one
+        datapath width.
+
+        Both depend on the tile shape: Th is precision-driven (planned per
+        distinct word width), Tm is design-point-driven.
+        """
+        layer = self._layers[layer_index].layer
+        th, stripe_rows = self._tile_for(layer_index, bits)
+        word = bits // 8
+        tm = tm_for(layer, self.base.omemory_bytes, word, th, primitives)
+        imemory_words = imemory_words_for(layer, th, stripe_rows, tm) * batch
+        dram_words = (dram_words_for(layer, self.base.imemory_bytes, word, stripe_rows,
+                                     tm, batch) if dram else None)
+        return imemory_words, dram_words
+
+    def _layer_terms(self, grid: DesignGrid, dram: bool
+                     ) -> Iterator[Tuple[str, Any, np.ndarray]]:
+        """``(term, selector, column)`` of every layer's terms, layer by layer
+        in network order, for the whole batch.
+
+        ``column`` holds the term at the grid points ``selector`` picks: all
+        of them, except that a grid with several datapath widths gets its
+        iMemory and DRAM words one width group at a time.  Columns come one
+        at a time and are added in place, so a grid holds one column besides
+        the running totals.  DRAM words come only when ``dram``: breakdowns
+        report them, grids do not.
+        """
         num_pes = grid.num_pes
-        if grid.n_points == 0:
-            empty = np.zeros(0, dtype=np.float64)
-            return BatchSweepResult(grid=grid, **{name: empty for name in RESULT_COLUMNS})
-        smallest = int(num_pes.min())
+        frequency = grid.frequency_hz
+        batch = grid.batch.astype(np.float64)
+        widths = [int(value) for value in np.unique(grid.word_bits)]
+        every_point = slice(None)
+        selectors = ([grid.word_bits == bits for bits in widths] if len(widths) > 1
+                     else [every_point])
+        for layer_index, constants in enumerate(self._layers):
+            primitives = num_pes // constants.kernel_area
+            cycles_per_image = constants.pair_cycles * constants.channel_pairs / primitives
+            cycles_per_batch = cycles_per_image * batch
+            yield "conv_time_s", every_point, cycles_per_batch / frequency
+            yield "kernel_load_time_s", every_point, constants.layer.weight_count / frequency
+            yield ("busy_pe_cycles", every_point,
+                   primitives * constants.kernel_area * cycles_per_batch)
+            yield "kmemory_words", every_point, constants.kmemory_words * batch
+            yield "omemory_words", every_point, constants.omemory_words * batch
+            for bits, selector in zip(widths, selectors):
+                imemory_words, dram_words = self._tile_terms(
+                    layer_index, bits, primitives[selector], batch[selector], dram)
+                yield "imemory_words", selector, imemory_words
+                if dram:
+                    yield "dram_words", selector, dram_words
+
+    def _evaluate(self, grid: DesignGrid, per_layer: bool = False
+                  ) -> Tuple[BatchSweepResult, Dict[str, np.ndarray],
+                             Dict[str, np.ndarray], Dict[str, Tuple[float, ...]]]:
+        """(result, per-term totals, power split, per-layer terms).
+
+        The per-layer terms (with DRAM words) only come when ``per_layer``,
+        which takes a one-point grid: :meth:`breakdown` asks for them.
+        """
+        smallest = int(grid.num_pes.min())
         if smallest < self._max_kernel_area:
             raise ConfigurationError(
                 f"{self.network.name} needs at least {self._max_kernel_area} PEs "
-                f"(largest kernel), but the grid contains {smallest}"
+                f"(largest kernel), but a design point has {smallest}"
             )
+        totals = {term: np.zeros(grid.n_points) for term in _LAYER_TERMS}
+        layers: Dict[str, List[float]] = {}
+        for term, selector, column in self._layer_terms(grid, dram=per_layer):
+            if term in totals:
+                totals[term][selector] += column
+            if per_layer:
+                layers.setdefault(term, []).append(float(column[0]))
 
-        frequency = grid.frequency_hz
+        total_time_s = totals["conv_time_s"] + totals["kernel_load_time_s"]
+        power = {
+            "chain": chain_power_w(totals["busy_pe_cycles"], total_time_s, self.energy),
+            "kMemory": memory_power_w(totals["kmemory_words"], total_time_s,
+                                      self.energy.kmemory_access_j),
+            "iMemory": memory_power_w(totals["imemory_words"], total_time_s,
+                                      self.energy.imemory_access_j),
+            "oMemory": memory_power_w(totals["omemory_words"], total_time_s,
+                                      self.energy.omemory_access_j),
+        }
+        power_w = power["chain"] + power["kMemory"] + power["iMemory"] + power["oMemory"]
+
         batch = grid.batch.astype(np.float64)
-        n = grid.n_points
-
-        conv_time_s = np.zeros(n)
-        kernel_load_time_s = np.zeros(n)
-        busy_pe_cycles = np.zeros(n)
-        kmem_words = np.zeros(n)
-        omem_words = np.zeros(n)
-        imem_words = np.zeros(n)
-
-        bits_groups = [(int(value), grid.word_bits == value)
-                       for value in np.unique(grid.word_bits)]
-
-        for layer_index, layer in enumerate(self._layers):
-            primitives = num_pes // layer.kernel_area
-            active_pes = primitives * layer.kernel_area
-            cycles_per_image = layer.pair_cycles * layer.channel_pairs / primitives
-            cycles_per_batch = cycles_per_image * batch
-            conv_time_s += cycles_per_batch / frequency
-            kernel_load_time_s += layer.kernel_load_cycles / frequency
-            busy_pe_cycles += active_pes * cycles_per_batch
-            kmem_words += layer.kmemory_words * batch
-            omem_words += layer.omemory_words * batch
-
-            # iMemory words depend on the tile shape: Th is precision-driven
-            # (computed per distinct word width), Tm is design-point-driven
-            for bits, mask in bits_groups:
-                th, stripe_rows, stripes = self._tile_for(layer_index, bits)
-                word = bits // 8
-                tm_capacity = max(1, self.base.omemory_bytes
-                                  // max(1, th * layer.out_width * word))
-                tm = np.maximum(
-                    1, np.minimum(layer.out_channels,
-                                  np.minimum(primitives[mask], tm_capacity)))
-                outer_tiles_per_group = -(-layer.out_channels_per_group // tm)
-                words_per_image = (
-                    outer_tiles_per_group * stripes * stripe_rows
-                    * layer.padded_width * layer.in_channels_per_group * layer.groups
-                )
-                imem_words[mask] += words_per_image * batch[mask]
-
-        total_time_s = conv_time_s + kernel_load_time_s
-        fps = batch / total_time_s
-
-        power_w = chain_power_w(busy_pe_cycles, total_time_s, self.energy)
-        power_w = power_w + memory_power_w(kmem_words, total_time_s,
-                                           self.energy.kmemory_access_j)
-        power_w = power_w + memory_power_w(imem_words, total_time_s,
-                                           self.energy.imemory_access_j)
-        power_w = power_w + memory_power_w(omem_words, total_time_s,
-                                           self.energy.omemory_access_j)
-
         total_ops = 2 * self._total_macs * batch
         achieved_gops = total_ops / total_time_s / 1e9
-        peak_gops = num_pes * self.base.ops_per_mac * frequency / 1e9
-        gops_per_watt = achieved_gops / power_w
-
-        return BatchSweepResult(
+        result = BatchSweepResult(
             grid=grid,
-            peak_gops=peak_gops,
-            fps=fps,
+            peak_gops=grid.num_pes * self.base.ops_per_mac * grid.frequency_hz / 1e9,
+            fps=batch / total_time_s,
             total_time_per_batch_s=total_time_s,
             achieved_gops=achieved_gops,
             power_w=power_w,
-            gops_per_watt=gops_per_watt,
-            worst_case_utilization=worst_case_utilization_array(num_pes),
-            total_gates=AreaModel.total_gates_for(num_pes, self.gates),
+            gops_per_watt=achieved_gops / power_w,
+            worst_case_utilization=worst_case_utilization_array(grid.num_pes),
+            total_gates=AreaModel.total_gates_for(grid.num_pes, self.gates),
         )
+        return result, totals, power, {term: tuple(values) for term, values in layers.items()}
 
 
 #: metric columns :class:`MappingBatchEvaluator` produces per candidate
@@ -769,10 +886,12 @@ def worst_case_utilization_array(
     num_pes: np.ndarray,
     kernel_sizes: Sequence[int] = MAINSTREAM_KERNEL_SIZES,
 ) -> np.ndarray:
-    """Vectorised worst-case spatial utilization over the mainstream kernels.
+    """Worst-case spatial utilization over the mainstream kernels that fit.
 
-    Matches :func:`repro.engine.adapters.worst_case_utilization` point by
-    point (0.0 where no kernel fits the chain).
+    ``num_pes`` is a scalar or an array of chain lengths; each point is the
+    minimum of its Table II utilizations
+    (:func:`repro.core.utilization.minimum_utilization`), 0.0 where no
+    kernel fits the chain.
     """
     num_pes = np.asarray(num_pes, dtype=np.int64)
     worst = np.full(num_pes.shape, np.inf)

@@ -6,16 +6,17 @@ the library's models: chain length, clock frequency, kMemory depth and kernel
 mix can all be varied and the resulting throughput / utilization / power /
 area trends collected in one table per sweep.
 
-Since the unified engine layer landed, every design point is evaluated
-through :class:`~repro.engine.executor.SweepExecutor`: pick any registered
-engine (``analytical``, ``analytical-detailed``, ``cycle``, ``functional``,
-...) and optionally attach an on-disk :class:`~repro.engine.cache.RunCache`
-— the sweep table is identical cached or fresh.
+Every design point is evaluated through
+:class:`~repro.engine.executor.SweepExecutor`: pick any registered engine
+(``analytical``, ``analytical-detailed``, ``cycle``, ``functional``, ...)
+and optionally attach an on-disk :class:`~repro.engine.cache.RunCache` —
+the sweep table is identical cached or fresh.
 
 Dense grids (10^4+ points) go through :meth:`DesignSpaceExplorer.sweep_grid`
-instead: the ``analytical-batch`` engine evaluates the whole grid as columnar
-NumPy expressions (see :mod:`repro.analysis.batch`), orders of magnitude
-faster than the per-point path and numerically identical to it.
+instead: the ``analytical-batch`` engine evaluates the whole grid in one
+pass of the columnar model (see :mod:`repro.analysis.batch`) of which each
+``analytical`` record is a one-point view, so a grid point equals the
+axis-sweep point at the same design bit for bit.
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.batch import BatchSweepResult, DesignGrid
+import numpy as np
+
+from repro.analysis.batch import BatchSweepResult, DesignGrid, worst_case_utilization_array
 from repro.cnn.network import Network
 from repro.cnn.zoo import alexnet
 from repro.core.config import ChainConfig
 from repro.energy.area import AreaModel
-from repro.engine.adapters import worst_case_utilization
 from repro.engine.base import RunRecord
 from repro.engine.cache import RunCache
 from repro.engine.executor import SweepExecutor
@@ -53,7 +55,7 @@ class SweepPoint:
             "PEs": self.config.num_pes,
             "Freq (MHz)": self.config.frequency_hz / 1e6,
             "Peak GOPS": self.peak_gops,
-            "AlexNet fps": self.fps,
+            "fps": self.fps,
             "Power (W)": self.power_w,
             "GOPS/W": self.gops_per_watt,
             "worst-case util.": self.worst_case_utilization,
@@ -116,7 +118,7 @@ class DesignSpaceExplorer:
             total_gates = AreaModel(config).report().total_gates
         worst = metrics.get("worst_case_utilization")
         if worst is None:
-            worst = worst_case_utilization(config)
+            worst = float(worst_case_utilization_array(config.num_pes))
         return SweepPoint(
             label=label or f"{config.num_pes} PEs @ {config.frequency_hz / 1e6:.0f} MHz",
             config=config,
@@ -180,9 +182,7 @@ class DesignSpaceExplorer:
     def utilization_by_chain_length(self, low: int = 128, high: int = 1152, step: int = 32
                                     ) -> Dict[int, float]:
         """Worst-case spatial utilization across the mainstream kernel sizes."""
-        results = {}
-        for num_pes in range(low, high + 1, step):
-            utilization = worst_case_utilization(ChainConfig(num_pes=num_pes))
-            if utilization > 0.0:
-                results[num_pes] = utilization
-        return results
+        pe_counts = np.arange(low, high + 1, step)
+        utilization = worst_case_utilization_array(pe_counts)
+        return {int(num_pes): float(value)
+                for num_pes, value in zip(pe_counts, utilization) if value > 0.0}

@@ -57,7 +57,7 @@ class ChainNNModel(AcceleratorModel):
         return self.config.onchip_memory_bytes
 
     def workload_time_s(self, network: Network, batch: int) -> float:
-        return self.chip.performance_model.network_performance(network, batch).total_time_per_batch_s
+        return self.chip.evaluate(network, batch).total_time_per_batch_s
 
     def workload_power_w(self, network: Network, batch: int) -> float:
-        return self.chip.power_model.network_power(network, batch).total_w
+        return self.chip.evaluate(network, batch).power_w

@@ -16,9 +16,8 @@ from typing import Dict
 from repro.baselines.base import AcceleratorModel
 from repro.cnn.layer import ConvLayer
 from repro.cnn.network import Network
+from repro.core.accelerator import ChainNN
 from repro.core.config import ChainConfig
-from repro.core.performance import PerformanceModel
-from repro.energy.power import PowerModel
 from repro.energy.technology import TSMC_28NM, TechNode
 
 
@@ -30,8 +29,7 @@ class SingleChannelChain(AcceleratorModel):
     def __init__(self, config: ChainConfig | None = None) -> None:
         base = config or ChainConfig()
         self.config = base.single_channel()
-        self.performance = PerformanceModel(self.config)
-        self.power_model = PowerModel(self.config, performance=self.performance)
+        self.chip = ChainNN(self.config)
 
     @property
     def technology(self) -> TechNode:
@@ -49,11 +47,10 @@ class SingleChannelChain(AcceleratorModel):
         return self.config.onchip_memory_bytes
 
     def workload_time_s(self, network: Network, batch: int) -> float:
-        perf = self.performance.network_performance(network, batch)
-        return perf.total_time_per_batch_s
+        return self.chip.evaluate(network, batch).total_time_per_batch_s
 
     def workload_power_w(self, network: Network, batch: int) -> float:
-        return self.power_model.network_power(network, batch).total_w
+        return self.chip.evaluate(network, batch).power_w
 
     # ------------------------------------------------------------------ #
     # per-kernel-size throughput comparison (the Fig. 5 ablation)
@@ -64,7 +61,7 @@ class SingleChannelChain(AcceleratorModel):
 
     def layer_utilization(self, layer: ConvLayer) -> float:
         """Temporal utilization of the active PEs for one layer."""
-        perf = self.performance.layer_performance(layer)
+        perf = self.chip.performance_model.layer_performance(layer)
         return perf.temporal_utilization
 
     def utilization_by_kernel(self, kernel_sizes=(3, 5, 7, 9, 11)) -> Dict[int, float]:

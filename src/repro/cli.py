@@ -76,7 +76,6 @@ from repro.analysis.sweep import DesignSpaceExplorer
 from repro.cnn.generator import WorkloadGenerator
 from repro.cnn.layer import FullyConnectedLayer
 from repro.cnn.zoo import NETWORKS, get_network, tiny_test_network
-from repro.core.accelerator import ChainNN
 from repro.core.config import MAINSTREAM_KERNEL_SIZES, ChainConfig
 from repro.core.utilization import utilization_table
 from repro.engine import (
@@ -87,13 +86,13 @@ from repro.engine import (
     available_engines,
     create_engine,
 )
+from repro.errors import INPUT_ERRORS
 from repro.hwmodel.clock import ClockDomain
 from repro.mapping import OBJECTIVES, ScheduleOptimizer
 from repro.mapping.mapspace import ALGORITHM_MODES
 from repro.obs import trace as obs_trace
 from repro.obs.export import export_trace, render_summary, summarize_trace
 from repro.obs.metrics import REGISTRY, render_metrics
-from repro.memory.traffic import TrafficModel
 from repro.serve import payloads as serve_payloads
 from repro.serve.protocol import DEFAULT_PORT
 from repro.sim.cycle import CYCLE_BACKENDS, CycleAccurateChainSimulator
@@ -140,8 +139,7 @@ def _cache_from_args(args: argparse.Namespace) -> Optional[RunCache]:
 # --------------------------------------------------------------------- #
 def cmd_info(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    chip = ChainNN(config)
-    print(chip.describe())
+    print(config.describe())
     rows = {}
     for kernel, entry in utilization_table(config.num_pes, MAINSTREAM_KERNEL_SIZES).items():
         rows[f"K={kernel}"] = {
@@ -185,9 +183,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         engine_kwargs["algorithm"] = args.algorithm
     engine = create_engine(args.engine, **engine_kwargs)
     record = engine.evaluate(network, config, batch=args.batch)
-
-    # the traffic model is config-derived, so --traffic works with any engine
-    traffic = (TrafficModel(config).network_traffic(network, args.batch)
+    traffic = (serve_payloads.traffic_table(network, config, args.batch)
                if args.traffic else None)
 
     if args.json:
@@ -224,7 +220,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _print_traffic(traffic) -> None:
     if traffic is not None:
         print()
-        print(render_dict_table(traffic.table(), title="Memory traffic (MB)",
+        print(render_dict_table(traffic, title="Memory traffic (MB)",
                                 row_label="layer"))
 
 
@@ -257,8 +253,8 @@ def _print_cache_counters(explorer: DesignSpaceExplorer) -> None:
 
 def cmd_sweep_grid(args: argparse.Namespace) -> int:
     """Dense-grid sweep through the columnar batch path."""
-    # the columnar engines are numerically identical to their scalar
-    # counterparts; dense grids dispatch to them in either fidelity mode
+    # analytical records are one-point views of the columnar evaluator, so
+    # dense grids dispatch to its whole-grid engine in either fidelity mode
     engine = serve_payloads.upgrade_grid_engine(args.engine)
     explorer = DesignSpaceExplorer(
         get_network(args.network),
@@ -721,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="evaluate a zoo network")
     run.add_argument("network", choices=sorted(NETWORKS), help="network to evaluate")
-    run.add_argument("--batch", type=int, default=4, help="batch size")
+    run.add_argument("--batch", type=_positive_int, default=4, help="batch size")
     run.add_argument("--mode", choices=("paper", "detailed"), default=None,
                      help="analytical fidelity mode (paper-idealised or "
                           "register-level); only valid with analytical engines")
@@ -748,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_grid_arguments(parser: argparse.ArgumentParser,
                            pareto_implied: bool) -> None:
         parser.add_argument("--network", default="alexnet", choices=sorted(NETWORKS))
-        parser.add_argument("--batch", type=int, default=16)
+        parser.add_argument("--batch", type=_positive_int, default=16)
         parser.add_argument("--engine", choices=config_sensitive, default="analytical",
                             help="engine evaluating each design point (baselines are "
                                  "fixed architectures and cannot be swept); grids "
@@ -992,8 +988,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         "request": cmd_request,
     }
     start = time.perf_counter()
-    with obs_trace.span("cli." + args.command):
-        status = handlers[args.command](args)
+    try:
+        with obs_trace.span("cli." + args.command):
+            status = handlers[args.command](args)
+    except INPUT_ERRORS as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     wall_s = time.perf_counter() - start
     if args.command in ("sweep", "pareto", "map"):
         _print_stats_footer(args, wall_s)

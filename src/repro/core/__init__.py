@@ -1,6 +1,6 @@
 """The paper's contribution: the Chain-NN 1D chain architecture models."""
 
-from repro.core.accelerator import ChainNN, LayerResult, NetworkResult
+from repro.core.accelerator import ChainNN
 from repro.core.chain import ChainPartition, PEChain, PrimitiveSlot
 from repro.core.config import MAINSTREAM_KERNEL_SIZES, ChainConfig
 from repro.core.controller import ChainController, Phase
@@ -9,11 +9,7 @@ from repro.core.kernel_loader import KernelLoader, KernelPlacement, LayerLoadPla
 from repro.core.mapper import LayerMapper, LayerMapping
 from repro.core.scheduler import BatchSchedule, BatchScheduler, TimelineSegment
 from repro.core.pe import DualChannelPE, PEInputs, PEOutputs, TaggedPsum
-from repro.core.performance import (
-    LayerPerformance,
-    NetworkPerformance,
-    PerformanceModel,
-)
+from repro.core.performance import LayerPerformance, PerformanceModel
 from repro.core.primitive import PrimitiveOutput, StripeRunResult, SystolicPrimitive
 from repro.core.scan import ColumnScanSchedule, PixelDelivery, WindowTag, stripe_plan
 from repro.core.utilization import (
@@ -28,8 +24,6 @@ from repro.core.utilization import (
 
 __all__ = [
     "ChainNN",
-    "LayerResult",
-    "NetworkResult",
     "ChainConfig",
     "MAINSTREAM_KERNEL_SIZES",
     "PEChain",
@@ -54,7 +48,6 @@ __all__ = [
     "TaggedPsum",
     "PerformanceModel",
     "LayerPerformance",
-    "NetworkPerformance",
     "SystolicPrimitive",
     "StripeRunResult",
     "PrimitiveOutput",

@@ -1,80 +1,34 @@
 """The Chain-NN accelerator facade.
 
-``ChainNN`` ties together the mapper, the analytical performance model, the
-memory-traffic model and the power model behind one object, which is the
-public entry point most examples and benchmarks use:
+``ChainNN`` bundles a chain configuration with its fidelity mode, unit
+energies and per-layer mapper, and evaluates whole networks through the
+one analytical model — the columnar
+:class:`~repro.analysis.batch.BatchDesignEvaluator` at a single design point:
 
 >>> from repro import ChainNN, alexnet
 >>> chip = ChainNN.paper_configuration()
->>> result = chip.run_network(alexnet(), batch=128)
->>> round(result.performance.frames_per_second, 1)   # doctest: +SKIP
+>>> point = chip.evaluate(alexnet(), batch=128)
+>>> round(point.fps, 1)   # doctest: +SKIP
 350.3
 
-Every result object keeps the per-layer details so Fig. 9 / Table IV /
-Fig. 10-style breakdowns can be produced from a single run.
+The returned :class:`~repro.analysis.batch.PointBreakdown` keeps the
+per-layer times, traffic and the power split, so Fig. 9 / Table IV /
+Fig. 10-style breakdowns come from a single evaluation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.cnn.layer import ConvLayer
 from repro.cnn.network import Network
 from repro.core.config import ChainConfig
-from repro.core.mapper import LayerMapper, LayerMapping
-from repro.core.performance import (
-    LayerPerformance,
-    NetworkPerformance,
-    PerformanceModel,
-)
+from repro.core.mapper import LayerMapper
+from repro.core.performance import Mode, PerformanceModel
 from repro.energy.components import EnergyParams
-from repro.energy.power import PowerModel, PowerReport
-from repro.memory.traffic import LayerTraffic, NetworkTraffic, TrafficModel
+from repro.energy.power import PowerModel
 
-
-@dataclass(frozen=True)
-class LayerResult:
-    """Everything the models say about one layer at one batch size."""
-
-    layer: ConvLayer
-    mapping: LayerMapping
-    performance: LayerPerformance
-    traffic: LayerTraffic
-
-
-@dataclass(frozen=True)
-class NetworkResult:
-    """Everything the models say about a network at one batch size."""
-
-    network: Network
-    batch: int
-    layers: List[LayerResult]
-    performance: NetworkPerformance
-    traffic: NetworkTraffic
-    power: PowerReport
-
-    @property
-    def frames_per_second(self) -> float:
-        """Sustained frame rate for the batch."""
-        return self.performance.frames_per_second
-
-    @property
-    def gops_per_watt(self) -> float:
-        """Energy efficiency over the workload."""
-        return self.power.gops_per_watt
-
-    def summary(self) -> Dict[str, float]:
-        """Headline numbers, keyed the way EXPERIMENTS.md reports them."""
-        return {
-            "batch": float(self.batch),
-            "fps": self.performance.frames_per_second,
-            "conv_time_per_batch_ms": self.performance.conv_time_per_batch_s * 1e3,
-            "kernel_load_time_ms": self.performance.kernel_load_time_s * 1e3,
-            "achieved_gops": self.performance.achieved_gops,
-            "total_power_w": self.power.total_w,
-            "gops_per_watt": self.power.gops_per_watt,
-        }
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
+    from repro.analysis.batch import PointBreakdown
 
 
 class ChainNN:
@@ -84,18 +38,12 @@ class ChainNN:
         self,
         config: Optional[ChainConfig] = None,
         energy: Optional[EnergyParams] = None,
-        performance_mode: str = "paper",
+        performance_mode: Mode = "paper",
     ) -> None:
         self.config = config or ChainConfig()
         self.mapper = LayerMapper(self.config)
         self.performance_model = PerformanceModel(self.config, mode=performance_mode)
-        self.traffic_model = TrafficModel(self.config)
-        self.power_model = PowerModel(
-            config=self.config,
-            energy=energy,
-            performance=self.performance_model,
-            traffic=self.traffic_model,
-        )
+        self.power_model = PowerModel(config=self.config, energy=energy)
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -129,28 +77,15 @@ class ChainNN:
     # ------------------------------------------------------------------ #
     # running workloads
     # ------------------------------------------------------------------ #
-    def run_layer(self, layer: ConvLayer, batch: int = 1) -> LayerResult:
-        """Evaluate one convolutional layer."""
-        mapping = self.mapper.map_layer(layer)
-        performance = self.performance_model.layer_performance(layer, batch)
-        traffic = self.traffic_model.layer_traffic(layer, batch)
-        return LayerResult(layer=layer, mapping=mapping, performance=performance,
-                           traffic=traffic)
+    def evaluate(self, network: Network, batch: int = 1) -> "PointBreakdown":
+        """Evaluate every convolutional layer of a network at one batch size."""
+        # lazy: repro.analysis imports the engine layer, which imports this module
+        from repro.analysis.batch import BatchDesignEvaluator
 
-    def run_network(self, network: Network, batch: int = 1) -> NetworkResult:
-        """Evaluate every convolutional layer of a network."""
-        layers = [self.run_layer(layer, batch) for layer in network.conv_layers]
-        performance = self.performance_model.network_performance(network, batch)
-        traffic = self.traffic_model.network_traffic(network, batch)
-        power = self.power_model.network_power(network, batch)
-        return NetworkResult(
-            network=network,
-            batch=batch,
-            layers=layers,
-            performance=performance,
-            traffic=traffic,
-            power=power,
-        )
+        evaluator = BatchDesignEvaluator(network, base=self.config,
+                                         mode=self.performance_model.mode,
+                                         energy=self.power_model.energy)
+        return evaluator.breakdown(batch)
 
     def describe(self) -> str:
         """One-line description of the instantiation."""

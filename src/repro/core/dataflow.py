@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
+import numpy as np
+
 from repro.cnn.layer import ConvLayer
 from repro.core.config import ChainConfig
 from repro.errors import CapacityError
@@ -72,6 +74,16 @@ class LoopIteration:
     ifmap_channel: int   # c
 
 
+def tm_for(layer: ConvLayer, omemory_bytes: int, word_bytes: int, th: int, primitives):
+    """``Tm``: as many ofmap channels as both the primitives and oMemory allow.
+
+    ``primitives`` is a count or an integer array of counts (one per design
+    point); the result has its shape.
+    """
+    tm_capacity = max(1, omemory_bytes // max(1, th * layer.out_width * word_bytes))
+    return np.maximum(1, np.minimum(layer.out_channels, np.minimum(primitives, tm_capacity)))
+
+
 class DataflowPlanner:
     """Chooses Fig. 7 tile sizes for a layer under the configured memory sizes."""
 
@@ -88,7 +100,6 @@ class DataflowPlanner:
         from iMemory.
         """
         word = self.config.word_bytes
-        out_row_bytes = layer.out_width * word
 
         # Th: start from one stripe's worth of output rows (K) and shrink if
         # even a single stripe of ifmaps does not fit iMemory.  The chain
@@ -109,9 +120,7 @@ class DataflowPlanner:
                 f"(capacity {self.config.imemory_bytes} B)"
             )
 
-        # Tm: as many ofmap channels as both the primitives and oMemory allow.
-        tm_capacity = max(1, self.config.omemory_bytes // max(1, th * out_row_bytes))
-        tm = max(1, min(layer.out_channels, active_primitives, tm_capacity))
+        tm = int(tm_for(layer, self.config.omemory_bytes, word, th, active_primitives))
         return TileConfig(layer=layer, tm=tm, th=th, stripe_rows=stripe_rows)
 
     def iterations(self, tile: TileConfig, batch: int = 1) -> Iterator[LoopIteration]:

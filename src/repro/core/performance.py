@@ -30,10 +30,9 @@ kernel-load times imply) and happens once per batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Literal
+from typing import Literal
 
 from repro.cnn.layer import ConvLayer
-from repro.cnn.network import Network
 from repro.core.config import ChainConfig
 from repro.core.mapper import LayerMapper, LayerMapping
 from repro.core.scan import ColumnScanSchedule, stripe_plan
@@ -91,13 +90,20 @@ def pair_cycles_detailed(layer: ConvLayer) -> int:
     return total
 
 
-def pair_cycles_for(layer: ConvLayer, mode: Mode) -> float:
-    """Dispatch the per-pair closed form by fidelity mode."""
+def pair_cycles_for(layer: ConvLayer, mode: Mode, dual_channel: bool = True) -> float:
+    """Dispatch the per-pair closed form by fidelity mode.
+
+    A single-channel chain (the Fig. 5(a) strawman) reaches only ``1/K`` of
+    the dual-channel rate: after each output the primitive idles ``K - 1``
+    cycles waiting for the non-overlapping pixels of the next window.
+    """
     if mode == "paper":
-        return pair_cycles_paper(layer)
-    if mode == "detailed":
-        return float(pair_cycles_detailed(layer))
-    raise ConfigurationError(f"mode must be 'paper' or 'detailed', got {mode!r}")
+        pair = pair_cycles_paper(layer)
+    elif mode == "detailed":
+        pair = float(pair_cycles_detailed(layer))
+    else:
+        raise ConfigurationError(f"mode must be 'paper' or 'detailed', got {mode!r}")
+    return pair if dual_channel else pair * layer.kernel_size
 
 
 @dataclass(frozen=True)
@@ -161,63 +167,12 @@ class LayerPerformance:
         return self.temporal_utilization * self.mapping.spatial_utilization
 
 
-@dataclass(frozen=True)
-class NetworkPerformance:
-    """Timing of all convolutional layers of a network."""
-
-    network_name: str
-    batch: int
-    layers: List[LayerPerformance]
-    frequency_hz: float
-    peak_gops: float
-
-    @property
-    def conv_time_per_batch_s(self) -> float:
-        """Convolution time for the batch, summed over layers."""
-        return sum(layer.conv_time_per_batch_s for layer in self.layers)
-
-    @property
-    def kernel_load_time_s(self) -> float:
-        """Kernel-loading time for the batch, summed over layers."""
-        return sum(layer.kernel_load_time_s for layer in self.layers)
-
-    @property
-    def total_time_per_batch_s(self) -> float:
-        """End-to-end convolutional time for the batch."""
-        return self.conv_time_per_batch_s + self.kernel_load_time_s
-
-    @property
-    def frames_per_second(self) -> float:
-        """Sustained frame rate (the paper's 326.2 fps metric for batch 128)."""
-        return self.batch / self.total_time_per_batch_s
-
-    @property
-    def total_macs_per_image(self) -> int:
-        """MACs per image over the evaluated layers."""
-        return sum(layer.layer.macs for layer in self.layers)
-
-    @property
-    def achieved_gops(self) -> float:
-        """Sustained GOPS over the whole batch."""
-        total_ops = 2 * self.total_macs_per_image * self.batch
-        return total_ops / self.total_time_per_batch_s / 1e9
-
-    @property
-    def efficiency_vs_peak(self) -> float:
-        """Achieved / peak throughput."""
-        return self.achieved_gops / self.peak_gops if self.peak_gops else 0.0
-
-    def layer_times_ms(self) -> Dict[str, float]:
-        """Per-layer convolution time in milliseconds for the batch (Fig. 9 bars)."""
-        return {layer.layer.name: layer.conv_time_per_batch_s * 1e3 for layer in self.layers}
-
-    def kernel_load_times_ms(self) -> Dict[str, float]:
-        """Per-layer kernel-load time in milliseconds (Fig. 9 small bars)."""
-        return {layer.layer.name: layer.kernel_load_time_s * 1e3 for layer in self.layers}
-
-
 class PerformanceModel:
-    """Analytical timing model for a chain configuration."""
+    """Per-layer analytical timing for a chain configuration.
+
+    Network-level timing is one design point of the columnar evaluator:
+    :meth:`repro.analysis.batch.BatchDesignEvaluator.breakdown`.
+    """
 
     def __init__(self, config: ChainConfig | None = None, mode: Mode = "paper") -> None:
         if mode not in ("paper", "detailed"):
@@ -233,33 +188,19 @@ class PerformanceModel:
         """Cycles for one systolic primitive to process one channel pair."""
         return pair_cycles_for(layer, self.mode)
 
-    # kept as methods for callers that poke at the individual accountings
-    def _pair_cycles_paper(self, layer: ConvLayer) -> float:
-        return pair_cycles_paper(layer)
-
-    def _pair_cycles_detailed(self, layer: ConvLayer) -> int:
-        return pair_cycles_detailed(layer)
-
     # ------------------------------------------------------------------ #
-    # layer / network level
+    # layer level
     # ------------------------------------------------------------------ #
     def single_channel_pair_cycles(self, layer: ConvLayer) -> float:
-        """Pair cycles for the single-channel strawman of Fig. 5(a).
-
-        With one ifmap channel only ``1/K`` of the peak rate is reachable:
-        after each output the primitive idles ``K - 1`` cycles waiting for
-        the non-overlapping pixels of the next window.
-        """
-        return self.pair_cycles(layer) * layer.kernel_size
+        """Pair cycles for the single-channel strawman of Fig. 5(a)."""
+        return pair_cycles_for(layer, self.mode, dual_channel=False)
 
     def layer_performance(self, layer: ConvLayer, batch: int = 1) -> LayerPerformance:
         """Timing of one layer for a given batch size."""
         if batch < 1:
             raise ConfigurationError(f"batch must be >= 1, got {batch}")
         mapping = self.mapper.map_layer(layer)
-        pair = self.pair_cycles(layer)
-        if not self.config.dual_channel:
-            pair = pair * layer.kernel_size
+        pair = pair_cycles_for(layer, self.mode, self.config.dual_channel)
         cycles_per_image = pair * mapping.channel_pairs / mapping.active_primitives
         return LayerPerformance(
             layer=layer,
@@ -268,15 +209,4 @@ class PerformanceModel:
             conv_cycles_per_image=cycles_per_image,
             kernel_load_cycles=mapping.kernel_load_cycles,
             frequency_hz=self.config.frequency_hz,
-        )
-
-    def network_performance(self, network: Network, batch: int = 1) -> NetworkPerformance:
-        """Timing of every convolutional layer of a network."""
-        layers = [self.layer_performance(layer, batch) for layer in network.conv_layers]
-        return NetworkPerformance(
-            network_name=network.name,
-            batch=batch,
-            layers=layers,
-            frequency_hz=self.config.frequency_hz,
-            peak_gops=self.config.peak_gops,
         )

@@ -17,18 +17,15 @@ figures used in the Table V comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict
 
 from repro.cnn.network import Network
 from repro.core.config import ChainConfig
-from repro.core.performance import NetworkPerformance, PerformanceModel
 from repro.energy.components import (
     PAPER_POWER_BREAKDOWN_W,
     EnergyParams,
 )
-from repro.errors import ConfigurationError
-from repro.memory.traffic import NetworkTraffic, TrafficModel
 
 
 # --------------------------------------------------------------------- #
@@ -89,61 +86,21 @@ class PowerReport:
 
 
 class PowerModel:
-    """Computes :class:`PowerReport` objects for a chain configuration."""
+    """Unit energies of a chain configuration: peak power and calibration.
+
+    The power of a workload is one design point of the columnar evaluator
+    (:meth:`repro.analysis.batch.BatchDesignEvaluator.breakdown`), which
+    applies :func:`chain_power_w` and :func:`memory_power_w` to its
+    busy-PE cycles and word counts.
+    """
 
     def __init__(
         self,
         config: ChainConfig | None = None,
         energy: EnergyParams | None = None,
-        performance: PerformanceModel | None = None,
-        traffic: TrafficModel | None = None,
     ) -> None:
         self.config = config or ChainConfig()
         self.energy = energy or EnergyParams()
-        self.performance = performance or PerformanceModel(self.config)
-        self.traffic = traffic or TrafficModel(self.config)
-
-    # ------------------------------------------------------------------ #
-    # workload power
-    # ------------------------------------------------------------------ #
-    def network_power(self, network: Network, batch: int = 4,
-                      name: str | None = None) -> PowerReport:
-        """Average power while running a network's convolutional layers."""
-        perf = self.performance.network_performance(network, batch)
-        traffic = self.traffic.network_traffic(network, batch)
-        return self._report_from(perf, traffic, name or network.name)
-
-    def _report_from(self, perf: NetworkPerformance, traffic: NetworkTraffic,
-                     name: str) -> PowerReport:
-        runtime_s = perf.total_time_per_batch_s
-        if runtime_s <= 0:
-            raise ConfigurationError("workload runtime must be positive")
-        word = self.config.word_bytes
-
-        # chain: busy PE-cycles x per-cycle energy (+ static share)
-        busy_pe_cycles = sum(
-            layer.mapping.active_pes * layer.conv_cycles_per_batch for layer in perf.layers
-        )
-        chain_w = chain_power_w(busy_pe_cycles, runtime_s, self.energy)
-
-        # memories: word accesses x per-access energy
-        kmem_words = sum(layer.kmemory_bytes for layer in traffic.layers) / word
-        imem_words = sum(layer.imemory_bytes for layer in traffic.layers) / word
-        omem_words = sum(layer.omemory_bytes for layer in traffic.layers) / word
-        kmemory_w = memory_power_w(kmem_words, runtime_s, self.energy.kmemory_access_j)
-        imemory_w = memory_power_w(imem_words, runtime_s, self.energy.imemory_access_j)
-        omemory_w = memory_power_w(omem_words, runtime_s, self.energy.omemory_access_j)
-
-        return PowerReport(
-            name=name,
-            components_w={
-                "chain": chain_w,
-                "kMemory": kmemory_w,
-                "iMemory": imemory_w,
-                "oMemory": omemory_w,
-            },
-            throughput_gops=perf.achieved_gops,
-        )
 
     # ------------------------------------------------------------------ #
     # peak power (all PEs busy, no workload)
@@ -181,11 +138,15 @@ class PowerModel:
         the paper's own operating point while every other experiment can
         still run with the representative defaults.
         """
-        baseline = self.network_power(network, batch)
+        # lazy: the columnar evaluator builds on this module's closed forms
+        from repro.analysis.batch import BatchDesignEvaluator
+
+        evaluator = BatchDesignEvaluator(network, base=self.config, energy=self.energy)
+        predicted_w = evaluator.breakdown(batch).power_components_w
         targets = PAPER_POWER_BREAKDOWN_W
 
         def ratio(component: str) -> float:
-            predicted = baseline.components_w[component]
+            predicted = predicted_w[component]
             if predicted <= 0:
                 return 1.0
             return targets[component] / predicted
@@ -199,9 +160,4 @@ class PowerModel:
             imemory_access_j=self.energy.imemory_access_j * ratio("iMemory"),
             omemory_access_j=self.energy.omemory_access_j * ratio("oMemory"),
         )
-        return PowerModel(
-            config=self.config,
-            energy=calibrated,
-            performance=self.performance,
-            traffic=self.traffic,
-        )
+        return PowerModel(config=self.config, energy=calibrated)

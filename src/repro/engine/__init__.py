@@ -20,7 +20,6 @@ from repro.engine.adapters import (
     FunctionalEngine,
     MappedAnalyticalEngine,
     summary_from_record,
-    worst_case_utilization,
 )
 from repro.engine.base import Engine, RunRecord
 from repro.engine.cache import (
@@ -70,5 +69,4 @@ __all__ = [
     "summary_from_record",
     "unregister_engine",
     "workload_fingerprint",
-    "worst_case_utilization",
 ]

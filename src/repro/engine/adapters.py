@@ -1,10 +1,11 @@
 """Engine adapters: every evaluator of the library behind one interface.
 
-* :class:`AnalyticalEngine` — the :class:`~repro.core.accelerator.ChainNN`
-  facade (performance + power + area + utilization) in either fidelity mode;
-* :class:`AnalyticalBatchEngine` — the same closed forms evaluated columnar
-  (struct-of-arrays) over whole design grids: the ``evaluate_batch`` fast
-  path design-space sweeps dispatch to;
+* :class:`AnalyticalEngine` — the analytical model (performance + traffic +
+  power + area + utilization) in either fidelity mode, one design point of
+  the columnar :class:`~repro.analysis.batch.BatchDesignEvaluator` per
+  record;
+* :class:`AnalyticalBatchEngine` — the same evaluator over whole design
+  grids: the ``evaluate_batch`` fast path design-space sweeps dispatch to;
 * :class:`MappedAnalyticalEngine` — mapping-searched analytical evaluation:
   every run first optimises the per-layer mapping (:mod:`repro.mapping`)
   for a configurable objective and reports searched-vs-baseline metrics;
@@ -36,103 +37,96 @@ from repro.baselines.spatial_2d import Spatial2DAccelerator
 from repro.cnn.generator import WorkloadGenerator
 from repro.cnn.network import Network
 from repro.cnn.quantize import quantize_layer_tensors
-from repro.core.accelerator import ChainNN
-from repro.core.config import MAINSTREAM_KERNEL_SIZES, ChainConfig
-from repro.core.utilization import minimum_utilization
-from repro.energy.area import AreaModel
+from repro.core.config import ChainConfig
+from repro.energy.components import EnergyParams
 from repro.engine.base import Engine, RunRecord
 from repro.engine.cache import canonical_json, config_fingerprint, workload_fingerprint
 from repro.engine.registry import register_engine
+from repro.errors import ConfigurationError
 from repro.sim.cycle import CycleAccurateChainSimulator
 from repro.sim.functional import FunctionalChainSimulator
 
 
-def worst_case_utilization(config: ChainConfig) -> float:
-    """Worst-case spatial utilization over the mainstream kernel sizes."""
-    sizes = [k for k in MAINSTREAM_KERNEL_SIZES if k * k <= config.num_pes]
-    return minimum_utilization(config.num_pes, sizes) if sizes else 0.0
-
-
 class AnalyticalEngine(Engine):
-    """Analytical Chain-NN models (the Fig. 9 / Fig. 10 / sweep substrate)."""
+    """Analytical Chain-NN models (the Fig. 9 / Fig. 10 / sweep substrate).
 
-    def __init__(self, config: Optional[ChainConfig] = None, mode: str = "paper",
-                 chip: Optional[ChainNN] = None) -> None:
-        # an injected chip defines the fidelity mode (so records and cache
-        # fingerprints stay truthful); otherwise one is built for `mode`
-        self.mode = chip.performance_model.mode if chip is not None else mode
-        self._chip = chip or ChainNN(config, performance_mode=mode)
-        self.name = "analytical" if self.mode == "paper" else f"analytical-{self.mode}"
+    A record is one design point of the columnar
+    :class:`~repro.analysis.batch.BatchDesignEvaluator`: its
+    :meth:`~repro.analysis.batch.BatchDesignEvaluator.breakdown` supplies
+    the headline metrics and the per-layer Fig. 9 time tables.
+    """
 
-    @property
-    def chip(self) -> ChainNN:
-        """The underlying facade (default-config instance)."""
-        return self._chip
+    def __init__(self, config: Optional[ChainConfig] = None, mode: str = "paper") -> None:
+        if mode not in ("paper", "detailed"):
+            raise ConfigurationError(f"mode must be 'paper' or 'detailed', got {mode!r}")
+        self.mode = mode
+        self.default_config = config or ChainConfig()
+        #: unit energies every evaluation uses
+        self.energy = EnergyParams()
+        self.name = "analytical" if mode == "paper" else f"analytical-{mode}"
 
-    def _chip_for(self, config: Optional[ChainConfig]) -> ChainNN:
-        if config is None or config == self._chip.config:
-            return self._chip
-        # carry the (possibly calibrated) unit energies over, so evaluations
-        # at other design points use the same power model the fingerprint
-        # advertises
-        return ChainNN(config, performance_mode=self.mode,
-                       energy=self._chip.power_model.energy)
+    def evaluator(self, network: Network,
+                  config: Optional[ChainConfig] = None) -> "BatchDesignEvaluator":
+        """The columnar evaluator of ``network`` around ``config``."""
+        # lazy: repro.analysis imports this module (sweeps dispatch through engines)
+        from repro.analysis.batch import BatchDesignEvaluator
+
+        return BatchDesignEvaluator(network, base=config or self.default_config,
+                                    mode=self.mode, energy=self.energy)
 
     def evaluate(self, network: Network, config: Optional[ChainConfig] = None,
                  batch: int = 1) -> RunRecord:
-        chip = self._chip_for(config)
-        result = chip.run_network(network, batch)
-        area = AreaModel(chip.config)
-        metrics = dict(result.summary())
+        config = config or self.default_config
+        point = self.evaluator(network, config).breakdown(batch)
+        metrics = point.summary()
         metrics.update(
-            peak_gops=chip.peak_gops,
-            power_w=result.power.total_w,
-            total_time_per_batch_s=result.performance.total_time_per_batch_s,
-            total_gates=area.report().total_gates,
-            worst_case_utilization=worst_case_utilization(chip.config),
-            onchip_memory_bytes=float(chip.config.onchip_memory_bytes),
-            dram_traffic_mb=result.traffic.totals()["DRAM"],
+            peak_gops=point.peak_gops,
+            power_w=point.power_w,
+            total_time_per_batch_s=point.total_time_per_batch_s,
+            total_gates=point.total_gates,
+            worst_case_utilization=point.worst_case_utilization,
+            onchip_memory_bytes=float(config.onchip_memory_bytes),
+            dram_traffic_mb=point.traffic_mb()["Total"]["DRAM"],
         )
         extra: Dict[str, Any] = {
-            "layer_times_ms": result.performance.layer_times_ms(),
-            "kernel_load_times_ms": result.performance.kernel_load_times_ms(),
+            "layer_times_ms": point.layer_times_ms(),
+            "kernel_load_times_ms": point.kernel_load_times_ms(),
         }
         return RunRecord(
             engine=self.name,
             network=network.name,
             batch=batch,
-            config_summary=chip.config.describe(),
+            config_summary=config.describe(),
             metrics=metrics,
             extra=extra,
         )
 
     def fingerprint(self) -> Dict[str, Any]:
-        # the default config and (possibly calibrated) unit energies decide
-        # what a config=None evaluation returns, so they enter the cache key
+        # the default config and the unit energies decide what a config=None
+        # evaluation returns, so they enter the cache key
         return {
             "name": self.name,
             "mode": self.mode,
-            "default_config": dataclasses.asdict(self._chip.config),
-            "energy": dataclasses.asdict(self._chip.power_model.energy),
+            "default_config": dataclasses.asdict(self.default_config),
+            "energy": dataclasses.asdict(self.energy),
         }
 
 
 class AnalyticalBatchEngine(Engine):
-    """Columnar batch evaluation of the analytical models (design grids).
+    """The analytical engine's columnar fast path over whole design grids.
 
-    Point evaluations delegate to a wrapped :class:`AnalyticalEngine` (so a
-    single-point ``evaluate`` is numerically the scalar path, merely renamed
-    in the record); :meth:`evaluate_batch` is the struct-of-arrays fast path
-    of :class:`repro.analysis.batch.BatchDesignEvaluator` — the same closed
-    forms as whole-array expressions, with per-network layer constants
-    memoised across chunks of the same sweep.
+    A point evaluation is the wrapped :class:`AnalyticalEngine`'s record,
+    renamed; :meth:`evaluate_batch` returns the eight
+    :data:`~repro.analysis.batch.RESULT_COLUMNS` of every grid point, with
+    the evaluator (per-network layer constants) memoised across chunks of
+    the same sweep.
     """
 
     supports_batch = True
 
     def __init__(self, config: Optional[ChainConfig] = None, mode: str = "paper") -> None:
-        self._scalar = AnalyticalEngine(config=config, mode=mode)
-        self.mode = self._scalar.mode
+        self._point = AnalyticalEngine(config=config, mode=mode)
+        self.mode = self._point.mode
         self.name = ("analytical-batch" if self.mode == "paper"
                      else f"analytical-batch-{self.mode}")
         #: BatchDesignEvaluator per (workload, base-config) pair
@@ -141,17 +135,15 @@ class AnalyticalBatchEngine(Engine):
     @property
     def default_config(self) -> ChainConfig:
         """Base configuration supplying the non-grid fields."""
-        return self._scalar.chip.config
+        return self._point.default_config
 
     def evaluate(self, network: Network, config: Optional[ChainConfig] = None,
                  batch: int = 1) -> RunRecord:
-        record = self._scalar.evaluate(network, config, batch)
+        record = self._point.evaluate(network, config, batch)
         return dataclasses.replace(record, engine=self.name)
 
     def evaluate_batch(self, network: Network, grid: "DesignGrid",
                        base: Optional[ChainConfig] = None) -> "BatchSweepResult":
-        from repro.analysis.batch import BatchDesignEvaluator
-
         base = base or self.default_config
         key = canonical_json({
             "workload": workload_fingerprint(network),
@@ -159,10 +151,7 @@ class AnalyticalBatchEngine(Engine):
         })
         evaluator = self._evaluators.get(key)
         if evaluator is None:
-            evaluator = BatchDesignEvaluator(
-                network, base=base, mode=self.mode,
-                energy=self._scalar.chip.power_model.energy,
-            )
+            evaluator = self._point.evaluator(network, base)
             self._evaluators[key] = evaluator
         return evaluator.evaluate_grid(grid)
 
@@ -171,7 +160,7 @@ class AnalyticalBatchEngine(Engine):
             "name": self.name,
             "mode": self.mode,
             "default_config": dataclasses.asdict(self.default_config),
-            "energy": dataclasses.asdict(self._scalar.chip.power_model.energy),
+            "energy": dataclasses.asdict(self._point.energy),
         }
 
 

@@ -1,18 +1,18 @@
 """The ``Engine`` interface: one way to evaluate any model on any workload.
 
-Historically every consumer (sweeps, the Table V comparison, the experiment
-runner, the CLI, the benchmarks) hand-wired its own combination of
-:class:`~repro.core.performance.PerformanceModel`,
-:class:`~repro.energy.power.PowerModel`, cycle/functional simulators and
-baselines.  The engine layer collapses those call sites onto a single
-protocol:
+Sweeps, the Table V comparison, the experiment runner, the CLI, the server
+and the benchmarks evaluate every fidelity — the analytical model (one
+design point of the columnar
+:class:`~repro.analysis.batch.BatchDesignEvaluator`), the cycle-accurate
+and functional simulators and the baselines — through a single protocol:
 
     ``engine.evaluate(network, config, batch) -> RunRecord``
 
 where the :class:`RunRecord` is a flat, JSON-serialisable summary that the
-sweep executor can cache on disk.
-Concrete engines live in :mod:`repro.engine.adapters` and are instantiated
-by name through :mod:`repro.engine.registry`.
+sweep executor can cache on disk; engines with a columnar grid path also
+implement :meth:`Engine.evaluate_batch`.  Concrete engines live in
+:mod:`repro.engine.adapters` and are instantiated by name through
+:mod:`repro.engine.registry`.
 """
 
 from __future__ import annotations

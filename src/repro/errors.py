@@ -43,3 +43,9 @@ class QuantizationError(ReproError):
 
 class WorkloadError(ReproError):
     """A CNN layer or network specification is malformed."""
+
+
+#: errors caused by the caller's input — an invalid configuration, an
+#: unmappable layer, a tile that does not fit, a malformed workload; the
+#: CLI reports them as usage errors (exit 2) and the server as HTTP 400
+INPUT_ERRORS = (ConfigurationError, MappingError, CapacityError, WorkloadError)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
+from repro.analysis.batch import BatchDesignEvaluator
 from repro.analysis.report import render_comparison
 from repro.baselines.specs import DADIANNAO_SPEC
 from repro.cnn.zoo import alexnet
@@ -83,9 +84,14 @@ def run_fig10(config: ChainConfig | None = None, batch: int = 4) -> Fig10Result:
     config = config or ChainConfig()
     network = alexnet()
     representative_model = PowerModel(config)
-    representative = representative_model.network_power(network, batch)
     calibrated_model = representative_model.calibrated_to_paper(network, batch)
-    calibrated = calibrated_model.network_power(network, batch)
+
+    def workload_power(model: PowerModel) -> PowerReport:
+        evaluator = BatchDesignEvaluator(network, base=config, energy=model.energy)
+        return evaluator.breakdown(batch).power_report()
+
+    representative = workload_power(representative_model)
+    calibrated = workload_power(calibrated_model)
     return Fig10Result(
         representative=representative,
         calibrated=calibrated,

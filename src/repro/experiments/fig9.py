@@ -13,7 +13,7 @@ from typing import Dict
 
 from repro.analysis.report import render_comparison
 from repro.cnn.zoo import alexnet
-from repro.core.accelerator import ChainNN
+from repro.core.config import ChainConfig
 from repro.engine.adapters import AnalyticalEngine
 
 #: Fig. 9 convolution times (ms, batch = 128)
@@ -80,13 +80,13 @@ class Fig9Result:
         return "\n\n".join(sections)
 
 
-def run_fig9(chip: ChainNN | None = None) -> Fig9Result:
+def run_fig9(config: ChainConfig | None = None) -> Fig9Result:
     """Regenerate Fig. 9 and the Sec. V.B throughput numbers.
 
     Timing is obtained through the unified engine layer (the analytical
     engine's run records carry the per-layer time tables Fig. 9 plots).
     """
-    engine = AnalyticalEngine(chip=chip or ChainNN.paper_configuration())
+    engine = AnalyticalEngine(config=config or ChainConfig.paper_default())
     network = alexnet()
     record_128 = engine.evaluate(network, batch=128)
     record_4 = engine.evaluate(network, batch=4)

@@ -14,11 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
+from repro.analysis.batch import BatchDesignEvaluator
 from repro.analysis.report import render_dict_table
 from repro.cnn.zoo import NETWORKS, get_network
-from repro.core.accelerator import ChainNN
+from repro.core.config import ChainConfig
 from repro.core.kernel_loader import KernelLoader
 from repro.core.scheduler import BatchScheduler
+from repro.core.utilization import utilization_entry
 
 
 @dataclass(frozen=True)
@@ -71,28 +73,30 @@ class NetworkStudyResult:
                 > self.rows["alexnet"].efficiency_vs_peak)
 
 
-def run_network_study(batch: int = 16, chip: ChainNN | None = None) -> NetworkStudyResult:
+def run_network_study(batch: int = 16,
+                      config: ChainConfig | None = None) -> NetworkStudyResult:
     """Evaluate every zoo network on the paper configuration."""
-    chip = chip or ChainNN.paper_configuration()
-    scheduler = BatchScheduler(chip.config, chip.performance_model)
-    loader = KernelLoader(chip.config)
+    config = config or ChainConfig.paper_default()
+    scheduler = BatchScheduler(config)
+    loader = KernelLoader(config)
 
     rows: Dict[str, NetworkStudyRow] = {}
     for name in NETWORKS:
         network = get_network(name)
-        performance = chip.performance_model.network_performance(network, batch)
+        point = BatchDesignEvaluator(network, base=config).breakdown(batch)
         schedule = scheduler.schedule(network, batch)
         worst_util = min(
-            chip.utilization(layer.kernel_size) for layer in network.conv_layers
+            utilization_entry(config.num_pes, layer.kernel_size).utilization
+            for layer in network.conv_layers
         )
         rows[name] = NetworkStudyRow(
             network_name=network.name,
             batch=batch,
             conv_layers=len(network.conv_layers),
             macs_per_image=network.total_conv_macs,
-            fps=performance.frames_per_second,
-            achieved_gops=performance.achieved_gops,
-            efficiency_vs_peak=performance.efficiency_vs_peak,
+            fps=point.fps,
+            achieved_gops=point.achieved_gops,
+            efficiency_vs_peak=point.achieved_gops / point.peak_gops,
             worst_spatial_utilization=worst_util,
             kernel_load_fraction=schedule.kernel_load_fraction,
             max_weights_per_pe=loader.network_kmemory_requirement(network),

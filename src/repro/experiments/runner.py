@@ -105,16 +105,18 @@ def design_space_section(bench_path: str | Path = "BENCH_sweep.json") -> str:
     """The design-space-exploration chapter of EXPERIMENTS.md.
 
     Documents the grid syntax and the Pareto output, and quotes the measured
-    columnar-vs-scalar sweep throughput from ``BENCH_sweep.json`` when the
+    grid-vs-point sweep throughput from ``BENCH_sweep.json`` when the
     benchmark has been run (``pytest benchmarks/bench_batch_sweep.py``).
     """
     lines = [
         "## Design-space exploration",
         "",
         "Dense grids are evaluated through the columnar `analytical-batch`",
-        "engine (struct-of-arrays NumPy expressions over the same closed",
-        "forms as the scalar models — numerically identical, asserted by",
-        "`tests/test_batch_sweep.py`).",
+        "engine: one pass of the analytical model (struct-of-arrays NumPy",
+        "expressions) over the whole grid.  An `analytical` run record is",
+        "the same evaluator at one design point, so the two agree bit for",
+        "bit; `tests/test_batch_sweep.py` checks both against a per-layer",
+        "oracle.",
         "",
         "Grid syntax (CLI `repro sweep --grid` / `repro pareto --grid`):",
         "",
@@ -150,7 +152,7 @@ def design_space_section(bench_path: str | Path = "BENCH_sweep.json") -> str:
             "| path | points/s |",
             "| --- | --- |",
             f"| columnar (`analytical-batch`) | {bench['batch_points_per_s']:,.0f} |",
-            f"| scalar per-point | {bench.get('scalar_points_per_s', 0):,.0f} |",
+            f"| per-point (`analytical`) | {bench.get('scalar_points_per_s', 0):,.0f} |",
             "",
             f"Speedup: **{bench.get('speedup_vs_scalar', 0):,.0f}x** "
             f"({bench.get('batch_ns_per_point', 0):,.0f} ns/point).",
@@ -272,7 +274,7 @@ def mapping_search_section(bench_path: str | Path = "BENCH_mapping.json") -> str
         "is functionally verified: the vectorized functional simulator runs",
         "the candidate's exact stripe plan and the ofmaps must be",
         "bit-identical to the baseline full-stripe simulation and match the",
-        "im2col golden reference to float round-off (`--verify`,",
+        "im2col golden reference exactly (`--verify`,",
         "`tests/test_mapping.py`).",
         "",
     ]

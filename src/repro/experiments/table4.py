@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
+from repro.analysis.batch import BatchDesignEvaluator
 from repro.analysis.report import render_dict_table
 from repro.cnn.zoo import alexnet
 from repro.core.config import ChainConfig
-from repro.memory.traffic import TrafficModel
 
 #: Table IV as printed (decimal MByte, batch = 4)
 PAPER_TABLE4: Dict[str, Dict[str, float]] = {
@@ -69,6 +69,5 @@ class Table4Result:
 
 def run_table4(config: ChainConfig | None = None, batch: int = 4) -> Table4Result:
     """Regenerate Table IV."""
-    model = TrafficModel(config or ChainConfig())
-    traffic = model.network_traffic(alexnet(), batch=batch)
-    return Table4Result(measured=traffic.table(), paper=PAPER_TABLE4)
+    evaluator = BatchDesignEvaluator(alexnet(), base=config or ChainConfig())
+    return Table4Result(measured=evaluator.breakdown(batch).traffic_mb(), paper=PAPER_TABLE4)

@@ -3,7 +3,7 @@
 from repro.memory.bandwidth import BandwidthAnalyzer, LayerBandwidth
 from repro.memory.dram import Dram, DramSpec
 from repro.memory.hierarchy import HierarchySizes, MemoryHierarchy
-from repro.memory.traffic import LayerTraffic, NetworkTraffic, TrafficModel
+from repro.memory.traffic import LayerTraffic, TrafficModel
 
 __all__ = [
     "BandwidthAnalyzer",
@@ -13,6 +13,5 @@ __all__ = [
     "HierarchySizes",
     "MemoryHierarchy",
     "LayerTraffic",
-    "NetworkTraffic",
     "TrafficModel",
 ]

@@ -37,14 +37,58 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from repro.cnn.layer import ConvLayer
-from repro.cnn.network import Network
 from repro.core.config import ChainConfig
 from repro.core.dataflow import DataflowPlanner, TileConfig
 from repro.core.mapper import LayerMapper
 from repro.core.scan import stripe_plan
+
+
+# --------------------------------------------------------------------- #
+# tile-dependent closed forms (shared with the columnar evaluator of
+# :mod:`repro.analysis.batch`, which passes whole arrays of design points
+# for ``tm`` and ``batch`` — keep them free of scalar-only operations)
+# --------------------------------------------------------------------- #
+def imemory_words_for(layer: ConvLayer, th: int, stripe_rows: int, tm):
+    """iMemory reads per image (chain-side streaming) for a ``Tm x Th`` tile."""
+    stripes = math.ceil(layer.out_height / th)
+    outer_tiles_per_group = -(-layer.out_channels_per_group // tm)
+    words_per_group = (
+        outer_tiles_per_group
+        * stripes
+        * stripe_rows
+        * layer.padded_width
+        * layer.in_channels_per_group
+    )
+    return words_per_group * layer.groups
+
+
+def dram_words_for(layer: ConvLayer, imemory_bytes: int, word_bytes: int,
+                   stripe_rows: int, tm, batch):
+    """DRAM words for the whole batch.
+
+    Ifmaps are fetched once per image when either (a) a group's whole
+    ifmaps fit in iMemory, or (b) the stripe region of *all* the group's
+    channels fits in iMemory (then every ofmap channel of the group is
+    produced from the buffered stripe before it is evicted — the AlexNet
+    conv1 case).  Otherwise every ofmap-channel tile re-fetches them.
+    """
+    weights = layer.weight_count  # once per batch
+    ofmaps = layer.output_pixels * batch
+    ifmap_group_bytes = (
+        layer.in_channels_per_group * layer.in_height * layer.in_width * word_bytes
+    )
+    stripe_region_bytes = (
+        layer.in_channels_per_group * stripe_rows * layer.padded_width * word_bytes
+    )
+    if ifmap_group_bytes <= imemory_bytes or stripe_region_bytes <= imemory_bytes:
+        refetch = 1
+    else:
+        refetch = -(-layer.out_channels_per_group // tm)
+    ifmaps = layer.input_pixels * refetch * batch
+    return weights + ofmaps + ifmaps
 
 
 @dataclass(frozen=True)
@@ -78,32 +122,12 @@ class LayerTraffic:
         }
 
 
-@dataclass(frozen=True)
-class NetworkTraffic:
-    """Traffic of every convolutional layer of a network (the full Table IV)."""
-
-    network_name: str
-    batch: int
-    layers: List[LayerTraffic]
-
-    def totals(self) -> Dict[str, float]:
-        """The "Total" column of Table IV, in decimal megabytes."""
-        return {
-            "DRAM": sum(layer.dram_bytes for layer in self.layers) / 1e6,
-            "iMemory": sum(layer.imemory_bytes for layer in self.layers) / 1e6,
-            "kMemory": sum(layer.kmemory_bytes for layer in self.layers) / 1e6,
-            "oMemory": sum(layer.omemory_bytes for layer in self.layers) / 1e6,
-        }
-
-    def table(self) -> Dict[str, Dict[str, float]]:
-        """Layer-name -> {store -> MB} mapping plus the totals row."""
-        rows = {layer.layer_name: layer.as_megabytes() for layer in self.layers}
-        rows["Total"] = self.totals()
-        return rows
-
-
 class TrafficModel:
-    """Computes :class:`LayerTraffic` for a chain configuration."""
+    """Computes :class:`LayerTraffic` for one layer on a chain configuration.
+
+    Network-level traffic (the whole Table IV) is one design point of the
+    columnar evaluator: :meth:`repro.analysis.batch.BatchDesignEvaluator.breakdown`.
+    """
 
     def __init__(self, config: ChainConfig | None = None) -> None:
         self.config = config or ChainConfig()
@@ -113,12 +137,14 @@ class TrafficModel:
     # ------------------------------------------------------------------ #
     # per-store word counts (per image unless stated otherwise)
     # ------------------------------------------------------------------ #
-    def omemory_words(self, layer: ConvLayer) -> int:
+    @staticmethod
+    def omemory_words(layer: ConvLayer) -> int:
         """oMemory accesses per image: one read + one write per (pixel, ifmap channel)."""
         return 2 * layer.out_height * layer.out_width * layer.out_channels \
             * layer.in_channels_per_group
 
-    def kmemory_words(self, layer: ConvLayer) -> int:
+    @staticmethod
+    def kmemory_words(layer: ConvLayer) -> int:
         """kMemory reads per image."""
         k = layer.kernel_size
         pairs = layer.channel_pairs()
@@ -130,43 +156,12 @@ class TrafficModel:
 
     def imemory_words(self, layer: ConvLayer, tile: TileConfig) -> int:
         """iMemory reads per image (chain-side streaming)."""
-        stripes = math.ceil(layer.out_height / tile.th)
-        outer_tiles_per_group = math.ceil(layer.out_channels_per_group / tile.tm)
-        words_per_group = (
-            outer_tiles_per_group
-            * stripes
-            * tile.stripe_rows
-            * layer.padded_width
-            * layer.in_channels_per_group
-        )
-        return words_per_group * layer.groups
+        return imemory_words_for(layer, tile.th, tile.stripe_rows, tile.tm)
 
     def dram_words(self, layer: ConvLayer, tile: TileConfig, batch: int) -> int:
-        """DRAM words for the whole batch.
-
-        Ifmaps are fetched once per image when either (a) a group's whole
-        ifmaps fit in iMemory, or (b) the stripe region of *all* the group's
-        channels fits in iMemory (then every ofmap channel of the group is
-        produced from the buffered stripe before it is evicted — the AlexNet
-        conv1 case).  Otherwise every ofmap-channel tile re-fetches them.
-        """
-        word = self.config.word_bytes
-        weights = layer.weight_count  # once per batch
-        ofmaps = layer.output_pixels * batch
-        ifmap_group_bytes = (
-            layer.in_channels_per_group * layer.in_height * layer.in_width * word
-        )
-        stripe_region_bytes = (
-            layer.in_channels_per_group * tile.stripe_rows * layer.padded_width * word
-        )
-        if ifmap_group_bytes <= self.config.imemory_bytes:
-            refetch = 1
-        elif stripe_region_bytes <= self.config.imemory_bytes:
-            refetch = 1
-        else:
-            refetch = math.ceil(layer.out_channels_per_group / tile.tm)
-        ifmaps = layer.input_pixels * refetch * batch
-        return weights + ofmaps + ifmaps
+        """DRAM words for the whole batch (see :func:`dram_words_for`)."""
+        return dram_words_for(layer, self.config.imemory_bytes, self.config.word_bytes,
+                              tile.stripe_rows, tile.tm, batch)
 
     # ------------------------------------------------------------------ #
     # public API
@@ -183,14 +178,6 @@ class TrafficModel:
             imemory_bytes=self.imemory_words(layer, tile) * batch * word,
             kmemory_bytes=self.kmemory_words(layer) * batch * word,
             omemory_bytes=self.omemory_words(layer) * batch * word,
-        )
-
-    def network_traffic(self, network: Network, batch: int = 4) -> NetworkTraffic:
-        """Traffic of every convolutional layer (the full Table IV)."""
-        return NetworkTraffic(
-            network_name=network.name,
-            batch=batch,
-            layers=[self.layer_traffic(layer, batch) for layer in network.conv_layers],
         )
 
     def reuse_summary(self, layer: ConvLayer) -> Dict[str, float]:

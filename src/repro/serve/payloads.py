@@ -13,7 +13,7 @@ import dataclasses
 import json
 from typing import Any, Dict, Optional, Tuple
 
-from repro.analysis.batch import HIGHER_IS_BETTER
+from repro.analysis.batch import HIGHER_IS_BETTER, BatchDesignEvaluator
 
 __all__ = [
     "GRID_ENGINE_UPGRADES",
@@ -22,12 +22,13 @@ __all__ = [
     "map_payload",
     "reduce_grid_result",
     "run_payload",
+    "traffic_table",
     "upgrade_grid_engine",
     "verify_payload",
 ]
 
-#: the columnar engines are numerically identical to their scalar
-#: counterparts; dense grids dispatch to them in either fidelity mode
+#: a point engine's records are one-point views of the columnar evaluator,
+#: so dense grids dispatch to its whole-grid engine in either fidelity mode
 GRID_ENGINE_UPGRADES = {
     "analytical": "analytical-batch",
     "analytical-detailed": "analytical-batch-detailed",
@@ -82,11 +83,17 @@ def grid_payload(grid_spec: str, engine: str, network: str, result,
     return payload
 
 
+def traffic_table(network, config, batch: int) -> Dict[str, Dict[str, float]]:
+    """``run --traffic``: Table IV (MB per layer plus the total) at the run's
+    design point.  It is config-derived, so it accompanies any engine."""
+    return BatchDesignEvaluator(network, base=config).breakdown(batch).traffic_mb()
+
+
 def run_payload(record, traffic=None) -> Dict[str, Any]:
-    """``run --json`` response body."""
+    """``run --json`` response body (``traffic`` from :func:`traffic_table`)."""
     payload = record.to_json_dict()
     if traffic is not None:
-        payload["traffic_mb"] = traffic.table()
+        payload["traffic_mb"] = traffic
     return payload
 
 

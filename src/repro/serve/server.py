@@ -31,10 +31,9 @@ from repro.analysis.batch import DesignGrid
 from repro.cnn.zoo import NETWORKS, get_network, tiny_test_network
 from repro.engine import available_engines, create_engine
 from repro.engine.cache import RunCache
-from repro.errors import ConfigurationError, WorkloadError
+from repro.errors import INPUT_ERRORS
 from repro.mapping import OBJECTIVES, ScheduleOptimizer
 from repro.mapping.mapspace import ALGORITHM_MODES
-from repro.memory.traffic import TrafficModel
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import REGISTRY
 from repro.serve import payloads
@@ -157,7 +156,7 @@ class EvalServer:
                     await self._dispatch(request, writer)
                 except ProtocolError as error:
                     await self._send_error(writer, error.status, str(error))
-                except (ConfigurationError, WorkloadError, KeyError) as error:
+                except INPUT_ERRORS + (KeyError,) as error:
                     await self._send_error(writer, 400, _message(error))
                 except Exception as error:  # noqa: BLE001 - request boundary
                     await self._send_error(writer, 500, _message(error))
@@ -231,7 +230,7 @@ class EvalServer:
         def work() -> Dict[str, Any]:
             engine = create_engine(params.engine, **engine_kwargs)
             record = engine.evaluate(network, config, batch=params.batch)
-            traffic = (TrafficModel(config).network_traffic(network, params.batch)
+            traffic = (payloads.traffic_table(network, config, params.batch)
                        if params.traffic else None)
             return payloads.run_payload(record, traffic)
 

@@ -1,13 +1,21 @@
-"""Columnar batch evaluator: equivalence, grids, Pareto reduction, executor.
+"""The columnar analytical model: exactness, grids, Pareto reduction, executor.
 
-The headline property: the struct-of-arrays path of
-:class:`repro.analysis.batch.BatchDesignEvaluator` is numerically identical
-to the scalar per-point path (``DesignSpaceExplorer`` over the analytical
-engine) on randomized design grids.  CI refuses skips in this module — the
-equivalence guarantee is what licenses dispatching sweeps to the fast path.
+The headline property: :class:`repro.analysis.batch.BatchDesignEvaluator`
+— the one analytical model, behind every ``analytical*`` engine, every
+sweep and every experiment — equals, bit for bit, an independent test-side
+oracle that sums the per-layer helpers (``PerformanceModel.layer_performance``,
+``TrafficModel.layer_traffic``, ``chain_power_w``/``memory_power_w``,
+``AreaModel``, ``minimum_utilization``) over the layers of a network.  The
+user-visible ``run --json`` bytes are pinned to a committed fixture.  CI
+refuses skips in this module.
 """
 
 from __future__ import annotations
+
+import contextlib
+import io
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,11 +33,17 @@ from repro.analysis.pareto import (
     top_k_indices,
 )
 from repro.analysis.sweep import DesignSpaceExplorer
-from repro.cnn.zoo import alexnet, lenet5
-from repro.core.config import ChainConfig
+from repro.cli import main
+from repro.cnn.zoo import NETWORKS, alexnet, get_network, lenet5
+from repro.core.config import MAINSTREAM_KERNEL_SIZES, ChainConfig
+from repro.core.performance import PerformanceModel
+from repro.core.utilization import minimum_utilization
+from repro.energy.area import AreaModel
+from repro.energy.components import EnergyParams
+from repro.energy.power import chain_power_w, memory_power_w
 from repro.engine import RunCache, SweepExecutor, create_engine
-from repro.engine.adapters import worst_case_utilization
 from repro.errors import ConfigurationError
+from repro.memory.traffic import TrafficModel
 
 RESULT_FIELDS = (
     "peak_gops",
@@ -42,6 +56,73 @@ RESULT_FIELDS = (
     "total_gates",
 )
 
+#: ``run ... --json`` stdout recorded before the analytical model became one
+#: columnar evaluator; keys are the argv
+RUN_FIXTURE = Path(__file__).resolve().parent / "fixtures" / "run_json_outputs.json"
+
+
+def oracle(network, config: ChainConfig, batch: int, mode: str = "paper",
+           energy: EnergyParams = None):
+    """The analytical record of one design point, summed layer by layer.
+
+    Returns ``(metrics, extra, power components, traffic table)`` shaped like
+    an ``analytical`` run record and ``run --traffic``.
+    """
+    energy = energy or EnergyParams()
+    performance = PerformanceModel(config, mode=mode)
+    traffic_model = TrafficModel(config)
+    layers = [performance.layer_performance(layer, batch) for layer in network.conv_layers]
+    traffic = [traffic_model.layer_traffic(layer, batch) for layer in network.conv_layers]
+    word = config.word_bytes
+
+    conv_s = sum(layer.conv_time_per_batch_s for layer in layers)
+    load_s = sum(layer.kernel_load_time_s for layer in layers)
+    total_s = conv_s + load_s
+    busy_pe_cycles = sum(layer.mapping.active_pes * layer.conv_cycles_per_batch
+                         for layer in layers)
+    components = {
+        "chain": chain_power_w(busy_pe_cycles, total_s, energy),
+        "kMemory": memory_power_w(sum(t.kmemory_bytes for t in traffic) / word,
+                                  total_s, energy.kmemory_access_j),
+        "iMemory": memory_power_w(sum(t.imemory_bytes for t in traffic) / word,
+                                  total_s, energy.imemory_access_j),
+        "oMemory": memory_power_w(sum(t.omemory_bytes for t in traffic) / word,
+                                  total_s, energy.omemory_access_j),
+    }
+    power_w = sum(components.values())
+    achieved_gops = 2 * sum(layer.layer.macs for layer in layers) * batch / total_s / 1e9
+    sizes = [k for k in MAINSTREAM_KERNEL_SIZES if k * k <= config.num_pes]
+    table = {t.layer_name: t.as_megabytes() for t in traffic}
+    table["Total"] = {
+        "DRAM": sum(t.dram_bytes for t in traffic) / 1e6,
+        "iMemory": sum(t.imemory_bytes for t in traffic) / 1e6,
+        "kMemory": sum(t.kmemory_bytes for t in traffic) / 1e6,
+        "oMemory": sum(t.omemory_bytes for t in traffic) / 1e6,
+    }
+    metrics = {
+        "batch": float(batch),
+        "fps": batch / total_s,
+        "conv_time_per_batch_ms": conv_s * 1e3,
+        "kernel_load_time_ms": load_s * 1e3,
+        "achieved_gops": achieved_gops,
+        "total_power_w": power_w,
+        "gops_per_watt": achieved_gops / power_w,
+        "peak_gops": config.peak_gops,
+        "power_w": power_w,
+        "total_time_per_batch_s": total_s,
+        "total_gates": AreaModel(config).report().total_gates,
+        "worst_case_utilization": minimum_utilization(config.num_pes, sizes) if sizes else 0.0,
+        "onchip_memory_bytes": float(config.onchip_memory_bytes),
+        "dram_traffic_mb": table["Total"]["DRAM"],
+    }
+    extra = {
+        "layer_times_ms": {layer.layer.name: layer.conv_time_per_batch_s * 1e3
+                           for layer in layers},
+        "kernel_load_times_ms": {layer.layer.name: layer.kernel_load_time_s * 1e3
+                                 for layer in layers},
+    }
+    return metrics, extra, components, table
+
 
 def random_grid(rng: np.random.Generator, n: int, min_pes: int = 121) -> DesignGrid:
     """An arbitrary (non-product) set of design points."""
@@ -53,17 +134,24 @@ def random_grid(rng: np.random.Generator, n: int, min_pes: int = 121) -> DesignG
     )
 
 
-def assert_matches_scalar_engine(result: BatchSweepResult, network, engine) -> None:
-    """Every column equals the per-point scalar evaluation (<= 1e-9 rel)."""
+def assert_matches_oracle(result: BatchSweepResult, network, mode: str = "paper",
+                          base: ChainConfig = None) -> None:
+    """Every column equals the layer-by-layer oracle exactly."""
     grid = result.grid
     for index in range(grid.n_points):
-        record = engine.evaluate(network, grid.config_at(index),
-                                 batch=int(grid.batch[index]))
+        config = grid.config_at(index, base=base)
+        metrics = oracle(network, config, int(grid.batch[index]), mode)[0]
         for field in RESULT_FIELDS:
-            scalar = record.metric(field)
-            assert float(getattr(result, field)[index]) == pytest.approx(
-                scalar, rel=1e-9
-            ), f"{field} diverges at point {index}: {grid.config_at(index).describe()}"
+            assert float(getattr(result, field)[index]) == metrics[field], (
+                f"{field} diverges at point {index}: {config.describe()}")
+
+
+def run_cli(argv):
+    """``repro.cli.main(argv)`` in-process: (status, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    return status, out.getvalue(), err.getvalue()
 
 
 class TestGridParsing:
@@ -116,7 +204,26 @@ class TestGridParsing:
 
 
 class TestScalarEquivalence:
-    """The acceptance property: columnar == scalar on randomized grids."""
+    """The acceptance property: columnar == layer-by-layer oracle, exactly."""
+
+    @pytest.mark.parametrize("name", sorted(NETWORKS))
+    @pytest.mark.parametrize("mode", ["paper", "detailed"])
+    def test_point_records_equal_oracle(self, name, mode):
+        """Every field of the analytical record, the power split and the
+        traffic table, across the zoo, both modes and PE/clock/batch points."""
+        network = get_network(name)
+        engine = create_engine("analytical", mode=mode)
+        for num_pes in (144, 288, 576, 1152):
+            for mhz in (200.0, 700.0, 1000.0):
+                config = ChainConfig().with_pes(num_pes).with_frequency(mhz * 1e6)
+                for batch in (1, 4, 128):
+                    metrics, extra, components, table = oracle(network, config, batch, mode)
+                    record = engine.evaluate(network, config, batch)
+                    assert record.metrics == metrics
+                    assert record.extra == extra
+                    point = engine.evaluator(network, config).breakdown(batch)
+                    assert point.power_components_w == components
+                    assert point.traffic_mb() == table
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_randomized_grid_matches_scalar_engine_lenet(self, seed):
@@ -124,14 +231,14 @@ class TestScalarEquivalence:
         network = lenet5()
         grid = random_grid(rng, 24, min_pes=25)
         result = BatchDesignEvaluator(network, base=ChainConfig()).evaluate_grid(grid)
-        assert_matches_scalar_engine(result, network, create_engine("analytical"))
+        assert_matches_oracle(result, network)
 
     def test_randomized_grid_matches_scalar_engine_alexnet(self):
         rng = np.random.default_rng(42)
         network = alexnet()
         grid = random_grid(rng, 16, min_pes=121)
         result = BatchDesignEvaluator(network, base=ChainConfig()).evaluate_grid(grid)
-        assert_matches_scalar_engine(result, network, create_engine("analytical"))
+        assert_matches_oracle(result, network)
 
     def test_detailed_mode_matches_scalar_engine(self):
         rng = np.random.default_rng(3)
@@ -139,38 +246,30 @@ class TestScalarEquivalence:
         grid = random_grid(rng, 8, min_pes=25)
         result = BatchDesignEvaluator(network, base=ChainConfig(),
                                       mode="detailed").evaluate_grid(grid)
-        assert_matches_scalar_engine(result, network,
-                                     create_engine("analytical-detailed"))
+        assert_matches_oracle(result, network, mode="detailed")
 
     def test_matches_design_space_explorer_sweep_points(self):
-        """Same numbers as the SweepPoint rows of the per-point explorer."""
+        """The per-point explorer's SweepPoint rows and the grid columns both
+        equal the oracle."""
         network = alexnet()
         explorer = DesignSpaceExplorer(network, batch=16, engine="analytical")
         pe_counts = (144, 288, 576, 1152)
         points = explorer.sweep_chain_length(pe_counts)
         grid = DesignGrid.from_axes(pe_counts=pe_counts, batches=(16,))
         result = BatchDesignEvaluator(network, base=ChainConfig()).evaluate_grid(grid)
-        for index, point in enumerate(points):
-            assert result.fps[index] == pytest.approx(point.fps, rel=1e-9)
-            assert result.power_w[index] == pytest.approx(point.power_w, rel=1e-9)
-            assert result.gops_per_watt[index] == pytest.approx(
-                point.gops_per_watt, rel=1e-9)
-            assert result.peak_gops[index] == pytest.approx(point.peak_gops, rel=1e-9)
-            assert result.worst_case_utilization[index] == pytest.approx(
-                point.worst_case_utilization, rel=1e-9)
-            assert result.total_gates[index] == pytest.approx(
-                point.total_gates, rel=1e-9)
+        assert_matches_oracle(result, network)
+        for point in points:
+            metrics = oracle(network, point.config, 16)[0]
+            for field in ("peak_gops", "fps", "power_w", "gops_per_watt",
+                          "worst_case_utilization", "total_gates"):
+                assert getattr(point, field) == metrics[field], field
 
     def test_dual_channel_strawman_supported(self):
         network = lenet5()
         base = ChainConfig().single_channel()
         grid = DesignGrid.from_axes(pe_counts=(144, 576), batches=(4,))
         result = BatchDesignEvaluator(network, base=base).evaluate_grid(grid)
-        engine = create_engine("analytical", config=base)
-        for index in range(grid.n_points):
-            record = engine.evaluate(network, grid.config_at(index, base=base),
-                                     batch=4)
-            assert result.fps[index] == pytest.approx(record.metric("fps"), rel=1e-9)
+        assert_matches_oracle(result, network, base=base)
 
     def test_grid_too_small_for_kernels_rejected(self):
         grid = DesignGrid.from_axes(pe_counts=(100,))  # AlexNet conv1 needs 121
@@ -181,8 +280,21 @@ class TestScalarEquivalence:
         pes = np.arange(1, 1300, 7)
         vector = worst_case_utilization_array(pes)
         for index, num_pes in enumerate(pes):
-            assert vector[index] == pytest.approx(
-                worst_case_utilization(ChainConfig(num_pes=int(num_pes))), abs=0.0)
+            sizes = [k for k in MAINSTREAM_KERNEL_SIZES if k * k <= num_pes]
+            expected = minimum_utilization(int(num_pes), sizes) if sizes else 0.0
+            assert vector[index] == expected
+
+
+class TestUserVisibleBytes:
+    """``run --json`` is byte-identical to the recorded fixture."""
+
+    FIXTURE = json.loads(RUN_FIXTURE.read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("command", sorted(FIXTURE))
+    def test_run_json_bytes(self, command):
+        status, out, _ = run_cli(command.split())
+        assert status == 0
+        assert out == self.FIXTURE[command]
 
 
 class TestPareto:
@@ -276,8 +388,7 @@ class TestEngineIntegration:
         fallback = create_engine("analytical").evaluate_batch(network, grid)
         fast = create_engine("analytical-batch").evaluate_batch(network, grid)
         for field in RESULT_FIELDS:
-            assert np.allclose(getattr(fallback, field), getattr(fast, field),
-                               rtol=1e-9, atol=0.0)
+            assert np.array_equal(getattr(fallback, field), getattr(fast, field))
 
     def test_run_grid_chunking_invariant(self):
         network = lenet5()

@@ -114,6 +114,34 @@ class TestParser:
         assert option in capsys.readouterr().err
 
 
+class TestInputErrors:
+    """Bad model inputs are usage errors: one ``error:`` line, exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "alexnet", "--batch", "0"],
+        ["--pes", "100", "run", "alexnet"],
+        ["--frequency-mhz", "0", "run", "alexnet"],
+        ["sweep", "--grid", "foo=1"],
+        ["sweep", "--grid", "pe=100:200:10", "--network", "alexnet"],
+    ], ids=" ".join)
+    def test_exit_2_without_traceback(self, argv, capsys):
+        try:
+            status = main(argv)
+        except SystemExit as exit_info:  # argparse rejects the value itself
+            status = exit_info.code
+        assert status == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert [line for line in captured.err.splitlines() if "error:" in line]
+
+    def test_model_errors_print_one_line(self, capsys):
+        assert main(["--pes", "100", "run", "alexnet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1 and "121 PEs" in captured.err
+
+
 class TestCommands:
     def test_info(self, capsys):
         assert main(["info"]) == 0
@@ -142,6 +170,15 @@ class TestCommands:
     def test_sweep_pes(self, capsys):
         assert main(["sweep", "pes", "--network", "lenet5", "--batch", "4"]) == 0
         assert "pes sweep" in capsys.readouterr().out
+
+    def test_sweep_rows_report_the_swept_networks_fps(self, capsys):
+        assert main(["sweep", "pes", "--network", "lenet5", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert main(["run", "lenet5", "--batch", "16", "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        row = next(point for point in payload["points"] if point["PEs"] == 576)
+        assert "AlexNet fps" not in row
+        assert row["fps"] == record["metrics"]["fps"]
 
     def test_verify(self, capsys):
         assert main(["verify"]) == 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.batch import BatchDesignEvaluator
 from repro.cnn.layer import ConvLayer
 from repro.core.config import ChainConfig
 from repro.core.performance import PerformanceModel
@@ -13,6 +14,12 @@ from repro.errors import ConfigurationError
 @pytest.fixture
 def model(paper_config):
     return PerformanceModel(paper_config)
+
+
+@pytest.fixture
+def evaluator(paper_config, alexnet_network):
+    """Network-level timing: the columnar model at the paper design point."""
+    return BatchDesignEvaluator(alexnet_network, base=paper_config)
 
 
 #: Fig. 9 convolution times in milliseconds for a 128-image batch
@@ -78,31 +85,28 @@ class TestAlexNetLayerTimes:
 
 
 class TestNetworkPerformance:
-    def test_fps_batch_128(self, model, alexnet_network):
-        perf = model.network_performance(alexnet_network, batch=128)
+    def test_fps_batch_128(self, evaluator):
+        point = evaluator.breakdown(128)
         # paper: 326.2 fps; our conv2 is faster so we land a few percent above
-        assert perf.frames_per_second == pytest.approx(326.2, rel=0.06)
+        assert point.fps == pytest.approx(326.2, rel=0.06)
 
-    def test_fps_batch_4(self, model, alexnet_network):
-        perf = model.network_performance(alexnet_network, batch=4)
-        assert perf.frames_per_second == pytest.approx(275.6, rel=0.05)
+    def test_fps_batch_4(self, evaluator):
+        assert evaluator.breakdown(4).fps == pytest.approx(275.6, rel=0.05)
 
-    def test_larger_batches_amortise_kernel_loading(self, model, alexnet_network):
-        fps = [model.network_performance(alexnet_network, batch=b).frames_per_second
-               for b in (1, 4, 32, 128)]
+    def test_larger_batches_amortise_kernel_loading(self, evaluator):
+        fps = [evaluator.breakdown(b).fps for b in (1, 4, 32, 128)]
         assert fps == sorted(fps)
 
-    def test_achieved_gops_below_peak(self, model, alexnet_network, paper_config):
-        perf = model.network_performance(alexnet_network, batch=128)
-        assert perf.achieved_gops < paper_config.peak_gops
-        assert perf.efficiency_vs_peak > 0.5
+    def test_achieved_gops_below_peak(self, evaluator, paper_config):
+        point = evaluator.breakdown(128)
+        assert point.achieved_gops < paper_config.peak_gops
+        assert point.achieved_gops / point.peak_gops > 0.5
 
     def test_peak_gops(self, paper_config):
         assert paper_config.peak_gops == pytest.approx(806.4)
 
-    def test_layer_times_dict_keys(self, model, alexnet_network):
-        perf = model.network_performance(alexnet_network, batch=128)
-        assert set(perf.layer_times_ms()) == set(PAPER_LAYER_TIMES_MS)
+    def test_layer_times_dict_keys(self, evaluator):
+        assert set(evaluator.breakdown(128).layer_times_ms()) == set(PAPER_LAYER_TIMES_MS)
 
     def test_invalid_batch(self, model, alexnet_network):
         with pytest.raises(ConfigurationError):

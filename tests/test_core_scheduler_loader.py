@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.batch import BatchDesignEvaluator
 from repro.cnn.layer import ConvLayer
 from repro.cnn.zoo import alexnet, lenet5
 from repro.core.config import ChainConfig
@@ -39,9 +40,9 @@ class TestBatchScheduler:
 
     def test_schedule_matches_performance_model(self, scheduler, alexnet_network):
         schedule = scheduler.schedule(alexnet_network, batch=128)
-        perf = scheduler.performance.network_performance(alexnet_network, batch=128)
-        assert schedule.total_time_s == pytest.approx(perf.total_time_per_batch_s)
-        assert schedule.frames_per_second == pytest.approx(perf.frames_per_second)
+        point = BatchDesignEvaluator(alexnet_network, base=scheduler.config).breakdown(128)
+        assert schedule.total_time_s == pytest.approx(point.total_time_per_batch_s)
+        assert schedule.frames_per_second == pytest.approx(point.fps)
 
     def test_kernel_load_fraction_shrinks_with_batch(self, scheduler, alexnet_network):
         small = scheduler.schedule(alexnet_network, batch=1)

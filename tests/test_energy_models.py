@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.batch import BatchDesignEvaluator
 from repro.cnn.zoo import alexnet
 from repro.core.config import ChainConfig
 from repro.energy.area import AreaModel
@@ -99,6 +100,12 @@ class TestAreaModel:
         assert sum(report.breakdown().values()) == pytest.approx(report.total_gates)
 
 
+def workload_power(model: PowerModel, network, batch: int):
+    """The workload power split of ``model``'s configuration and energies."""
+    evaluator = BatchDesignEvaluator(network, base=model.config, energy=model.energy)
+    return evaluator.breakdown(batch).power_report()
+
+
 class TestPowerModel:
     @pytest.fixture(scope="class")
     def network(self):
@@ -109,44 +116,44 @@ class TestPowerModel:
         return PowerModel(ChainConfig())
 
     def test_component_breakdown_present(self, model, network):
-        report = model.network_power(network, batch=4)
+        report = workload_power(model, network, 4)
         assert set(report.components_w) == {"chain", "kMemory", "iMemory", "oMemory"}
         assert report.total_w > 0
 
     def test_chain_dominates_power(self, model, network):
         # the paper attributes ~80 % of the power to the chain
-        report = model.network_power(network, batch=4)
+        report = workload_power(model, network, 4)
         assert report.fractions()["chain"] > 0.6
 
     def test_representative_total_in_right_regime(self, model, network):
-        report = model.network_power(network, batch=4)
+        report = workload_power(model, network, 4)
         assert 0.2 < report.total_w < 1.2  # hundreds of milliwatts
 
     def test_calibration_reproduces_fig10(self, model, network):
         calibrated = model.calibrated_to_paper(network, batch=4)
-        report = calibrated.network_power(network, batch=4)
+        report = workload_power(calibrated, network, 4)
         for name, target in PAPER_POWER_BREAKDOWN_W.items():
             assert report.components_w[name] == pytest.approx(target, rel=0.01)
         assert report.total_w == pytest.approx(PAPER_TOTAL_POWER_W, rel=0.01)
 
     def test_calibrated_efficiency_is_1421_gops_per_watt(self, model, network):
         calibrated = model.calibrated_to_paper(network, batch=4)
-        report = calibrated.network_power(network, batch=4)
+        report = workload_power(calibrated, network, 4)
         assert ChainConfig().peak_gops / report.total_w == pytest.approx(1421.0, rel=0.01)
 
     def test_core_only_split(self, model, network):
-        report = model.network_power(network, batch=4)
+        report = workload_power(model, network, 4)
         assert report.core_only_w + report.memory_hierarchy_w == pytest.approx(report.total_w)
         assert report.core_only_gops_per_watt > report.gops_per_watt
 
     def test_peak_power_exceeds_workload_power(self, model, network):
         peak = model.peak_power(kernel_size=3)
-        workload = model.network_power(network, batch=4)
+        workload = workload_power(model, network, 4)
         assert peak.components_w["chain"] >= workload.components_w["chain"]
 
     def test_power_scales_with_pe_count(self, network):
-        small = PowerModel(ChainConfig(num_pes=288)).network_power(network, 4)
-        large = PowerModel(ChainConfig(num_pes=576)).network_power(network, 4)
+        small = workload_power(PowerModel(ChainConfig(num_pes=288)), network, 4)
+        large = workload_power(PowerModel(ChainConfig(num_pes=576)), network, 4)
         # chain energy is work-proportional and the runtime roughly halves with
         # twice the PEs, so the average chain power roughly doubles
         assert large.components_w["chain"] > 1.5 * small.components_w["chain"]

@@ -75,17 +75,20 @@ class TestAdapters:
     def test_analytical_matches_performance_model(self, network):
         config = ChainConfig()
         record = create_engine("analytical").evaluate(network, config, batch=8)
-        expected = PerformanceModel(config).network_performance(network, 8)
-        assert record.metric("fps") == pytest.approx(expected.frames_per_second)
+        layers = [PerformanceModel(config).layer_performance(layer, 8)
+                  for layer in network.conv_layers]
+        total_s = sum(layer.total_time_per_batch_s for layer in layers)
+        assert record.metric("fps") == pytest.approx(8 / total_s)
         assert record.metric("peak_gops") == pytest.approx(config.peak_gops)
         assert set(record.extra["layer_times_ms"]) == {"conv1", "conv2"}
 
-    def test_injected_chip_defines_mode_and_fingerprint(self):
-        from repro.core.accelerator import ChainNN
-
-        engine = AnalyticalEngine(chip=ChainNN(performance_mode="detailed"))
+    def test_mode_defines_fingerprint(self):
+        engine = AnalyticalEngine(mode="detailed")
         assert engine.name == "analytical-detailed"
         assert engine.fingerprint()["mode"] == "detailed"
+        assert engine.fingerprint() != AnalyticalEngine(mode="paper").fingerprint()
+        with pytest.raises(ConfigurationError, match="mode"):
+            AnalyticalEngine(mode="nope")
 
     def test_analytical_detailed_is_slower_than_paper(self, network):
         paper = create_engine("analytical").evaluate(network, None, 8)

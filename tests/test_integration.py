@@ -79,28 +79,30 @@ class TestEndToEndAlexNet:
     @pytest.fixture(scope="class")
     def result(self):
         chip = ChainNN.paper_configuration(calibrate_power_to=alexnet())
-        return chip.run_network(alexnet(), batch=128)
+        return chip.evaluate(alexnet(), batch=128)
 
     def test_headline_numbers(self, result):
-        assert result.frames_per_second == pytest.approx(326.2, rel=0.06)
-        assert result.performance.peak_gops == pytest.approx(806.4)
+        assert result.fps == pytest.approx(326.2, rel=0.06)
+        assert result.peak_gops == pytest.approx(806.4)
 
     def test_energy_efficiency_above_1_tops_per_watt(self, result):
         # the paper's 1421 GOPS/W figure divides the peak throughput by the
         # measured power; batch-128 power sits slightly above the batch-4
         # calibration point but the TOPS/W-class headline must survive
-        peak_based_efficiency = result.performance.peak_gops / result.power.total_w
+        peak_based_efficiency = result.peak_gops / result.power_w
         assert peak_based_efficiency > 1000.0
-        assert 0.4 < result.power.total_w < 0.9
+        assert 0.4 < result.power_w < 0.9
 
     def test_per_layer_results_consistent_with_network_totals(self, result):
-        total_cycles = sum(l.performance.conv_cycles_per_batch for l in result.layers)
-        network_time = result.performance.conv_time_per_batch_s
-        assert total_cycles / 700e6 == pytest.approx(network_time, rel=1e-9)
+        performance = PerformanceModel(result.config)
+        total_cycles = sum(performance.layer_performance(layer, 128).conv_cycles_per_batch
+                           for layer in alexnet().conv_layers)
+        assert total_cycles / 700e6 == pytest.approx(result.conv_time_per_batch_s, rel=1e-9)
+        assert sum(result.conv_time_s) == result.conv_time_per_batch_s
 
     def test_traffic_and_power_present(self, result):
-        assert result.traffic.totals()["oMemory"] > 0
-        assert 0.3 < result.power.total_w < 1.0
+        assert result.traffic_mb()["Total"]["oMemory"] > 0
+        assert 0.3 < result.power_w < 1.0
 
 
 class TestTinyNetworkFullStack:
@@ -109,9 +111,9 @@ class TestTinyNetworkFullStack:
         chip = ChainNN()
         generator = WorkloadGenerator(seed=3)
         cycle_sim = CycleAccurateChainSimulator(chip.config)
+        analytical = chip.evaluate(network, batch=2)
+        assert all(seconds > 0 for seconds in analytical.conv_time_s)
         for layer in network.conv_layers:
-            analytical = chip.run_layer(layer, batch=2)
-            assert analytical.performance.conv_cycles_per_image > 0
             ifmaps, weights = generator.layer_pair(layer)
             sim = cycle_sim.run_layer(layer, ifmaps, weights)
             assert sim.reference_max_abs_error == pytest.approx(0.0, abs=1e-9)

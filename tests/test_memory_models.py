@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.batch import BatchDesignEvaluator
 from repro.cnn.layer import ConvLayer
 from repro.cnn.zoo import alexnet
 from repro.core.config import ChainConfig
@@ -77,7 +78,7 @@ class TestMemoryHierarchy:
 class TestTrafficModelTable4:
     @pytest.fixture(scope="class")
     def table(self):
-        return TrafficModel(ChainConfig()).network_traffic(alexnet(), batch=4).table()
+        return BatchDesignEvaluator(alexnet(), base=ChainConfig()).breakdown(4).traffic_mb()
 
     @pytest.mark.parametrize("layer", sorted(PAPER_TABLE4))
     def test_omemory_column_matches_exactly(self, table, layer):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.batch import BatchDesignEvaluator
 from repro.cnn.layer import ConvLayer
 from repro.core.config import ChainConfig
 from repro.core.mapper import LayerMapper
@@ -137,7 +138,7 @@ class TestSchedulerInvariants:
         config = ChainConfig()
         scheduler = BatchScheduler(config)
         schedule = scheduler.schedule(alexnet(), batch)
-        perf = scheduler.performance.network_performance(alexnet(), batch)
-        assert schedule.total_time_s == pytest.approx(perf.total_time_per_batch_s)
+        point = BatchDesignEvaluator(alexnet(), base=config).breakdown(batch)
+        assert schedule.total_time_s == pytest.approx(point.total_time_per_batch_s)
         assert schedule.kernel_load_cycles == pytest.approx(
-            perf.kernel_load_time_s * config.frequency_hz)
+            point.kernel_load_time_per_batch_s * config.frequency_hz)
