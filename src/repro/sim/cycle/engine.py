@@ -130,9 +130,10 @@ class CycleAccurateChainSimulator:
         ``ifmaps`` is ``(C, H, W)`` float, ``weights`` is ``(M, C/g, K, K)``
         float; both are quantised to the configured fixed-point width before
         simulation.  When ``check_against_reference`` is set the dequantised
-        ofmaps are compared against the NumPy reference computed on the same
-        quantised operands (they must agree exactly up to accumulator
-        rounding, i.e. to ~1e-9).
+        ofmaps are compared against :func:`~repro.cnn.reference.conv2d_direct`
+        on the same quantised operands (the dequantised raw ifmaps and
+        weights the simulator ran on); every sum is exact, so any nonzero
+        difference raises :class:`~repro.errors.SimulationError`.
         """
         ifmaps = np.asarray(ifmaps, dtype=np.float64)
         weights = np.asarray(weights, dtype=np.float64)
@@ -171,11 +172,12 @@ class CycleAccurateChainSimulator:
 
         reference_error: Optional[float] = None
         if check_against_reference:
-            quant_ifmaps = ifmap_fmt.dequantize_raw(ifmap_fmt.quantize_raw(ifmaps))
-            quant_weights = weight_fmt.dequantize_raw(raw_weights)
-            reference = conv2d_direct(layer, quant_ifmaps, quant_weights)
+            pad = layer.padding
+            interior = raw_ifmaps[:, pad:pad + layer.in_height, pad:pad + layer.in_width]
+            reference = conv2d_direct(layer, ifmap_fmt.dequantize_raw(interior),
+                                      weight_fmt.dequantize_raw(raw_weights))
             reference_error = float(np.max(np.abs(reference - ofmaps))) if reference.size else 0.0
-            if reference_error > 1e-6:
+            if reference_error != 0.0:
                 raise SimulationError(
                     f"{layer.name}: cycle-accurate result deviates from reference "
                     f"(max abs error {reference_error:.3e})"

@@ -4,18 +4,23 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.cnn import reference
 from repro.cnn.generator import WorkloadGenerator
 from repro.cnn.layer import ConvLayer
+from repro.cnn.quantize import quantize_layer_tensors
 from repro.cnn.reference import (
     conv2d_direct,
     conv2d_im2col,
     conv2d_single_channel,
     pad_input,
 )
-from repro.errors import WorkloadError
+from repro.errors import SimulationError, WorkloadError
+from repro.sim import functional_vectorized
+from repro.sim.cycle import CycleAccurateChainSimulator
+from repro.sim.functional_vectorized import vectorized_layer_ofmaps
 
 
 class TestPadding:
@@ -155,3 +160,129 @@ class TestHypothesisProperties:
         weights[0, 0, 0, 0] = 1.0
         out = conv2d_direct(layer, ifmaps, weights)
         np.testing.assert_allclose(out[0], ifmaps[0, :5, :5])
+
+
+def _fixed_point_tensors(layer, seed):
+    """16-bit fixed-point (ifmaps, weights) of ``layer``."""
+    ifmaps, weights = WorkloadGenerator(seed=seed).layer_pair(layer)
+    q_ifmaps, q_weights, _, _ = quantize_layer_tensors(ifmaps, weights, 16)
+    return q_ifmaps, q_weights
+
+
+def _per_pixel_conv(layer, ifmaps, weights):
+    """Loop oracle: one window dot product per output pixel and channel."""
+    padded = pad_input(ifmaps, layer.padding)
+    k, s = layer.kernel_size, layer.stride
+    in_per_group = layer.in_channels_per_group
+    out = np.zeros(layer.out_shape)
+    for m in range(layer.out_channels):
+        c0 = m // layer.out_channels_per_group * in_per_group
+        for r in range(layer.out_height):
+            for c in range(layer.out_width):
+                window = padded[c0:c0 + in_per_group, r * s:r * s + k, c * s:c * s + k]
+                out[m, r, c] = np.sum(window * weights[m])
+    return out
+
+
+def _block_bytes(layer, rows):
+    """A golden block budget that holds exactly ``rows`` output rows."""
+    return rows * layer.in_channels_per_group * layer.kernel_size ** 2 * layer.out_width * 8
+
+
+class TestBlockedGoldensAreExact:
+    """Both goldens are the same exact GEMM, whatever the row blocking."""
+
+    @given(
+        kernel=st.integers(min_value=1, max_value=11),
+        stride=st.sampled_from([1, 2, 4]),
+        padding=st.integers(min_value=0, max_value=2),
+        groups=st.sampled_from([1, 2]),
+        in_per_group=st.integers(min_value=1, max_value=3),
+        out_per_group=st.integers(min_value=1, max_value=3),
+        extra_h=st.integers(min_value=0, max_value=9),
+        extra_w=st.integers(min_value=0, max_value=9),
+        block_rows=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=1000),
+    )
+    # ragged last blocks every run: 5 output rows in 3-row blocks (grouped,
+    # padded, stride 2) and 3 rows in 2-row blocks (conv1-like K=11, stride 4)
+    @example(kernel=3, stride=2, padding=1, groups=2, in_per_group=2, out_per_group=3,
+             extra_h=8, extra_w=3, block_rows=3, seed=7)
+    @example(kernel=11, stride=4, padding=0, groups=1, in_per_group=3, out_per_group=2,
+             extra_h=9, extra_w=0, block_rows=2, seed=8)
+    @settings(max_examples=80, deadline=None)
+    def test_direct_equals_im2col_on_fixed_point(self, kernel, stride, padding, groups,
+                                                 in_per_group, out_per_group, extra_h,
+                                                 extra_w, block_rows, seed):
+        base = max(1, kernel - 2 * padding)
+        layer = ConvLayer("fx", in_channels=groups * in_per_group,
+                          out_channels=groups * out_per_group,
+                          in_height=base + extra_h, in_width=base + extra_w,
+                          kernel_size=kernel, stride=stride, padding=padding,
+                          groups=groups)
+        ifmaps, weights = _fixed_point_tensors(layer, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            # a few output rows per block: multi-block, often a ragged last block
+            patch.setattr(reference, "GOLDEN_BLOCK_BYTES", _block_bytes(layer, block_rows))
+            direct = conv2d_direct(layer, ifmaps, weights)
+            im2col = conv2d_im2col(layer, ifmaps, weights)
+        assert np.array_equal(direct, im2col)
+        assert np.array_equal(direct, conv2d_direct(layer, ifmaps, weights))
+        assert np.array_equal(direct, _per_pixel_conv(layer, ifmaps, weights))
+
+
+def _swap_kernel_axes(windows_fn):
+    """A broken window selector: every window transposed."""
+    def broken(*args, **kwargs):
+        return windows_fn(*args, **kwargs).swapaxes(-1, -2)
+    return broken
+
+
+class TestDirectIsAnIndependentWitness:
+    """``conv2d_direct`` shares no window code with the simulators."""
+
+    LAYER = ConvLayer("witness", in_channels=4, out_channels=4, in_height=11,
+                      in_width=9, kernel_size=3, stride=2, padding=1, groups=2)
+
+    def test_swapped_window_axes_fool_im2col_but_not_direct(self, monkeypatch):
+        layer = self.LAYER
+        ifmaps, weights = _fixed_point_tensors(layer, seed=11)
+        padded = pad_input(ifmaps, layer.padding)
+        assert np.array_equal(vectorized_layer_ofmaps(layer, padded, weights),
+                              conv2d_direct(layer, ifmaps, weights))
+
+        for module in (reference, functional_vectorized):
+            monkeypatch.setattr(module, "strided_windows",
+                                _swap_kernel_axes(module.strided_windows))
+        broken = vectorized_layer_ofmaps(layer, padded, weights)
+        assert np.array_equal(conv2d_im2col(layer, ifmaps, weights), broken)
+        assert not np.array_equal(conv2d_direct(layer, ifmaps, weights), broken)
+        with pytest.raises(SimulationError, match="deviates from reference"):
+            CycleAccurateChainSimulator().run_layer(layer, ifmaps, weights)
+
+
+class TestGoldenMemoryIsBlocked:
+    @pytest.mark.parametrize("golden", [conv2d_direct, conv2d_im2col])
+    def test_peak_is_input_ofmaps_and_one_block(self, golden):
+        import tracemalloc
+
+        layer = ConvLayer("blocked", in_channels=64, out_channels=16, in_height=64,
+                          in_width=64, kernel_size=3, padding=1)
+        patch_bytes = (layer.in_channels * layer.kernel_size ** 2
+                       * layer.out_height * layer.out_width * 8)
+        # the patch matrix must span several blocks to test anything
+        assert patch_bytes > 4 * reference.GOLDEN_BLOCK_BYTES
+        ifmaps, weights = _fixed_point_tensors(layer, seed=3)
+
+        tracemalloc.start()
+        try:
+            ofmaps = golden(layer, ifmaps, weights)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+
+        padded_bytes = pad_input(ifmaps, layer.padding).nbytes
+        bound = padded_bytes + ofmaps.nbytes + reference.GOLDEN_BLOCK_BYTES + 1024 * 1024
+        assert peak <= bound, (
+            f"peak {peak / 1e6:.1f} MB above the blocked bound {bound / 1e6:.1f} MB"
+        )

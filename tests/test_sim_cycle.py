@@ -11,8 +11,8 @@ from repro.cnn.reference import conv2d_direct
 from repro.cnn.zoo import tiny_test_network
 from repro.core.config import ChainConfig
 from repro.core.performance import PerformanceModel
-from repro.errors import WorkloadError
-from repro.sim.cycle import CycleAccurateChainSimulator
+from repro.errors import SimulationError, WorkloadError
+from repro.sim.cycle import CycleAccurateChainSimulator, engine
 from repro.sim.trace import TraceEvent, TraceLog
 
 
@@ -68,6 +68,31 @@ class TestCycleAccurateCorrectness:
         ifmaps, weights = _tensors(tiny_layer)
         with pytest.raises(WorkloadError):
             simulator.run_layer(tiny_layer, ifmaps[:1], weights)
+
+
+class TestExactReferenceCheck:
+    """The on-the-fly golden check tolerates no difference at all."""
+
+    LAYER = ConvLayer("exact", in_channels=4, out_channels=6, in_height=13, in_width=11,
+                      kernel_size=3, stride=2, padding=1, groups=2)
+
+    def test_error_is_exactly_zero(self, simulator):
+        ifmaps, weights = _tensors(self.LAYER, seed=6)
+        result = simulator.run_layer(self.LAYER, ifmaps, weights)
+        assert result.reference_max_abs_error == 0.0
+
+    def test_one_lsb_perturbation_is_caught(self, simulator, monkeypatch):
+        correlate = engine.correlate_layer_raw
+
+        def off_by_one_lsb(*args, **kwargs):
+            raw_ofmaps = correlate(*args, **kwargs)
+            raw_ofmaps[-1, -1, -1] += 1
+            return raw_ofmaps
+
+        monkeypatch.setattr(engine, "correlate_layer_raw", off_by_one_lsb)
+        ifmaps, weights = _tensors(self.LAYER, seed=6)
+        with pytest.raises(SimulationError, match="deviates from reference"):
+            simulator.run_layer(self.LAYER, ifmaps, weights)
 
 
 class TestCycleAccounting:
