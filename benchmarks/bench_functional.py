@@ -1,22 +1,24 @@
-"""Benchmark: vectorized functional-simulator backend vs the scalar walk.
+"""Benchmark: the functional simulator vs the scalar oracle walk.
 
-The acceptance bar for the vectorized-functional PR: the NumPy backend must
+The acceptance bar for the functional simulator: its whole-array path must
 produce bit-identical ofmaps and identical ``FunctionalRunStats`` counters
-while evaluating an AlexNet conv layer at least 50x faster than the
-per-window scalar walk — and whole-network functional verification of
-AlexNet must complete in well under a minute, turning it into a CI-friendly
-step instead of an overnight job.
+to the per-window oracle walk (:func:`repro.sim.functional.scalar_window_walk`)
+while evaluating an AlexNet conv layer at least 50x faster — and
+whole-network functional verification of AlexNet must complete in well
+under a minute, turning it into a CI-friendly step instead of an overnight
+job.
 
-Records ``BENCH_functional.json`` (scalar vs vectorized seconds, speedup,
-windows/s, whole-network verification time) at the repo root.
+Records ``BENCH_functional.json`` (oracle walk vs simulator seconds,
+speedup, windows/s, whole-network verification time) at the repo root; the
+``scalar_*`` fields time the oracle walk, the ``vectorized_*`` fields the
+simulator.
 
-The scalar walk on the *full* AlexNet conv3 (16.6M windows) takes minutes,
+The oracle walk on the *full* AlexNet conv3 (16.6M windows) takes minutes,
 so its time is measured on a channel-reduced probe with the same spatial
 geometry and extrapolated per channel pair — every pair of a layer performs
-exactly the same per-window work, so scalar time is linear in the pair count
-by construction.  Bit-identity is asserted on the probe (both backends) and
-on the full layer (vectorized vs the closed-form counters and the golden
-reference).
+exactly the same per-window work, so walk time is linear in the pair count
+by construction.  Bit-identity is asserted on the probe (walk vs simulator)
+and on the full layer (simulator vs the golden reference).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from repro.cnn.generator import WorkloadGenerator
 from repro.cnn.quantize import quantize_layer_tensors
 from repro.cnn.zoo import alexnet
 from repro.core.config import ChainConfig
-from repro.sim.functional import FunctionalChainSimulator
+from repro.sim.functional import FunctionalChainSimulator, scalar_window_walk
 from repro.sim.network import FunctionalNetworkRunner
 
 
@@ -68,18 +70,17 @@ def test_vectorized_functional_backend_speedup_on_alexnet_conv3(benchmark):
     probe_ifmaps, probe_weights, _, _ = quantize_layer_tensors(
         *generator.layer_pair(probe))
 
-    config = ChainConfig()
-    scalar_sim = FunctionalChainSimulator(config, backend="scalar")
-    fast_sim = FunctionalChainSimulator(config, backend="vectorized")
+    fast_sim = FunctionalChainSimulator(ChainConfig())
 
     start = time.perf_counter()
-    scalar_probe = scalar_sim.run_layer(probe, probe_ifmaps, probe_weights)
+    walk_ofmaps, walk_stats = scalar_window_walk(probe, probe_ifmaps,
+                                                 probe_weights)
     scalar_probe_seconds = time.perf_counter() - start
 
     # bit-identical outputs and identical counters on the probe
     fast_probe = fast_sim.run_layer(probe, probe_ifmaps, probe_weights)
-    assert np.array_equal(scalar_probe.ofmaps, fast_probe.ofmaps)
-    assert scalar_probe.stats == fast_probe.stats
+    assert np.array_equal(walk_ofmaps, fast_probe.ofmaps)
+    assert walk_stats == fast_probe.stats
 
     fast_seconds = min(_timed(fast_sim, layer, ifmaps, weights) for _ in range(3))
     fast_result = benchmark(fast_sim.run_layer, layer, ifmaps, weights)
@@ -103,8 +104,8 @@ def test_vectorized_functional_backend_speedup_on_alexnet_conv3(benchmark):
     # (--benchmark-disable, shared runners) uses a lower floor
     floor = 10.0 if benchmark.disabled else 50.0
     assert speedup >= floor, (
-        f"vectorized functional backend only {speedup:.1f}x faster "
-        f"({scalar_seconds:.2f}s scalar vs {fast_seconds:.3f}s vectorized)"
+        f"functional simulator only {speedup:.1f}x faster than the oracle "
+        f"walk ({scalar_seconds:.2f}s walk vs {fast_seconds:.3f}s simulator)"
     )
 
 
@@ -116,7 +117,7 @@ def _timed(simulator, layer, ifmaps, weights) -> float:
 
 def test_alexnet_network_functional_verification_is_seconds_scale(benchmark):
     """Whole-network AlexNet dataflow verification stays under a minute."""
-    runner = FunctionalNetworkRunner(backend="vectorized", seed=13)
+    runner = FunctionalNetworkRunner(seed=13)
     result = benchmark.pedantic(runner.run, args=(alexnet(),), rounds=1, iterations=1)
     assert result.passed, result.describe()
     assert len(result.conv_stages) == 5

@@ -17,10 +17,10 @@ writing any Python:
 * ``pareto``      — grid sweep + Pareto frontier (time vs. power vs. area)
   in one command;
 * ``cache``       — ``stats`` / ``clear`` for the on-disk sweep result cache;
-* ``verify``      — cross-check the cycle-accurate simulator's backends on
-  small layers (``--sim cycle``), or run whole-network functional dataflow
-  verification (``--sim functional [--network alexnet]``) through the
-  vectorized window-enumeration backend;
+* ``verify``      — cross-check the cycle-accurate simulator's vectorized
+  and register-accurate paths on the tiny network (``--sim cycle``), or run
+  whole-network functional dataflow verification
+  (``--sim functional [--network alexnet]``), every stage exact;
 * ``map``         — exhaustively search the pruned per-layer mapping space
   (primitive partition, stripe height, kernel chunking, batch interleave)
   for a latency / throughput / EDP / energy objective, report
@@ -79,6 +79,7 @@ from repro.cnn.zoo import NETWORKS, get_network, tiny_test_network
 from repro.core.config import MAINSTREAM_KERNEL_SIZES, ChainConfig
 from repro.core.utilization import utilization_table
 from repro.engine import (
+    ALGORITHM_ENGINES,
     CACHE_DIR_ENV,
     CACHE_MAX_MB_ENV,
     INDEX_ENV,
@@ -95,7 +96,7 @@ from repro.obs.export import export_trace, render_summary, summarize_trace
 from repro.obs.metrics import REGISTRY, render_metrics
 from repro.serve import payloads as serve_payloads
 from repro.serve.protocol import DEFAULT_PORT
-from repro.sim.cycle import CYCLE_BACKENDS, CycleAccurateChainSimulator
+from repro.sim.cycle import CycleAccurateChainSimulator
 from repro.sim.network import FunctionalNetworkRunner
 
 
@@ -171,13 +172,9 @@ def cmd_run(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
     if args.algorithm != "direct":
-        # the algorithm axis exists where convolutions are actually executed
-        # or mapped; the closed-form analytical engines model direct only
-        algorithm_engines = ("functional", "functional-vectorized",
-                             "analytical-mapped")
-        if args.engine not in algorithm_engines:
+        if args.engine not in ALGORITHM_ENGINES:
             print(f"error: --algorithm {args.algorithm} applies to "
-                  f"--engine {{{','.join(algorithm_engines)}}}, "
+                  f"--engine {{{','.join(ALGORITHM_ENGINES)}}}, "
                   f"not {args.engine}", file=sys.stderr)
             return 2
         engine_kwargs["algorithm"] = args.algorithm
@@ -412,33 +409,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
               "cycle cross-check is limited to the tiny network)", file=sys.stderr)
         return 2
     config = _config_from_args(args)
-    backend = args.backend or "both"
-    backends = list(CYCLE_BACKENDS) if backend == "both" else [backend]
-    simulators = {
-        backend: CycleAccurateChainSimulator(config, backend=backend)
-        for backend in backends
-    }
+    fast = CycleAccurateChainSimulator(config, backend="vectorized")
+    register_accurate = CycleAccurateChainSimulator(config, backend="scalar")
     generator = WorkloadGenerator(seed=args.seed)
     failures = 0
     for layer in tiny_test_network().conv_layers:
         ifmaps, weights = generator.layer_pair(layer)
-        results = {
-            backend: simulator.run_layer(layer, ifmaps, weights)
-            for backend, simulator in simulators.items()
-        }
-        result = next(iter(results.values()))
-        status = "ok" if (result.reference_max_abs_error or 0.0) < 1e-9 else "MISMATCH"
-        if len(results) == 2:
-            vec, scalar = results["vectorized"], results["scalar"]
-            if not (np.array_equal(vec.ofmaps, scalar.ofmaps)
-                    and vec.stats == scalar.stats):
-                status = "BACKEND-MISMATCH"
-        if status != "ok":
+        # run_layer raises on any nonzero difference from the direct golden
+        vectorized = fast.run_layer(layer, ifmaps, weights)
+        scalar = register_accurate.run_layer(layer, ifmaps, weights)
+        agree = (np.array_equal(vectorized.ofmaps, scalar.ofmaps)
+                 and vectorized.stats == scalar.stats)
+        if not agree:
             failures += 1
         print(f"{layer.name:<10} K={layer.kernel_size} "
-              f"max|err|={result.reference_max_abs_error:.2e} "
-              f"cycles={result.stats.primitive_cycles:<8} "
-              f"[{'+'.join(backends)}] {status}")
+              f"max|err|={vectorized.reference_max_abs_error:.2e} "
+              f"cycles={vectorized.stats.primitive_cycles:<8} "
+              f"[vectorized+scalar] {'ok' if agree else 'BACKEND-MISMATCH'}")
     print("verification " + ("PASSED" if failures == 0 else f"FAILED ({failures} layers)"))
     return 0 if failures == 0 else 1
 
@@ -674,17 +661,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def _verify_functional(args: argparse.Namespace) -> int:
     """Whole-network dataflow verification through the functional simulator.
 
-    The default backend cross-checks scalar vs vectorized bit-identity on the
-    tiny network; zoo-scale networks default to the vectorized fast path
-    (golden-checked against the im2col reference per layer), which keeps full
-    AlexNet/VGG verification a seconds-scale operation.
+    Every conv stage must equal the im2col golden exactly; the whole-array
+    simulator keeps full AlexNet/VGG verification a seconds-scale operation.
     """
     network = (tiny_test_network() if args.network == "tiny"
                else get_network(args.network))
-    backend = args.backend or ("both" if args.network == "tiny" else "vectorized")
     runner = FunctionalNetworkRunner(
-        _config_from_args(args), backend=backend, seed=args.seed,
-        algorithm=args.algorithm,
+        _config_from_args(args), seed=args.seed, algorithm=args.algorithm,
     )
     result = runner.run(network)
     print(result.describe())
@@ -855,8 +838,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser(
         "verify",
-        help="simulator verification: cycle-accurate cross-check on small "
-             "layers, or whole-network functional dataflow verification",
+        help="simulator verification: cycle-accurate vectorized vs "
+             "register-accurate cross-check on small layers, or "
+             "whole-network functional dataflow verification",
     )
     verify.add_argument("--seed", type=int, default=2017)
     verify.add_argument("--sim", choices=("cycle", "functional"), default="cycle",
@@ -865,12 +849,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default="tiny",
                         help="network to verify with --sim functional "
                              "(default: the tiny test network)")
-    verify.add_argument("--backend", choices=CYCLE_BACKENDS + ("both",), default=None,
-                        help="simulator backend (default: cross-check both; "
-                             "functional verification of zoo networks defaults "
-                             "to the vectorized fast path; under 'both', "
-                             "Winograd stages are checked against the im2col "
-                             "golden only)")
     verify.add_argument("--algorithm", choices=ALGORITHM_MODES,
                         default="direct",
                         help="run eligible 3x3-stride-1 layers through the "

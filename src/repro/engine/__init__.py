@@ -1,9 +1,9 @@
 """Unified execution-engine layer.
 
 One ``Engine`` interface over every evaluator of the library — the analytical
-models (``paper`` and ``detailed`` fidelity), the cycle-accurate simulator
-(vectorized or scalar backend), the functional simulator and the Table V
-baselines — plus a registry to instantiate engines by name, a deterministic
+models (``paper`` and ``detailed`` fidelity), the cycle-accurate simulator,
+the functional simulator and the Table V baselines, one engine name per code
+path — plus a registry to instantiate engines by name, a deterministic
 on-disk result cache and a cached sweep executor.
 
 >>> from repro.engine import available_engines, create_engine
@@ -12,6 +12,7 @@ True
 """
 
 from repro.engine.adapters import (
+    ALGORITHM_ENGINES,
     DEFAULT_ENGINES,
     AnalyticalBatchEngine,
     AnalyticalEngine,
@@ -42,6 +43,7 @@ from repro.engine.registry import (
 )
 
 __all__ = [
+    "ALGORITHM_ENGINES",
     "AnalyticalBatchEngine",
     "AnalyticalEngine",
     "BaselineEngine",

@@ -9,16 +9,17 @@
 * :class:`MappedAnalyticalEngine` — mapping-searched analytical evaluation:
   every run first optimises the per-layer mapping (:mod:`repro.mapping`)
   for a configurable objective and reports searched-vs-baseline metrics;
-* :class:`CycleEngine` — the cycle-accurate simulator (vectorized fast path
-  or register-accurate scalar cross-check) on synthetic seeded tensors;
-* :class:`FunctionalEngine` — the dataflow-level simulator (scalar window
-  walk, bit-identical vectorized fast path, or cross-checking ``both`` mode);
+* :class:`CycleEngine` — the cycle-accurate simulator on synthetic seeded
+  tensors, every layer checked exactly against the direct golden;
+* :class:`FunctionalEngine` — the dataflow-level simulator (whole-array
+  window enumeration, or the Winograd transform domain on eligible layers);
 * :class:`BaselineEngine` — any :class:`~repro.baselines.base.AcceleratorModel`
   (Chain-NN itself, the memory-centric DaDianNao-like and the 2D spatial
   Eyeriss-like baselines of Table V).
 
 Importing this module registers the default engine names listed in
-:data:`DEFAULT_ENGINES`.
+:data:`DEFAULT_ENGINES`; :data:`ALGORITHM_ENGINES` names the ones that take
+an execution-algorithm mode.
 """
 
 from __future__ import annotations
@@ -247,15 +248,17 @@ class MappedAnalyticalEngine(Engine):
 
 
 class CycleEngine(Engine):
-    """Cycle-accurate simulation of every conv layer on seeded tensors."""
+    """Cycle-accurate simulation of every conv layer on seeded tensors.
 
-    def __init__(self, backend: str = "vectorized", seed: int = 2017,
-                 total_bits: int = 16, check_against_reference: bool = True) -> None:
-        self.backend = backend
+    Layers run on the simulator's vectorized path (kernels above 11x11 on its
+    register-accurate path), and each is checked exactly against the direct
+    golden on the operands it simulated.
+    """
+
+    def __init__(self, seed: int = 2017, total_bits: int = 16) -> None:
         self.seed = seed
         self.total_bits = total_bits
-        self.check_against_reference = check_against_reference
-        self.name = "cycle" if backend == "vectorized" else f"cycle-{backend}"
+        self.name = "cycle"
         # the simulation itself is batch-independent (batch only scales the
         # time arithmetic), so one (config, workload) simulation serves every
         # batch size — e.g. the whole Sec. V.B batch sweep
@@ -268,9 +271,7 @@ class CycleEngine(Engine):
         })
         if memo_key in self._memo:
             return self._memo[memo_key]
-        simulator = CycleAccurateChainSimulator(
-            config, total_bits=self.total_bits, backend=self.backend
-        )
+        simulator = CycleAccurateChainSimulator(config, total_bits=self.total_bits)
         generator = WorkloadGenerator(seed=self.seed)
         layers: Dict[str, Dict[str, float]] = {}
         conv_cycles = 0.0
@@ -280,15 +281,12 @@ class CycleEngine(Engine):
         max_error = 0.0
         for layer in network.conv_layers:
             ifmaps, weights = generator.layer_pair(layer)
-            result = simulator.run_layer(
-                layer, ifmaps, weights,
-                check_against_reference=self.check_against_reference,
-            )
+            result = simulator.run_layer(layer, ifmaps, weights)
             conv_cycles += result.chain_cycles_estimate
             kernel_load_cycles += result.stats.kernel_load_cycles
             macs += result.stats.macs
             outputs += result.stats.outputs_collected
-            error = result.reference_max_abs_error or 0.0
+            error = result.reference_max_abs_error
             max_error = max(max_error, error)
             layers[layer.name] = {
                 "chain_cycles": result.chain_cycles_estimate,
@@ -334,37 +332,28 @@ class CycleEngine(Engine):
             batch=batch,
             config_summary=config.describe(),
             metrics=metrics,
-            extra={"layers": layers, "backend": self.backend},
+            # the simulator path every zoo layer runs (all kernels are <= 11x11)
+            extra={"layers": layers, "backend": "vectorized"},
         )
 
     def fingerprint(self) -> Dict[str, Any]:
         return {
             "name": self.name,
-            "backend": self.backend,
             "seed": self.seed,
             "total_bits": self.total_bits,
-            "check": self.check_against_reference,
         }
 
 
 class FunctionalEngine(Engine):
-    """Dataflow-level simulation (window enumeration) of every conv layer.
+    """Dataflow-level simulation (window enumeration) of every conv layer."""
 
-    ``backend`` selects the scalar per-window walk (the historical default,
-    registered as ``functional``), the bit-identical vectorized fast path
-    (``functional-vectorized``) or the cross-checking ``both`` mode mirroring
-    the cycle simulator.
-    """
-
-    def __init__(self, seed: int = 2017, backend: str = "scalar",
-                 algorithm: str = "direct") -> None:
+    def __init__(self, seed: int = 2017, algorithm: str = "direct") -> None:
         self.seed = seed
-        self.backend = backend
         #: "direct" runs every layer on the sliding-window dataflow;
         #: "winograd"/"auto" run eligible 3x3-stride-1 layers in the
         #: transform domain (ineligible layers always stay direct)
         self.algorithm = algorithm
-        self.name = "functional" if backend == "scalar" else f"functional-{backend}"
+        self.name = "functional"
         self._memo: Dict[str, Dict[str, Any]] = {}
 
     def _simulate(self, network: Network, config: ChainConfig) -> Dict[str, Any]:
@@ -374,7 +363,7 @@ class FunctionalEngine(Engine):
         })
         if memo_key in self._memo:
             return self._memo[memo_key]
-        simulator = FunctionalChainSimulator(config, backend=self.backend)
+        simulator = FunctionalChainSimulator(config)
         generator = WorkloadGenerator(seed=self.seed)
         layers: Dict[str, Dict[str, float]] = {}
         chain_cycles = 0.0
@@ -440,10 +429,9 @@ class FunctionalEngine(Engine):
         fingerprint = {
             "name": self.name,
             "seed": self.seed,
-            "backend": self.backend,
         }
-        # only a non-default algorithm changes the simulated numbers, so the
-        # direct-mode cache keys stay identical to earlier library versions
+        # only a non-default algorithm changes the simulated numbers, so only
+        # it enters the key
         if self.algorithm != "direct":
             fingerprint["algorithm"] = self.algorithm
         return fingerprint
@@ -548,17 +536,7 @@ def _make_cycle(**kwargs) -> CycleEngine:
     return CycleEngine(**kwargs)
 
 
-def _make_cycle_scalar(**kwargs) -> CycleEngine:
-    kwargs.setdefault("backend", "scalar")
-    return CycleEngine(**kwargs)
-
-
 def _make_functional(**kwargs) -> FunctionalEngine:
-    return FunctionalEngine(**kwargs)
-
-
-def _make_functional_vectorized(**kwargs) -> FunctionalEngine:
-    kwargs.setdefault("backend", "vectorized")
     return FunctionalEngine(**kwargs)
 
 
@@ -586,13 +564,16 @@ DEFAULT_ENGINES = {
     "analytical-batch-detailed": _make_analytical_batch_detailed,
     "analytical-mapped": _make_analytical_mapped,
     "cycle": _make_cycle,
-    "cycle-scalar": _make_cycle_scalar,
     "functional": _make_functional,
-    "functional-vectorized": _make_functional_vectorized,
     "baseline-chain-nn": _make_baseline_chain_nn,
     "baseline-eyeriss": _make_baseline_eyeriss,
     "baseline-dadiannao": _make_baseline_dadiannao,
 }
+
+#: engines taking ``algorithm=`` (``run --algorithm``, ``/v1/run``): the
+#: functional simulator executes the Winograd transform domain and the mapped
+#: engine searches it; the closed-form analytical engines model direct only
+ALGORITHM_ENGINES = ("functional", "analytical-mapped")
 
 for _name, _factory in DEFAULT_ENGINES.items():
     register_engine(_name, _factory)

@@ -171,7 +171,7 @@ def functional_verification_section(
     """The functional-verification-throughput chapter of EXPERIMENTS.md.
 
     Documents the ``repro verify --sim functional`` workflow and quotes the
-    measured scalar-vs-vectorized backend speedup from
+    measured speedup of the simulator over the scalar oracle walk from
     ``BENCH_functional.json`` when the benchmark has been run
     (``pytest benchmarks/bench_functional.py``).
     """
@@ -181,19 +181,20 @@ def functional_verification_section(
         "The functional (dataflow-level) simulator enumerates every scan",
         "window of the Chain-NN stripe/column-scan decomposition.  Its input",
         "domain is the chip's 16-bit fixed point, checked by an",
-        "accumulator-width guard, so every float64 sum is exact.  Its",
-        "vectorized backend computes each conv group's kept windows as one",
-        "im2col BLAS GEMM and derives the dataflow counters in closed form —",
-        "bit-identical ofmaps and identical `FunctionalRunStats` to the",
-        "scalar per-window walk (asserted by",
-        "`tests/test_sim_functional_vectorized.py`), which turns",
-        "whole-network dataflow verification, VGG-16 included, into a",
-        "seconds-scale CI step:",
+        "accumulator-width guard, so every float64 sum is exact.  It",
+        "computes each conv group's kept windows as one im2col BLAS GEMM and",
+        "derives the dataflow counters in closed form — bit-identical ofmaps",
+        "and identical `FunctionalRunStats` to the scalar per-window walk, a",
+        "test oracle no engine runs (asserted by",
+        "`tests/test_sim_functional_vectorized.py` and",
+        "`tests/test_cross_fidelity.py`), which turns whole-network dataflow",
+        "verification, VGG-16 included, into a seconds-scale CI step; every",
+        "conv stage must equal the im2col golden exactly:",
         "",
         "```text",
-        "repro verify --sim functional                     # tiny net, scalar-vs-vectorized cross-check",
-        "repro verify --sim functional --network alexnet   # full AlexNet, vectorized + golden reference",
-        "repro verify --sim functional --network vgg16 --backend vectorized",
+        "repro verify --sim functional                     # tiny test network",
+        "repro verify --sim functional --network alexnet   # full AlexNet vs the golden reference",
+        "repro verify --sim functional --network vgg16",
         "```",
         "",
         "Between conv stages the runner applies ReLU, re-quantises the",
@@ -212,16 +213,16 @@ def functional_verification_section(
             bench = None
     if bench and "speedup_vs_scalar" in bench:
         lines += [
-            f"Measured backend throughput (`BENCH_functional.json`, AlexNet "
+            f"Measured throughput (`BENCH_functional.json`, AlexNet "
             f"`{bench.get('layer', '?')}`):",
             "",
             "| path | seconds | windows/s |",
             "| --- | --- | --- |",
-            f"| vectorized | {bench.get('vectorized_seconds', 0):.2f} | "
+            f"| simulator | {bench.get('vectorized_seconds', 0):.2f} | "
             f"{bench.get('vectorized_windows_per_s', 0):,.0f} |",
-            f"| scalar walk | {bench.get('scalar_seconds', 0):.1f} | "
+            f"| scalar oracle walk | {bench.get('scalar_seconds', 0):.1f} | "
             f"{bench.get('windows_evaluated', 0) / bench['scalar_seconds']:,.0f} |"
-            if bench.get("scalar_seconds") else "| scalar walk | — | — |",
+            if bench.get("scalar_seconds") else "| scalar oracle walk | — | — |",
             "",
             f"Speedup: **{bench['speedup_vs_scalar']:,.0f}x** over the scalar",
             "walk (scalar seconds extrapolated per channel pair from a",
@@ -347,13 +348,13 @@ def winograd_execution_section(bench_path: str | Path = "BENCH_winograd.json") -
         "",
         "```text",
         "repro map --network vgg16 --objective throughput --algorithm auto",
-        "repro run alexnet --engine functional-vectorized --algorithm winograd",
+        "repro run alexnet --engine functional --algorithm winograd",
         "repro verify --sim functional --network vgg16 --algorithm winograd",
         "repro networks --json   # per-layer eligibility + MAC coverage",
         "```",
         "",
-        "The functional Winograd backend runs the transform-domain products",
-        "as 16 batched GEMMs.  On the fixed-point path its transforms and",
+        "The functional simulator's Winograd mode runs the transform-domain",
+        "products as 16 batched GEMMs.  On the fixed-point path its transforms and",
         "sums are exact, so it equals the im2col golden bit for bit",
         "(`max|err|=0.00e+00`) and is bit-identical across block partitions",
         "(`tests/test_winograd.py` in the CI equivalence gate).  The cost",

@@ -320,7 +320,6 @@ class MappingVerification:
 
     network_name: str
     seed: int
-    tolerance: float
     layers: List[LayerVerification] = field(default_factory=list)
 
     @property
@@ -330,9 +329,9 @@ class MappingVerification:
 
     @property
     def passed(self) -> bool:
-        """True when every mapping is golden-close and baseline-bit-identical."""
+        """True when every mapping equals its golden and the baseline bit for bit."""
         return all(
-            entry.bit_identical and entry.max_abs_error <= self.tolerance
+            entry.bit_identical and entry.max_abs_error == 0.0
             for entry in self.layers
         )
 
@@ -343,7 +342,7 @@ class MappingVerification:
         lines.append(
             f"mapping verification {verdict}: {len(self.layers)} distinct "
             f"mappings, max|err|={self.max_abs_error:.2e} "
-            f"(tolerance {self.tolerance:.0e})"
+            f"({'exact' if self.max_abs_error == 0.0 else 'inexact'})"
         )
         return "\n".join(lines)
 
@@ -519,16 +518,16 @@ class ScheduleOptimizer:
     # verification
     # ------------------------------------------------------------------ #
     def verify(self, network: Network, schedule: OptimizedSchedule,
-               seed: int = 2017, tolerance: float = 1e-9,
+               seed: int = 2017,
                deduplicate: bool = True) -> MappingVerification:
         """Functionally verify every searched mapping of ``schedule``.
 
         Each distinct (layer geometry, stripe height) pair drives the
-        vectorized :class:`FunctionalChainSimulator` on seeded tensors,
-        quantised to the chip's ``word_bits`` fixed point (the simulator's
-        input domain); the ofmaps must match the im2col golden reference
-        within ``tolerance`` (on that domain both are exact, so the error is
-        0) and be **bit-identical** to the baseline full-stripe simulation.
+        :class:`FunctionalChainSimulator` on seeded tensors, quantised to the
+        chip's ``word_bits`` fixed point (the simulator's input domain, where
+        every sum is exact); the ofmaps must equal the im2col golden
+        reference exactly and be **bit-identical** to the baseline
+        full-stripe simulation.
         A searched stripe height equal to the baseline's runs the identical
         stripe plan, so the bit-identity re-simulation only happens for
         genuinely re-striped layers.
@@ -537,10 +536,9 @@ class ScheduleOptimizer:
         instead, and the bit-identity check partitions the ofmap channels
         into two blocks.
         """
-        outcome = MappingVerification(network_name=network.name, seed=seed,
-                                      tolerance=tolerance)
+        outcome = MappingVerification(network_name=network.name, seed=seed)
         parent = WorkloadGenerator(seed=seed)
-        simulator = FunctionalChainSimulator(self.config, backend="vectorized")
+        simulator = FunctionalChainSimulator(self.config)
         verified: Dict[Tuple, int] = {}
         covers: Dict[int, List[str]] = {}
         for layer in network.conv_layers:

@@ -119,7 +119,6 @@ def map_payload(schedule, algorithm_mode: str,
         payload["verification"] = {
             "passed": verification.passed,
             "max_abs_error": verification.max_abs_error,
-            "tolerance": verification.tolerance,
             "layers": [
                 {
                     "layer": entry.layer_name,
@@ -139,11 +138,9 @@ def verify_payload(result) -> Dict[str, Any]:
     service also ships the structured stage table)."""
     return {
         "network": result.network,
-        "backend": result.backend,
         "seed": result.seed,
         "passed": result.passed,
         "max_abs_error": result.max_abs_error,
-        "tolerance": result.tolerance,
         "chain_cycles_estimate": result.chain_cycles_estimate,
         "stats": dataclasses.asdict(result.stats),
         "stages": [stage_event(stage) for stage in result.stages],

@@ -118,7 +118,6 @@ class VerifyParams:
 
     network: str = "tiny"
     seed: int = 2017
-    backend: Optional[str] = None
     algorithm: str = "direct"
     pes: int = 576
     frequency_mhz: float = 700.0

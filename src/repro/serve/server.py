@@ -29,7 +29,7 @@ from typing import Any, Callable, Dict, Optional, Set, Tuple
 from repro import __version__
 from repro.analysis.batch import DesignGrid
 from repro.cnn.zoo import NETWORKS, get_network, tiny_test_network
-from repro.engine import available_engines, create_engine
+from repro.engine import ALGORITHM_ENGINES, available_engines, create_engine
 from repro.engine.cache import RunCache
 from repro.errors import INPUT_ERRORS
 from repro.mapping import OBJECTIVES, ScheduleOptimizer
@@ -308,14 +308,13 @@ class EvalServer:
     async def _handle_verify(self, request: HttpRequest,
                              writer: asyncio.StreamWriter) -> None:
         params = parse_params(VerifyParams, request.json())
-        backend = _validate_verify(params)
+        _validate_verify(params)
         network = (tiny_test_network() if params.network == "tiny"
                    else _zoo_network(params.network))
 
         def work(emit: Callable[[Dict[str, Any]], None]) -> Tuple[Dict[str, Any], int]:
             runner = FunctionalNetworkRunner(
-                config_of(params), backend=backend, seed=params.seed,
-                algorithm=params.algorithm,
+                config_of(params), seed=params.seed, algorithm=params.algorithm,
             )
             result = runner.run(network, progress=lambda stage: emit(
                 {"event": "stage", **payloads.stage_event(stage)}))
@@ -405,12 +404,10 @@ def _validate_run(params: RunParams) -> Dict[str, Any]:
             raise ProtocolError(
                 f"mode {params.mode} conflicts with engine {params.engine}")
     if params.algorithm != "direct":
-        algorithm_engines = ("functional", "functional-vectorized",
-                             "analytical-mapped")
-        if params.engine not in algorithm_engines:
+        if params.engine not in ALGORITHM_ENGINES:
             raise ProtocolError(
                 f"algorithm {params.algorithm} applies to engines "
-                f"{{{','.join(algorithm_engines)}}}, not {params.engine}")
+                f"{{{','.join(ALGORITHM_ENGINES)}}}, not {params.engine}")
         engine_kwargs["algorithm"] = params.algorithm
     return engine_kwargs
 
@@ -422,11 +419,6 @@ def _validate_map(params: MapParams) -> None:
         raise ProtocolError(f"unknown algorithm mode {params.algorithm!r}")
 
 
-def _validate_verify(params: VerifyParams) -> str:
+def _validate_verify(params: VerifyParams) -> None:
     if params.algorithm not in ALGORITHM_MODES:
         raise ProtocolError(f"unknown algorithm mode {params.algorithm!r}")
-    backend = params.backend or ("both" if params.network == "tiny"
-                                 else "vectorized")
-    if backend not in ("both", "vectorized", "scalar"):
-        raise ProtocolError(f"unknown backend {backend!r}")
-    return backend

@@ -2,7 +2,6 @@
 
 from repro.sim.cycle import CycleAccurateChainSimulator, CycleSimResult, CycleSimStats
 from repro.sim.functional import (
-    FUNCTIONAL_BACKENDS,
     FunctionalChainSimulator,
     FunctionalRunResult,
     FunctionalRunStats,
@@ -25,7 +24,6 @@ __all__ = [
     "CycleAccurateChainSimulator",
     "CycleSimResult",
     "CycleSimStats",
-    "FUNCTIONAL_BACKENDS",
     "FunctionalChainSimulator",
     "FunctionalNetworkRunner",
     "FunctionalRunResult",

@@ -23,13 +23,17 @@ Two backends share the same decomposition and produce bit-identical results:
     :class:`~repro.core.primitive.SystolicPrimitive` one clock cycle at a
     time.  Each simulated cycle costs Python-level work per PE, so this
     backend is meant for small layers; it serves as the ground-truth
-    cross-check of the vectorized fast path (``repro verify --backend both``).
+    cross-check of the vectorized fast path (``repro verify`` runs both on
+    the tiny network) and runs kernels larger than 11x11.
+
+Every layer is checked exactly against the direct golden on the operands
+it simulated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
@@ -76,7 +80,9 @@ class CycleSimResult:
     chain_cycles_estimate: float
     ifmap_format: FixedPointFormat
     weight_format: FixedPointFormat
-    reference_max_abs_error: Optional[float] = None
+    #: max |ofmaps - direct golden|; :meth:`CycleAccurateChainSimulator.run_layer`
+    #: raises unless it is 0
+    reference_max_abs_error: float
 
     @property
     def total_cycles_with_kernel_load(self) -> float:
@@ -118,22 +124,17 @@ class CycleAccurateChainSimulator:
     # ------------------------------------------------------------------ #
     # public API
     # ------------------------------------------------------------------ #
-    def run_layer(
-        self,
-        layer: ConvLayer,
-        ifmaps: np.ndarray,
-        weights: np.ndarray,
-        check_against_reference: bool = True,
-    ) -> CycleSimResult:
+    def run_layer(self, layer: ConvLayer, ifmaps: np.ndarray,
+                  weights: np.ndarray) -> CycleSimResult:
         """Simulate one layer cycle by cycle.
 
         ``ifmaps`` is ``(C, H, W)`` float, ``weights`` is ``(M, C/g, K, K)``
         float; both are quantised to the configured fixed-point width before
-        simulation.  When ``check_against_reference`` is set the dequantised
-        ofmaps are compared against :func:`~repro.cnn.reference.conv2d_direct`
-        on the same quantised operands (the dequantised raw ifmaps and
-        weights the simulator ran on); every sum is exact, so any nonzero
-        difference raises :class:`~repro.errors.SimulationError`.
+        simulation.  The dequantised ofmaps are then compared against
+        :func:`~repro.cnn.reference.conv2d_direct` on the same quantised
+        operands (the dequantised raw ifmaps and weights the simulator ran
+        on); every sum is exact, so any nonzero difference raises
+        :class:`~repro.errors.SimulationError`.
         """
         ifmaps = np.asarray(ifmaps, dtype=np.float64)
         weights = np.asarray(weights, dtype=np.float64)
@@ -170,18 +171,16 @@ class CycleAccurateChainSimulator:
         ofmaps = raw_ofmaps.astype(np.float64) * output_scale
         chain_cycles = stats.primitive_cycles / mapping.active_primitives
 
-        reference_error: Optional[float] = None
-        if check_against_reference:
-            pad = layer.padding
-            interior = raw_ifmaps[:, pad:pad + layer.in_height, pad:pad + layer.in_width]
-            reference = conv2d_direct(layer, ifmap_fmt.dequantize_raw(interior),
-                                      weight_fmt.dequantize_raw(raw_weights))
-            reference_error = float(np.max(np.abs(reference - ofmaps))) if reference.size else 0.0
-            if reference_error != 0.0:
-                raise SimulationError(
-                    f"{layer.name}: cycle-accurate result deviates from reference "
-                    f"(max abs error {reference_error:.3e})"
-                )
+        pad = layer.padding
+        interior = raw_ifmaps[:, pad:pad + layer.in_height, pad:pad + layer.in_width]
+        reference = conv2d_direct(layer, ifmap_fmt.dequantize_raw(interior),
+                                  weight_fmt.dequantize_raw(raw_weights))
+        reference_error = float(np.max(np.abs(reference - ofmaps))) if reference.size else 0.0
+        if reference_error != 0.0:
+            raise SimulationError(
+                f"{layer.name}: cycle-accurate result deviates from reference "
+                f"(max abs error {reference_error:.3e})"
+            )
 
         return CycleSimResult(
             layer=layer,

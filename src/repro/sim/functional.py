@@ -1,30 +1,27 @@
 """Functional (dataflow-level) simulation of a layer on the chain.
 
-This simulator walks the exact same decomposition the hardware uses — channel
-pairs, stripes, column-wise scan windows — but evaluates each window with
-NumPy instead of ticking PE registers.  It answers the question *"does the
-Chain-NN dataflow enumerate exactly the right windows and accumulate them
-into the right output pixels?"* for layers of any size in reasonable time,
-and provides the golden intermediate results the cycle-accurate simulator is
-checked against.
+This simulator evaluates the exact same decomposition the hardware uses —
+channel pairs, stripes, column-wise scan windows — as whole-array NumPy
+operations instead of ticking PE registers
+(:mod:`repro.sim.functional_vectorized`: the kept windows of each conv group
+are one im2col GEMM, the dataflow counters are closed forms over the stripe
+plan).  It answers the question *"does the Chain-NN dataflow enumerate
+exactly the right windows and accumulate them into the right output
+pixels?"* for layers of any size in seconds, and provides the golden
+intermediate results the cycle-accurate simulator is checked against.
+``algorithm="winograd"`` runs the F(2x2,3x3) transform domain instead
+(:mod:`repro.sim.winograd`).
 
 The input domain is the chip's ``config.word_bits`` fixed point, within
 the accumulator-width guard
 (:func:`repro.hwmodel.fixed_point.check_exact_accumulation`; anything else
 raises :class:`~repro.errors.SimulationError`), where every float64 sum is
-exact: the backends agree bit for bit whatever order they add in.
+exact: every path gives the same bits whatever order it adds in.
 
-Two backends share one result contract (mirroring the cycle simulator):
-
-* ``scalar`` — the per-window Python walk over every channel pair;
-* ``vectorized`` — :mod:`repro.sim.functional_vectorized`, the same
-  decomposition as im2col GEMMs with closed-form counters, bit-identical
-  ofmaps and identical :class:`FunctionalRunStats`;
-* ``both`` — run both and raise :class:`~repro.errors.SimulationError` on
-  any divergence (the cross-check mode ``repro verify`` uses).  Winograd
-  layers are the exception: the scalar walk has no transform-domain form,
-  so under ``both`` a Winograd layer is computed once and only the im2col
-  golden check of the caller verifies it.
+:func:`scalar_window_walk` is the reference oracle: the per-window Python
+walk over every channel pair, stripe and scan window.  No engine, option or
+request runs it; the equivalence tests check the simulator's ofmaps and
+counters against it, and ``benchmarks/bench_functional.py`` times it.
 
 Strided layers use the stream-everything-discard policy discussed in
 DESIGN.md: the scan runs at stride-1 cadence over the padded input and
@@ -34,14 +31,14 @@ windows that do not fall on the stride grid are dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.cnn.layer import ConvLayer
 from repro.cnn.reference import conv2d_im2col, pad_input
 from repro.core.config import ChainConfig
-from repro.core.mapper import LayerMapper, LayerMapping
+from repro.core.mapper import LayerMapper
 from repro.core.scan import ColumnScanSchedule
 from repro.errors import ConfigurationError, SimulationError, WorkloadError
 from repro.hwmodel.fixed_point import WINOGRAD_GROWTH_BITS, check_exact_accumulation
@@ -51,9 +48,6 @@ from repro.sim.functional_vectorized import pair_window_stats, vectorized_layer_
 # inside the Winograd code paths — repro.sim is itself imported while
 # repro.engine.adapters is only partially initialised, and the
 # repro.analysis package __init__ closes a cycle back into it.
-
-#: selectable simulation backends (``"both"`` additionally cross-checks them)
-FUNCTIONAL_BACKENDS = ("scalar", "vectorized")
 
 #: execution algorithms the simulator can run a layer with
 SIM_ALGORITHMS = ("direct", "winograd")
@@ -102,76 +96,12 @@ class FunctionalRunResult:
 class FunctionalChainSimulator:
     """Dataflow-level simulator of the Chain-NN execution of a conv layer."""
 
-    def __init__(self, config: Optional[ChainConfig] = None,
-                 backend: str = "scalar") -> None:
-        if backend not in FUNCTIONAL_BACKENDS + ("both",):
-            raise ConfigurationError(
-                f"unknown functional backend {backend!r}; "
-                f"available: {', '.join(FUNCTIONAL_BACKENDS + ('both',))}"
-            )
+    def __init__(self, config: Optional[ChainConfig] = None) -> None:
         self.config = config or ChainConfig()
-        self.backend = backend
         self.mapper = LayerMapper(self.config)
 
     # ------------------------------------------------------------------ #
-    # stripe helpers
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _stripe_bases(padded_height: int, kernel_size: int,
-                      stripe_height: int) -> List[int]:
-        """Starting input rows of the stride-1 stripes covering the feature map.
-
-        ``stripe_height`` is the number of stride-1 output rows each stripe
-        produces (the paper's full stripe uses ``K``; the mapping-search
-        subsystem explores ``1..K``).
-        """
-        out_rows_stride1 = padded_height - kernel_size + 1
-        bases = list(range(0, out_rows_stride1, stripe_height))
-        return bases
-
-    def _process_pair(
-        self,
-        layer: ConvLayer,
-        plane: np.ndarray,
-        kernel: np.ndarray,
-        out_plane: np.ndarray,
-        stats: FunctionalRunStats,
-        stripe_height: int,
-    ) -> None:
-        """Convolve one ifmap plane with one kernel plane, accumulating into out_plane."""
-        k = layer.kernel_size
-        stride = layer.stride
-        padded_height, padded_width = plane.shape
-        kernel_col_major = kernel  # indexed [i, j] directly below
-        for base in self._stripe_bases(padded_height, k, stripe_height):
-            rows = min(stripe_height + k - 1, padded_height - base)
-            if rows < k:
-                continue
-            schedule = ColumnScanSchedule(k, padded_width, stripe_rows=rows)
-            stripe = plane[base:base + rows]
-            stats.stripes_processed += 1
-            stats.pixels_streamed += schedule.pixels_streamed()
-            stats.primitive_cycles += schedule.total_timestamps
-            for tag in schedule.valid_windows():
-                stats.windows_evaluated += 1
-                in_row = base + tag.out_row_in_stripe
-                in_col = tag.out_col
-                if in_row % stride or in_col % stride:
-                    continue
-                out_row = in_row // stride
-                out_col = in_col // stride
-                if out_row >= out_plane.shape[0] or out_col >= out_plane.shape[1]:
-                    continue
-                window = stripe[
-                    tag.out_row_in_stripe:tag.out_row_in_stripe + k,
-                    tag.out_col:tag.out_col + k,
-                ]
-                out_plane[out_row, out_col] += float(np.sum(window * kernel_col_major))
-                stats.windows_kept += 1
-        stats.pairs_processed += 1
-
-    # ------------------------------------------------------------------ #
-    # shared plumbing
+    # helpers
     # ------------------------------------------------------------------ #
     def _validate_tensors(self, layer: ConvLayer, ifmaps: np.ndarray,
                           weights: np.ndarray, stripe_height: Optional[int],
@@ -215,7 +145,7 @@ class FunctionalChainSimulator:
     @staticmethod
     def _closed_form_stats(layer: ConvLayer,
                            stripe_height: int) -> FunctionalRunStats:
-        """Layer counters from the per-pair closed forms (vectorized path)."""
+        """Layer counters of the direct dataflow, from the per-pair closed forms."""
         per_pair = pair_window_stats(layer, stripe_height)
         pairs = layer.channel_pairs()
         return FunctionalRunStats(
@@ -256,46 +186,6 @@ class FunctionalChainSimulator:
             primitive_cycles=per_stripe * tiles_h * pairs,
         )
 
-    def _run_winograd(self, layer: ConvLayer,
-                      padded: np.ndarray, weights: np.ndarray,
-                      mapping: LayerMapping) -> FunctionalRunResult:
-        """Whole-layer Winograd execution of already-validated tensors.
-
-        One transform-domain implementation serves every backend selection,
-        ``both`` included: there is no second Winograd computation to
-        cross-check against, so the layer is verified against the im2col
-        golden only.
-        """
-        from repro.sim.winograd import winograd_ofmap_block
-
-        ofmaps = np.zeros(layer.out_shape, dtype=np.float64)
-        winograd_ofmap_block(layer, padded, weights, 0, layer.out_channels,
-                             ofmaps)
-        return self._finalize(layer, ofmaps, self._winograd_stats(layer),
-                              mapping)
-
-    @staticmethod
-    def _finalize(layer: ConvLayer, ofmaps: np.ndarray,
-                  stats: FunctionalRunStats,
-                  mapping: LayerMapping) -> FunctionalRunResult:
-        """Shared sanity checks + result assembly for every execution path."""
-        if stats.pairs_processed != mapping.channel_pairs:
-            raise SimulationError(
-                f"{layer.name}: processed {stats.pairs_processed} pairs, "
-                f"expected {mapping.channel_pairs}"
-            )
-        if mapping.active_primitives <= 0:
-            raise SimulationError(
-                f"{layer.name}: mapping reports {mapping.active_primitives} active "
-                "primitives; cannot derive a per-primitive chain-cycle estimate"
-            )
-        return FunctionalRunResult(
-            layer=layer,
-            ofmaps=ofmaps,
-            stats=stats,
-            chain_cycles_estimate=stats.primitive_cycles / mapping.active_primitives,
-        )
-
     # ------------------------------------------------------------------ #
     # public API
     # ------------------------------------------------------------------ #
@@ -324,72 +214,83 @@ class FunctionalChainSimulator:
         padded = pad_input(ifmaps, layer.padding)
 
         if algorithm == "winograd":
-            return self._run_winograd(layer, padded, weights, mapping)
-        if self.backend == "both":
-            scalar = self._run_backend("scalar", layer, padded, weights, mapping,
-                                       stripe_height)
-            result = self._run_backend("vectorized", layer, padded, weights, mapping,
-                                       stripe_height)
-            if not np.array_equal(scalar.ofmaps, result.ofmaps):
-                raise SimulationError(
-                    f"{layer.name}: vectorized functional backend diverges from "
-                    f"the scalar path (max abs difference "
-                    f"{float(np.max(np.abs(scalar.ofmaps - result.ofmaps))):.3e})"
-                )
-            if scalar.stats != result.stats:
-                raise SimulationError(
-                    f"{layer.name}: vectorized functional counters diverge from "
-                    f"the scalar path ({result.stats} != {scalar.stats})"
-                )
-            return result
-        return self._run_backend(self.backend, layer, padded, weights, mapping,
-                                 stripe_height)
+            from repro.sim.winograd import winograd_ofmap_block
 
-    def _run_backend(self, backend: str, layer: ConvLayer, padded: np.ndarray,
-                     weights: np.ndarray, mapping: LayerMapping,
-                     stripe_height: int) -> FunctionalRunResult:
-        """One backend's simulation of an already-validated layer."""
-        if backend == "vectorized":
+            ofmaps = np.zeros(layer.out_shape, dtype=np.float64)
+            winograd_ofmap_block(layer, padded, weights, 0, layer.out_channels,
+                                 ofmaps)
+            stats = self._winograd_stats(layer)
+        else:
             ofmaps = vectorized_layer_ofmaps(layer, padded, weights)
             stats = self._closed_form_stats(layer, stripe_height)
-        else:
-            ofmaps = np.zeros(layer.out_shape, dtype=np.float64)
-            stats = FunctionalRunStats()
-            in_per_group = layer.in_channels_per_group
-            out_per_group = layer.out_channels_per_group
-            for group in range(layer.groups):
-                for m_local in range(out_per_group):
-                    m = group * out_per_group + m_local
-                    for c_local in range(in_per_group):
-                        c = group * in_per_group + c_local
-                        self._process_pair(
-                            layer,
-                            padded[c],
-                            weights[m, c_local],
-                            ofmaps[m],
-                            stats,
-                            stripe_height,
-                        )
 
-        return self._finalize(layer, ofmaps, stats, mapping)
-
-    def run_and_check(self, layer: ConvLayer, ifmaps: np.ndarray, weights: np.ndarray,
-                      tolerance: float = 1e-9,
-                      algorithm: str = "direct") -> Dict[str, float]:
-        """Run the simulation and compare against the reference convolution.
-
-        On the fixed-point input domain both algorithms are exact, so the
-        error is 0 and the check passes at any ``tolerance >= 0``.
-        """
-        result = self.run_layer(layer, ifmaps, weights, algorithm=algorithm)
-        error = result.max_abs_error_vs_reference(ifmaps, weights)
-        if error > tolerance:
+        if stats.pairs_processed != mapping.channel_pairs:
             raise SimulationError(
-                f"{layer.name}: functional simulation deviates from reference "
-                f"(max abs error {error:.3e} > {tolerance:.3e})"
+                f"{layer.name}: processed {stats.pairs_processed} pairs, "
+                f"expected {mapping.channel_pairs}"
             )
-        return {
-            "max_abs_error": error,
-            "windows_kept": float(result.stats.windows_kept),
-            "chain_cycles": result.chain_cycles_estimate,
-        }
+        if mapping.active_primitives <= 0:
+            raise SimulationError(
+                f"{layer.name}: mapping reports {mapping.active_primitives} active "
+                "primitives; cannot derive a per-primitive chain-cycle estimate"
+            )
+        return FunctionalRunResult(
+            layer=layer,
+            ofmaps=ofmaps,
+            stats=stats,
+            chain_cycles_estimate=stats.primitive_cycles / mapping.active_primitives,
+        )
+
+
+def scalar_window_walk(layer: ConvLayer, ifmaps: np.ndarray,
+                       weights: np.ndarray, stripe_height: Optional[int] = None,
+                       ) -> Tuple[np.ndarray, FunctionalRunStats]:
+    """Reference oracle: the per-window walk over every channel pair.
+
+    Streams each (ofmap, ifmap) channel pair stripe by stripe through a
+    :class:`~repro.core.scan.ColumnScanSchedule`, evaluates every valid scan
+    window with NumPy, drops the windows off the stride grid and accumulates
+    the rest into the ofmaps.  ``stripe_height`` is the number of stride-1
+    ofmap rows per stripe (default ``K``, the paper's full stripe).
+
+    Returns the ofmaps and the counters that
+    :meth:`FunctionalChainSimulator.run_layer` derives in closed form.  One
+    Python iteration per window, and no input validation: callers pass
+    operands the simulator accepts.
+    """
+    k = layer.kernel_size
+    stride = layer.stride
+    height = k if stripe_height is None else stripe_height
+    padded = pad_input(np.asarray(ifmaps, dtype=np.float64), layer.padding)
+    weights = np.asarray(weights, dtype=np.float64)
+    padded_height, padded_width = padded.shape[1:]
+    ofmaps = np.zeros(layer.out_shape, dtype=np.float64)
+    stats = FunctionalRunStats()
+    in_per_group = layer.in_channels_per_group
+    out_per_group = layer.out_channels_per_group
+    for m in range(layer.out_channels):
+        c0 = (m // out_per_group) * in_per_group
+        for c_local in range(in_per_group):
+            plane = padded[c0 + c_local]
+            kernel = weights[m, c_local]
+            for base in range(0, padded_height - k + 1, height):
+                rows = min(height + k - 1, padded_height - base)
+                schedule = ColumnScanSchedule(k, padded_width, stripe_rows=rows)
+                stats.stripes_processed += 1
+                stats.pixels_streamed += schedule.pixels_streamed()
+                stats.primitive_cycles += schedule.total_timestamps
+                for tag in schedule.valid_windows():
+                    stats.windows_evaluated += 1
+                    in_row = base + tag.out_row_in_stripe
+                    in_col = tag.out_col
+                    if in_row % stride or in_col % stride:
+                        continue
+                    out_row = in_row // stride
+                    out_col = in_col // stride
+                    if out_row >= layer.out_height or out_col >= layer.out_width:
+                        continue
+                    window = plane[in_row:in_row + k, in_col:in_col + k]
+                    ofmaps[m, out_row, out_col] += float(np.sum(window * kernel))
+                    stats.windows_kept += 1
+            stats.pairs_processed += 1
+    return ofmaps, stats

@@ -1,9 +1,10 @@
-"""Vectorized NumPy backend of the functional (dataflow-level) simulator.
+"""Whole-array kernels of the functional (dataflow-level) simulator.
 
-The scalar path of :class:`~repro.sim.functional.FunctionalChainSimulator`
-walks every scan window of every (ofmap, ifmap) channel pair in Python —
-faithful, but tens of millions of iterations on AlexNet-scale layers.  This
-module evaluates the same stripe/column-scan decomposition as whole-array
+The reference oracle :func:`~repro.sim.functional.scalar_window_walk` walks
+every scan window of every (ofmap, ifmap) channel pair in Python — faithful,
+but tens of millions of iterations on AlexNet-scale layers.
+:class:`~repro.sim.functional.FunctionalChainSimulator` instead evaluates
+the same stripe/column-scan decomposition with this module's whole-array
 operations:
 
 * **Windows.**  ``sliding_window_view`` over the padded plane enumerates the
@@ -20,7 +21,7 @@ operations:
   accumulator-width guard
   (:func:`repro.hwmodel.fixed_point.check_exact_accumulation`): every
   product and partial sum is then an integer multiple of one grid step
-  below ``2**53``, so the GEMM, the scalar walk and the im2col golden give
+  below ``2**53``, so the GEMM, the oracle walk and the im2col golden give
   the same bits whatever order they add in.
 * **Counters.**  Whether a window exists and whether it survives the stride
   filter depends only on the layer geometry, never on pixel values, so every
@@ -30,8 +31,9 @@ operations:
 
 What this path verifies that the im2col golden does not: the kept-window
 selection, the group and padding assembly of the ofmaps, and the
-closed-form counters.  The scalar walk proves the stripe/column-scan
-dataflow itself on small layers (``backend="both"``).
+closed-form counters.  The equivalence tests prove the stripe/column-scan
+dataflow itself by comparing ofmaps and counters with the oracle walk on
+small layers.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ def pair_window_stats(layer: ConvLayer,
                       stripe_height: int | None = None) -> PairWindowStats:
     """Closed-form counters for one channel pair of ``layer``.
 
-    Mirrors the scalar pair loop: stripe bases step ``stripe_height``
+    Mirrors the oracle walk's pair loop: stripe bases step ``stripe_height``
     (default ``K``, the paper's full stripe) over the stride-1 output rows; a
     stripe of ``rows`` input rows streams ``rows * width`` pixels over
     ``K * (width - 1) + rows`` timestamps and completes
@@ -102,8 +104,8 @@ def stride_keep_mask(layer: ConvLayer) -> np.ndarray:
     """Boolean mask over the stride-1 window grid selecting the kept windows.
 
     Entry ``[r, c]`` is True iff the window whose top-left input pixel is
-    ``(r, c)`` passes the scalar discard test: both coordinates on the stride
-    grid and the resulting output position inside the ofmap.  The True
+    ``(r, c)`` passes the oracle walk's discard test: both coordinates on the
+    stride grid and the resulting output position inside the ofmap.  The True
     entries form a regular grid, which is why the compute path can use the
     equivalent zero-copy ``[::stride, ::stride]`` slicing instead of fancy
     indexing with this mask.

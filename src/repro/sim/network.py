@@ -4,20 +4,19 @@ The paper checks the hardware against a software golden model layer by
 layer; this module chains that check across a full network the way the
 fixed-point toolchain would run it: synthetic quantised tensors enter the
 first convolution, every convolutional layer is executed by the
-:class:`~repro.sim.functional.FunctionalChainSimulator` (scalar, vectorized
-or cross-checked ``both`` backend) and verified against the im2col/GEMM
-golden reference on the *same* inputs, and activations are re-quantised
-through :mod:`repro.cnn.quantize` between stages — the "float-point-to-
-fix-point simulator" loop of the paper at network scale.  Pooling layers are
-applied in NumPy so inter-layer feature-map shapes stay faithful; fully
-connected layers end the chain (the paper's accelerator only executes
-convolutions).
+:class:`~repro.sim.functional.FunctionalChainSimulator` and verified against
+the im2col/GEMM golden reference on the *same* inputs, and activations are
+re-quantised through :mod:`repro.cnn.quantize` between stages — the
+"float-point-to-fix-point simulator" loop of the paper at network scale.
+Pooling layers are applied in NumPy so inter-layer feature-map shapes stay
+faithful; fully connected layers end the chain (the paper's accelerator only
+executes convolutions).
 
 Weights and activations are ``total_bits`` fixed point at every conv
-layer, the input domain the simulator enforces, so every sum is exact and
-each conv stage — Winograd stages included — equals its golden bit for bit
-(``max|err|=0.00e+00``).  With the vectorized backend whole-network
-verification of AlexNet or VGG-16 takes seconds
+layer, the input domain the simulator enforces, so every sum is exact: a
+conv stage — Winograd stages included — passes only when it equals its
+golden bit for bit (``max|err|=0.00e+00``).  Whole-network verification of
+AlexNet or VGG-16 takes seconds
 (``repro verify --sim functional --network vgg16``).
 """
 
@@ -96,10 +95,8 @@ class NetworkRunResult:
     """Whole-network functional verification outcome."""
 
     network: str
-    backend: str
     seed: int
     total_bits: int
-    tolerance: float
     stages: List[StageReport] = field(default_factory=list)
     stats: FunctionalRunStats = field(default_factory=FunctionalRunStats)
     chain_cycles_estimate: float = 0.0
@@ -117,30 +114,18 @@ class NetworkRunResult:
 
     @property
     def passed(self) -> bool:
-        """True when every conv stage stayed within the tolerance."""
-        return all(stage.max_abs_error <= self.tolerance
-                   for stage in self.conv_stages)
+        """True when every conv stage equals its golden exactly."""
+        return all(stage.max_abs_error == 0.0 for stage in self.conv_stages)
 
     def describe(self) -> str:
-        """Multi-line human-readable verification report.
-
-        Under the ``both`` backend a Winograd stage line says it was checked
-        against the im2col golden only: the scalar walk has no
-        transform-domain form to cross-check it with.
-        """
-        lines = []
-        for stage in self.stages:
-            line = stage.describe()
-            if self.backend == "both" and stage.algorithm == "winograd":
-                line += " (golden only)"
-            lines.append(line)
+        """Multi-line human-readable verification report."""
+        lines = [stage.describe() for stage in self.stages]
         verdict = "PASSED" if self.passed else "FAILED"
         lines.append(
             f"functional verification {verdict}: {len(self.conv_stages)} conv "
             f"layers, max|err|={self.max_abs_error:.2e} "
-            f"(tolerance {self.tolerance:.0e}), "
-            f"{self.stats.windows_kept} windows kept, "
-            f"{self.seconds:.2f}s [{self.backend}]"
+            f"({'exact' if self.passed else 'inexact'}), "
+            f"{self.stats.windows_kept} windows kept, {self.seconds:.2f}s"
         )
         return "\n".join(lines)
 
@@ -148,20 +133,16 @@ class NetworkRunResult:
 class FunctionalNetworkRunner:
     """Chains the functional simulator across every stage of a network."""
 
-    def __init__(self, config: Optional[ChainConfig] = None,
-                 backend: str = "vectorized", seed: int = 2017,
-                 total_bits: int = 16, tolerance: float = 1e-6,
-                 algorithm: str = "direct") -> None:
+    def __init__(self, config: Optional[ChainConfig] = None, seed: int = 2017,
+                 total_bits: int = 16, algorithm: str = "direct") -> None:
         if algorithm not in NETWORK_ALGORITHMS:
             raise WorkloadError(
                 f"unknown algorithm {algorithm!r}; available: "
                 f"{', '.join(NETWORK_ALGORITHMS)}"
             )
-        self.simulator = FunctionalChainSimulator(config, backend=backend)
-        self.backend = backend
+        self.simulator = FunctionalChainSimulator(config)
         self.seed = seed
         self.total_bits = total_bits
-        self.tolerance = tolerance
         #: execution-algorithm mode: ``winograd``/``auto`` run the
         #: F(2x2,3x3) transform domain on every eligible (3x3 stride-1)
         #: conv layer (exact like the direct layers); ineligible layers always
@@ -207,10 +188,8 @@ class FunctionalNetworkRunner:
         """
         result = NetworkRunResult(
             network=network.name,
-            backend=self.backend,
             seed=self.seed,
             total_bits=self.total_bits,
-            tolerance=self.tolerance,
         )
         generator = WorkloadGenerator(seed=self.seed)
         activations: Optional[np.ndarray] = None

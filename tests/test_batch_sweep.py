@@ -57,7 +57,8 @@ RESULT_FIELDS = (
 )
 
 #: ``run ... --json`` stdout recorded before the analytical model became one
-#: columnar evaluator; keys are the argv
+#: columnar evaluator (analytical and baseline engines) and before each
+#: simulator engine became one code path (functional, cycle); keys are the argv
 RUN_FIXTURE = Path(__file__).resolve().parent / "fixtures" / "run_json_outputs.json"
 
 

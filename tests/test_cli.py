@@ -103,9 +103,15 @@ class TestParser:
         ["serve", "--workers", "2"],
         *([f"--task-{knob}=5", "sweep", "pes"]
           for knob in ("deadline", "retries")),
+        # one code path per simulator engine: no backend selection
+        ["verify", "--backend", "both"],
+        ["verify", "--sim", "functional", "--backend", "scalar"],
+        ["run", "lenet5", "--engine", "functional-vectorized"],
+        ["run", "lenet5", "--engine", "cycle-scalar"],
     ], ids=" ".join)
     def test_removed_worker_options_are_usage_errors(self, argv, capsys):
-        """Every command runs serially; the old pool knobs exit 2."""
+        """Removed options exit 2: the old pool knobs (every command runs
+        serially) and the simulator backend selections."""
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
@@ -182,27 +188,30 @@ class TestCommands:
 
     def test_verify(self, capsys):
         assert main(["verify"]) == 0
-        assert "PASSED" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "verification PASSED"
+        # every layer runs both cycle paths and compares them
+        assert len(lines) == 3
+        assert all(line.endswith(" [vectorized+scalar] ok") for line in lines[:-1])
 
-    def test_verify_functional_tiny_cross_checks_backends(self, capsys):
+    def test_verify_functional_tiny(self, capsys):
         assert main(["verify", "--sim", "functional"]) == 0
         out = capsys.readouterr().out
-        assert "PASSED" in out and "[both]" in out
-        assert "golden only" not in out
-        # the scalar walk has no Winograd form: those stages are only
-        # checked against the im2col golden, and each line says so
+        assert "PASSED" in out and "max|err|=0.00e+00 (exact), " in out
         assert main(["verify", "--sim", "functional",
                      "--algorithm", "winograd"]) == 0
         out = capsys.readouterr().out
-        assert "PASSED" in out and "[both]" in out
         stages = [line for line in out.splitlines() if " conv  -> " in line]
-        assert stages and all(line.endswith(" wino (golden only)")
-                              for line in stages)
+        assert stages and all(line.endswith(" wino") for line in stages)
 
     def test_verify_functional_network(self, capsys):
         assert main(["verify", "--sim", "functional", "--network", "lenet5"]) == 0
         out = capsys.readouterr().out
-        assert "PASSED" in out and "[vectorized]" in out and "pool1" in out
+        assert "PASSED" in out and "pool1" in out
+        verdict = out.splitlines()[-1]
+        assert re.fullmatch(r"functional verification PASSED: 2 conv layers, "
+                            r"max\|err\|=0\.00e\+00 \(exact\), \d+ windows "
+                            r"kept, \d+\.\d\ds", verdict), verdict
 
     def test_verify_cycle_rejects_network_flag(self, capsys):
         assert main(["verify", "--network", "lenet5"]) == 2
@@ -273,10 +282,6 @@ class TestEngineCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == "repro-headline/1"
         assert payload["headline"]["peak_gops"] == pytest.approx(806.4)
-
-    def test_verify_scalar_backend(self, capsys):
-        assert main(["verify", "--backend", "scalar"]) == 0
-        assert "PASSED" in capsys.readouterr().out
 
 
 class TestGridCommands:

@@ -12,6 +12,7 @@ from repro.cnn.zoo import lenet5, tiny_test_network
 from repro.core.config import ChainConfig
 from repro.core.performance import PerformanceModel
 from repro.engine import (
+    DEFAULT_ENGINES,
     AnalyticalEngine,
     Engine,
     RunCache,
@@ -41,10 +42,13 @@ def tiny_network():
 class TestRegistry:
     def test_default_engines_registered(self):
         names = available_engines()
-        for expected in ("analytical", "analytical-detailed", "cycle", "cycle-scalar",
-                         "functional", "functional-vectorized", "baseline-chain-nn",
+        for expected in ("analytical", "analytical-detailed", "cycle",
+                         "functional", "baseline-chain-nn",
                          "baseline-eyeriss", "baseline-dadiannao"):
             assert expected in names
+        # one engine name per code path: the oracle paths are not engines
+        assert len(DEFAULT_ENGINES) == 10 and set(DEFAULT_ENGINES) <= set(names)
+        assert "cycle-scalar" not in names and "functional-vectorized" not in names
 
     def test_create_engine_returns_engine(self):
         engine = create_engine("analytical")
@@ -101,28 +105,19 @@ class TestAdapters:
         assert record.metric("simulated_macs") > 0
         assert set(record.extra["layers"]) == {"convA", "convB"}
 
-    def test_cycle_backends_agree(self, tiny_network):
-        fast = create_engine("cycle").evaluate(tiny_network, None, 1)
-        slow = create_engine("cycle-scalar").evaluate(tiny_network, None, 1)
-        assert fast.metrics == slow.metrics
-
     def test_functional_engine(self, tiny_network):
         record = create_engine("functional").evaluate(tiny_network, None, 1)
         assert record.metric("max_abs_error") == pytest.approx(0.0, abs=1e-9)
         assert record.metric("windows_kept") > 0
 
-    def test_functional_backends_agree(self, tiny_network):
-        scalar = create_engine("functional").evaluate(tiny_network, None, 1)
-        fast = create_engine("functional-vectorized").evaluate(tiny_network, None, 1)
-        assert fast.engine == "functional-vectorized"
-        assert fast.metrics == scalar.metrics
-
-    def test_functional_backend_enters_fingerprint(self):
-        scalar = create_engine("functional")
-        fast = create_engine("functional-vectorized")
-        assert scalar.fingerprint()["backend"] == "scalar"
-        assert fast.fingerprint()["backend"] == "vectorized"
-        assert scalar.fingerprint() != fast.fingerprint()
+    def test_simulator_fingerprints_name_only_what_changes_results(self):
+        assert create_engine("cycle").fingerprint() == {
+            "name": "cycle", "seed": 2017, "total_bits": 16}
+        functional = create_engine("functional")
+        assert functional.fingerprint() == {"name": "functional", "seed": 2017}
+        auto = create_engine("functional", algorithm="auto").fingerprint()
+        assert auto["algorithm"] == "auto"
+        assert auto != functional.fingerprint()
 
     def test_baseline_round_trips_summary(self, network):
         record = create_engine("baseline-eyeriss").evaluate(network, None, 4)

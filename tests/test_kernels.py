@@ -60,7 +60,7 @@ class TestKernelSeam:
                           in_width=8, kernel_size=3, padding=1)
         ifmaps, weights, _, _ = quantize_layer_tensors(
             *generator.layer_pair(layer))
-        simulator = FunctionalChainSimulator(backend="vectorized")
+        simulator = FunctionalChainSimulator()
         simulator.run_layer(layer, ifmaps, weights)
         simulator.run_layer(layer, ifmaps, weights, algorithm="winograd")
         MappingBatchEvaluator(layer).evaluate(

@@ -9,6 +9,8 @@ plan, im2col golden reference matched to float round-off.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,7 @@ from repro.mapping import (
 )
 from repro.mapping import strategies
 from repro.mapping.mapspace import ALGORITHM_MODES, candidate_arrays
-from repro.sim.functional import FunctionalChainSimulator
+from repro.sim.functional import FunctionalChainSimulator, scalar_window_walk
 
 
 def rows(columns):
@@ -311,7 +313,13 @@ class TestScheduleOptimizer:
         schedule = optimizer.optimize(network)
         verification = optimizer.verify(network, schedule)
         assert verification.passed
-        assert verification.max_abs_error <= 1e-9
+        assert verification.max_abs_error == 0.0
+        assert verification.describe().endswith(" max|err|=0.00e+00 (exact)")
+        # exact is the only pass: a last-bit deviation fails the verdict
+        verification.layers[0] = dataclasses.replace(verification.layers[0],
+                                                     max_abs_error=1e-12)
+        assert not verification.passed
+        assert verification.describe().endswith(" max|err|=1.00e-12 (inexact)")
 
     def test_batch_scheduler_consumes_optimized_schedules(self, alexnet_net):
         optimizer = ScheduleOptimizer(objective="throughput", batch=16)
@@ -351,19 +359,24 @@ class TestFunctionalEquivalence:
         ifmaps, weights = _fixed_point_pair(
             WorkloadGenerator(seed=stable_seed(2017, layer.name)), layer)
         reference = conv2d_im2col(layer, ifmaps, weights)
-        simulator = FunctionalChainSimulator(backend="both")
+        simulator = FunctionalChainSimulator()
         baseline = simulator.run_layer(layer, ifmaps, weights)
         for height in range(1, kernel_size + 1):
             run = simulator.run_layer(layer, ifmaps, weights, stripe_height=height)
             assert np.array_equal(run.ofmaps, baseline.ofmaps)
             assert run.stats.windows_kept == baseline.stats.windows_kept
-            assert float(np.max(np.abs(run.ofmaps - reference))) <= 1e-9
+            assert np.array_equal(run.ofmaps, reference)
+            # the re-striped plan walks exactly the windows the oracle does
+            walk_ofmaps, walk_stats = scalar_window_walk(
+                layer, ifmaps, weights, stripe_height=height)
+            assert np.array_equal(walk_ofmaps, run.ofmaps)
+            assert walk_stats == run.stats
 
     def test_network_runner_accepts_stripe_heights(self):
         from repro.sim.network import FunctionalNetworkRunner
 
         network = tiny_test_network()
-        runner = FunctionalNetworkRunner(ChainConfig(num_pes=36), backend="both")
+        runner = FunctionalNetworkRunner(ChainConfig(num_pes=36))
         heights = {layer.name: 2 for layer in network.conv_layers}
         result = runner.run(network, stripe_heights=heights)
         assert result.passed
@@ -373,7 +386,7 @@ class TestFunctionalEquivalence:
     def test_rejects_illegal_stripe_height(self, small_layer):
         generator = WorkloadGenerator(seed=1)
         ifmaps, weights = generator.layer_pair(small_layer)
-        simulator = FunctionalChainSimulator(backend="vectorized")
+        simulator = FunctionalChainSimulator()
         with pytest.raises(ConfigurationError):
             simulator.run_layer(small_layer, ifmaps, weights, stripe_height=0)
         with pytest.raises(ConfigurationError):

@@ -351,6 +351,9 @@ class TestServerBitIdentity:
                              {"workers": 2}),
                 request_json(server.host, server.port, "/v1/verify",
                              {"workers": 2}),
+                # one functional simulator path, so no backend selection
+                request_json(server.host, server.port, "/v1/verify",
+                             {"backend": "both"}),
                 # a chain too short for conv1's 11x11 kernel is a bad input,
                 # whether the model (ConfigurationError) or a simulator's
                 # mapper (MappingError) notices
@@ -364,12 +367,13 @@ class TestServerBitIdentity:
         responses = _serve(clients)
         assert [status for status, _ in responses] == [400, 404, 400, 400,
                                                        400, 400, 400, 400,
-                                                       400, 400]
+                                                       400, 400, 400]
         assert b"workers" in responses[3][1]
         assert b"strategy" in responses[5][1]
         for _, raw in responses[6:8]:
             assert b"unknown parameter(s) workers" in raw
-        for _, raw in responses[8:]:
+        assert b"unknown parameter(s) backend" in responses[8][1]
+        for _, raw in responses[9:]:
             assert b"121 PEs" in raw
 
     def test_health_and_metrics_endpoints(self):

@@ -16,10 +16,9 @@ from repro.errors import WorkloadError
 from repro.sim.functional import FunctionalChainSimulator
 
 
-@pytest.fixture(scope="module", params=["scalar", "vectorized"])
-def simulator(request):
-    """Both backends share one result contract; every test runs on each."""
-    return FunctionalChainSimulator(ChainConfig(), backend=request.param)
+@pytest.fixture(scope="module")
+def simulator():
+    return FunctionalChainSimulator(ChainConfig())
 
 
 def _tensors(layer, seed=0):
@@ -40,23 +39,27 @@ class TestFunctionalCorrectness:
     def test_strided_layer_matches_reference(self, simulator):
         layer = ConvLayer("f2", 2, 3, 15, 15, kernel_size=3, stride=2)
         ifmaps, weights = _tensors(layer, seed=1)
-        assert simulator.run_and_check(layer, ifmaps, weights)["max_abs_error"] < 1e-9
+        result = simulator.run_layer(layer, ifmaps, weights)
+        assert result.max_abs_error_vs_reference(ifmaps, weights) == 0.0
 
     def test_grouped_layer_matches_reference(self, simulator):
         layer = ConvLayer("f3", 4, 6, 9, 9, kernel_size=3, padding=1, groups=2)
         ifmaps, weights = _tensors(layer, seed=2)
-        assert simulator.run_and_check(layer, ifmaps, weights)["max_abs_error"] < 1e-9
+        result = simulator.run_layer(layer, ifmaps, weights)
+        assert result.max_abs_error_vs_reference(ifmaps, weights) == 0.0
 
     def test_k5_layer_matches_reference(self, simulator):
         layer = ConvLayer("f4", 2, 2, 14, 14, kernel_size=5, padding=2)
         ifmaps, weights = _tensors(layer, seed=3)
-        assert simulator.run_and_check(layer, ifmaps, weights)["max_abs_error"] < 1e-9
+        result = simulator.run_layer(layer, ifmaps, weights)
+        assert result.max_abs_error_vs_reference(ifmaps, weights) == 0.0
 
     def test_alexnet_conv1_like_geometry(self, simulator):
         # a shrunken conv1: stride 4, kernel 11 on a 47x47 image
         layer = ConvLayer("mini_conv1", 1, 2, 47, 47, kernel_size=11, stride=4)
         ifmaps, weights = _tensors(layer, seed=4)
-        assert simulator.run_and_check(layer, ifmaps, weights)["max_abs_error"] < 1e-9
+        result = simulator.run_layer(layer, ifmaps, weights)
+        assert result.max_abs_error_vs_reference(ifmaps, weights) == 0.0
 
     def test_golden_check_agrees_with_both_references(self, simulator):
         """The im2col-based golden check never diverges from the direct one.
@@ -69,9 +72,8 @@ class TestFunctionalCorrectness:
                           padding=1, groups=2)
         ifmaps, weights = _tensors(layer, seed=5)
         result = simulator.run_layer(layer, ifmaps, weights)
-        assert result.max_abs_error_vs_reference(ifmaps, weights) < 1e-9
-        direct = conv2d_direct(layer, ifmaps, weights)
-        assert float(np.max(np.abs(direct - result.ofmaps))) < 1e-9
+        assert result.max_abs_error_vs_reference(ifmaps, weights) == 0.0
+        assert np.array_equal(conv2d_direct(layer, ifmaps, weights), result.ofmaps)
 
     def test_shape_validation(self, simulator):
         layer = ConvLayer("f5", 2, 2, 8, 8, kernel_size=3)

@@ -1,13 +1,14 @@
-"""Scalar-vs-vectorized functional-simulator equivalence and network runner.
+"""Functional simulator vs the scalar oracle walk, and the network runner.
 
-The vectorized backend must be *bit-identical* to the scalar per-window walk
-— ofmaps compared with ``np.array_equal`` (no tolerance) and every
-``FunctionalRunStats`` counter equal — across strides, paddings, groups and
-kernel sizes.  The simulator's input domain is fixed point: the tests feed
-it quantised tensors, and :class:`TestExactnessGuard` checks that raw floats
-and over-wide geometries are rejected.  CI treats skips in this module as
-failures (the equivalence guarantee is what makes the fast path
-trustworthy), so no test here may be conditionally skipped.
+The simulator's whole-array path must be *bit-identical* to the per-window
+oracle walk (:func:`repro.sim.functional.scalar_window_walk`) — ofmaps
+compared with ``np.array_equal`` and every ``FunctionalRunStats`` counter
+equal — across strides, paddings, groups and kernel sizes.  The simulator's
+input domain is fixed point: the tests feed it quantised tensors, and
+:class:`TestExactnessGuard` checks that raw floats and over-wide geometries
+are rejected.  CI treats skips in this module as failures (the equivalence
+guarantee is what makes the fast path trustworthy), so no test here may be
+conditionally skipped.
 """
 
 from __future__ import annotations
@@ -26,17 +27,22 @@ from repro.cnn.quantize import choose_format, quantize_layer_tensors
 from repro.cnn.reference import conv2d_direct, conv2d_im2col, pad_input
 from repro.cnn.zoo import alexnet, lenet5, tiny_test_network
 from repro.core.config import ChainConfig
-from repro.errors import ConfigurationError, SimulationError, WorkloadError
+from repro.errors import SimulationError, WorkloadError
 from repro.hwmodel.fixed_point import check_exact_accumulation, on_fixed_point_grid
 from repro.kernels.numpy_backend import GEMM_BLOCK_BYTES
-from repro.sim.functional import FUNCTIONAL_BACKENDS, FunctionalChainSimulator
+from repro.sim.functional import FunctionalChainSimulator, scalar_window_walk
 from repro.sim.functional_vectorized import (
     pair_window_stats,
     stride_keep_mask,
     vectorized_layer_ofmaps,
     vectorized_ofmap_block,
 )
-from repro.sim.network import FunctionalNetworkRunner, pool2d
+from repro.sim.network import (
+    FunctionalNetworkRunner,
+    NetworkRunResult,
+    StageReport,
+    pool2d,
+)
 
 
 def _tensors(layer, seed=0):
@@ -47,10 +53,11 @@ def _tensors(layer, seed=0):
 
 
 def _run_both(layer, seed=0):
+    """The oracle walk's ``(ofmaps, stats)`` and the simulator's result."""
     ifmaps, weights = _tensors(layer, seed=seed)
-    scalar = FunctionalChainSimulator(backend="scalar").run_layer(layer, ifmaps, weights)
-    fast = FunctionalChainSimulator(backend="vectorized").run_layer(layer, ifmaps, weights)
-    return scalar, fast
+    walk = scalar_window_walk(layer, ifmaps, weights)
+    fast = FunctionalChainSimulator().run_layer(layer, ifmaps, weights)
+    return walk, fast
 
 
 class TestScalarVectorizedEquivalence:
@@ -71,40 +78,38 @@ class TestScalarVectorizedEquivalence:
             "rand", groups * channels, groups * 2, size, size,
             kernel_size=kernel, stride=stride, padding=pad, groups=groups,
         )
-        scalar, fast = _run_both(layer, seed=seed)
+        (ofmaps, stats), fast = _run_both(layer, seed=seed)
         # bit-identical, not merely allclose: same float64 values exactly
-        assert np.array_equal(scalar.ofmaps, fast.ofmaps)
+        assert np.array_equal(ofmaps, fast.ofmaps)
         # every counter equal, not just the ofmaps
-        assert scalar.stats == fast.stats
-        assert scalar.chain_cycles_estimate == fast.chain_cycles_estimate
+        assert stats == fast.stats
 
     @pytest.mark.parametrize("stride", [1, 2, 4])
     @pytest.mark.parametrize("kernel", [1, 3, 5])
     def test_stride_kernel_grid(self, stride, kernel):
         layer = ConvLayer("grid", 2, 3, kernel + 7, kernel + 7,
                           kernel_size=kernel, stride=stride, padding=1)
-        scalar, fast = _run_both(layer, seed=stride * 10 + kernel)
-        assert np.array_equal(scalar.ofmaps, fast.ofmaps)
-        assert scalar.stats == fast.stats
+        (ofmaps, stats), fast = _run_both(layer, seed=stride * 10 + kernel)
+        assert np.array_equal(ofmaps, fast.ofmaps)
+        assert stats == fast.stats
 
     def test_grouped_strided_padded_layer(self):
         layer = ConvLayer("gsp", 6, 4, 13, 13, kernel_size=3,
                           stride=2, padding=2, groups=2)
-        scalar, fast = _run_both(layer, seed=7)
-        assert np.array_equal(scalar.ofmaps, fast.ofmaps)
-        assert scalar.stats == fast.stats
+        (ofmaps, stats), fast = _run_both(layer, seed=7)
+        assert np.array_equal(ofmaps, fast.ofmaps)
+        assert stats == fast.stats
 
     def test_alexnet_conv1_like_geometry(self):
         layer = ConvLayer("mini_conv1", 2, 3, 47, 47, kernel_size=11, stride=4)
-        scalar, fast = _run_both(layer, seed=3)
-        assert np.array_equal(scalar.ofmaps, fast.ofmaps)
-        assert scalar.stats == fast.stats
+        (ofmaps, stats), fast = _run_both(layer, seed=3)
+        assert np.array_equal(ofmaps, fast.ofmaps)
+        assert stats == fast.stats
 
     def test_vectorized_matches_direct_reference(self):
         layer = ConvLayer("ref", 3, 4, 12, 12, kernel_size=3, padding=1)
         ifmaps, weights = _tensors(layer, seed=5)
-        fast = FunctionalChainSimulator(backend="vectorized").run_layer(
-            layer, ifmaps, weights)
+        fast = FunctionalChainSimulator().run_layer(layer, ifmaps, weights)
         np.testing.assert_allclose(
             fast.ofmaps, conv2d_direct(layer, ifmaps, weights),
             rtol=1e-10, atol=1e-10,
@@ -125,37 +130,6 @@ class TestScalarVectorizedEquivalence:
                     vectorized_ofmap_block(layer, padded, weights,
                                            m_start, m_stop, out=assembled)
                 assert np.array_equal(whole, assembled)
-
-
-class TestBackendSelection:
-    def test_backends_tuple(self):
-        assert FUNCTIONAL_BACKENDS == ("scalar", "vectorized")
-
-    def test_default_backend_is_scalar(self):
-        assert FunctionalChainSimulator().backend == "scalar"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="functional backend"):
-            FunctionalChainSimulator(backend="cuda")
-
-    def test_both_mode_cross_checks_and_returns(self):
-        layer = ConvLayer("both", 2, 2, 9, 9, kernel_size=3, stride=2, padding=1)
-        ifmaps, weights = _tensors(layer, seed=9)
-        result = FunctionalChainSimulator(backend="both").run_layer(
-            layer, ifmaps, weights)
-        fast = FunctionalChainSimulator(backend="vectorized").run_layer(
-            layer, ifmaps, weights)
-        assert np.array_equal(result.ofmaps, fast.ofmaps)
-        assert result.stats == fast.stats
-
-    def test_zero_active_primitives_raises(self):
-        layer = ConvLayer("zero", 1, 1, 5, 5, kernel_size=3)
-        simulator = FunctionalChainSimulator(backend="vectorized")
-        simulator.mapper = SimpleNamespace(map_layer=lambda _: SimpleNamespace(
-            channel_pairs=layer.channel_pairs(), active_primitives=0))
-        ifmaps, weights = _tensors(layer)
-        with pytest.raises(SimulationError, match="active"):
-            simulator.run_layer(layer, ifmaps, weights)
 
 
 class TestClosedFormCounters:
@@ -183,26 +157,33 @@ class TestClosedFormCounters:
 
 class TestNetworkRunner:
     def test_lenet5_verification_passes(self):
-        result = FunctionalNetworkRunner(backend="vectorized", seed=1).run(lenet5())
+        result = FunctionalNetworkRunner(seed=1).run(lenet5())
         assert result.passed
         assert [stage.kind for stage in result.stages] == \
             ["conv", "pool", "conv", "pool"]
-        assert result.max_abs_error <= result.tolerance
+        assert result.max_abs_error == 0.0
         assert result.stats.windows_kept > 0
         assert result.chain_cycles_estimate > 0
         assert "PASSED" in result.describe()
 
-    def test_tiny_network_both_backend(self):
-        result = FunctionalNetworkRunner(backend="both", seed=2).run(
-            tiny_test_network())
+    def test_any_nonzero_stage_error_fails(self):
+        """Every stage is exact on fixed point, so the verdict takes no tolerance."""
+        stages = [StageReport("c1", "conv", (1, 2, 2), 0.0, windows_kept=4),
+                  StageReport("c2", "conv", (1, 2, 2), 0.0, max_abs_error=1e-12,
+                              windows_kept=4)]
+        result = NetworkRunResult(network="n", seed=0, total_bits=16,
+                                  stages=stages)
+        assert not result.passed
+        assert ("functional verification FAILED: 2 conv layers, "
+                "max|err|=1.00e-12 (inexact), ") in result.describe()
+        result.stages.pop()
         assert result.passed
-        assert len(result.conv_stages) == 2
 
     def test_activations_are_quantized_between_stages(self):
-        coarse = FunctionalNetworkRunner(backend="vectorized", seed=3,
-                                         total_bits=8).run(tiny_test_network())
-        fine = FunctionalNetworkRunner(backend="vectorized", seed=3,
-                                       total_bits=16).run(tiny_test_network())
+        coarse = FunctionalNetworkRunner(seed=3, total_bits=8).run(
+            tiny_test_network())
+        fine = FunctionalNetworkRunner(seed=3, total_bits=16).run(
+            tiny_test_network())
         # 8-bit grids change the downstream numbers; both still verify
         # against the golden model because the reference sees the same inputs
         assert coarse.passed and fine.passed
@@ -213,14 +194,14 @@ class TestNetworkRunner:
         broken.add(ConvLayer("c1", 1, 2, 8, 8, kernel_size=3))
         broken.add(ConvLayer("c2", 3, 2, 6, 6, kernel_size=3))  # wants 3 channels
         with pytest.raises(WorkloadError, match="c2"):
-            FunctionalNetworkRunner(backend="vectorized").run(broken)
+            FunctionalNetworkRunner().run(broken)
 
     def test_pooling_before_conv_raises(self):
         broken = Network(name="pool-first")
         broken.add(PoolingLayer("p0", channels=2, in_height=8, in_width=8,
                                 kernel_size=2, stride=2))
         with pytest.raises(WorkloadError, match="pooling"):
-            FunctionalNetworkRunner(backend="vectorized").run(broken)
+            FunctionalNetworkRunner().run(broken)
 
     def test_pool2d_max_and_avg(self):
         act = np.arange(2 * 4 * 4, dtype=np.float64).reshape(2, 4, 4)
@@ -244,13 +225,20 @@ class TestConfigSensitivity:
     def test_chain_cycles_scale_with_chain_length(self):
         layer = ConvLayer("cfg", 2, 2, 10, 10, kernel_size=3, padding=1)
         ifmaps, weights = _tensors(layer, seed=4)
-        wide = FunctionalChainSimulator(ChainConfig(num_pes=576),
-                                        backend="vectorized")
-        narrow = FunctionalChainSimulator(ChainConfig(num_pes=36),
-                                          backend="vectorized")
+        wide = FunctionalChainSimulator(ChainConfig(num_pes=576))
+        narrow = FunctionalChainSimulator(ChainConfig(num_pes=36))
         cycles_wide = wide.run_layer(layer, ifmaps, weights).chain_cycles_estimate
         cycles_narrow = narrow.run_layer(layer, ifmaps, weights).chain_cycles_estimate
         assert cycles_narrow > cycles_wide
+
+    def test_zero_active_primitives_raises(self):
+        layer = ConvLayer("zero", 1, 1, 5, 5, kernel_size=3)
+        simulator = FunctionalChainSimulator()
+        simulator.mapper = SimpleNamespace(map_layer=lambda _: SimpleNamespace(
+            channel_pairs=layer.channel_pairs(), active_primitives=0))
+        ifmaps, weights = _tensors(layer)
+        with pytest.raises(SimulationError, match="active"):
+            simulator.run_layer(layer, ifmaps, weights)
 
 
 class TestExactnessGuard:
@@ -258,30 +246,17 @@ class TestExactnessGuard:
 
     LAYER = ConvLayer("guarded", 3, 4, 9, 9, kernel_size=3, padding=1)
 
-    @staticmethod
-    def _runs(layer, ifmaps, weights, algorithm="direct"):
-        """Every entry point that validates tensors: vectorized and both."""
-        vectorized = FunctionalChainSimulator(backend="vectorized")
-        return {
-            "run_layer": lambda: vectorized.run_layer(
-                layer, ifmaps, weights, algorithm=algorithm),
-            "both": lambda: FunctionalChainSimulator(backend="both").run_layer(
-                layer, ifmaps, weights, algorithm=algorithm),
-        }
-
-    @pytest.mark.parametrize("entry", ["run_layer", "both"])
-    def test_raw_floats_are_rejected(self, entry):
+    def test_raw_floats_are_rejected(self):
         raw = WorkloadGenerator(seed=1).layer_pair(self.LAYER)
         with pytest.raises(SimulationError, match=r"guarded: .*repro\.cnn\.quantize"):
-            self._runs(self.LAYER, *raw)[entry]()
+            FunctionalChainSimulator().run_layer(self.LAYER, *raw)
 
-    @pytest.mark.parametrize("entry", ["run_layer", "both"])
-    def test_nan_is_rejected(self, entry):
+    def test_nan_is_rejected(self):
         ifmaps, weights = _tensors(self.LAYER)
         weights = weights.copy()
         weights[1, 0, 1, 1] = np.nan
         with pytest.raises(SimulationError, match="guarded: .*fixed point"):
-            self._runs(self.LAYER, ifmaps, weights)[entry]()
+            FunctionalChainSimulator().run_layer(self.LAYER, ifmaps, weights)
 
     def test_direct_geometry_bound(self):
         # K^2 * C/g * 2^(2*16) reaches 2^53 at K^2 * C/g = 2^21
@@ -290,9 +265,8 @@ class TestExactnessGuard:
             check_exact_accumulation("edge", 2 ** 21, 16)
         wide = ConvLayer("wide", 2 ** 21, 1, 1, 1, kernel_size=1)
         zeros = (np.zeros(wide.in_shape), np.zeros((1, 2 ** 21, 1, 1)))
-        for run in self._runs(wide, *zeros).values():
-            with pytest.raises(SimulationError, match=r"wide: .*2\*\*53"):
-                run()
+        with pytest.raises(SimulationError, match=r"wide: .*2\*\*53"):
+            FunctionalChainSimulator().run_layer(wide, *zeros)
 
     def test_winograd_geometry_bound_is_tighter(self):
         # C/g * 2^(2*16 + 9) reaches 2^53 at C/g = 2^12, while the direct
@@ -300,7 +274,7 @@ class TestExactnessGuard:
         layer = ConvLayer("deep", 2 ** 12, 1, 4, 4, kernel_size=3)
         ifmaps = np.zeros(layer.in_shape)
         weights = np.zeros((1, 2 ** 12, 3, 3))
-        simulator = FunctionalChainSimulator(backend="vectorized")
+        simulator = FunctionalChainSimulator()
         assert not simulator.run_layer(layer, ifmaps, weights).ofmaps.any()
         with pytest.raises(SimulationError, match=r"deep: .*growth 2\*\*9"):
             simulator.run_layer(layer, ifmaps, weights, algorithm="winograd")
@@ -338,8 +312,7 @@ class TestExactnessGuard:
 
     @pytest.mark.parametrize("algorithm", ["direct", "auto"])
     def test_alexnet_stages_are_exact(self, algorithm):
-        result = FunctionalNetworkRunner(backend="vectorized", seed=4,
-                                         algorithm=algorithm).run(alexnet())
+        result = FunctionalNetworkRunner(seed=4, algorithm=algorithm).run(alexnet())
         stages = result.conv_stages
         assert len(stages) == 5
         assert all(stage.max_abs_error == 0.0 for stage in stages)

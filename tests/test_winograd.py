@@ -252,7 +252,7 @@ class TestFunctionalBackend:
 # --------------------------------------------------------------------- #
 class TestSimulator:
     def test_run_layer_winograd_matches_golden(self, generator):
-        simulator = FunctionalChainSimulator(backend="vectorized")
+        simulator = FunctionalChainSimulator()
         layer = _eligible_layer(in_channels=6, out_channels=8)
         ifmaps, weights = _fixed_point_pair(generator, layer)
         result = simulator.run_layer(layer, ifmaps, weights,
@@ -264,20 +264,8 @@ class TestSimulator:
         assert result.stats.windows_kept == \
             tiles_h * tiles_w * layer.channel_pairs()
 
-    def test_run_and_check_passes_with_documented_tolerance(self, generator):
-        simulator = FunctionalChainSimulator(backend="vectorized")
-        layer = _eligible_layer()
-        ifmaps, weights = _fixed_point_pair(generator, layer)
-        reference = conv2d_im2col(layer, ifmaps, weights)
-        tolerance = winograd_tolerance(reference)
-        # run_and_check raises on deviation; returning at all is the pass
-        report = simulator.run_and_check(layer, ifmaps, weights,
-                                         tolerance=tolerance,
-                                         algorithm="winograd")
-        assert report["max_abs_error"] <= tolerance
-
     def test_unknown_algorithm_is_rejected(self, generator):
-        simulator = FunctionalChainSimulator(backend="vectorized")
+        simulator = FunctionalChainSimulator()
         layer = _eligible_layer()
         ifmaps, weights = generator.layer_pair(layer)
         with pytest.raises(ConfigurationError):
