@@ -34,6 +34,7 @@ Pareto frontier or a top-k list.
 
 from __future__ import annotations
 
+import base64
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -238,23 +239,14 @@ class DesignGrid:
     # serialisation (chunk cache keys and payloads)
     # ------------------------------------------------------------------ #
     def to_json_dict(self) -> Dict[str, Any]:
-        """Plain-list form suitable for hashing and ``json.dump``."""
-        return {
-            "num_pes": self.num_pes.tolist(),
-            "frequency_hz": self.frequency_hz.tolist(),
-            "batch": self.batch.tolist(),
-            "word_bits": self.word_bits.tolist(),
-        }
+        """JSON-ready form for hashing and caching: one exact byte column
+        per axis (see :func:`_encode_columns`)."""
+        return _encode_columns(self, _GRID_WIRE_DTYPES)
 
     @classmethod
     def from_json_dict(cls, data: Dict[str, Any]) -> "DesignGrid":
         """Rebuild a grid from :meth:`to_json_dict` output."""
-        return cls(
-            num_pes=np.asarray(data["num_pes"], dtype=np.int64),
-            frequency_hz=np.asarray(data["frequency_hz"], dtype=np.float64),
-            batch=np.asarray(data["batch"], dtype=np.int64),
-            word_bits=np.asarray(data["word_bits"], dtype=np.int64),
-        )
+        return cls(**_decode_columns(data, _GRID_WIRE_DTYPES))
 
 
 #: metric columns every batch result carries, in report order
@@ -268,6 +260,38 @@ RESULT_COLUMNS = (
     "worst_case_utilization",
     "total_gates",
 )
+
+#: serialised dtype of each column: little-endian, so the bytes (and the
+#: chunk cache keys hashed from them) are the same on every host
+_GRID_WIRE_DTYPES = {"num_pes": "<i8", "frequency_hz": "<f8", "batch": "<i8",
+                     "word_bits": "<i8"}
+_RESULT_WIRE_DTYPES = dict.fromkeys(RESULT_COLUMNS, "<f8")
+
+
+def _encode_columns(owner: Any, dtypes: Dict[str, str]) -> Dict[str, str]:
+    """Each named column of ``owner`` as base64 of its raw bytes.
+
+    Exact by construction: decoding returns the same bits, where decimal
+    text would cost a float repr per value to write and a parse to read.
+    """
+    return {
+        name: base64.b64encode(
+            np.asarray(getattr(owner, name), dtype=dtype).tobytes()).decode("ascii")
+        for name, dtype in dtypes.items()
+    }
+
+
+def _decode_columns(data: Dict[str, Any], dtypes: Dict[str, str]) -> Dict[str, np.ndarray]:
+    """Inverse of :func:`_encode_columns` (read-only arrays over the bytes).
+
+    A missing column raises ``KeyError``, a column that is not text
+    ``TypeError``, and text that is not whole base64 of whole elements
+    ``ValueError``.
+    """
+    return {
+        name: np.frombuffer(base64.b64decode(data[name], validate=True), dtype=dtype)
+        for name, dtype in dtypes.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -283,6 +307,15 @@ class BatchSweepResult:
     gops_per_watt: np.ndarray
     worst_case_utilization: np.ndarray
     total_gates: np.ndarray
+
+    def __post_init__(self) -> None:
+        shape = self.grid.num_pes.shape
+        for name in RESULT_COLUMNS:
+            if getattr(self, name).shape != shape:
+                raise ConfigurationError(
+                    f"result column {name} has shape {getattr(self, name).shape}, "
+                    f"the grid {shape}"
+                )
 
     @property
     def n_points(self) -> int:
@@ -388,20 +421,19 @@ class BatchSweepResult:
     # serialisation (the sweep executor caches whole chunks)
     # ------------------------------------------------------------------ #
     def to_json_dict(self) -> Dict[str, Any]:
-        """Plain-list form suitable for ``json.dump``."""
-        payload: Dict[str, Any] = {"grid": self.grid.to_json_dict()}
-        for name in RESULT_COLUMNS:
-            payload[name] = getattr(self, name).tolist()
-        return payload
+        """JSON-ready form: the grid plus one exact byte column per metric."""
+        return {"grid": self.grid.to_json_dict(),
+                **_encode_columns(self, _RESULT_WIRE_DTYPES)}
 
     @classmethod
     def from_json_dict(cls, data: Dict[str, Any]) -> "BatchSweepResult":
-        """Rebuild a result from :meth:`to_json_dict` output."""
-        return cls(
-            grid=DesignGrid.from_json_dict(data["grid"]),
-            **{name: np.asarray(data[name], dtype=np.float64)
-               for name in RESULT_COLUMNS},
-        )
+        """Rebuild a result from :meth:`to_json_dict` output.
+
+        Raises ``KeyError``/``TypeError``/``ValueError`` on a damaged
+        column and :class:`ConfigurationError` on columns of unequal length.
+        """
+        return cls(grid=DesignGrid.from_json_dict(data["grid"]),
+                   **_decode_columns(data, _RESULT_WIRE_DTYPES))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,13 @@ file, and a cache hit returns the stored :class:`~repro.engine.base.RunRecord`
 without evaluating anything.  Records are stored one-JSON-file-per-key with
 atomic writes, which makes the cache safe when several processes share one
 root (two processes racing on the same key simply write identical bytes).
+Every record is written by :func:`canonical_json`, the same compact,
+sorted encoder that builds the keys; a grid-chunk record stores each column
+as base64 of its little-endian bytes
+(:meth:`~repro.analysis.batch.BatchSweepResult.to_json_dict`), so a hit
+returns the evaluated bits without a decimal round trip.  Records written
+under an older :data:`CACHE_SCHEMA` are never looked up again; ``repro
+cache clear`` removes them.
 
 The cache is also safe as a **shared cross-process store** (the
 evaluation-as-a-service prerequisite):
@@ -82,8 +89,9 @@ CACHE_MAX_MB_ENV = "REPRO_CACHE_MAX_MB"
 #: that should invalidate previously cached results (keys also embed the
 #: package version, so releases invalidate automatically).  2: functional
 #: engines and ``repro map --verify`` simulate fixed-point tensors, so their
-#: ``max_abs_error`` is exactly 0.
-CACHE_SCHEMA = 2
+#: ``max_abs_error`` is exactly 0.  3: records are compact canonical JSON and
+#: grid-chunk columns are base64 little-endian bytes, not decimal lists.
+CACHE_SCHEMA = 3
 
 #: ``*.tmp`` spool files older than this are crash orphans (a healthy
 #: mkstemp -> write -> replace cycle lives milliseconds); eviction reaps them
@@ -315,7 +323,7 @@ class RunCache:
     def put(self, key: str, record: RunRecord) -> None:
         """Atomically persist ``record`` under ``key`` (then enforce bounds)."""
         self.root.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(record.to_json_dict(), sort_keys=True, indent=1)
+        payload = canonical_json(record.to_json_dict())
         fd, tmp_name = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:

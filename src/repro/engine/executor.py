@@ -17,6 +17,7 @@ from repro.core.config import ChainConfig
 from repro.engine.base import Engine, RunRecord
 from repro.engine.cache import RunCache, grid_key, run_key
 from repro.engine.registry import create_engine
+from repro.errors import ConfigurationError
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
@@ -152,6 +153,8 @@ class SweepExecutor:
         memoised whole (one record per chunk rather than one per point, which
         is what makes 10^5-point grids cacheable at all); re-running a sweep
         after editing one axis only re-evaluates the chunks that changed.
+        A chunk record whose payload does not decode is re-evaluated and
+        overwritten.
         """
         from repro.analysis.batch import BatchSweepResult
 
@@ -166,10 +169,15 @@ class SweepExecutor:
             cached = self.cache.get(key) if self.cache is not None else None
             _M_GRID_CHUNKS.inc()
             _M_GRID_POINTS.inc(chunk.n_points)
-            if cached is not None and "batch_result" in cached.extra:
-                _M_GRID_CHUNKS_CACHED.inc()
-                results.append(BatchSweepResult.from_json_dict(cached.extra["batch_result"]))
-                continue
+            if cached is not None:
+                try:
+                    result = BatchSweepResult.from_json_dict(cached.extra["batch_result"])
+                except (KeyError, TypeError, ValueError, ConfigurationError):
+                    pass  # undecodable payload: re-evaluated and overwritten below
+                else:
+                    _M_GRID_CHUNKS_CACHED.inc()
+                    results.append(result)
+                    continue
             with obs_trace.span("sweep.grid_chunk", engine=self.engine_name,
                                 network=network.name, points=chunk.n_points):
                 result = self.engine.evaluate_batch(network, chunk, base=base)

@@ -12,6 +12,7 @@ refuses skips in this module.
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import io
 import json
@@ -42,6 +43,7 @@ from repro.energy.area import AreaModel
 from repro.energy.components import EnergyParams
 from repro.energy.power import chain_power_w, memory_power_w
 from repro.engine import RunCache, SweepExecutor, create_engine
+from repro.engine.cache import canonical_json
 from repro.errors import ConfigurationError
 from repro.memory.traffic import TrafficModel
 
@@ -55,6 +57,10 @@ RESULT_FIELDS = (
     "worst_case_utilization",
     "total_gates",
 )
+
+#: values decimal text handles badly: a sign-only zero, the smallest
+#: subnormal, a near-overflow magnitude and a non-terminating binary fraction
+FRAGILE_FLOATS = (-0.0, np.nextafter(0.0, 1.0), 1e308, 1.0 / 3.0)
 
 #: ``run ... --json`` stdout recorded before the analytical model became one
 #: columnar evaluator (analytical and baseline engines) and before each
@@ -147,6 +153,33 @@ def assert_matches_oracle(result: BatchSweepResult, network, mode: str = "paper"
                 f"{field} diverges at point {index}: {config.describe()}")
 
 
+GRID_COLUMNS = ("num_pes", "frequency_hz", "batch", "word_bits")
+
+
+def fragile_grid() -> DesignGrid:
+    """Integers above 2**53 and clocks at the float extremes."""
+    return DesignGrid(
+        num_pes=np.array([2**53 + 1, 1, 576, 2**62 + 3], dtype=np.int64),
+        frequency_hz=np.array(FRAGILE_FLOATS[1:] + (7e8,)),
+        batch=np.array([1, 2**53 + 1, 128, 3], dtype=np.int64),
+        word_bits=np.array([8, 2**60, 16, 2**53 + 8], dtype=np.int64),
+    )
+
+
+def assert_columns_identical(clone: dict, original: dict) -> None:
+    """Same column names, dtypes and bits (``-0.0`` keeps its sign)."""
+    assert clone.keys() == original.keys()
+    for name, column in original.items():
+        assert clone[name].dtype == column.dtype, name
+        assert np.array_equal(clone[name], column), name
+        assert np.array_equal(np.signbit(clone[name]), np.signbit(column)), name
+
+
+def json_round_trip(value):
+    """``value`` through the encoder :meth:`RunCache.put` writes with."""
+    return type(value).from_json_dict(json.loads(canonical_json(value.to_json_dict())))
+
+
 def run_cli(argv):
     """``repro.cli.main(argv)`` in-process: (status, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
@@ -197,11 +230,12 @@ class TestGridParsing:
             )
 
     def test_round_trips_through_json(self):
-        rng = np.random.default_rng(7)
-        grid = random_grid(rng, 17)
-        clone = DesignGrid.from_json_dict(grid.to_json_dict())
-        assert np.array_equal(clone.num_pes, grid.num_pes)
-        assert np.array_equal(clone.frequency_hz, grid.frequency_hz)
+        """All four axes come back with their dtypes and bits."""
+        for grid in (random_grid(np.random.default_rng(7), 17), fragile_grid()):
+            clone = json_round_trip(grid)
+            assert_columns_identical(
+                {name: getattr(clone, name) for name in GRID_COLUMNS},
+                {name: getattr(grid, name) for name in GRID_COLUMNS})
 
 
 class TestScalarEquivalence:
@@ -433,8 +467,56 @@ class TestEngineIntegration:
         assert (result.fps > 0).all()
 
     def test_batch_result_json_round_trip(self):
-        result = BatchDesignEvaluator(lenet5()).evaluate_grid(
+        """All 12 columns come back with their dtypes and bits."""
+        evaluated = BatchDesignEvaluator(lenet5()).evaluate_grid(
             DesignGrid.from_axes(pe_counts=(144, 576)))
-        clone = BatchSweepResult.from_json_dict(result.to_json_dict())
-        for field in RESULT_FIELDS:
-            assert np.array_equal(getattr(clone, field), getattr(result, field))
+        fragile = BatchSweepResult(
+            grid=fragile_grid(),
+            **{field: np.roll(FRAGILE_FLOATS, shift)
+               for shift, field in enumerate(RESULT_FIELDS)})
+        for result in (evaluated, fragile):
+            clone = json_round_trip(result)
+            assert len(clone.columns()) == 12
+            assert_columns_identical(clone.columns(), result.columns())
+
+
+def _drop_column(payload):
+    del payload["fps"]
+
+
+def _truncate_base64(payload):
+    payload["power_w"] = payload["power_w"][:-5]
+
+
+def _shorten_column(payload):
+    column = np.frombuffer(base64.b64decode(payload["total_gates"]), dtype="<f8")
+    payload["total_gates"] = base64.b64encode(column[:-1].tobytes()).decode("ascii")
+
+
+class TestCorruptChunkRecord:
+    """A grid-chunk record whose payload does not decode is a miss: the sweep
+    re-evaluates the chunk, prints what an uncached run prints and
+    overwrites the record."""
+
+    ARGV = ["sweep", "--grid", "pe=128:576:64", "--network", "lenet5", "--json"]
+
+    @pytest.mark.parametrize("corrupt", [_drop_column, _truncate_base64, _shorten_column],
+                             ids=["missing-column", "truncated-base64", "unequal-lengths"])
+    def test_undecodable_payload_is_reevaluated(self, tmp_path, corrupt):
+        status, uncached, _ = run_cli(self.ARGV + ["--no-cache"])
+        assert status == 0
+        argv = self.ARGV + ["--cache-dir", str(tmp_path)]
+        status, cold, _ = run_cli(argv)
+        assert (status, cold) == (0, uncached)
+        (path,) = tmp_path.glob("*.json")
+        record = json.loads(path.read_text(encoding="utf-8"))
+        corrupt(record["extra"]["batch_result"])
+        path.write_text(json.dumps(record), encoding="utf-8")
+        with pytest.raises((KeyError, ValueError, ConfigurationError)):
+            BatchSweepResult.from_json_dict(record["extra"]["batch_result"])
+
+        status, out, _ = run_cli(argv)
+        assert status == 0
+        assert out == uncached
+        rewritten = json.loads(path.read_text(encoding="utf-8"))
+        BatchSweepResult.from_json_dict(rewritten["extra"]["batch_result"])

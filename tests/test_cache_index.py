@@ -14,7 +14,6 @@ of the CI equivalence gate.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import sqlite3
 import threading
@@ -22,7 +21,7 @@ import threading
 import pytest
 
 from repro.engine.base import RunRecord
-from repro.engine.cache import RunCache
+from repro.engine.cache import RunCache, canonical_json
 from repro.engine import cache_index
 from repro.engine.cache_index import INDEX_ENV, INDEX_FILENAME, CacheIndex
 
@@ -337,8 +336,8 @@ class TestConcurrentCacheStress:
 
     def test_eight_processes_with_concurrent_lru_eviction(self, tmp_path):
         """Bounded: all 8 processes evict concurrently; survivors stay whole."""
-        record_bytes = len(json.dumps(
-            _stress_record(0, 0).to_json_dict(), sort_keys=True, indent=1))
+        # sized with the encoder RunCache.put writes records with
+        record_bytes = len(canonical_json(_stress_record(0, 0).to_json_dict()))
         # room for roughly a third of the records: eviction runs constantly
         bound_mb = (record_bytes * STRESS_SHARED_KEYS * 3) / (1024.0 * 1024.0)
         _run_stress(tmp_path, max_mb=bound_mb)

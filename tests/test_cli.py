@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs.metrics import REGISTRY
 from repro.serve.protocol import (
     MapParams,
     RunParams,
@@ -354,6 +355,27 @@ class TestGridCommands:
         assert main(args) == 0
         second = capsys.readouterr().out
         assert "1 hits" in second
+
+    @pytest.mark.parametrize("argv", [
+        # 20,817 points: three chunk records, stitched by concatenate
+        ["sweep", "--grid", "pe=128:1152:4,freq=200:1000:10", "--network", "lenet5"],
+        ["sweep", "pes", "--network", "lenet5"],
+    ], ids=["grid", "axis"])
+    def test_warm_cache_prints_the_cold_bytes(self, capsys, tmp_path, argv):
+        argv = argv + ["--cache-dir", str(tmp_path), "--json"]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        before = REGISTRY.flat()
+        assert main(argv) == 0
+        warm = capsys.readouterr().out
+        after = REGISTRY.flat()
+        assert warm == cold
+        delta = {key: after.get(key, 0) - before.get(key, 0)
+                 for key in ("cache.hits", "cache.misses", "sweep.points",
+                             "sweep.grid_chunks", "sweep.grid_chunks_cached")}
+        assert delta["cache.misses"] == 0
+        assert delta["cache.hits"] == delta["sweep.grid_chunks"] + delta["sweep.points"] > 0
+        assert delta["sweep.grid_chunks_cached"] == delta["sweep.grid_chunks"]
 
 
 class TestNetworksCommand:

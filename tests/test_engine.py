@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from repro.analysis.batch import DesignGrid
 from repro.cnn.zoo import lenet5, tiny_test_network
 from repro.core.config import ChainConfig
 from repro.core.performance import PerformanceModel
@@ -21,6 +22,7 @@ from repro.engine import (
     available_engines,
     create_engine,
     engine_registered,
+    grid_key,
     register_engine,
     run_key,
     summary_from_record,
@@ -310,6 +312,24 @@ class TestCacheInvalidation:
                                  cache=cache)
         fresh = executor.run([None])[0]
         assert not fresh.cached
+
+    def test_stale_schema_grid_chunk_is_ignored(self, network, tmp_path, monkeypatch):
+        """A grid chunk cached under the previous schema is never served."""
+        import repro.engine.cache as cache_module
+
+        grid = DesignGrid.from_axes(pe_counts=(144, 576))
+        engine = create_engine("analytical-batch")
+        fresh_key = grid_key(engine, network, None, grid)
+        with monkeypatch.context() as patch:
+            patch.setattr(cache_module, "CACHE_SCHEMA", cache_module.CACHE_SCHEMA - 1)
+            stale_key = grid_key(engine, network, None, grid)
+            SweepExecutor(engine=engine, network=network,
+                          cache=RunCache(tmp_path)).run_grid(grid)
+        assert stale_key != fresh_key
+        assert (tmp_path / f"{stale_key}.json").is_file()
+        executor = SweepExecutor(engine=engine, network=network, cache=RunCache(tmp_path))
+        executor.run_grid(grid)
+        assert (executor.cache.hits, executor.cache.misses) == (0, 1)
 
 
 class _CountingEngine(Engine):
