@@ -1,24 +1,18 @@
-"""Benchmark: evaluation-service throughput and the sqlite cache index.
+"""Benchmark: evaluation-service throughput under request coalescing.
 
-The acceptance bars for the evaluation-as-a-service PR:
-
-* **coalescing pays >=5x** — a 10k-point mixed-client workload (32
-  concurrent clients, request sizes 1..64 points) through the coalescing
-  window must deliver at least 5x the points/s of the same server fed
-  sequential single-point requests (floor asserted in timing mode,
-  recorded honestly in the smoke pass);
-* **the index beats the file scan** — on a 10k-record cache, an indexed
-  hit lookup must be faster than locating the same record by directory
-  scan, and ``quick_stats()`` (one sqlite aggregate) must beat the
-  ``stats()`` walk of the unindexed cache (asserted in timing mode).
+The acceptance bar for the evaluation-as-a-service PR: **coalescing pays
+>=5x** — a 10k-point mixed-client workload (32 concurrent clients, request
+sizes 1..64 points) through the coalescing window must deliver at least 5x
+the points/s of the same server fed sequential single-point requests
+(floor asserted in timing mode, recorded honestly in the smoke pass).
 
 Records ``BENCH_serve.json`` (points/s both legs, speedup, batch shape,
-queue-wait p50/p99 from the coalescer's raw samples, lookup and stats
-latencies) at the repo root; the "Evaluation service throughput" section
-of EXPERIMENTS.md is regenerated from that file.
+queue-wait p50/p99 from the coalescer's raw samples) at the repo root; the
+"Evaluation service throughput" section of EXPERIMENTS.md is regenerated
+from that file.
 
-Both serve legs run server and clients in one process on one event loop
-— the same interpreter the engines run in — so the comparison isolates
+Both legs run server and clients in one process on one event loop — the
+same interpreter the engines run in — so the comparison isolates
 coalescing, not network stacks.  The smoke pass scales the workload down
 but exercises every path.
 """
@@ -27,12 +21,9 @@ from __future__ import annotations
 
 import asyncio
 import time
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from _record import record_benchmark
-from repro.engine.base import RunRecord
-from repro.engine.cache import RunCache
 from repro.obs.metrics import REGISTRY
 from repro.serve.client import request_json
 from repro.serve.server import EvalServer
@@ -51,12 +42,6 @@ POINTS, SMOKE_POINTS = 10_000, 1_500
 
 #: sequential single-point requests to time (points/s extrapolates)
 SEQUENTIAL_REQUESTS, SMOKE_SEQUENTIAL = 300, 40
-
-#: cache records for the index-vs-scan comparison: timing / smoke
-INDEX_RECORDS, SMOKE_INDEX_RECORDS = 10_000, 2_000
-
-#: sampled hit lookups (indexed is cheap; the O(n) scan uses fewer)
-LOOKUP_SAMPLES, SCAN_SAMPLES = 256, 16
 
 
 def _grid_spec(j: int, k: int) -> str:
@@ -134,88 +119,21 @@ async def _serve_legs(total_points: int,
     }
 
 
-# --------------------------------------------------------------------- #
-# cache index vs file scan
-# --------------------------------------------------------------------- #
-def _index_record(i: int) -> RunRecord:
-    return RunRecord(engine="bench-serve", network="alexnet", batch=16,
-                     config_summary=f"record {i}",
-                     metrics={"fps": float(i)},
-                     extra={"payload": "x" * 64})
-
-
-def _scan_lookup(root: Path, key: str) -> None:
-    """The pre-index hit path: walk the directory to find one record."""
-    name = f"{key}.json"
-    for path in root.glob("*.json"):
-        if path.name == name:
-            path.stat()
-            return
-    raise AssertionError(f"{key} not on disk")
-
-
-def _index_leg(root: Path, records: int) -> Dict[str, float]:
-    cache = RunCache(root)
-    assert cache.index is not None and cache.index.available
-    for i in range(records):
-        cache.put(f"rec{i:06d}", _index_record(i))
-
-    stride = max(records // LOOKUP_SAMPLES, 1)
-    keys = [f"rec{i:06d}" for i in range(0, records, stride)]
-    started = time.perf_counter()
-    for key in keys:
-        assert cache.index.lookup(key) is not None
-    index_lookup_us = (time.perf_counter() - started) / len(keys) * 1e6
-
-    started = time.perf_counter()
-    for key in keys[:SCAN_SAMPLES]:
-        _scan_lookup(root, key)
-    scan_lookup_us = (time.perf_counter() - started) / SCAN_SAMPLES * 1e6
-
-    started = time.perf_counter()
-    quick = cache.quick_stats()
-    quick_stats_ms = (time.perf_counter() - started) * 1e3
-    assert quick["indexed"] and quick["entries"] == records
-
-    unindexed = RunCache(root, use_index=False)
-    started = time.perf_counter()
-    walked = unindexed.stats()
-    stats_scan_ms = (time.perf_counter() - started) * 1e3
-    assert walked["entries"] == records
-
-    return {
-        "index_records": records,
-        "index_lookup_us": index_lookup_us,
-        "scan_lookup_us": scan_lookup_us,
-        "lookup_speedup": scan_lookup_us / index_lookup_us,
-        "quick_stats_ms": quick_stats_ms,
-        "stats_scan_ms": stats_scan_ms,
-    }
-
-
-def test_serve_throughput_and_cache_index(benchmark, tmp_path):
+def test_serve_coalescing_throughput(benchmark):
     smoke = benchmark.disabled
     serve_stats = benchmark.pedantic(
         lambda: asyncio.run(_serve_legs(
             SMOKE_POINTS if smoke else POINTS,
             SMOKE_SEQUENTIAL if smoke else SEQUENTIAL_REQUESTS)),
         rounds=1, iterations=1)
-    index_stats = _index_leg(
-        tmp_path, SMOKE_INDEX_RECORDS if smoke else INDEX_RECORDS)
 
-    record_benchmark("serve", {**serve_stats, **index_stats})
+    record_benchmark("serve", serve_stats)
 
     assert serve_stats["coalesced_batches"] > 0, "nothing coalesced"
-    # the floors only bind in timing mode: the smoke pass runs a scaled
+    # the floor only binds in timing mode: the smoke pass runs a scaled
     # workload on shared runners where scheduler noise dominates
     if not smoke:
         assert serve_stats["coalesce_speedup"] >= 5.0, (
             f"coalesced leg delivers {serve_stats['coalesced_points_per_s']:.0f}"
             f" points/s, only {serve_stats['coalesce_speedup']:.1f}x the "
             f"sequential {serve_stats['sequential_points_per_s']:.0f} (floor 5x)")
-        assert index_stats["index_lookup_us"] < index_stats["scan_lookup_us"], (
-            f"indexed hit lookup ({index_stats['index_lookup_us']:.0f}us) "
-            f"lost to the file scan ({index_stats['scan_lookup_us']:.0f}us)")
-        assert index_stats["quick_stats_ms"] < index_stats["stats_scan_ms"], (
-            f"quick_stats ({index_stats['quick_stats_ms']:.1f}ms) lost to "
-            f"the stats walk ({index_stats['stats_scan_ms']:.1f}ms)")

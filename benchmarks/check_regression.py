@@ -51,10 +51,10 @@ WATCHED_FIELDS: Dict[str, List[str]] = {
     # benchmark asserts its own bit-identity and (in timing mode) the
     # 1%/5% overhead budgets, so the record is tracked but not ratio-gated
     "obs": [],
-    # points/s, queue waits and lookup latencies are wall-clock throughput
-    # on a shared runner — machine noise between machines; the benchmark
-    # asserts its own floors in timing mode (>=5x coalesce speedup, index
-    # beats the file scan), so the record is tracked but not ratio-gated
+    # points/s and queue waits are wall-clock throughput on a shared
+    # runner — machine noise between machines; the benchmark asserts its
+    # own floor in timing mode (>=5x coalesce speedup), so the record is
+    # tracked but not ratio-gated
     "serve": [],
 }
 

@@ -82,7 +82,6 @@ from repro.engine import (
     ALGORITHM_ENGINES,
     CACHE_DIR_ENV,
     CACHE_MAX_MB_ENV,
-    INDEX_ENV,
     RunCache,
     available_engines,
     create_engine,
@@ -355,40 +354,12 @@ def cmd_cache(args: argparse.Namespace) -> int:
         removed = cache.clear()
         print(f"removed {removed} cached records from {cache.root}")
         return 0
-    if args.action == "migrate":
-        outcome = cache.migrate()
-        if not outcome["enabled"]:
-            print(f"cache index disabled (${INDEX_ENV}=0); nothing to migrate")
-            return 0
-        if not outcome["available"]:
-            print(f"error: cache index under {cache.root} is unavailable "
-                  "(see the warning above)", file=sys.stderr)
-            return 1
-        print(f"cache index at {cache.root}: {outcome['entries']} records "
-              f"({outcome['added']} added, {outcome['refreshed']} refreshed, "
-              f"{outcome['pruned']} stale rows pruned)")
-        return 0
     stats = cache.stats()
     print(f"cache root : {stats['root']}")
     print(f"entries    : {stats['entries']}")
     print(f"size       : {stats['bytes'] / 1024:.1f} KiB")
     if stats["max_bytes"] is not None:
         print(f"size bound : {stats['max_bytes'] / (1024 * 1024):.1f} MiB (LRU)")
-    index = stats["index"]
-    if not index["enabled"]:
-        print(f"index      : disabled (${INDEX_ENV}=0)")
-    elif not index["available"]:
-        print("index      : unavailable — directory scans in use "
-              "('repro cache migrate' rebuilds it)")
-    else:
-        health = []
-        if index["stale"]:
-            health.append(f"{index['stale']} stale")
-        if index["unindexed"]:
-            health.append(f"{index['unindexed']} unindexed")
-        suffix = (f" ({', '.join(health)}; 'repro cache migrate' reconciles)"
-                  if health else " (healthy)")
-        print(f"index      : {index['entries']} records indexed{suffix}")
     if stats["tmp_orphans"]:
         print(f"tmp orphans: {stats['tmp_orphans']} (crash debris; "
               "'repro cache clear' reaps them)")
@@ -778,11 +749,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_grid_arguments(pareto, pareto_implied=True)
 
     cache = sub.add_parser("cache", help="inspect or clear the on-disk sweep cache")
-    cache.add_argument("action", choices=("stats", "clear", "migrate"),
-                       help="show entry/size statistics (with sqlite index "
-                            "health), delete every record, or rebuild the "
-                            "sqlite index from the record files (idempotent; "
-                            "safe against a live server)")
+    cache.add_argument("action", choices=("stats", "clear"),
+                       help="show entry/size statistics, or delete every "
+                            "record")
     cache.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="cache directory (default: "
                             f"${CACHE_DIR_ENV} or ~/.cache/repro-chain-nn)")

@@ -32,7 +32,6 @@ from repro.engine.cache import (
     run_key,
     workload_fingerprint,
 )
-from repro.engine.cache_index import INDEX_ENV, CacheIndex, index_enabled
 from repro.engine.executor import GRID_CHUNK_POINTS, SweepExecutor
 from repro.engine.registry import (
     available_engines,
@@ -49,10 +48,7 @@ __all__ = [
     "BaselineEngine",
     "CACHE_DIR_ENV",
     "CACHE_MAX_MB_ENV",
-    "CacheIndex",
     "CycleEngine",
-    "INDEX_ENV",
-    "index_enabled",
     "DEFAULT_ENGINES",
     "Engine",
     "FunctionalEngine",

@@ -7,42 +7,36 @@ A run is identified by the SHA-256 of the canonical JSON encoding of
 so the key is stable across processes and sessions: the same design point
 evaluated by the same engine on the same workload always maps to the same
 file, and a cache hit returns the stored :class:`~repro.engine.base.RunRecord`
-without evaluating anything.  Records are stored one-JSON-file-per-key with
-atomic writes, which makes the cache safe when several processes share one
-root (two processes racing on the same key simply write identical bytes).
-Every record is written by :func:`canonical_json`, the same compact,
-sorted encoder that builds the keys; a grid-chunk record stores each column
-as base64 of its little-endian bytes
+without evaluating anything.  The store is the record files themselves: one
+content-addressed ``<key>.json`` per record, which a lookup opens by name.
+Every record is written by :func:`canonical_json`, the same compact, sorted
+encoder that builds the keys; a grid-chunk record stores each column as
+base64 of its little-endian bytes
 (:meth:`~repro.analysis.batch.BatchSweepResult.to_json_dict`), so a hit
 returns the evaluated bits without a decimal round trip.  Records written
 under an older :data:`CACHE_SCHEMA` are never looked up again; ``repro
 cache clear`` removes them.
 
-The cache is also safe as a **shared cross-process store** (the
-evaluation-as-a-service prerequisite):
+The record files are safe as a **shared cross-process store**:
 
 * single-record reads and writes are lock-free — ``os.replace`` makes a
   record appear atomically, so readers see either nothing or whole records,
-  never torn bytes;
+  never torn bytes (two processes racing on one key write identical bytes);
 * multi-file read-modify cycles (LRU eviction, ``clear``) serialise on an
   advisory ``fcntl`` lock (``<root>/.lock``), so 8+ concurrent processes
   evicting against one root cannot double-delete or miscount;
-* a corrupt record (torn by a crashed writer on a non-atomic filesystem,
-  or mangled by anything else) is **quarantined** — renamed to
-  ``*.corrupt`` and warned about once per process — instead of silently
-  re-missing on every future call;
+* a record that does not decode (torn by a crashed writer on a non-atomic
+  filesystem, mangled by anything else, or holding a payload its caller's
+  decoder rejects) is a miss and is **quarantined** — renamed to
+  ``*.corrupt`` and warned about once per process — so the caller
+  re-evaluates and overwrites it instead of re-missing on every call;
 * ``*.tmp`` spool files orphaned by crashed writers are counted by
   :meth:`RunCache.stats`, reaped by :meth:`RunCache.clear`, and
   age-reaped opportunistically during eviction;
 * with ``max_mb`` set (CLI ``--cache-max-mb`` / ``$REPRO_CACHE_MAX_MB``),
   the store is size-bounded: least-recently-*used* records (hits bump
-  mtime) are evicted under the lock until the bound holds;
-* a WAL-mode **sqlite index** (:mod:`repro.engine.cache_index`) beside the
-  records turns the aggregate operations — entry/byte totals, the LRU
-  victim scan, recency bumps — into single indexed queries instead of
-  directory walks; payloads stay content-addressed JSON files, any sqlite
-  failure degrades back to the walk paths, and :meth:`RunCache.migrate`
-  (idempotent, live-server-safe) indexes records written by older layouts.
+  mtime) are evicted under the lock until the bound holds.  Each bounded
+  put stats every record, so its cost grows with the record count.
 """
 
 from __future__ import annotations
@@ -56,12 +50,12 @@ import time
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Callable, Dict, Iterator, Optional
 
 from repro.cnn.network import Network
 from repro.core.config import ChainConfig
 from repro.engine.base import Engine, RunRecord
-from repro.engine.cache_index import CacheIndex, index_enabled
+from repro.errors import ConfigurationError
 from repro.obs import metrics as obs_metrics
 
 # process-wide observability mirrors of the per-instance counters below
@@ -99,6 +93,11 @@ TMP_ORPHAN_SECONDS = 300.0
 
 #: suffix quarantined (corrupt) records are renamed to
 CORRUPT_SUFFIX = ".corrupt"
+
+#: what decoding a record (or its caller's payload) raises when the bytes
+#: are not what was written: the record is a miss and is quarantined
+UNDECODABLE = (AttributeError, KeyError, TypeError, ValueError,
+               ConfigurationError)
 
 #: one corrupt-entry warning per process, not one per record
 _warned_corrupt = False
@@ -138,20 +137,53 @@ def workload_fingerprint(network: Network) -> Dict[str, Any]:
     }
 
 
-def run_key(engine: Engine, network: Network, config: Optional[ChainConfig],
-            batch: int) -> str:
-    """Cache key of one evaluation (versioned so stale results die on upgrade)."""
+def _fixed_key_part(engine: Engine, network: Network) -> Dict[str, Any]:
+    """The part of a key that one (engine, workload) pair fixes."""
     from repro import __version__
 
-    payload = {
+    return {
         "schema": CACHE_SCHEMA,
         "version": __version__,
         "engine": engine.fingerprint(),
-        "config": config_fingerprint(config),
         "workload": workload_fingerprint(network),
-        "batch": batch,
     }
+
+
+def _digest(payload: Dict[str, Any]) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+
+
+def run_key_for(engine: Engine, network: Network
+                ) -> Callable[[Optional[ChainConfig], int], str]:
+    """:func:`run_key` of one engine and workload, for many points.
+
+    The engine and workload fingerprints (recursive ``dataclasses.asdict``)
+    are the same for every point of a sweep, so they are built once here
+    rather than once per key.
+    """
+    fixed = _fixed_key_part(engine, network)
+
+    def key(config: Optional[ChainConfig], batch: int) -> str:
+        return _digest({**fixed, "config": config_fingerprint(config),
+                        "batch": batch})
+    return key
+
+
+def run_key(engine: Engine, network: Network, config: Optional[ChainConfig],
+            batch: int) -> str:
+    """Cache key of one evaluation (versioned so stale results die on upgrade)."""
+    return run_key_for(engine, network)(config, batch)
+
+
+def grid_key_for(engine: Engine, network: Network,
+                 base: Optional[ChainConfig]) -> Callable[[Any], str]:
+    """:func:`grid_key` of one engine, workload and base, for many chunks."""
+    fixed = {**_fixed_key_part(engine, network),
+             "base": config_fingerprint(base)}
+
+    def key(grid) -> str:
+        return _digest({**fixed, "grid": grid.to_json_dict()})
+    return key
 
 
 def grid_key(engine: Engine, network: Network, base: Optional[ChainConfig],
@@ -163,17 +195,7 @@ def grid_key(engine: Engine, network: Network, base: Optional[ChainConfig],
     schema/version yields a different key — the same invalidation story as
     :func:`run_key`, at chunk granularity.
     """
-    from repro import __version__
-
-    payload = {
-        "schema": CACHE_SCHEMA,
-        "version": __version__,
-        "engine": engine.fingerprint(),
-        "base": config_fingerprint(base),
-        "workload": workload_fingerprint(network),
-        "grid": grid.to_json_dict(),
-    }
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+    return grid_key_for(engine, network, base)(grid)
 
 
 def _env_max_mb(environ: Optional[Dict[str, str]] = None) -> Optional[float]:
@@ -189,36 +211,27 @@ def _env_max_mb(environ: Optional[Dict[str, str]] = None) -> Optional[float]:
 
 
 class RunCache:
-    """One-file-per-record JSON cache, hardened for concurrent processes.
+    """One content-addressed JSON file per record, safe for concurrent processes.
 
-    Reads and writes of single records stay lock-free and atomic; corrupt
-    records are quarantined to ``*.corrupt``; crash-orphaned ``*.tmp`` files
-    are reaped; and an optional ``max_mb`` bound evicts least-recently-used
-    records under an advisory file lock (see the module docstring).
+    Reads and writes of single records stay lock-free and atomic; records
+    that do not decode are quarantined to ``*.corrupt``; crash-orphaned
+    ``*.tmp`` files are reaped; and an optional ``max_mb`` bound evicts
+    least-recently-used records under an advisory file lock (see the module
+    docstring).  Nothing but these files is kept under :attr:`root`.
     """
 
     def __init__(self, root: str | Path | None = None,
-                 max_mb: Optional[float] = None,
-                 use_index: Optional[bool] = None) -> None:
+                 max_mb: Optional[float] = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
         if max_mb is None:
             max_mb = _env_max_mb()
         if max_mb is not None and max_mb <= 0:
             raise ValueError(f"max_mb must be positive, got {max_mb}")
         self.max_bytes = int(max_mb * 1024 * 1024) if max_mb is not None else None
-        if use_index is None:
-            use_index = index_enabled()
-        self._index: Optional[CacheIndex] = (
-            CacheIndex(self.root) if use_index else None)
         self.hits = 0
         self.misses = 0
         self.quarantined = 0
         self.evictions = 0
-
-    @property
-    def index(self) -> Optional[CacheIndex]:
-        """The sqlite index handle (``None`` when disabled outright)."""
-        return self._index
 
     # ------------------------------------------------------------------ #
     # path handling
@@ -257,26 +270,29 @@ class RunCache:
     # ------------------------------------------------------------------ #
     # access
     # ------------------------------------------------------------------ #
-    def get(self, key: str) -> Optional[RunRecord]:
-        """Stored record for ``key`` or ``None``.
+    def get(self, key: str,
+            decode: Optional[Callable[[RunRecord], Any]] = None) -> Any:
+        """Stored record for ``key`` (``decode(record)`` if given), or ``None``.
 
-        A missing file is a plain miss.  A file that exists but does not
-        decode into a :class:`RunRecord` is **quarantined**: renamed to
-        ``<key>.json.corrupt`` (so the bytes survive for inspection and the
-        slot becomes writable again) with one ``RuntimeWarning`` per
-        process.  Hits bump the record's mtime so LRU eviction has a
-        recency signal.
+        A missing file is a plain miss.  A file that does not decode into a
+        :class:`RunRecord`, or whose record ``decode`` rejects by raising
+        one of :data:`UNDECODABLE`, is a miss too and is **quarantined**:
+        renamed to ``<key>.json.corrupt`` (so the bytes survive for
+        inspection and the slot becomes writable again) with one
+        ``RuntimeWarning`` per process.  Hits bump the record's mtime so
+        LRU eviction has a recency signal.
         """
         path = self.path_for(key)
         try:
             with path.open("r", encoding="utf-8") as handle:
-                data = json.load(handle)
-            record = RunRecord.from_json_dict(data)
+                record = RunRecord.from_json_dict(json.load(handle))
+            record = record.with_cache_info(cache_key=key, cached=True)
+            value = record if decode is None else decode(record)
         except OSError:
             self.misses += 1
             _M_MISSES.inc()
             return None
-        except (ValueError, KeyError, TypeError):
+        except UNDECODABLE:
             self.misses += 1
             _M_MISSES.inc()
             self._quarantine(path)
@@ -287,25 +303,13 @@ class RunCache:
             os.utime(path)
         except OSError:
             pass  # concurrently evicted/cleared; the hit itself already served
-        if self._index is not None and not self._index.touch(key, time.time()):
-            # hit on a record the index never saw (legacy layout, or written
-            # with the index disabled): self-heal by indexing it now
-            try:
-                stat = path.stat()
-            except OSError:
-                pass
-            else:
-                self._index.add(key, path.name, stat.st_size, stat.st_mtime,
-                                record.engine)
-        return record.with_cache_info(cache_key=key, cached=True)
+        return value
 
     def _quarantine(self, path: Path) -> None:
         """Move a corrupt record aside and warn once per process."""
         global _warned_corrupt
         self.quarantined += 1
         _M_QUARANTINED.inc()
-        if self._index is not None and path.suffix == ".json":
-            self._index.remove(path.name[:-len(".json")])
         try:
             os.replace(path, path.with_name(path.name + CORRUPT_SUFFIX))
         except OSError:
@@ -336,15 +340,6 @@ class RunCache:
                 pass
             raise
         _M_PUTS.inc()
-        if self._index is not None:
-            path = self.path_for(key)
-            try:
-                stat = path.stat()
-            except OSError:
-                pass  # concurrently evicted/cleared already
-            else:
-                self._index.add(key, path.name, stat.st_size, stat.st_mtime,
-                                record.engine)
         if self.max_bytes is not None:
             self._evict_if_needed()
 
@@ -359,8 +354,6 @@ class RunCache:
         assert self.max_bytes is not None
         with self._locked():
             self._reap_orphans(min_age=TMP_ORPHAN_SECONDS)
-            if self._evict_via_index():
-                return
             entries = []
             total = 0
             for path in self.root.glob("*.json"):
@@ -380,45 +373,9 @@ class RunCache:
                     path.unlink()
                 except OSError:
                     continue
-                if self._index is not None:
-                    self._index.remove(path.name[:-len(".json")])
                 total -= size
                 self.evictions += 1
                 _M_EVICTIONS.inc()
-
-    def _evict_via_index(self) -> bool:
-        """Indexed eviction cycle; ``False`` falls back to the walk path.
-
-        One ``sum(size)`` query replaces the directory ``stat`` walk and an
-        indexed oldest-first cursor replaces the full sort, so a bounded
-        put's overhead no longer grows with the record count.  A row whose
-        file already vanished (deleted by an unindexed process) is dropped
-        as stale rather than counted as an eviction.  Runs under the
-        advisory lock held by :meth:`_evict_if_needed`.
-        """
-        if self._index is None:
-            return False
-        totals = self._index.totals()
-        if totals is None:
-            return False  # index degraded: caller walks the directory
-        total = totals[1]
-        if total <= self.max_bytes:
-            return True
-        for key, name, size, _mtime in self._index.lru():
-            if total <= self.max_bytes:
-                break
-            try:
-                (self.root / name).unlink()
-            except FileNotFoundError:
-                pass  # stale row: the bytes were already gone
-            except OSError:
-                continue
-            else:
-                self.evictions += 1
-                _M_EVICTIONS.inc()
-            self._index.remove(key)
-            total -= size
-        return self._index.available
 
     def _reap_orphans(self, min_age: float = 0.0) -> int:
         """Delete ``*.tmp`` spool files at least ``min_age`` seconds old."""
@@ -441,16 +398,11 @@ class RunCache:
         ``corrupt`` count crash debris and quarantined records still on
         disk; ``hits``/``misses``/``quarantined``/``evictions`` count this
         process's outcomes (the counters the sweep executor surfaces).
-        The ``index`` block reports sqlite-index health: row count vs
-        on-disk payload files, ``stale`` rows whose file vanished and
-        ``unindexed`` files the index never saw (``repro cache migrate``
-        reconciles both).
         """
         entries = 0
         size = 0
         tmp_orphans = 0
         corrupt = 0
-        disk_keys = set()
         if self.root.is_dir():
             for path in self.root.glob("*.json"):
                 try:
@@ -458,7 +410,6 @@ class RunCache:
                 except OSError:
                     continue
                 entries += 1
-                disk_keys.add(path.name[:-len(".json")])
             tmp_orphans = sum(1 for _ in self.root.glob("*.tmp"))
             corrupt = sum(1 for _ in self.root.glob(f"*{CORRUPT_SUFFIX}"))
         return {
@@ -472,100 +423,7 @@ class RunCache:
             "misses": self.misses,
             "quarantined": self.quarantined,
             "evictions": self.evictions,
-            "index": self._index_health(disk_keys),
         }
-
-    def _index_health(self, disk_keys: set) -> Dict[str, Any]:
-        """Index-vs-directory reconciliation report for :meth:`stats`."""
-        if self._index is None:
-            return {"enabled": False, "available": False}
-        index_keys = self._index.keys()
-        if index_keys is None:
-            return {"enabled": True, "available": False}
-        indexed = set(index_keys)
-        return {
-            "enabled": True,
-            "available": True,
-            "entries": len(indexed),
-            "stale": len(indexed - disk_keys),
-            "unindexed": len(disk_keys - indexed),
-        }
-
-    def quick_stats(self) -> Dict[str, Any]:
-        """``entries``/``bytes`` without walking the directory.
-
-        One indexed query when the index is live — the O(1) lookup path the
-        serving layer polls — falling back to the :meth:`stats` walk when
-        the index is disabled, degraded or not yet built.
-        """
-        if self._index is not None:
-            totals = self._index.totals()
-            if totals is not None:
-                return {"entries": totals[0], "bytes": totals[1],
-                        "indexed": True}
-        stats = self.stats()
-        return {"entries": stats["entries"], "bytes": stats["bytes"],
-                "indexed": False}
-
-    def migrate(self) -> Dict[str, Any]:
-        """Reconcile the sqlite index with the on-disk records (idempotent).
-
-        Indexes every payload file the index never saw (reading the engine
-        name from the record body), refreshes rows whose size/mtime
-        drifted, and prunes rows whose file vanished.  Runs under the
-        advisory lock, so concurrent migrations and eviction cycles
-        serialise — and it is safe against a **live server**: single-record
-        reads/writes never take that lock, and a put racing the scan simply
-        self-indexes, which the upsert tolerates.  Running it twice is a
-        no-op.
-        """
-        if self._index is None:
-            return {"enabled": False, "available": False, "entries": 0,
-                    "added": 0, "refreshed": 0, "pruned": 0}
-        with self._locked():
-            disk: Dict[str, Any] = {}
-            if self.root.is_dir():
-                for path in self.root.glob("*.json"):
-                    try:
-                        stat = path.stat()
-                    except OSError:
-                        continue
-                    disk[path.name[:-len(".json")]] = (
-                        path.name, stat.st_size, stat.st_mtime)
-            existing = {key: (name, size, mtime)
-                        for key, name, size, mtime in self._index.lru()}
-            added = refreshed = pruned = 0
-            for key, (name, size, mtime) in sorted(disk.items()):
-                previous = existing.get(key)
-                if previous is not None:
-                    if previous[1] == size and previous[2] == mtime:
-                        continue
-                    self._index.add(key, name, size, mtime)
-                    refreshed += 1
-                    continue
-                self._index.add(key, name, size, mtime,
-                                self._record_engine(self.root / name))
-                added += 1
-            for key in sorted(existing.keys() - disk.keys()):
-                self._index.remove(key)
-                pruned += 1
-            return {
-                "enabled": True,
-                "available": self._index.available,
-                "entries": len(disk),
-                "added": added,
-                "refreshed": refreshed,
-                "pruned": pruned,
-            }
-
-    @staticmethod
-    def _record_engine(path: Path) -> str:
-        """Engine name stored in a record file (``""`` when unreadable)."""
-        try:
-            with path.open("r", encoding="utf-8") as handle:
-                return str(json.load(handle).get("engine", ""))
-        except (OSError, ValueError):
-            return ""
 
     def clear(self) -> int:
         """Delete every record, quarantined record and orphaned spool file.
@@ -582,6 +440,4 @@ class RunCache:
                 for path in self.root.glob(f"*{CORRUPT_SUFFIX}"):
                     path.unlink(missing_ok=True)
                 self._reap_orphans()
-                if self._index is not None:
-                    self._index.clear()
         return removed

@@ -15,9 +15,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from repro.cnn.network import Network
 from repro.core.config import ChainConfig
 from repro.engine.base import Engine, RunRecord
-from repro.engine.cache import RunCache, grid_key, run_key
+from repro.engine.cache import RunCache, grid_key_for, run_key_for
 from repro.engine.registry import create_engine
-from repro.errors import ConfigurationError
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
@@ -112,8 +111,8 @@ class SweepExecutor:
 
         with obs_trace.span("sweep.run_points", engine=self.engine_name,
                             network=network.name, points=len(points)) as sweep_span:
-            keys = [run_key(self.engine, network, config, batch)
-                    for config, batch in points]
+            key_of = run_key_for(self.engine, network)
+            keys = [key_of(config, batch) for config, batch in points]
             records: List[Optional[RunRecord]] = [None] * len(points)
             pending: List[int] = []
             for index, key in enumerate(keys):
@@ -153,8 +152,8 @@ class SweepExecutor:
         memoised whole (one record per chunk rather than one per point, which
         is what makes 10^5-point grids cacheable at all); re-running a sweep
         after editing one axis only re-evaluates the chunks that changed.
-        A chunk record whose payload does not decode is re-evaluated and
-        overwritten.
+        A chunk record whose payload does not decode is a miss: it is
+        quarantined, re-evaluated and overwritten.
         """
         from repro.analysis.batch import BatchSweepResult
 
@@ -162,21 +161,22 @@ class SweepExecutor:
         if network is None:
             raise ValueError("SweepExecutor needs a network (constructor or run_grid())")
         chunk_size = GRID_CHUNK_POINTS if chunk_size is None else chunk_size
+        key_of = (grid_key_for(self.engine, network, base)
+                  if self.cache is not None else None)
+
+        def decode(record: RunRecord) -> "BatchSweepResult":
+            return BatchSweepResult.from_json_dict(record.extra["batch_result"])
 
         results: List["BatchSweepResult"] = []
         for chunk in grid.chunks(chunk_size):
-            key = grid_key(self.engine, network, base, chunk)
-            cached = self.cache.get(key) if self.cache is not None else None
             _M_GRID_CHUNKS.inc()
             _M_GRID_POINTS.inc(chunk.n_points)
-            if cached is not None:
-                try:
-                    result = BatchSweepResult.from_json_dict(cached.extra["batch_result"])
-                except (KeyError, TypeError, ValueError, ConfigurationError):
-                    pass  # undecodable payload: re-evaluated and overwritten below
-                else:
+            if self.cache is not None:
+                key = key_of(chunk)
+                cached = self.cache.get(key, decode=decode)
+                if cached is not None:
                     _M_GRID_CHUNKS_CACHED.inc()
-                    results.append(result)
+                    results.append(cached)
                     continue
             with obs_trace.span("sweep.grid_chunk", engine=self.engine_name,
                                 network=network.name, points=chunk.n_points):

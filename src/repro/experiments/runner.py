@@ -496,10 +496,9 @@ def observability_section(bench_path: str | Path = "BENCH_obs.json") -> str:
 def evaluation_service_section(bench_path: str | Path = "BENCH_serve.json") -> str:
     """The evaluation-service chapter of EXPERIMENTS.md.
 
-    Documents ``repro serve`` (the coalescing evaluation service) and the
-    sqlite-indexed shared run cache, quoting the measured throughput and
-    lookup latencies from ``BENCH_serve.json`` when the benchmark has
-    been run (``repro bench serve``).
+    Documents ``repro serve`` (the coalescing evaluation service), quoting
+    the measured throughput from ``BENCH_serve.json`` when the benchmark
+    has been run (``repro bench serve``).
     """
     lines = [
         "## Evaluation service throughput",
@@ -509,16 +508,11 @@ def evaluation_service_section(bench_path: str | Path = "BENCH_serve.json") -> s
         "with compatible sweep requests arriving within a few-millisecond",
         "window coalesced into one columnar `evaluate_batch` call and the",
         "per-request slices scattered back (byte-identical to `repro",
-        "<cmd> --json`; `tests/test_serve.py` pins this).  The shared",
-        "`RunCache` gains a WAL-mode sqlite index",
-        "so lookups, stats and LRU eviction stop scaling with the record",
-        "count while staying safe for 8+ concurrent processes:",
+        "<cmd> --json`; `tests/test_serve.py` pins this):",
         "",
         "```text",
         "repro serve --port 8347            # start the service",
         "repro request sweep '{\"grid\": \"pe=128:1152:64\"}'",
-        "repro cache stats                  # index health",
-        "repro cache migrate                # reconcile index <-> directory",
         "repro bench serve --timing         # asserts the 5x floor",
         "```",
         "",
@@ -548,13 +542,6 @@ def evaluation_service_section(bench_path: str | Path = "BENCH_serve.json") -> s
             f"| queue wait p50 / p99 | "
             f"{bench.get('queue_wait_p50_ms', 0):.1f} ms / "
             f"{bench.get('queue_wait_p99_ms', 0):.1f} ms |",
-            f"| indexed hit lookup ({bench.get('index_records', '?')}-record "
-            f"cache) | {bench.get('index_lookup_us', 0):.0f} us vs "
-            f"{bench.get('scan_lookup_us', 0):.0f} us file scan "
-            f"({bench.get('lookup_speedup', 0):.0f}x) |",
-            f"| cache stats: indexed vs directory walk | "
-            f"{bench.get('quick_stats_ms', 0):.2f} ms vs "
-            f"{bench.get('stats_scan_ms', 0):.1f} ms |",
         ]
     else:
         lines += [

@@ -391,11 +391,11 @@ class ScheduleOptimizer:
         """Search every layer and assemble the never-worse network schedule."""
         if self.cache is not None:
             key = self.cache_key(network)
-            record = self.cache.get(key)
-            if record is not None and "schedule" in record.extra:
+            schedule = self.cache.get(key, decode=lambda record: (
+                OptimizedSchedule.from_json_dict(record.extra["schedule"],
+                                                 cached=True)))
+            if schedule is not None:
                 _M_SCHEDULE_CACHE_HITS.inc()
-                schedule = OptimizedSchedule.from_json_dict(
-                    record.extra["schedule"], cached=True)
                 _M_CANDIDATES_SEARCHED.inc(schedule.evaluations)
                 return schedule
         with obs_trace.span("map.optimize", network=network.name,

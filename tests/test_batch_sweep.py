@@ -46,6 +46,7 @@ from repro.engine import RunCache, SweepExecutor, create_engine
 from repro.engine.cache import canonical_json
 from repro.errors import ConfigurationError
 from repro.memory.traffic import TrafficModel
+from repro.obs.metrics import REGISTRY
 
 RESULT_FIELDS = (
     "peak_gops",
@@ -493,12 +494,23 @@ def _shorten_column(payload):
     payload["total_gates"] = base64.b64encode(column[:-1].tobytes()).decode("ascii")
 
 
+def run_cli_counting(argv):
+    """:func:`run_cli` plus this run's process-wide cache (hits, misses)."""
+    before = REGISTRY.flat()
+    status, out, err = run_cli(argv)
+    after = REGISTRY.flat()
+    counts = tuple(after.get(name, 0) - before.get(name, 0)
+                   for name in ("cache.hits", "cache.misses"))
+    return status, out, counts
+
+
 class TestCorruptChunkRecord:
-    """A grid-chunk record whose payload does not decode is a miss: the sweep
-    re-evaluates the chunk, prints what an uncached run prints and
+    """A cached record whose payload does not decode is a miss: the command
+    re-evaluates it, prints what an uncached run prints, counts no hit and
     overwrites the record."""
 
     ARGV = ["sweep", "--grid", "pe=128:576:64", "--network", "lenet5", "--json"]
+    MAP_ARGV = ["map", "--network", "lenet5", "--objective", "latency", "--json"]
 
     @pytest.mark.parametrize("corrupt", [_drop_column, _truncate_base64, _shorten_column],
                              ids=["missing-column", "truncated-base64", "unequal-lengths"])
@@ -515,8 +527,23 @@ class TestCorruptChunkRecord:
         with pytest.raises((KeyError, ValueError, ConfigurationError)):
             BatchSweepResult.from_json_dict(record["extra"]["batch_result"])
 
-        status, out, _ = run_cli(argv)
+        status, out, counts = run_cli_counting(argv)
         assert status == 0
         assert out == uncached
+        assert counts == (0, 1)
         rewritten = json.loads(path.read_text(encoding="utf-8"))
         BatchSweepResult.from_json_dict(rewritten["extra"]["batch_result"])
+        assert run_cli_counting(argv)[1:] == (uncached, (1, 0))
+
+    def test_undecodable_schedule_is_searched_again(self, tmp_path):
+        argv = self.MAP_ARGV + ["--cache-dir", str(tmp_path)]
+        status, cold, _ = run_cli(argv)
+        assert status == 0
+        (path,) = tmp_path.glob("*.json")
+        record = json.loads(path.read_text(encoding="utf-8"))
+        del record["extra"]["schedule"]["baseline"]
+        path.write_text(json.dumps(record), encoding="utf-8")
+
+        status, out, counts = run_cli_counting(argv)
+        assert (status, out, counts) == (0, cold, (0, 1))
+        assert run_cli_counting(argv) == (0, cold, (1, 0))

@@ -439,10 +439,18 @@ class TestCacheCommands:
         assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
         out = capsys.readouterr().out
         assert "entries    : 7" in out and cache_dir in out
+        assert "index" not in out
         assert main(["cache", "clear", "--cache-dir", cache_dir]) == 0
         assert "removed 7 cached records" in capsys.readouterr().out
         assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
         assert "entries    : 0" in capsys.readouterr().out
+
+    def test_migrate_is_a_usage_error(self, capsys, tmp_path):
+        """The record files are the whole store: there is nothing to migrate."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cache", "migrate", "--cache-dir", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'migrate'" in capsys.readouterr().err
 
     def test_cache_env_var_location(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

@@ -9,11 +9,12 @@ import time
 import pytest
 
 from repro.analysis.batch import DesignGrid
-from repro.cnn.zoo import lenet5, tiny_test_network
+from repro.cnn.zoo import alexnet, lenet5, tiny_test_network, vgg16
 from repro.core.config import ChainConfig
 from repro.core.performance import PerformanceModel
 from repro.engine import (
     DEFAULT_ENGINES,
+    GRID_CHUNK_POINTS,
     AnalyticalEngine,
     Engine,
     RunCache,
@@ -330,6 +331,30 @@ class TestCacheInvalidation:
         executor = SweepExecutor(engine=engine, network=network, cache=RunCache(tmp_path))
         executor.run_grid(grid)
         assert (executor.cache.hits, executor.cache.misses) == (0, 1)
+
+    def test_keys_are_pinned(self, tmp_path):
+        """Keys are byte-stable, so caches written by this version keep
+        hitting: an AlexNet analytical point and the first 8,192-point chunk
+        of a VGG-16 grid, through the executor and the key functions."""
+        point_key = "599b34fc0a74fbf88278e12498840a51d2a91d4d29e979ef88e111c48a6d479f"
+        chunk_key = "f4f758ae9b5cacad2001f49cdf2acbe5218be819ca9678919814e4a94bf5cfbc"
+        config = ChainConfig()
+        assert run_key(create_engine("analytical"), alexnet(), config, 128) == point_key
+        grid = DesignGrid.parse("pe=128:1152:4,freq=200:1000:10", base=config,
+                                default_batch=16)
+        chunk = next(grid.chunks(GRID_CHUNK_POINTS))
+        assert chunk.n_points == 8192
+        assert grid_key(create_engine("analytical-batch"), vgg16(), config,
+                        chunk) == chunk_key
+
+        cache = RunCache(tmp_path)
+        SweepExecutor(engine="analytical", network=alexnet(), batch=128,
+                      cache=cache).run([config])
+        SweepExecutor(engine="analytical-batch", network=vgg16(),
+                      cache=cache).run_grid(grid, base=config)
+        written = {path.stem for path in tmp_path.glob("*.json")}
+        assert {point_key, chunk_key} <= written
+        assert len(written) == 1 + 3  # the point and the grid's three chunks
 
 
 class _CountingEngine(Engine):
