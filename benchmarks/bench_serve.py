@@ -1,10 +1,13 @@
 """Benchmark: evaluation-service throughput under request coalescing.
 
-The acceptance bar for the evaluation-as-a-service PR: **coalescing pays
->=5x** — a 10k-point mixed-client workload (32 concurrent clients, request
-sizes 1..64 points) through the coalescing window must deliver at least 5x
-the points/s of the same server fed sequential single-point requests
-(floor asserted in timing mode, recorded honestly in the smoke pass).
+The acceptance bar for the evaluation service: **coalescing pays >=5x** —
+a 10k-point mixed-client workload (32 concurrent clients, request sizes
+1..64 points) must deliver at least 5x the points/s of the same server fed
+sequential single-point requests (floor asserted in timing mode, recorded
+honestly in the smoke pass).  A sweep is dispatched as soon as no batch of
+its key is in flight, so the sequential leg pays no coalescing delay; the
+concurrent leg wins by merging the requests that arrive during each
+evaluation into the next batch.
 
 Records ``BENCH_serve.json`` (points/s both legs, speedup, batch shape,
 queue-wait p50/p99 from the coalescer's raw samples) at the repo root; the
@@ -33,9 +36,6 @@ CLIENTS = 32
 
 #: mixed request sizes the clients cycle through (points per request)
 REQUEST_SIZES = (1, 2, 4, 8, 16, 32, 64)
-
-#: coalescing window — the server default
-WINDOW_MS = 4.0
 
 #: total design points per leg: timing mode / smoke pass
 POINTS, SMOKE_POINTS = 10_000, 1_500
@@ -71,7 +71,7 @@ def _percentile(samples: Sequence[float], q: float) -> float:
 
 async def _serve_legs(total_points: int,
                       sequential_requests: int) -> Dict[str, float]:
-    server = await EvalServer(port=0, window_ms=WINDOW_MS).start()
+    server = await EvalServer(port=0).start()
     try:
         await _sweep(server.port, _grid_spec(0, 2))  # warm the engine/context
 
@@ -107,7 +107,6 @@ async def _serve_legs(total_points: int,
         "points": total_points,
         "requests": len(sizes),
         "clients": CLIENTS,
-        "window_ms": WINDOW_MS,
         "sequential_requests": sequential_requests,
         "sequential_points_per_s": sequential_pps,
         "coalesced_points_per_s": coalesced_pps,

@@ -486,16 +486,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serve.server import EvalServer
 
-    server = EvalServer(
-        args.host, args.port,
-        window_ms=args.window_ms,
-        cache=_cache_from_args(args),
-    )
+    server = EvalServer(args.host, args.port, cache=_cache_from_args(args))
 
     async def _serve() -> None:
         await server.start()
         print(f"repro serve listening on http://{server.host}:{server.port} "
-              f"(coalescing window {args.window_ms:g} ms; Ctrl-C stops)")
+              "(Ctrl-C stops)")
         try:
             await server.serve_forever()
         except asyncio.CancelledError:
@@ -838,17 +834,15 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd = sub.add_parser(
         "serve",
         help="run the evaluation service: concurrent run/sweep/map/verify "
-             "over HTTP/JSON with request coalescing",
+             "over HTTP/JSON; a sweep is evaluated at once when no "
+             "compatible batch is in flight, and sweeps arriving during "
+             "one are coalesced into the next batch",
     )
     serve_cmd.add_argument("--host", default="127.0.0.1",
                            help="bind address (default: loopback)")
     serve_cmd.add_argument("--port", type=int, default=DEFAULT_PORT,
                            help=f"TCP port (default: {DEFAULT_PORT}; 0 picks "
                                 "a free port)")
-    serve_cmd.add_argument("--window-ms", type=_positive_float, default=4.0,
-                           help="coalescing micro-batch window: how long the "
-                                "first sweep request of a batch waits for "
-                                "compatible company (default: 4 ms)")
     serve_cmd.add_argument("--cache-dir", default=None, metavar="DIR",
                            help="shared RunCache for mapping searches "
                                 f"(${CACHE_DIR_ENV} enables the default "

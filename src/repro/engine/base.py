@@ -96,13 +96,17 @@ class RunRecord:
 
     @classmethod
     def from_json_dict(cls, data: Dict[str, Any]) -> "RunRecord":
-        """Rebuild a record from :meth:`to_json_dict` output."""
+        """Rebuild a record from :meth:`to_json_dict` output.
+
+        ``metrics`` is required (``KeyError`` without it): a cached point
+        record that lost them must be a miss, not a row of zeros.
+        """
         return cls(
             engine=data["engine"],
             network=data["network"],
             batch=int(data["batch"]),
             config_summary=data.get("config_summary", ""),
-            metrics={str(k): float(v) for k, v in data.get("metrics", {}).items()},
+            metrics={str(k): float(v) for k, v in data["metrics"].items()},
             extra=data.get("extra", {}),
         )
 

@@ -504,9 +504,11 @@ def evaluation_service_section(bench_path: str | Path = "BENCH_serve.json") -> s
         "## Evaluation service throughput",
         "",
         "`repro serve` turns the engine stack into a long-running service:",
-        "concurrent `run`/`sweep`/`map`/`verify` requests over HTTP/JSON,",
-        "with compatible sweep requests arriving within a few-millisecond",
-        "window coalesced into one columnar `evaluate_batch` call and the",
+        "concurrent `run`/`sweep`/`map`/`verify` requests over HTTP/JSON.",
+        "A sweep is evaluated at once when no batch of its coalesce key",
+        "(engine, network, base config) is in flight; compatible sweeps",
+        "that arrive during an evaluation wait for it to land and are then",
+        "coalesced into one columnar `evaluate_batch` call, with the",
         "per-request slices scattered back (byte-identical to `repro",
         "<cmd> --json`; `tests/test_serve.py` pins this):",
         "",
@@ -528,7 +530,7 @@ def evaluation_service_section(bench_path: str | Path = "BENCH_serve.json") -> s
         lines += [
             f"Measured (`BENCH_serve.json`, {bench.get('points', '?')}-point",
             f"mixed workload from {bench.get('clients', '?')} concurrent",
-            f"clients, {bench.get('window_ms', '?')} ms window):",
+            "clients):",
             "",
             "| metric | value |",
             "| --- | --- |",

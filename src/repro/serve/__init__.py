@@ -6,9 +6,10 @@ into a long-running service:
 
 * :mod:`repro.serve.server` — stdlib-``asyncio`` HTTP/1.1 JSON server
   accepting concurrent ``run``/``sweep``/``map``/``verify`` requests;
-* :mod:`repro.serve.coalesce` — micro-batching window that merges
-  compatible sweep requests into one columnar ``evaluate_batch`` call and
-  scatters per-request slices back (float-bit-identical to evaluating
+* :mod:`repro.serve.coalesce` — dispatches a sweep at once when no
+  batch of its key is in flight, and merges the compatible sweeps that
+  arrive during one into a single columnar ``evaluate_batch`` call,
+  scattering per-request slices back (float-bit-identical to evaluating
   each request alone);
 * :mod:`repro.serve.payloads` — response builders shared with the CLI,
   so a coalesced response is byte-identical to ``repro <cmd> --json``;

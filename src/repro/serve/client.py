@@ -131,8 +131,9 @@ async def request_json(host: str, port: int, path: str,
 
     Opens a fresh ``Connection: close`` connection per call so hundreds
     of these can be in flight at once from one event loop — exactly the
-    concurrent-client shape the coalescing window is built for.  The
-    body is returned verbatim (chunked streams are de-chunked).
+    concurrent-client shape whose sweeps the server coalesces into one
+    batch while an earlier batch is being evaluated.  The body is
+    returned verbatim (chunked streams are de-chunked).
     """
     reader, writer = await asyncio.open_connection(host, port)
     try:

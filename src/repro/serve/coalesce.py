@@ -2,11 +2,15 @@
 
 The batch evaluator's throughput comes from array width — scoring one
 point costs nearly as much as scoring thousands.  The coalescer exploits
-that: requests arriving within a short micro-batch window whose grids
-are *compatible* (same coalesce key — engine fingerprint, network
-workload, base config and cache schema) are concatenated into a single
-:class:`~repro.analysis.batch.DesignGrid`, scored by **one**
-``evaluate_batch`` call, and sliced back per request.
+that without holding anyone back: a sweep whose coalesce key (engine
+fingerprint, network workload, base config and cache schema) has no
+batch in flight is dispatched at once, and requests that arrive while a
+batch of their key is being evaluated wait in that key's bucket.  The
+moment the batch lands, the bucket's requests are concatenated into a
+single :class:`~repro.analysis.batch.DesignGrid`, scored by **one**
+``evaluate_batch`` call, and sliced back per request.  An idle server
+therefore adds no queueing delay, and a busy one batches exactly the
+requests that had to wait anyway (continuous batching).
 
 Because the batch evaluator is purely elementwise per design point,
 concatenate → evaluate → slice is float-bit-identical to evaluating each
@@ -18,9 +22,9 @@ dtypes survive untouched.
 from __future__ import annotations
 
 import asyncio
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable, Deque, Dict, List, Sequence, Tuple
+from typing import Awaitable, Callable, Deque, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -29,11 +33,8 @@ from repro.obs import metrics as obs_metrics
 
 __all__ = ["Coalescer", "merge_grids", "scatter_result"]
 
-#: micro-batch window: how long the first request of a batch waits for
-#: company before the batch is flushed (seconds)
-DEFAULT_WINDOW_S = 0.004
-
-#: flush early once a batch holds this many points / requests
+#: flush a bucket even while its key is busy once it holds this many
+#: points / requests
 DEFAULT_MAX_POINTS = 262_144
 DEFAULT_MAX_REQUESTS = 256
 
@@ -80,18 +81,19 @@ class _Pending:
 
 @dataclass
 class Coalescer:
-    """Window-based micro-batcher over an async ``evaluate`` callable.
+    """Dispatch-when-idle batcher over an async ``evaluate`` callable.
 
     ``evaluate(key, merged_grid)`` scores one merged grid (the server
     runs it in a worker thread so the event loop stays responsive).
-    ``submit`` parks each request on a future; the first request of a
-    key's bucket arms a ``window_s`` timer, and the bucket flushes when
-    the timer fires or the size bounds are hit — whichever comes first.
-    Requests with different keys never share a batch.
+    ``submit`` parks each request on a future in its key's bucket.  The
+    bucket flushes at once when no batch of that key is in flight, and
+    otherwise the moment the in-flight batch lands, whether it succeeded
+    or failed; a bucket that reaches ``max_points`` or ``max_requests``
+    flushes at once regardless.  Requests with different keys never
+    share a batch and never wait for each other.
     """
 
     evaluate: Callable[[str, DesignGrid], Awaitable[BatchSweepResult]]
-    window_s: float = DEFAULT_WINDOW_S
     max_points: int = DEFAULT_MAX_POINTS
     max_requests: int = DEFAULT_MAX_REQUESTS
     #: raw queue-wait samples for p50/p99 (the metrics histogram keeps
@@ -100,7 +102,8 @@ class Coalescer:
 
     def __post_init__(self) -> None:
         self._pending: Dict[str, List[_Pending]] = {}
-        self._timers: Dict[str, asyncio.TimerHandle] = {}
+        #: batches of each key being evaluated right now
+        self._in_flight: Counter = Counter()
         self._tasks: set = set()
 
     async def submit(self, key: str, grid: DesignGrid) -> BatchSweepResult:
@@ -109,51 +112,52 @@ class Coalescer:
         future: "asyncio.Future[BatchSweepResult]" = loop.create_future()
         bucket = self._pending.setdefault(key, [])
         bucket.append(_Pending(grid, future, loop.time()))
-        points = sum(pending.grid.n_points for pending in bucket)
-        if len(bucket) == 1:
-            self._timers[key] = loop.call_later(
-                self.window_s, self._flush_now, key)
-        if points >= self.max_points or len(bucket) >= self.max_requests:
+        if (not self._in_flight[key] or len(bucket) >= self.max_requests
+                or sum(pending.grid.n_points for pending in bucket)
+                >= self.max_points):
             self._flush_now(key)
         return await future
 
     def _flush_now(self, key: str) -> None:
         """Detach ``key``'s bucket and score it in a background task."""
-        timer = self._timers.pop(key, None)
-        if timer is not None:
-            timer.cancel()
         batch = self._pending.pop(key, None)
         if not batch:
             return
+        self._in_flight[key] += 1
         task = asyncio.get_running_loop().create_task(self._flush(key, batch))
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
 
     async def _flush(self, key: str, batch: List[_Pending]) -> None:
-        loop = asyncio.get_running_loop()
-        now = loop.time()
+        """Score one batch, answer its requests, then release its key."""
+        now = asyncio.get_running_loop().time()
         for pending in batch:
             wait = now - pending.enqueued
             _M_QUEUE_WAIT.observe(wait)
             self.queue_waits.append(wait)
-        merged, spans = merge_grids([pending.grid for pending in batch])
-        _M_BATCHES.inc()
-        _M_COALESCED.inc(len(batch))
-        _M_BATCH_REQUESTS.observe(len(batch))
-        _M_BATCH_POINTS.observe(merged.n_points)
         try:
-            result = await self.evaluate(key, merged)
+            merged, spans = merge_grids([pending.grid for pending in batch])
+            _M_BATCHES.inc()
+            _M_COALESCED.inc(len(batch))
+            _M_BATCH_REQUESTS.observe(len(batch))
+            _M_BATCH_POINTS.observe(merged.n_points)
+            pieces = scatter_result(await self.evaluate(key, merged), spans)
         except Exception as error:  # noqa: BLE001 - fan the failure out
             for pending in batch:
                 if not pending.future.done():
                     pending.future.set_exception(error)
-            return
-        for pending, piece in zip(batch, scatter_result(result, spans)):
-            if not pending.future.done():
-                pending.future.set_result(piece)
+        else:
+            for pending, piece in zip(batch, pieces):
+                if not pending.future.done():
+                    pending.future.set_result(piece)
+        finally:
+            self._in_flight[key] -= 1
+            if not self._in_flight[key]:
+                del self._in_flight[key]
+                self._flush_now(key)
 
     async def drain(self) -> None:
-        """Flush every armed bucket now and wait for in-flight batches."""
+        """Flush every queued bucket now and wait for in-flight batches."""
         for key in list(self._pending):
             self._flush_now(key)
         while self._tasks:

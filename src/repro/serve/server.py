@@ -7,8 +7,10 @@ One process, three execution lanes:
 * a single **evaluation thread** scores coalesced grids and ``run``
   records (columnar batch calls release the GIL into numpy, so the loop
   stays responsive while keeping heavy math strictly serialised —
-  serialisation is what makes coalescing pay: concurrent requests pile
-  into the window instead of contending for cores);
+  serialisation is what makes coalescing pay: a sweep is dispatched as
+  soon as no batch of its key is in flight, and the sweeps that arrive
+  during an evaluation join the next batch instead of contending for
+  cores);
 * a single **long-op thread** runs mapping searches and functional
   verifies one at a time, streaming progress back as chunked JSON-line
   events, so a long search never blocks the sweep lane.
@@ -74,24 +76,18 @@ def _sweepable_engines() -> Tuple[str, ...]:
 class EvalServer:
     """Long-running evaluation service (see module docstring).
 
-    ``window_ms`` is the coalescing micro-batch window; ``cache`` is an
-    optional shared :class:`~repro.engine.cache.RunCache` used by the
-    mapping-search lane (sweeps evaluate through the columnar path
-    directly — purity is what makes scatter bit-identity a theorem
+    ``cache`` is an optional shared :class:`~repro.engine.cache.RunCache`
+    used by the mapping-search lane (sweeps evaluate through the columnar
+    path directly — purity is what makes scatter bit-identity a theorem
     rather than a test).
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = DEFAULT_PORT,
-                 *, window_ms: float = 4.0,
-                 cache: Optional[RunCache] = None,
-                 max_requests: int = 256) -> None:
+                 *, cache: Optional[RunCache] = None) -> None:
         self.host = host
         self.port = port
         self.cache = cache
-        self.window_ms = window_ms
-        self.coalescer = Coalescer(self._evaluate_merged,
-                                   window_s=window_ms / 1000.0,
-                                   max_requests=max_requests)
+        self.coalescer = Coalescer(self._evaluate_merged)
         self._contexts: Dict[str, Dict[str, Any]] = {}
         self._eval_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="serve-eval")
@@ -212,7 +208,6 @@ class EvalServer:
             "status": "ok",
             "version": __version__,
             "uptime_s": time.monotonic() - self.started_at,
-            "window_ms": self.window_ms,
             "requests": flat.get("serve.requests", 0),
             "coalesced_batches": flat.get("serve.coalesced_batches", 0),
         }

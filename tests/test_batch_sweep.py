@@ -511,6 +511,7 @@ class TestCorruptChunkRecord:
 
     ARGV = ["sweep", "--grid", "pe=128:576:64", "--network", "lenet5", "--json"]
     MAP_ARGV = ["map", "--network", "lenet5", "--objective", "latency", "--json"]
+    POINTS_ARGV = ["sweep", "pes", "--network", "lenet5", "--json"]
 
     @pytest.mark.parametrize("corrupt", [_drop_column, _truncate_base64, _shorten_column],
                              ids=["missing-column", "truncated-base64", "unequal-lengths"])
@@ -547,3 +548,19 @@ class TestCorruptChunkRecord:
         status, out, counts = run_cli_counting(argv)
         assert (status, out, counts) == (0, cold, (0, 1))
         assert run_cli_counting(argv) == (0, cold, (1, 0))
+
+    def test_point_record_without_metrics_is_reevaluated(self, tmp_path):
+        """A point record is a miss without its metrics, not a row of zeros."""
+        status, uncached, _ = run_cli(self.POINTS_ARGV + ["--no-cache"])
+        assert status == 0
+        argv = self.POINTS_ARGV + ["--cache-dir", str(tmp_path)]
+        assert run_cli(argv)[:2] == (0, uncached)
+        paths = sorted(tmp_path.glob("*.json"))
+        assert len(paths) == 7
+        record = json.loads(paths[0].read_text(encoding="utf-8"))
+        del record["metrics"]
+        paths[0].write_text(json.dumps(record), encoding="utf-8")
+
+        assert run_cli_counting(argv) == (0, uncached, (6, 1))
+        assert "metrics" in json.loads(paths[0].read_text(encoding="utf-8"))
+        assert run_cli_counting(argv) == (0, uncached, (7, 0))

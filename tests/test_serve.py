@@ -3,8 +3,8 @@
 The service's core promise is that turning the stack into a server
 changes *where* evaluation happens but not *what* comes back: every
 response must be byte-identical to the matching ``repro <cmd> --json``
-invocation, including when many clients overlap inside one coalescing
-window.  Part of the CI equivalence gate (fail-if-skipped).
+invocation, including when overlapping clients' sweeps are coalesced
+into one batch.  Part of the CI equivalence gate (fail-if-skipped).
 """
 
 from __future__ import annotations
@@ -92,95 +92,203 @@ class TestMergeScatter:
 
 
 # --------------------------------------------------------------------- #
-# coalescer: window flush, partitioning, scatter order, failure fan-out
+# coalescer: dispatch when idle, partitioning, scatter order, failures
 # --------------------------------------------------------------------- #
+def _score(merged):
+    engine = create_engine("analytical-batch")
+    return engine.evaluate_batch(tiny_test_network(), merged, base=BASE)
+
+
+def _alone_fps(spec: str):
+    return _score(_grid(spec)).fps
+
+
+class _GatedEvaluate:
+    """Fake ``evaluate``: records each call and holds it until ``open()``;
+    once open, calls pass straight through.  The call numbered
+    ``fail_call`` (0-based) raises instead of scoring."""
+
+    def __init__(self, fail_call=None) -> None:
+        self.calls = []
+        self._gate = asyncio.Event()
+        self._fail_call = fail_call
+
+    def open(self) -> None:
+        self._gate.set()
+
+    async def __call__(self, key, merged):
+        number = len(self.calls)
+        self.calls.append((key, merged.n_points))
+        await self._gate.wait()
+        if number == self._fail_call:
+            raise ValueError("boom")
+        return _score(merged)
+
+
+async def _park(coalescer, key, specs):
+    """Submit ``specs`` as tasks and let the event loop settle.
+
+    Two loop turns, no wall-clock wait (``asyncio.sleep(0)`` only
+    yields): in the first, every task appends its request to its bucket
+    and, where the coalescer flushes, schedules the batch; in the
+    second, that batch calls ``evaluate``.
+    """
+    tasks = [asyncio.ensure_future(coalescer.submit(key, _grid(spec)))
+             for spec in specs]
+    await asyncio.sleep(0)
+    await asyncio.sleep(0)
+    return tasks
+
+
+async def _outcomes(tasks):
+    """Each task's result or exception, in order.
+
+    The timeout only turns a request the coalescer never answers into a
+    failure instead of a hung suite; a passing run never reaches it.
+    """
+    _, unanswered = await asyncio.wait(tasks, timeout=10.0)
+    count = len(unanswered)
+    assert count == 0, f"{count} of {len(tasks)} requests never answered"
+    return [task.exception() or task.result() for task in tasks]
+
+
+ONE = "pe=96:96:1,freq=700:700:1"
+QUEUED = ("pe=576:576:1,freq=700:700:1", "pe=192:192:1,freq=700:700:1",
+          "pe=288:480:96,freq=700:700:1", "pe=384:384:1,freq=700:700:1")
+
+
 class TestCoalescer:
-    def _coalescer(self, calls, **kwargs):
-        async def evaluate(key, merged):
-            calls.append((key, merged.n_points))
-            engine = create_engine("analytical-batch")
-            return engine.evaluate_batch(tiny_test_network(), merged, base=BASE)
-        return Coalescer(evaluate, **kwargs)
-
-    def test_window_flush_merges_compatible_requests(self):
-        calls = []
-
+    def test_idle_key_dispatches_its_first_request_alone(self):
         async def main():
-            coalescer = self._coalescer(calls, window_s=0.05)
-            results = await asyncio.gather(
-                coalescer.submit("k", _grid("pe=96:96:1,freq=700:700:1")),
-                coalescer.submit("k", _grid("pe=192:192:1,freq=700:700:1")),
-                coalescer.submit("k", _grid("pe=288:480:96,freq=700:700:1")),
-            )
-            return results
+            evaluate = _GatedEvaluate()
+            coalescer = Coalescer(evaluate)
+            (first,) = await _park(coalescer, "k", [ONE])
+            # no batch of "k" was in flight, so it did not wait for company
+            assert evaluate.calls == [("k", 1)] and not first.done()
+            evaluate.open()
+            return evaluate.calls, await _outcomes([first])
 
-        results = asyncio.run(main())
-        assert calls == [("k", 5)]  # one batch scored all three requests
-        assert [r.n_points for r in results] == [1, 1, 3]
+        calls, (result,) = asyncio.run(main())
+        assert calls == [("k", 1)]
+        assert np.array_equal(result.fps, _alone_fps(ONE))
+
+    def test_requests_queued_behind_a_batch_form_one_next_batch(self):
+        """Everything submitted during an evaluation is the next batch,
+        scattered back in submission order."""
+        async def main():
+            evaluate = _GatedEvaluate()
+            coalescer = Coalescer(evaluate)
+            (first,) = await _park(coalescer, "k", [ONE])
+            queued = await _park(coalescer, "k", QUEUED)
+            assert evaluate.calls == [("k", 1)]  # all four are held
+            evaluate.open()
+            return evaluate.calls, await _outcomes([first, *queued])
+
+        calls, results = asyncio.run(main())
+        assert calls == [("k", 1), ("k", 6)]  # 1 + 1 + 1 + 3 + 1 points
+        for spec, result in zip((ONE,) + QUEUED, results):
+            assert np.array_equal(result.fps, _alone_fps(spec)), spec
 
     def test_incompatible_keys_never_share_a_batch(self):
-        calls = []
-
+        """A request of another key is not held behind a busy key's batch."""
         async def main():
-            coalescer = self._coalescer(calls, window_s=0.02)
-            await asyncio.gather(
-                coalescer.submit("a", _grid("pe=96:96:1,freq=700:700:1")),
-                coalescer.submit("b", _grid("pe=96:96:1,freq=700:700:1")),
-                coalescer.submit("a", _grid("pe=192:192:1,freq=700:700:1")),
-            )
+            evaluate = _GatedEvaluate()
+            coalescer = Coalescer(evaluate)
+            held = await _park(coalescer, "a", [ONE])
+            held += await _park(coalescer, "a", QUEUED[:2])
+            other = await _park(coalescer, "b", [ONE])
+            # "b" reached evaluate while "a"'s first batch is still open
+            assert evaluate.calls == [("a", 1), ("b", 1)]
+            evaluate.open()
+            await _outcomes(held + other)
+            return evaluate.calls
 
-        asyncio.run(main())
-        assert sorted(calls) == [("a", 2), ("b", 1)]
+        assert asyncio.run(main()) == [("a", 1), ("b", 1), ("a", 2)]
 
     def test_scatter_order_matches_submission_order(self):
         """Interleaved submissions each get their own grid's scores back."""
         pes = [96, 576, 192, 384, 288]
 
+        async def evaluate(key, merged):
+            return _score(merged)
+
         async def main():
-            coalescer = self._coalescer([], window_s=0.05)
-            results = await asyncio.gather(*[
-                coalescer.submit("k", _grid(f"pe={p}:{p}:1,freq=700:700:1"))
+            coalescer = Coalescer(evaluate)
+            return await _outcomes([
+                asyncio.ensure_future(coalescer.submit(
+                    "k", _grid(f"pe={p}:{p}:1,freq=700:700:1")))
                 for p in pes
             ])
-            return results
 
-        engine = create_engine("analytical-batch")
         for p, result in zip(pes, asyncio.run(main())):
-            alone = engine.evaluate_batch(
-                tiny_test_network(),
-                _grid(f"pe={p}:{p}:1,freq=700:700:1"), base=BASE)
-            assert np.array_equal(result.fps, alone.fps)
+            assert np.array_equal(result.fps,
+                                  _alone_fps(f"pe={p}:{p}:1,freq=700:700:1"))
 
-    def test_size_bound_flushes_before_the_window(self):
-        calls = []
-
+    def test_size_bound_flushes_a_full_bucket_behind_a_batch(self):
         async def main():
-            # a 10 s window would time the test out if the request bound
-            # (2) did not flush immediately
-            coalescer = self._coalescer(calls, window_s=10.0, max_requests=2)
-            await asyncio.wait_for(asyncio.gather(
-                coalescer.submit("k", _grid("pe=96:96:1,freq=700:700:1")),
-                coalescer.submit("k", _grid("pe=192:192:1,freq=700:700:1")),
-            ), timeout=5.0)
+            evaluate = _GatedEvaluate()
+            coalescer = Coalescer(evaluate, max_requests=2)
+            tasks = await _park(coalescer, "k", [ONE])
+            tasks += await _park(coalescer, "k", QUEUED[:3])
+            # the bucket reached 2 requests and flushed without waiting for
+            # the open batch; the third request waits for a batch to land
+            assert evaluate.calls == [("k", 1), ("k", 2)]
+            evaluate.open()
+            await _outcomes(tasks)
+            return evaluate.calls
 
-        asyncio.run(main())
-        assert calls == [("k", 2)]
+        assert asyncio.run(main()) == [("k", 1), ("k", 2), ("k", 3)]
+
+    def test_failed_batch_answers_its_waiters_and_releases_the_queue(self):
+        """The failing batch's requests get its error; the requests queued
+        behind it are still evaluated and answered."""
+        async def main():
+            evaluate = _GatedEvaluate(fail_call=0)
+            coalescer = Coalescer(evaluate)
+            (first,) = await _park(coalescer, "k", [ONE])
+            queued = await _park(coalescer, "k", QUEUED)
+            evaluate.open()
+            return evaluate.calls, await _outcomes([first, *queued])
+
+        calls, outcomes = asyncio.run(main())
+        assert calls == [("k", 1), ("k", 6)]
+        assert isinstance(outcomes[0], ValueError)
+        for spec, result in zip(QUEUED, outcomes[1:]):
+            assert np.array_equal(result.fps, _alone_fps(spec)), spec
 
     def test_evaluation_failure_fans_out_to_every_waiter(self):
-        async def evaluate(key, merged):
-            raise ValueError("boom")
-
+        """One error answers every request of the batch that raised."""
         async def main():
-            coalescer = Coalescer(evaluate, window_s=0.01)
-            futures = await asyncio.gather(
-                coalescer.submit("k", _grid("pe=96:96:1,freq=700:700:1")),
-                coalescer.submit("k", _grid("pe=192:192:1,freq=700:700:1")),
-                return_exceptions=True,
-            )
-            return futures
+            evaluate = _GatedEvaluate(fail_call=1)
+            coalescer = Coalescer(evaluate)
+            (first,) = await _park(coalescer, "k", [ONE])
+            queued = await _park(coalescer, "k", QUEUED)
+            evaluate.open()
+            return evaluate.calls, await _outcomes([first, *queued])
 
-        outcomes = asyncio.run(main())
-        assert all(isinstance(outcome, ValueError) for outcome in outcomes)
+        calls, outcomes = asyncio.run(main())
+        # the four queued requests shared the second batch, which raised
+        assert calls == [("k", 1), ("k", 6)]
+        assert np.array_equal(outcomes[0].fps, _alone_fps(ONE))
+        errors = outcomes[1:]
+        assert len(errors) == 4
+        assert all(isinstance(error, ValueError) for error in errors)
+        assert len({id(error) for error in errors}) == 1
+
+    def test_drain_answers_every_queued_request(self):
+        async def main():
+            evaluate = _GatedEvaluate()
+            coalescer = Coalescer(evaluate)
+            tasks = await _park(coalescer, "k", [ONE])
+            tasks += await _park(coalescer, "k", QUEUED)
+            draining = asyncio.ensure_future(coalescer.drain())
+            evaluate.open()
+            await draining
+            assert all(task.done() for task in tasks)
+            return [task.result() for task in tasks]
+
+        for spec, result in zip((ONE,) + QUEUED, asyncio.run(main())):
+            assert np.array_equal(result.fps, _alone_fps(spec)), spec
 
 
 # --------------------------------------------------------------------- #
@@ -284,12 +392,13 @@ class TestServerBitIdentity:
                 for path, body, _ in requests
             ])
 
-        responses = _serve(clients, window_ms=20.0)
+        responses = _serve(clients)
         for (path, body, argv), (status, raw) in zip(requests, responses):
             assert status == 200, (path, raw)
             assert raw.decode() + "\n" == _cli_out(argv), (path, body)
-        # the three compatible alexnet/batch-16/default-base sweeps above
-        # must have shared at least one coalesced batch
+        # every sweep went through the coalescer; whether the compatible
+        # alexnet/batch-16/default-base sweeps shared a batch depends on
+        # arrival order, so TestCoalescer pins that rule instead
         assert REGISTRY.flat()["serve.coalesced_batches"] > before
 
     def test_map_stream_result_matches_cli(self, monkeypatch):
@@ -435,7 +544,7 @@ class _ServerThread:
 
 class TestBlockingClientAndRequestCLI:
     def test_serve_client_round_trips(self):
-        with _ServerThread(window_ms=2.0) as server:
+        with _ServerThread() as server:
             with ServeClient(server.host, server.port) as client:
                 assert client.health()["status"] == "ok"
                 payload = client.sweep(grid="pe=256:512:256,freq=700:700:1")
