@@ -385,7 +385,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     generator = WorkloadGenerator(seed=args.seed)
     failures = 0
     for layer in tiny_test_network().conv_layers:
-        ifmaps, weights = generator.layer_pair(layer)
+        # drawn on the simulators' grid, so their entry quantisation is exact
+        ifmaps, weights = generator.layer_pair(layer, bits=fast.total_bits)
         # run_layer raises on any nonzero difference from the direct golden
         vectorized = fast.run_layer(layer, ifmaps, weights)
         scalar = register_accurate.run_layer(layer, ifmaps, weights)
@@ -481,8 +482,9 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the evaluation service until interrupted."""
+    """Run the evaluation service until interrupted (Ctrl-C or SIGTERM)."""
     import asyncio
+    import signal
 
     from repro.serve.server import EvalServer
 
@@ -490,8 +492,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     async def _serve() -> None:
         await server.start()
+        # SIGTERM stops gracefully too, as Ctrl-C does: a server started in
+        # the background of a non-interactive shell ignores SIGINT
+        try:
+            asyncio.get_running_loop().add_signal_handler(
+                signal.SIGTERM, asyncio.current_task().cancel)
+        except NotImplementedError:  # event loops without signal support
+            pass
         print(f"repro serve listening on http://{server.host}:{server.port} "
-              "(Ctrl-C stops)")
+              "(Ctrl-C or SIGTERM stops)")
         try:
             await server.serve_forever()
         except asyncio.CancelledError:
@@ -501,7 +510,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     try:
         asyncio.run(_serve())
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, asyncio.CancelledError):
+        # a second Ctrl-C or SIGTERM cuts the graceful stop short
         pass
     flat = REGISTRY.flat()
     print(f"[serve] {int(flat.get('serve.requests', 0))} requests, "

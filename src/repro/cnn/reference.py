@@ -51,7 +51,7 @@ def strided_windows(array: np.ndarray, kernel_size: int, stride: int,
     ``array``'s last two axes are the (padded) spatial dimensions; grid
     position ``(r, c)`` holds the window whose top-left pixel is
     ``(r * stride, c * stride)``.  This is the window selection the im2col
-    golden, the vectorized functional backend and pooling share;
+    golden and the vectorized functional backend share;
     :func:`conv2d_direct` does not use it.
     """
     windows = sliding_window_view(array, (kernel_size, kernel_size), axis=(-2, -1))

@@ -37,7 +37,6 @@ from repro.baselines.memory_centric import MemoryCentricAccelerator
 from repro.baselines.spatial_2d import Spatial2DAccelerator
 from repro.cnn.generator import WorkloadGenerator
 from repro.cnn.network import Network
-from repro.cnn.quantize import quantize_layer_tensors
 from repro.core.config import ChainConfig
 from repro.energy.components import EnergyParams
 from repro.engine.base import Engine, RunRecord
@@ -280,7 +279,7 @@ class CycleEngine(Engine):
         outputs = 0
         max_error = 0.0
         for layer in network.conv_layers:
-            ifmaps, weights = generator.layer_pair(layer)
+            ifmaps, weights = generator.layer_pair(layer, bits=self.total_bits)
             result = simulator.run_layer(layer, ifmaps, weights)
             conv_cycles += result.chain_cycles_estimate
             kernel_load_cycles += result.stats.kernel_load_cycles
@@ -370,9 +369,8 @@ class FunctionalEngine(Engine):
         windows_kept = 0
         max_error = 0.0
         for layer in network.conv_layers:
-            # the simulator's input domain is the chip's fixed point
-            ifmaps, weights, _, _ = quantize_layer_tensors(
-                *generator.layer_pair(layer), config.word_bits)
+            # drawn in the simulator's input domain, the chip's fixed point
+            ifmaps, weights = generator.layer_pair(layer, bits=config.word_bits)
             algorithm = "direct"
             if self.algorithm != "direct":
                 # lazy: repro.analysis closes an import cycle back into this

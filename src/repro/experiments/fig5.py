@@ -90,9 +90,8 @@ def run_fig5(kernel_sizes=(3, 5, 7, 9, 11), config: ChainConfig | None = None) -
     # empirical check with the cycle-accurate simulator on a small layer
     layer = ConvLayer("fig5_sim", in_channels=2, out_channels=2, in_height=12, in_width=12,
                       kernel_size=3, padding=1)
-    generator = WorkloadGenerator(seed=5)
-    ifmaps, weights = generator.layer_pair(layer)
     sim = CycleAccurateChainSimulator(config)
+    ifmaps, weights = WorkloadGenerator(seed=5).layer_pair(layer, bits=sim.total_bits)
     result = sim.run_layer(layer, ifmaps, weights)
     macs_per_cycle = result.stats.macs / result.stats.primitive_cycles
 

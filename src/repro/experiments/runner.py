@@ -197,11 +197,14 @@ def functional_verification_section(
         "repro verify --sim functional --network vgg16",
         "```",
         "",
-        "Between conv stages the runner applies ReLU, re-quantises the",
-        "activations onto the 16-bit fixed-point grid (`repro.cnn.quantize`)",
-        "and applies pooling in NumPy, so the chained shapes and dynamic",
-        "ranges stay faithful to the fixed-point inference flow the paper's",
-        "MatConvNet-integrated simulator modelled.",
+        "The first ifmaps and every layer's weights are drawn directly on",
+        "the 16-bit grid (inverse-transform sampling from a table of 2^16",
+        "Gaussian quantiles, `repro.cnn.generator`), so no generated operand",
+        "is quantised again.  Between conv stages the runner applies ReLU,",
+        "re-quantises the activations onto the 16-bit fixed-point grid",
+        "(`repro.cnn.quantize`) and applies pooling in NumPy, so the chained",
+        "shapes and dynamic ranges stay faithful to the fixed-point inference",
+        "flow the paper's MatConvNet-integrated simulator modelled.",
         "",
     ]
     bench_path = Path(bench_path)

@@ -37,7 +37,6 @@ import numpy as np
 from repro.analysis.batch import MAPPING_RESULT_COLUMNS, MappingBatchEvaluator
 from repro.cnn.generator import WorkloadGenerator
 from repro.cnn.network import Network
-from repro.cnn.quantize import quantize_layer_tensors
 from repro.core.config import ChainConfig
 from repro.energy.components import EnergyParams
 from repro.engine.base import RunRecord
@@ -523,9 +522,9 @@ class ScheduleOptimizer:
         """Functionally verify every searched mapping of ``schedule``.
 
         Each distinct (layer geometry, stripe height) pair drives the
-        :class:`FunctionalChainSimulator` on seeded tensors, quantised to the
-        chip's ``word_bits`` fixed point (the simulator's input domain, where
-        every sum is exact); the ofmaps must equal the im2col golden
+        :class:`FunctionalChainSimulator` on seeded tensors drawn on the
+        chip's ``word_bits`` fixed-point grid (the simulator's input domain,
+        where every sum is exact); the ofmaps must equal the im2col golden
         reference exactly and be **bit-identical** to the baseline
         full-stripe simulation.
         A searched stripe height equal to the baseline's runs the identical
@@ -552,9 +551,8 @@ class ScheduleOptimizer:
             if deduplicate and key in verified:
                 covers[verified[key]].append(layer.name)
                 continue
-            ifmaps, weights, _, _ = quantize_layer_tensors(
-                *parent.spawn(layer.name).layer_pair(layer),
-                self.config.word_bits)
+            ifmaps, weights = parent.spawn(layer.name).layer_pair(
+                layer, bits=self.config.word_bits)
             started = time.perf_counter()
             if entry.candidate.is_winograd:
                 reference = conv2d_im2col(layer, ifmaps, weights)

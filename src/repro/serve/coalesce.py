@@ -24,7 +24,8 @@ from __future__ import annotations
 import asyncio
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Awaitable, Callable, Deque, Dict, List, Sequence, Tuple
+from typing import (Awaitable, Callable, Deque, Dict, Hashable, List,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -93,7 +94,7 @@ class Coalescer:
     share a batch and never wait for each other.
     """
 
-    evaluate: Callable[[str, DesignGrid], Awaitable[BatchSweepResult]]
+    evaluate: Callable[[Hashable, DesignGrid], Awaitable[BatchSweepResult]]
     max_points: int = DEFAULT_MAX_POINTS
     max_requests: int = DEFAULT_MAX_REQUESTS
     #: raw queue-wait samples for p50/p99 (the metrics histogram keeps
@@ -101,12 +102,12 @@ class Coalescer:
     queue_waits: Deque[float] = field(default_factory=lambda: deque(maxlen=8192))
 
     def __post_init__(self) -> None:
-        self._pending: Dict[str, List[_Pending]] = {}
+        self._pending: Dict[Hashable, List[_Pending]] = {}
         #: batches of each key being evaluated right now
         self._in_flight: Counter = Counter()
         self._tasks: set = set()
 
-    async def submit(self, key: str, grid: DesignGrid) -> BatchSweepResult:
+    async def submit(self, key: Hashable, grid: DesignGrid) -> BatchSweepResult:
         """Queue one request's grid; resolves with its slice of the batch."""
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[BatchSweepResult]" = loop.create_future()
@@ -118,7 +119,7 @@ class Coalescer:
             self._flush_now(key)
         return await future
 
-    def _flush_now(self, key: str) -> None:
+    def _flush_now(self, key: Hashable) -> None:
         """Detach ``key``'s bucket and score it in a background task."""
         batch = self._pending.pop(key, None)
         if not batch:
@@ -128,7 +129,7 @@ class Coalescer:
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
 
-    async def _flush(self, key: str, batch: List[_Pending]) -> None:
+    async def _flush(self, key: Hashable, batch: List[_Pending]) -> None:
         """Score one batch, answer its requests, then release its key."""
         now = asyncio.get_running_loop().time()
         for pending in batch:

@@ -26,12 +26,16 @@ import asyncio
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro import __version__
 from repro.analysis.batch import DesignGrid
+from repro.cnn.network import Network
 from repro.cnn.zoo import NETWORKS, get_network, tiny_test_network
+from repro.core.config import ChainConfig
 from repro.engine import ALGORITHM_ENGINES, available_engines, create_engine
+from repro.engine.base import Engine
 from repro.engine.cache import RunCache
 from repro.errors import INPUT_ERRORS
 from repro.mapping import OBJECTIVES, ScheduleOptimizer
@@ -73,6 +77,20 @@ def _sweepable_engines() -> Tuple[str, ...]:
                  if not name.startswith("baseline-"))
 
 
+@dataclass(frozen=True)
+class _SweepContext:
+    """What a sweep evaluates through; also its coalescer key.
+
+    Equality and hashing use ``key`` alone, so contexts with equal coalesce
+    keys share batches.
+    """
+
+    key: str
+    engine: Engine = field(compare=False)
+    network: Network = field(compare=False)
+    base: ChainConfig = field(compare=False)
+
+
 class EvalServer:
     """Long-running evaluation service (see module docstring).
 
@@ -88,7 +106,9 @@ class EvalServer:
         self.port = port
         self.cache = cache
         self.coalescer = Coalescer(self._evaluate_merged)
-        self._contexts: Dict[str, Dict[str, Any]] = {}
+        #: sweep contexts by (engine, network, base config), built on the
+        #: first sweep that needs one
+        self._contexts: Dict[Tuple[str, str, ChainConfig], _SweepContext] = {}
         self._eval_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="serve-eval")
         self._long_pool = ThreadPoolExecutor(
@@ -243,18 +263,19 @@ class EvalServer:
             raise ProtocolError(
                 f"unknown or unsweepable engine {params.engine!r}")
         engine_name = payloads.upgrade_grid_engine(params.engine)
-        network = _zoo_network(params.network)
+        # built before the lookup: ChainConfig validates pes and frequency
         base = config_of(params)
+        context_id = (engine_name, params.network, base)
+        context = self._contexts.get(context_id)
+        if context is None:
+            network = _zoo_network(params.network)
+            context = self._contexts[context_id] = _SweepContext(
+                coalesce_key(engine_name, network, base),
+                create_engine(engine_name), network, base)
         # parsed exactly as DesignSpaceExplorer.sweep_grid parses it
-        grid = DesignGrid.parse(params.grid, base=base,
+        grid = DesignGrid.parse(params.grid, base=context.base,
                                 default_batch=params.batch)
-        key = coalesce_key(engine_name, network, base)
-        self._contexts.setdefault(key, {
-            "engine": create_engine(engine_name),
-            "network": network,
-            "base": base,
-        })
-        result = await self.coalescer.submit(key, grid)
+        result = await self.coalescer.submit(context, grid)
         _M_POINTS.inc(result.n_points)
         pareto, top = payloads.reduce_grid_result(
             result, params.objectives, params.metric, params.top, params.pareto)
@@ -263,14 +284,14 @@ class EvalServer:
             params.objectives, params.metric)
         await self._send_json(writer, payload)
 
-    async def _evaluate_merged(self, key: str, merged: DesignGrid):
+    async def _evaluate_merged(self, context: _SweepContext,
+                               merged: DesignGrid):
         """Score one coalesced grid on the evaluation thread."""
-        context = self._contexts[key]
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
             self._eval_pool,
-            lambda: context["engine"].evaluate_batch(
-                context["network"], merged, base=context["base"]))
+            lambda: context.engine.evaluate_batch(
+                context.network, merged, base=context.base))
 
     # ------------------------------------------------------------------ #
     # long-op lane (map / verify), chunked progress streaming

@@ -2,15 +2,18 @@
 
 The paper checks the hardware against a software golden model layer by
 layer; this module chains that check across a full network the way the
-fixed-point toolchain would run it: synthetic quantised tensors enter the
-first convolution, every convolutional layer is executed by the
+fixed-point toolchain would run it: synthetic tensors drawn on the
+``total_bits`` grid (:mod:`repro.cnn.generator`) enter the first
+convolution, every convolutional layer is executed by the
 :class:`~repro.sim.functional.FunctionalChainSimulator` and verified against
-the im2col/GEMM golden reference on the *same* inputs, and activations are
-re-quantised through :mod:`repro.cnn.quantize` between stages — the
-"float-point-to-fix-point simulator" loop of the paper at network scale.
-Pooling layers are applied in NumPy so inter-layer feature-map shapes stay
-faithful; fully connected layers end the chain (the paper's accelerator only
-executes convolutions).
+the im2col/GEMM golden reference on the *same* inputs, and activations go
+through ReLU and are re-quantised through :mod:`repro.cnn.quantize` between
+stages — the "float-point-to-fix-point simulator" loop of the paper at
+network scale.  The first ifmaps and every layer's weights are generated on
+the grid, so only the between-stage activations are quantised.  Pooling
+layers are applied in NumPy (a running reduction over the ``K * K`` strided
+taps) so inter-layer feature-map shapes stay faithful; fully connected
+layers end the chain (the paper's accelerator only executes convolutions).
 
 Weights and activations are ``total_bits`` fixed point at every conv
 layer, the input domain the simulator enforces, so every sum is exact: a
@@ -32,7 +35,7 @@ from repro.cnn.generator import WorkloadGenerator
 from repro.cnn.layer import ConvLayer, FullyConnectedLayer, PoolingLayer
 from repro.cnn.network import Network
 from repro.cnn.quantize import choose_format
-from repro.cnn.reference import conv2d_im2col, strided_windows
+from repro.cnn.reference import conv2d_im2col
 from repro.core.config import ChainConfig
 from repro.errors import WorkloadError
 from repro.obs import trace as obs_trace
@@ -49,18 +52,31 @@ NETWORK_ALGORITHMS = ("direct", "winograd", "auto")
 
 
 def pool2d(activations: np.ndarray, layer: PoolingLayer) -> np.ndarray:
-    """Apply one pooling layer to a ``(C, H, W)`` activation tensor."""
+    """Apply one pooling layer to a ``(C, H, W)`` activation tensor.
+
+    Reduces the ``K * K`` strided tap slices into one running maximum (or
+    running sum, divided once for ``avg``): each pass streams one output-sized
+    slice instead of reducing a strided ``(C, OH, OW, K, K)`` window view.
+    """
     expected = (layer.channels, layer.in_height, layer.in_width)
     if activations.shape != expected:
         raise WorkloadError(
             f"{layer.name}: activations shape {activations.shape} does not "
             f"match {expected}"
         )
-    windows = strided_windows(activations, layer.kernel_size, layer.stride,
-                              layer.out_height, layer.out_width)
-    if layer.mode == "max":
-        return windows.max(axis=(3, 4))
-    return windows.mean(axis=(3, 4))
+    k, stride = layer.kernel_size, layer.stride
+    row_span = stride * (layer.out_height - 1) + 1
+    col_span = stride * (layer.out_width - 1) + 1
+    pooled = activations[:, :row_span:stride, :col_span:stride].astype(np.float64)
+    combine = np.maximum if layer.mode == "max" else np.add
+    for dy in range(k):
+        for dx in range(k):
+            if dy or dx:
+                combine(pooled, activations[:, dy:dy + row_span:stride,
+                                            dx:dx + col_span:stride], out=pooled)
+    if layer.mode == "avg":
+        pooled /= k * k
+    return pooled
 
 
 @dataclass(frozen=True)
@@ -166,10 +182,10 @@ class FunctionalNetworkRunner:
             algorithms: Optional[Dict[str, str]] = None,
             progress: Optional[Callable[[StageReport], None]] = None,
             ) -> NetworkRunResult:
-        """Propagate quantised activations through ``network`` and verify.
+        """Propagate fixed-point activations through ``network`` and verify.
 
         Every conv layer's simulated ofmaps are compared against the im2col
-        golden reference on the same (quantised) inputs; deviations are
+        golden reference on the same (fixed-point) inputs; deviations are
         recorded per stage rather than raised, so one report covers the whole
         network.  Layers after the first fully connected layer are not
         simulated (the chain only accelerates convolutions).
@@ -215,13 +231,13 @@ class FunctionalNetworkRunner:
                     progress(result.stages[-1])
                 continue
             if activations is None:
-                activations = self._quantize(generator.ifmaps(layer))
+                activations = generator.ifmaps(layer, bits=self.total_bits)
             if activations.shape != layer.in_shape:
                 raise WorkloadError(
                     f"{network.name}: {layer.name} expects ifmaps {layer.in_shape} "
                     f"but the previous stage produced {activations.shape}"
                 )
-            weights = self._quantize(generator.weights(layer))
+            weights = generator.weights(layer, bits=self.total_bits)
             algorithm = ((algorithms or {}).get(layer.name)
                          or self._algorithm_for(layer))
             with obs_trace.span("verify.layer", layer=layer.name,

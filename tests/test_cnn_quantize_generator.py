@@ -2,10 +2,21 @@
 
 from __future__ import annotations
 
+import math
+import statistics
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from repro.cnn.generator import TensorStats, WorkloadGenerator
+from repro.cnn.generator import (
+    LEVELS,
+    TensorStats,
+    WorkloadGenerator,
+    grid_quantiles,
+    standard_normal_quantiles,
+)
 from repro.cnn.layer import ConvLayer
 from repro.cnn.quantize import (
     bit_width_sweep,
@@ -14,6 +25,7 @@ from repro.cnn.quantize import (
     quantize_layer_tensors,
 )
 from repro.cnn.tensor import FeatureMap
+from repro.cnn.zoo import NETWORKS, get_network
 from repro.errors import QuantizationError, WorkloadError
 from repro.hwmodel.fixed_point import FixedPointFormat
 
@@ -46,27 +58,32 @@ class TestChooseFormat:
             choose_format(np.array([]))
 
 
+@pytest.fixture
+def float_pair(layer):
+    """Real-valued (ifmaps, weights): generated tensors are already on the grid."""
+    rng = np.random.default_rng(2017)
+    ifmaps = np.abs(rng.normal(size=layer.in_shape))
+    weights = rng.normal(0.0, np.sqrt(2.0 / 27), size=(4, 3, 3, 3))
+    return ifmaps, weights
+
+
 class TestLayerQuantization:
-    def test_no_saturation_for_chosen_format(self, layer, generator):
-        ifmaps, weights = generator.layer_pair(layer)
-        q_ifmaps, q_weights, ifmap_fmt, weight_fmt = quantize_layer_tensors(ifmaps, weights)
+    def test_no_saturation_for_chosen_format(self, float_pair):
+        q_ifmaps, q_weights, ifmap_fmt, weight_fmt = quantize_layer_tensors(*float_pair)
         assert np.max(np.abs(q_ifmaps)) <= ifmap_fmt.max_value
         assert np.max(np.abs(q_weights)) <= weight_fmt.max_value
 
-    def test_16_bit_error_is_small(self, layer, generator):
-        ifmaps, weights = generator.layer_pair(layer)
-        result = evaluate_layer_quantization(layer, ifmaps, weights, total_bits=16)
-        assert result.relative_rmse < 1e-2
-        assert result.sqnr_db > 40.0
+    def test_16_bit_error_is_small(self, layer, float_pair):
+        result = evaluate_layer_quantization(layer, *float_pair, total_bits=16)
+        assert 0.0 < result.relative_rmse < 1e-2
+        assert 40.0 < result.sqnr_db < float("inf")
 
-    def test_wider_words_reduce_error(self, layer, generator):
-        ifmaps, weights = generator.layer_pair(layer)
-        sweep = bit_width_sweep(layer, ifmaps, weights, bit_widths=(8, 12, 16))
-        assert sweep[8].rmse >= sweep[12].rmse >= sweep[16].rmse
+    def test_wider_words_reduce_error(self, layer, float_pair):
+        sweep = bit_width_sweep(layer, *float_pair, bit_widths=(8, 12, 16))
+        assert sweep[8].rmse > sweep[12].rmse > sweep[16].rmse > 0.0
 
-    def test_result_records_layer_name(self, layer, generator):
-        ifmaps, weights = generator.layer_pair(layer)
-        result = evaluate_layer_quantization(layer, ifmaps, weights)
+    def test_result_records_layer_name(self, layer, float_pair):
+        result = evaluate_layer_quantization(layer, *float_pair)
         assert result.layer_name == "q"
 
 
@@ -193,6 +210,83 @@ class TestWorkloadGenerator:
     def test_stats_rejects_empty(self):
         with pytest.raises(WorkloadError):
             TensorStats.of(np.array([]))
+
+
+ZOO_CONV_LAYERS = [
+    pytest.param(layer, id=f"{name}-{layer.name}")
+    for name in sorted(NETWORKS) for layer in get_network(name).conv_layers
+]
+
+
+class TestGridBornTensors:
+    """Generated tensors keep their layer's statistics and sit on the grid."""
+
+    def test_quantile_table_is_the_normal_inverse_cdf(self):
+        table = standard_normal_quantiles()
+        assert table.shape == (LEVELS,)
+        assert np.array_equal(table, -table[::-1])
+        assert np.all(np.diff(table) > 0.0)
+        inverse_cdf = statistics.NormalDist().inv_cdf
+        for index in range(0, LEVELS, 257):
+            assert table[index] == pytest.approx(
+                inverse_cdf((index + 0.5) / LEVELS), rel=2e-9, abs=1e-12)
+        # 2**16 equiprobable levels truncate the tails at +/-4.32 sigma
+        assert table[-1] == pytest.approx(4.3249, abs=1e-4)
+
+    def test_table_is_not_built_at_import(self):
+        code = ("import repro.cli, repro.cnn.generator as g; "
+                "print(g.standard_normal_quantiles.cache_info().currsize, "
+                "g.grid_quantiles.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, timeout=60).stdout
+        assert out.split() == ["0", "0"]
+
+    @pytest.mark.parametrize("layer", ZOO_CONV_LAYERS)
+    def test_weights_are_he_scaled_gaussians(self, layer):
+        weights = WorkloadGenerator(seed=3).weights(layer, bits=16)
+        std = math.sqrt(2.0 / (layer.in_channels_per_group * layer.kernel_size ** 2))
+        # five standard errors of the sample mean and the sample std
+        assert abs(weights.mean()) < 5.0 * std / math.sqrt(weights.size)
+        assert abs(weights.std() - std) < 5.0 * std / math.sqrt(2.0 * weights.size)
+
+    @pytest.mark.parametrize("layer", ZOO_CONV_LAYERS)
+    def test_ifmaps_are_half_normal(self, layer):
+        ifmaps = WorkloadGenerator(seed=3).ifmaps(layer, bits=16)
+        assert ifmaps.min() >= 0.0
+        half_normal_sd = math.sqrt(1.0 - 2.0 / math.pi)
+        assert abs(ifmaps.mean() - math.sqrt(2.0 / math.pi)) \
+            < 5.0 * half_normal_sd / math.sqrt(ifmaps.size)
+
+    @pytest.mark.parametrize("bits", (8, 16))
+    @pytest.mark.parametrize("layer", ZOO_CONV_LAYERS)
+    def test_tensors_are_born_on_the_grid(self, layer, bits):
+        generator = WorkloadGenerator(seed=4)
+        tensors = generator.layer_pair(layer, bits=bits) + (
+            generator.ifmaps(layer, sparsity=0.5, bits=bits),)
+        for tensor in tensors:
+            assert tensor.dtype == np.float64
+            quantized = choose_format(tensor, bits).quantize(tensor)
+            assert quantized.tobytes() == tensor.tobytes()
+
+    @pytest.mark.parametrize("half", (False, True))
+    def test_table_rounded_onto_a_power_of_two_takes_the_coarser_grid(self, half):
+        # the largest level, 4.32 std, sits a hair below 4.0, so its first
+        # 16-bit grid (Q3.12) rounds it up to 4.0, which needs Q4.11
+        std = 4.0 * (1.0 - 1e-7) / standard_normal_quantiles()[-1]
+        raw, lsb = grid_quantiles(std, half, 16)
+        table = raw * lsb
+        assert table.max() == 4.0
+        assert choose_format(table, 16).frac_bits == 11
+        assert choose_format(table, 16).quantize(table).tobytes() == table.tobytes()
+
+    @pytest.mark.parametrize("layer", ZOO_CONV_LAYERS)
+    def test_same_seed_gives_the_same_tensors(self, layer):
+        first = WorkloadGenerator(seed=5).layer_pair(layer)
+        again = WorkloadGenerator(seed=5).layer_pair(layer)
+        other = WorkloadGenerator(seed=6).layer_pair(layer)
+        for a, b, c in zip(first, again, other):
+            assert a.tobytes() == b.tobytes()
+            assert a.tobytes() != c.tobytes()
 
 
 class TestFeatureMap:

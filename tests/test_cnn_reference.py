@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.cnn import reference
 from repro.cnn.generator import WorkloadGenerator
 from repro.cnn.layer import ConvLayer
-from repro.cnn.quantize import quantize_layer_tensors
 from repro.cnn.reference import (
     conv2d_direct,
     conv2d_im2col,
@@ -162,13 +161,6 @@ class TestHypothesisProperties:
         np.testing.assert_allclose(out[0], ifmaps[0, :5, :5])
 
 
-def _fixed_point_tensors(layer, seed):
-    """16-bit fixed-point (ifmaps, weights) of ``layer``."""
-    ifmaps, weights = WorkloadGenerator(seed=seed).layer_pair(layer)
-    q_ifmaps, q_weights, _, _ = quantize_layer_tensors(ifmaps, weights, 16)
-    return q_ifmaps, q_weights
-
-
 def _per_pixel_conv(layer, ifmaps, weights):
     """Loop oracle: one window dot product per output pixel and channel."""
     padded = pad_input(ifmaps, layer.padding)
@@ -220,7 +212,7 @@ class TestBlockedGoldensAreExact:
                           in_height=base + extra_h, in_width=base + extra_w,
                           kernel_size=kernel, stride=stride, padding=padding,
                           groups=groups)
-        ifmaps, weights = _fixed_point_tensors(layer, seed)
+        ifmaps, weights = WorkloadGenerator(seed=seed).layer_pair(layer)
         with pytest.MonkeyPatch.context() as patch:
             # a few output rows per block: multi-block, often a ragged last block
             patch.setattr(reference, "GOLDEN_BLOCK_BYTES", _block_bytes(layer, block_rows))
@@ -246,7 +238,7 @@ class TestDirectIsAnIndependentWitness:
 
     def test_swapped_window_axes_fool_im2col_but_not_direct(self, monkeypatch):
         layer = self.LAYER
-        ifmaps, weights = _fixed_point_tensors(layer, seed=11)
+        ifmaps, weights = WorkloadGenerator(seed=11).layer_pair(layer)
         padded = pad_input(ifmaps, layer.padding)
         assert np.array_equal(vectorized_layer_ofmaps(layer, padded, weights),
                               conv2d_direct(layer, ifmaps, weights))
@@ -272,7 +264,7 @@ class TestGoldenMemoryIsBlocked:
                        * layer.out_height * layer.out_width * 8)
         # the patch matrix must span several blocks to test anything
         assert patch_bytes > 4 * reference.GOLDEN_BLOCK_BYTES
-        ifmaps, weights = _fixed_point_tensors(layer, seed=3)
+        ifmaps, weights = WorkloadGenerator(seed=3).layer_pair(layer)
 
         tracemalloc.start()
         try:

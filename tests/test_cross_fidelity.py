@@ -21,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cnn.generator import WorkloadGenerator
 from repro.cnn.layer import ConvLayer
 from repro.cnn.quantize import quantize_layer_tensors
 from repro.cnn.zoo import alexnet
@@ -55,6 +54,15 @@ def _random_layer(seed: int) -> ConvLayer:
     )
 
 
+def _real_tensors(layer: ConvLayer, seed: int):
+    """Off-grid float (ifmaps, weights): generated tensors are on the grid."""
+    rng = np.random.default_rng([seed, 1])
+    k = layer.kernel_size
+    weights = rng.normal(0.0, 0.5, size=(layer.out_channels,
+                                         layer.in_channels_per_group, k, k))
+    return np.abs(rng.normal(size=layer.in_shape)), weights
+
+
 def _drain_cycles(layer: ConvLayer) -> int:
     """Pipeline-drain primitive cycles of the whole layer: 2K^2+2 per stripe.
 
@@ -69,10 +77,12 @@ def _drain_cycles(layer: ConvLayer) -> int:
 @pytest.mark.parametrize("seed", range(RANDOM_LAYERS))
 def test_random_layer_paths_agree(seed):
     layer = _random_layer(seed)
-    ifmaps, weights = WorkloadGenerator(seed=seed).layer_pair(layer)
-    # the cycle simulator quantises raw floats with these same per-tensor
-    # formats, so all four paths compute on identical fixed-point operands
+    ifmaps, weights = _real_tensors(layer, seed)
+    # the cycle simulators quantise these raw floats on entry with the same
+    # per-tensor formats, so all four paths compute on identical fixed-point
+    # operands and the comparison checks that entry quantisation
     fixed_ifmaps, fixed_weights, _, _ = quantize_layer_tensors(ifmaps, weights)
+    assert not np.array_equal(fixed_weights, weights)
 
     walk_ofmaps, walk_stats = scalar_window_walk(layer, fixed_ifmaps, fixed_weights)
     functional = FunctionalChainSimulator().run_layer(layer, fixed_ifmaps,

@@ -14,7 +14,6 @@ import repro
 from repro import ChainNN, ChainConfig, alexnet, tiny_test_network
 from repro.cnn.generator import WorkloadGenerator
 from repro.cnn.layer import ConvLayer
-from repro.cnn.quantize import quantize_layer_tensors
 from repro.core.performance import PerformanceModel
 from repro.sim.cycle import CycleAccurateChainSimulator
 from repro.sim.functional import FunctionalChainSimulator
@@ -43,11 +42,9 @@ class TestSimulatorAgreement:
 
     @pytest.fixture(scope="class")
     def tensors(self, layer):
-        # 16-bit fixed point: the functional simulator's input domain (the
-        # cycle simulator quantises to the same grid itself)
-        ifmaps, weights, _, _ = quantize_layer_tensors(
-            *WorkloadGenerator(seed=11).layer_pair(layer))
-        return ifmaps, weights
+        # generated on the 16-bit grid, the functional simulator's input
+        # domain (the cycle simulator quantises to the same grid itself)
+        return WorkloadGenerator(seed=11).layer_pair(layer)
 
     def test_functional_equals_cycle_accurate_on_quantised_operands(self, layer, tensors):
         ifmaps, weights = tensors

@@ -18,7 +18,6 @@ import pytest
 from repro.analysis import batch
 from repro.analysis.batch import MappingBatchEvaluator
 from repro.cnn.layer import ConvLayer
-from repro.cnn.quantize import quantize_layer_tensors
 from repro.errors import ConfigurationError
 from repro.kernels import get_backend, resolve_backend_name
 from repro.sim import functional_vectorized, winograd
@@ -58,8 +57,7 @@ class TestKernelSeam:
 
         layer = ConvLayer("seam", in_channels=2, out_channels=3, in_height=8,
                           in_width=8, kernel_size=3, padding=1)
-        ifmaps, weights, _, _ = quantize_layer_tensors(
-            *generator.layer_pair(layer))
+        ifmaps, weights = generator.layer_pair(layer)
         simulator = FunctionalChainSimulator()
         simulator.run_layer(layer, ifmaps, weights)
         simulator.run_layer(layer, ifmaps, weights, algorithm="winograd")

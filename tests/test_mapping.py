@@ -17,7 +17,6 @@ import pytest
 from repro.analysis.batch import MAPPING_RESULT_COLUMNS, MappingBatchEvaluator
 from repro.cnn.generator import WorkloadGenerator, stable_seed
 from repro.cnn.layer import ConvLayer
-from repro.cnn.quantize import quantize_layer_tensors
 from repro.cnn.reference import conv2d_im2col
 from repro.cnn.zoo import alexnet, get_network, tiny_test_network
 from repro.core.config import ChainConfig
@@ -72,12 +71,6 @@ def reference_rows(space):
                 out += [(primitives, height, chunk, image, int(wino))
                         for height in heights for image in images]
     return np.array(out, dtype=np.int64).reshape(-1, 5)
-
-
-def _fixed_point_pair(generator, layer):
-    """One layer's tensors on the simulator's 16-bit fixed-point domain."""
-    ifmaps, weights, _, _ = quantize_layer_tensors(*generator.layer_pair(layer))
-    return ifmaps, weights
 
 
 @pytest.fixture(scope="module")
@@ -356,8 +349,8 @@ class TestFunctionalEquivalence:
                                               padding, groups):
         layer = ConvLayer("t", 4, 4, 21, 21, kernel_size=kernel_size,
                           stride=stride, padding=padding, groups=groups)
-        ifmaps, weights = _fixed_point_pair(
-            WorkloadGenerator(seed=stable_seed(2017, layer.name)), layer)
+        ifmaps, weights = WorkloadGenerator(
+            seed=stable_seed(2017, layer.name)).layer_pair(layer)
         reference = conv2d_im2col(layer, ifmaps, weights)
         simulator = FunctionalChainSimulator()
         baseline = simulator.run_layer(layer, ifmaps, weights)

@@ -12,12 +12,20 @@ from __future__ import annotations
 import asyncio
 import io
 import json
+import os
+import re
+import select
+import signal
+import subprocess
+import sys
 import threading
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 import repro.cli as cli
 from repro.analysis.batch import RESULT_COLUMNS, DesignGrid
 from repro.cnn.zoo import tiny_test_network
@@ -34,6 +42,7 @@ from repro.serve.protocol import (
     http_response,
     parse_params,
 )
+import repro.serve.server as server_module
 from repro.serve.server import EvalServer
 
 BASE = ChainConfig()
@@ -401,6 +410,44 @@ class TestServerBitIdentity:
         # arrival order, so TestCoalescer pins that rule instead
         assert REGISTRY.flat()["serve.coalesced_batches"] > before
 
+    def test_sweeps_build_one_context_per_engine_network_and_base(
+            self, monkeypatch):
+        built = []
+        create = server_module.create_engine
+        monkeypatch.setattr(server_module, "create_engine",
+                            lambda name: built.append(name) or create(name))
+        bodies = [{"grid": "pe=128:256:128"},
+                  {"grid": "pe=384:512:128", "top": 1},
+                  {"grid": "pe=128:256:128", "pes": 288},
+                  {"grid": "pe=128:256:128", "engine": "analytical-detailed"},
+                  {"grid": "pe=384:512:128", "pes": 288}]
+
+        async def clients(server):
+            return [await request_json(server.host, server.port, "/v1/sweep",
+                                       body) for body in bodies]
+
+        assert [status for status, _ in _serve(clients)] == [200] * 5
+        assert built == ["analytical-batch", "analytical-batch",
+                         "analytical-batch-detailed"]
+
+    def test_cached_context_still_validates_the_base(self):
+        # 576.0 == 576 and True == 1 as dict keys, so a context looked up
+        # before ChainConfig checks pes would serve these with a 200
+        bodies = [{"grid": "pe=128:256:128"},
+                  {"grid": "pe=128:256:128", "pes": 1},
+                  {"grid": "pe=128:256:128", "pes": 576.0},
+                  {"grid": "pe=128:256:128", "pes": True},
+                  {"grid": "pe=128:256:128", "pes": [576]}]
+
+        async def clients(server):
+            return [await request_json(server.host, server.port, "/v1/sweep",
+                                       body) for body in bodies]
+
+        responses = _serve(clients)
+        assert [status for status, _ in responses] == [200, 200, 400, 400, 400]
+        for _, raw in responses[2:]:
+            assert b"num_pes must be an integer" in raw
+
     def test_map_stream_result_matches_cli(self, monkeypatch):
         """A streamed map result and an overlapping sweep == CLI bytes."""
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
@@ -575,3 +622,70 @@ class TestBlockingClientAndRequestCLI:
         status = cli.main(["request", "health", "--port", "1"])
         assert status == 1
         assert "cannot reach" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------- #
+# `repro serve` as a process: stop signals
+# --------------------------------------------------------------------- #
+class TestServeProcess:
+    def test_sigterm_stops_a_server_that_ignores_sigint(self):
+        # a background job of a non-interactive shell starts with SIGINT
+        # ignored, and the child inherits that disposition
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {key: value for key, value in os.environ.items()
+               if not key.startswith("REPRO_")}
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        previous = signal.signal(signal.SIGINT, signal.SIG_IGN)
+        try:
+            process = subprocess.Popen(
+                [sys.executable, "-u", "-m", "repro", "serve", "--port", "0",
+                 "--no-cache"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                env=env)
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        try:
+            ready, _, _ = select.select([process.stdout], [], [], 30)
+            assert ready, "repro serve printed no banner within 30 s"
+            banner = process.stdout.readline()
+            port = int(re.search(r"listening on http://[^:]+:(\d+)",
+                                 banner).group(1))
+            with ServeClient("127.0.0.1", port) as client:
+                assert client.health()["status"] == "ok"
+            process.send_signal(signal.SIGTERM)
+            _, err = process.communicate(timeout=30)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+        assert process.returncode == 0, err
+        assert re.search(r"^\[serve\] 1 requests, ", err, re.MULTILINE), err
+
+    def test_second_sigterm_while_stopping_still_exits_cleanly(
+            self, monkeypatch, capsys):
+        # the first SIGTERM cancels serving; a second one that lands while
+        # the server drains cancels again and, like a second Ctrl-C, cuts
+        # the stop short with the summary still printed and exit 0
+        stops = []
+
+        class _SlowStop:
+            def __init__(self, host, port, cache=None):
+                self.host, self.port = host, port
+
+            async def start(self):
+                return self
+
+            async def serve_forever(self):
+                signal.raise_signal(signal.SIGTERM)
+                await asyncio.Event().wait()
+
+            async def stop(self):
+                stops.append(True)
+                signal.raise_signal(signal.SIGTERM)
+                await asyncio.Event().wait()  # only a second cancel ends it
+
+        monkeypatch.setattr(server_module, "EvalServer", _SlowStop)
+        assert cli.main(["serve", "--port", "0", "--no-cache"]) == 0
+        assert stops == [True]
+        assert re.search(r"^\[serve\] \d+ requests, ", capsys.readouterr().err,
+                         re.MULTILINE)

@@ -25,6 +25,15 @@ def _tensors(layer, seed=0):
     return WorkloadGenerator(seed=seed).layer_pair(layer)
 
 
+def _real_tensors(layer, seed=0):
+    """Off-grid float (ifmaps, weights): generated tensors are on the grid."""
+    rng = np.random.default_rng(seed)
+    k = layer.kernel_size
+    weights = rng.normal(0.0, 0.5, size=(layer.out_channels,
+                                         layer.in_channels_per_group, k, k))
+    return np.abs(rng.normal(size=layer.in_shape)), weights
+
+
 class TestCycleAccurateCorrectness:
     def test_stride1_layer(self, simulator, tiny_layer):
         ifmaps, weights = _tensors(tiny_layer)
@@ -49,12 +58,12 @@ class TestCycleAccurateCorrectness:
         assert result.reference_max_abs_error == pytest.approx(0.0, abs=1e-9)
 
     def test_quantisation_error_vs_float_reference_is_small(self, simulator, tiny_layer):
-        ifmaps, weights = _tensors(tiny_layer)
+        ifmaps, weights = _real_tensors(tiny_layer)
         result = simulator.run_layer(tiny_layer, ifmaps, weights)
         float_reference = conv2d_direct(tiny_layer, ifmaps, weights)
         error = float(np.max(np.abs(float_reference - result.ofmaps)))
         rms = float(np.sqrt(np.mean(float_reference ** 2)))
-        assert error / rms < 0.02  # 16-bit quantisation noise only
+        assert 0.0 < error / rms < 0.02  # 16-bit quantisation noise only
 
     def test_tiny_network_both_layers(self, simulator):
         network = tiny_test_network()

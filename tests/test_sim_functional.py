@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.cnn.generator import WorkloadGenerator
 from repro.cnn.layer import ConvLayer
-from repro.cnn.quantize import quantize_layer_tensors
 from repro.cnn.reference import conv2d_direct
 from repro.core.config import ChainConfig
 from repro.errors import WorkloadError
@@ -22,10 +21,8 @@ def simulator():
 
 
 def _tensors(layer, seed=0):
-    """Seeded tensors on the simulator's 16-bit fixed-point input domain."""
-    ifmaps, weights, _, _ = quantize_layer_tensors(
-        *WorkloadGenerator(seed=seed).layer_pair(layer))
-    return ifmaps, weights
+    """Seeded tensors, generated on the simulator's 16-bit fixed-point grid."""
+    return WorkloadGenerator(seed=seed).layer_pair(layer)
 
 
 class TestFunctionalCorrectness:

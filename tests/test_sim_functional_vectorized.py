@@ -4,7 +4,8 @@ The simulator's whole-array path must be *bit-identical* to the per-window
 oracle walk (:func:`repro.sim.functional.scalar_window_walk`) — ofmaps
 compared with ``np.array_equal`` and every ``FunctionalRunStats`` counter
 equal — across strides, paddings, groups and kernel sizes.  The simulator's
-input domain is fixed point: the tests feed it quantised tensors, and
+input domain is fixed point: the tests feed it generated tensors, which
+are born on the 16-bit grid, and
 :class:`TestExactnessGuard` checks that raw floats and over-wide geometries
 are rejected.  CI treats skips in this module as failures (the equivalence
 guarantee is what makes the fast path trustworthy), so no test here may be
@@ -23,8 +24,8 @@ from hypothesis import strategies as st
 from repro.cnn.generator import WorkloadGenerator
 from repro.cnn.layer import ConvLayer, PoolingLayer
 from repro.cnn.network import Network
-from repro.cnn.quantize import choose_format, quantize_layer_tensors
-from repro.cnn.reference import conv2d_direct, conv2d_im2col, pad_input
+from repro.cnn.quantize import choose_format
+from repro.cnn.reference import conv2d_direct, conv2d_im2col, pad_input, strided_windows
 from repro.cnn.zoo import alexnet, lenet5, tiny_test_network
 from repro.core.config import ChainConfig
 from repro.errors import SimulationError, WorkloadError
@@ -46,10 +47,8 @@ from repro.sim.network import (
 
 
 def _tensors(layer, seed=0):
-    """Seeded tensors on the simulator's 16-bit fixed-point input domain."""
-    ifmaps, weights, _, _ = quantize_layer_tensors(
-        *WorkloadGenerator(seed=seed).layer_pair(layer))
-    return ifmaps, weights
+    """Seeded tensors, generated on the simulator's 16-bit fixed-point grid."""
+    return WorkloadGenerator(seed=seed).layer_pair(layer)
 
 
 def _run_both(layer, seed=0):
@@ -119,8 +118,7 @@ class TestScalarVectorizedEquivalence:
                                                     strided_layer,
                                                     grouped_layer):
         for layer in (strided_layer, grouped_layer):
-            ifmaps, weights, _, _ = quantize_layer_tensors(
-                *generator.layer_pair(layer))
+            ifmaps, weights = generator.layer_pair(layer)
             padded = pad_input(ifmaps, layer.padding)
             whole = vectorized_layer_ofmaps(layer, padded, weights)
             for size in (1, 2, 3):
@@ -213,6 +211,31 @@ class TestNetworkRunner:
         avg = pool2d(act, PoolingLayer("p", channels=2, in_height=4, in_width=4,
                                        kernel_size=2, stride=2, mode="avg"))
         assert avg[0, 0, 0] == pytest.approx(2.5)
+        # the running tap reduction equals the window-view reduction; on-grid
+        # sums are exact in any order, so avg matches bit for bit too
+        rng = np.random.default_rng(3)
+        for height, width, kernel, stride in [
+            (13, 13, 3, 2),   # stride < K, the AlexNet pools
+            (8, 12, 2, 2),    # stride == K
+            (11, 9, 3, 3),    # stride == K, ragged right and bottom edges
+            (10, 7, 3, 2),    # stride < K, ragged edges
+            (6, 6, 3, 1),     # stride 1
+            (5, 5, 5, 2),     # one window covering the whole map
+        ]:
+            real = rng.normal(size=(3, height, width))
+            act = choose_format(real, 16).quantize(real)
+            windows = strided_windows(act, kernel, stride,
+                                      (height - kernel) // stride + 1,
+                                      (width - kernel) // stride + 1)
+            for mode, reference in (("max", windows.max(axis=(3, 4))),
+                                    ("avg", windows.mean(axis=(3, 4)))):
+                spec = PoolingLayer("p", channels=3, in_height=height,
+                                    in_width=width, kernel_size=kernel,
+                                    stride=stride, mode=mode)
+                pooled = pool2d(act, spec)
+                case = (height, width, kernel, stride, mode)
+                assert pooled.shape == reference.shape, case
+                assert pooled.tobytes() == reference.tobytes(), case
 
     def test_pool2d_shape_validation(self):
         spec = PoolingLayer("p", channels=3, in_height=4, in_width=4,
@@ -247,9 +270,13 @@ class TestExactnessGuard:
     LAYER = ConvLayer("guarded", 3, 4, 9, 9, kernel_size=3, padding=1)
 
     def test_raw_floats_are_rejected(self):
-        raw = WorkloadGenerator(seed=1).layer_pair(self.LAYER)
+        # off-grid reals (generated tensors are born on the grid)
+        rng = np.random.default_rng(1)
+        ifmaps = np.abs(rng.normal(size=self.LAYER.in_shape))
+        weights = rng.normal(size=(4, 3, 3, 3))
+        assert not on_fixed_point_grid(weights, 16)
         with pytest.raises(SimulationError, match=r"guarded: .*repro\.cnn\.quantize"):
-            FunctionalChainSimulator().run_layer(self.LAYER, *raw)
+            FunctionalChainSimulator().run_layer(self.LAYER, ifmaps, weights)
 
     def test_nan_is_rejected(self):
         ifmaps, weights = _tensors(self.LAYER)

@@ -34,7 +34,6 @@ from repro.analysis.winograd import (
 )
 from repro.cnn.generator import WorkloadGenerator
 from repro.cnn.layer import ConvLayer
-from repro.cnn.quantize import quantize_layer_tensors
 from repro.cnn.reference import conv2d_im2col, pad_input
 from repro.cnn.zoo import get_network
 from repro.core.config import ChainConfig
@@ -60,12 +59,6 @@ from repro.sim.winograd import (
 @pytest.fixture(scope="module")
 def generator():
     return WorkloadGenerator(seed=2017)
-
-
-def _fixed_point_pair(generator, layer):
-    """One layer's tensors on the simulator's 16-bit fixed-point domain."""
-    ifmaps, weights, _, _ = quantize_layer_tensors(*generator.layer_pair(layer))
-    return ifmaps, weights
 
 
 def _eligible_layer(name="wino", in_channels=5, out_channels=7,
@@ -225,7 +218,7 @@ class TestFunctionalBackend:
         for layer in (_eligible_layer(),
                       _eligible_layer(in_channels=4, out_channels=6,
                                       groups=2, in_height=10, in_width=12)):
-            ifmaps, weights = _fixed_point_pair(generator, layer)
+            ifmaps, weights = generator.layer_pair(layer)
             whole = conv2d_winograd(layer, ifmaps, weights)
             padded = pad_input(np.asarray(ifmaps, dtype=np.float64),
                                layer.padding)
@@ -254,7 +247,7 @@ class TestSimulator:
     def test_run_layer_winograd_matches_golden(self, generator):
         simulator = FunctionalChainSimulator()
         layer = _eligible_layer(in_channels=6, out_channels=8)
-        ifmaps, weights = _fixed_point_pair(generator, layer)
+        ifmaps, weights = generator.layer_pair(layer)
         result = simulator.run_layer(layer, ifmaps, weights,
                                      algorithm="winograd")
         # exact on the fixed-point domain, not merely within tolerance
