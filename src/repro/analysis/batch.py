@@ -52,7 +52,7 @@ from repro.energy.components import EnergyParams, GateCountParams
 from repro.energy.power import PowerReport, chain_power_w, memory_power_w
 from repro.errors import ConfigurationError
 from repro.hwmodel.clock import ClockDomain
-from repro.kernels import MappingCostParams, get_backend
+from repro.kernels import MAPPING_RESULT_COLUMNS, MappingCostParams, get_backend
 from repro.memory.traffic import TrafficModel, dram_words_for, imemory_words_for
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -755,25 +755,6 @@ class BatchDesignEvaluator:
         return result, totals, power, {term: tuple(values) for term, values in layers.items()}
 
 
-#: metric columns :class:`MappingBatchEvaluator` produces per candidate
-MAPPING_RESULT_COLUMNS = (
-    "passes",
-    "active_pes",
-    "kmemory_refills",
-    "stripes",
-    "conv_cycles_per_image",
-    "kernel_load_cycles",
-    "batch_cycles",
-    "first_image_cycles",
-    "time_per_batch_s",
-    "first_image_latency_s",
-    "fps",
-    "spill_dram_words",
-    "energy_per_batch_j",
-    "edp_js",
-)
-
-
 class MappingBatchEvaluator:
     """Columnar evaluation of per-layer *mapping candidates*.
 
@@ -809,7 +790,10 @@ class MappingBatchEvaluator:
     The arithmetic itself lives in :mod:`repro.kernels`
     (:func:`repro.kernels.numpy_backend.score_mappings` and its Winograd
     twin), fetched through the module-level :func:`~repro.kernels.get_backend`
-    on every :meth:`evaluate` call.
+    on every :meth:`evaluate` call.  A caller names the metric columns it
+    reads, and only those are computed: the mapping search scores the whole
+    space on its objective's one proxy column and the few shortlisted rows
+    on all :data:`MAPPING_RESULT_COLUMNS`.
     """
 
     def __init__(self, layer, config: Optional[ChainConfig] = None,
@@ -865,15 +849,19 @@ class MappingBatchEvaluator:
         chunk: np.ndarray,
         interleave_image: np.ndarray,
         winograd: Optional[np.ndarray] = None,
+        columns: Sequence[str] = MAPPING_RESULT_COLUMNS,
     ) -> Dict[str, np.ndarray]:
-        """Score candidate columns; returns :data:`MAPPING_RESULT_COLUMNS`.
+        """Score candidate columns; returns the requested metric ``columns``.
 
         The first four inputs are equally-long 1D arrays (``interleave_image``
         is boolean: True for the image-major schedule).  ``winograd`` is an
         optional boolean column selecting the F(2x2,3x3) transform-domain
         cost model per candidate; ``None`` (or all-False) is the direct path,
-        byte-for-byte the pre-algorithm-axis behaviour.  Legality is assumed
-        to have been established by the map-space (use
+        byte-for-byte the pre-algorithm-axis behaviour.  ``columns`` names
+        the :data:`MAPPING_RESULT_COLUMNS` to compute (all by default); a
+        column is the same bits whichever others are requested with it, and
+        only the requested ones are merged across the direct/Winograd split.
+        Legality is assumed to have been established by the map-space (use
         :meth:`repro.core.mapper.LayerMapper.map_layer_with` /
         :class:`repro.mapping.LayerMapSpace` to validate candidates).
         """
@@ -883,33 +871,32 @@ class MappingBatchEvaluator:
         stripe_height = np.asarray(stripe_height, dtype=np.int64)
         chunk = np.asarray(chunk, dtype=np.int64)
         interleave_image = np.asarray(interleave_image, dtype=bool)
-        if winograd is None:
+        winograd = None if winograd is None else np.asarray(winograd, dtype=bool)
+        if winograd is None or not winograd.any():
             return backend.score_mappings(
                 self._params, primitives, stripe_height, chunk,
-                interleave_image)
-        winograd = np.asarray(winograd, dtype=bool)
-        if not winograd.any():
-            return backend.score_mappings(
-                self._params, primitives, stripe_height, chunk,
-                interleave_image)
+                interleave_image, columns=columns)
         if not self.winograd_eligible:
             raise ConfigurationError(
                 f"{self.layer.name}: winograd candidates on a layer that is "
                 f"not F(2x2,3x3)-eligible (needs kernel_size=3, stride=1)")
-        wino = backend.score_mappings_winograd(
-            self._params, primitives[winograd], chunk[winograd],
-            interleave_image[winograd])
         if winograd.all():
-            return wino
-        direct_mask = ~winograd
+            return backend.score_mappings_winograd(
+                self._params, primitives, chunk, interleave_image,
+                columns=columns)
+        wino_rows = np.flatnonzero(winograd)
+        direct_rows = np.flatnonzero(~winograd)
+        wino = backend.score_mappings_winograd(
+            self._params, primitives[wino_rows], chunk[wino_rows],
+            interleave_image[wino_rows], columns=columns)
         direct = backend.score_mappings(
-            self._params, primitives[direct_mask], stripe_height[direct_mask],
-            chunk[direct_mask], interleave_image[direct_mask])
+            self._params, primitives[direct_rows], stripe_height[direct_rows],
+            chunk[direct_rows], interleave_image[direct_rows], columns=columns)
         merged: Dict[str, np.ndarray] = {}
-        for name in MAPPING_RESULT_COLUMNS:
+        for name in columns:
             column = np.empty(winograd.shape[0], dtype=direct[name].dtype)
-            column[direct_mask] = direct[name]
-            column[winograd] = wino[name]
+            column[direct_rows] = direct[name]
+            column[wino_rows] = wino[name]
             merged[name] = column
         return merged
 

@@ -65,7 +65,7 @@ import json
 import os
 import sys
 import time
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -898,18 +898,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_stats_footer(args: argparse.Namespace, wall_s: float) -> None:
+def _print_stats_footer(args: argparse.Namespace, wall_s: float,
+                        before: Dict[str, float]) -> None:
     """One-line run statistics after ``sweep``/``map`` (metrics-registry
-    sourced, printed even without ``--trace``)."""
+    sourced, printed even without ``--trace``).
+
+    The registry counts the whole process; ``before`` is its snapshot from
+    the start of this command, so the footer counts this command alone.
+    """
     flat = REGISTRY.flat()
+
+    def delta(name: str) -> float:
+        return flat.get(name, 0) - before.get(name, 0)
+
     if args.command == "map":
-        count = flat.get("mapping.candidates_searched", 0)
+        count = delta("mapping.candidates_searched")
         unit = "candidates"
     else:
-        count = flat.get("sweep.points", 0) + flat.get("sweep.grid_points", 0)
+        count = delta("sweep.points") + delta("sweep.grid_points")
         unit = "points"
-    hits = flat.get("cache.hits", 0)
-    lookups = hits + flat.get("cache.misses", 0)
+    hits = delta("cache.hits")
+    lookups = hits + delta("cache.misses")
     cache_part = (f"cache {hits}/{lookups} hits ({hits / lookups:.0%})"
                   if lookups else "cache off")
     rate = f", {count / wall_s:.1f} {unit}/s" if wall_s > 0 and count else ""
@@ -938,6 +947,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "serve": cmd_serve,
         "request": cmd_request,
     }
+    before = REGISTRY.flat()
     start = time.perf_counter()
     try:
         with obs_trace.span("cli." + args.command):
@@ -947,7 +957,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     wall_s = time.perf_counter() - start
     if args.command in ("sweep", "pareto", "map"):
-        _print_stats_footer(args, wall_s)
+        _print_stats_footer(args, wall_s, before)
     if args.trace:
         events = export_trace(args.trace)
         print(f"[obs] wrote {events} trace events to {args.trace} — load in "

@@ -264,7 +264,8 @@ def mapping_search_section(bench_path: str | Path = "BENCH_mapping.json") -> str
         "searches the pruned space of legal alternatives per layer —",
         "primitive partition, stripe height, kernel-streaming chunk, batch",
         "interleave — exhaustively for a chosen objective, scoring every",
-        "candidate through the columnar `MappingBatchEvaluator` and",
+        "candidate on that objective alone through the columnar",
+        "`MappingBatchEvaluator`, scoring the few best on every metric, and",
         "assembling a schedule that is never worse than the Table II",
         "baseline by construction:",
         "",

@@ -10,11 +10,12 @@ bit, in any block partition.  Consumers fetch the kernels through
 :func:`get_backend` (see :mod:`repro.kernels.registry`).
 """
 
-from repro.kernels.numpy_backend import MappingCostParams
+from repro.kernels.numpy_backend import MAPPING_RESULT_COLUMNS, MappingCostParams
 from repro.kernels.registry import KernelBackend, get_backend, resolve_backend_name
 
 __all__ = [
     "KernelBackend",
+    "MAPPING_RESULT_COLUMNS",
     "MappingCostParams",
     "get_backend",
     "resolve_backend_name",

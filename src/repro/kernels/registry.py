@@ -29,14 +29,15 @@ class KernelBackend:
 
     ``ofmap_block_product(patches, kernel_matrix, out_block)`` writes one
     conv group's im2col GEMM for a block of ofmap channels;
-    ``score_mappings(params, primitives, stripe_height, chunk, image_major)``
-    scores mapping-candidate columns.  The Winograd pair mirrors them for
-    the transform-domain execution mode:
+    ``score_mappings(params, primitives, stripe_height, chunk, image_major,
+    columns)`` scores mapping-candidate columns, computing only the
+    requested metric ``columns`` (all of them by default).  The Winograd
+    pair mirrors them for the transform-domain execution mode:
     ``winograd_group_conv(ext, u, out_block)`` computes one group's
     F(2x2,3x3) ofmap block from tile-aligned inputs and transformed
     filters with batched GEMMs, and ``score_mappings_winograd(params,
-    primitives, chunk, image_major)`` scores Winograd-algorithm candidates
-    (the stripe-height axis is pinned by the tile grid).
+    primitives, chunk, image_major, columns)`` scores Winograd-algorithm
+    candidates (the stripe-height axis is pinned by the tile grid).
     """
 
     name: str

@@ -267,6 +267,8 @@ class LayerMapSpace:
         #: 4x4 planes take 16/9 of the direct footprint per PE
         self.winograd_capacity = winograd_kmemory_capacity(self.kmemory_capacity)
         self.channel_pairs = layer.channel_pairs()
+        self._pair_columns: Dict[str, Tuple[np.ndarray, np.ndarray,
+                                            np.ndarray]] = {}
         #: the algorithm values this space enumerates; ineligible layers
         #: degrade every mode to direct-only
         if winograd_eligible(layer):
@@ -374,14 +376,19 @@ class LayerMapSpace:
         Returns ``(primitives, chunk, interleaves)`` columns: primitive
         counts ascend, chunks descend within one, and ``interleaves`` is 2
         where the weights need refills (``chunk < passes``) and 1 where the
-        two policies coincide.
+        two policies coincide.  Built once per algorithm: the size guard
+        (:meth:`pruned_size`) and :meth:`enumerate` share them.
         """
-        primitives = np.asarray(self.pruned_primitives(), dtype=np.int64)
-        passes = -(-self.channel_pairs // primitives)
-        capacity = (self.winograd_capacity if algorithm == "winograd"
-                    else self.kmemory_capacity)
-        owner, chunk = _chunk_plateaus(passes, capacity)
-        return primitives[owner], chunk, 1 + (chunk < passes[owner])
+        pairs = self._pair_columns.get(algorithm)
+        if pairs is None:
+            primitives = np.asarray(self.pruned_primitives(), dtype=np.int64)
+            passes = -(-self.channel_pairs // primitives)
+            capacity = (self.winograd_capacity if algorithm == "winograd"
+                        else self.kmemory_capacity)
+            owner, chunk = _chunk_plateaus(passes, capacity)
+            pairs = self._pair_columns[algorithm] = (
+                primitives[owner], chunk, 1 + (chunk < passes[owner]))
+        return pairs
 
     def _heights(self, algorithm: str) -> int:
         """Stripe heights per (partition, chunk, interleave) of an algorithm."""

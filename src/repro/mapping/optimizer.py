@@ -3,8 +3,11 @@
 :class:`ScheduleOptimizer` searches every layer's
 :class:`~repro.mapping.mapspace.LayerMapSpace` exhaustively
 (:class:`~repro.mapping.strategies.ExhaustiveStrategy`), scoring the pruned
-space columnar through :class:`repro.analysis.batch.MappingBatchEvaluator`,
-and assembles an :class:`OptimizedSchedule` for one of four objectives:
+space columnar through :class:`repro.analysis.batch.MappingBatchEvaluator`
+on the objective's one per-layer proxy column (a partial selection keeps
+the best few rows), then scoring that shortlist plus the baseline on every
+metric column, and assembles an :class:`OptimizedSchedule` for one of four
+objectives:
 
 * ``latency``    — first-image latency (image-pipelined network view);
 * ``throughput`` — batch makespan (the paper's fps metric);
@@ -107,7 +110,9 @@ def search_layer_entry(layer, config: ChainConfig, objective: str,
 
     This is the per-layer body of :meth:`ScheduleOptimizer.optimize`.
     ``algorithm`` is the space's algorithm-axis mode
-    (``direct`` | ``winograd`` | ``auto``).
+    (``direct`` | ``winograd`` | ``auto``).  The whole space is scored on
+    the objective's proxy column alone; the pool (at most ``shortlist``
+    candidates plus the baseline) gets the full metric vector.
     """
     with obs_trace.span("map.search_layer", layer=layer.name,
                         objective=objective) as layer_span:
@@ -117,8 +122,7 @@ def search_layer_entry(layer, config: ChainConfig, objective: str,
         proxy = OBJECTIVES[objective]
 
         def scorer(columns):
-            scores = evaluator.evaluate(*columns.arrays())[proxy]
-            return np.asarray(scores, dtype=np.float64)
+            return evaluator.evaluate(*columns.arrays(), columns=(proxy,))[proxy]
 
         result = ExhaustiveStrategy().search(space, scorer, shortlist=shortlist)
         layer_span.set(evaluations=result.evaluations)

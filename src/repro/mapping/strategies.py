@@ -7,9 +7,10 @@ optimal over the pruned space:
 :meth:`LayerMapSpace.enumerate` builds the space as columns, one ``scorer``
 call (the optimiser builds it on the columnar
 :class:`repro.analysis.batch.MappingBatchEvaluator`; lower is better) scores
-every row, and a stable argsort picks the best-first shortlist, so ties
-break in enumeration order.  Only the shortlisted rows become
-:class:`MappingCandidate` objects.
+every row, and :func:`best_rows` picks the best-first shortlist with ties
+broken in enumeration order — a partial selection that never sorts the
+whole space.  Only the shortlisted rows become :class:`MappingCandidate`
+objects.
 """
 
 from __future__ import annotations
@@ -42,6 +43,21 @@ class SearchResult:
     evaluations: int                    # candidates scored
 
 
+def best_rows(scores: np.ndarray, k: int) -> np.ndarray:
+    """Rows of the ``k`` lowest scores, best first, ties in row order.
+
+    The same rows in the same order as ``np.argsort(scores,
+    kind="stable")[:k]``: ``np.partition`` finds the k-th lowest score,
+    and only the rows at or below it are stable-sorted.  A NaN k-th score
+    keeps every row, which the sort then orders as argsort does.
+    """
+    if 0 < k < len(scores):
+        kth = np.partition(scores, k - 1)[k - 1]
+        rows = np.flatnonzero(~(scores > kth))
+        return rows[np.argsort(scores[rows], kind="stable")[:k]]
+    return np.argsort(scores, kind="stable")[:k]
+
+
 # ExhaustiveStrategy and candidate_arrays stay names of this module because
 # perfbench/spans.py patches both here.
 class ExhaustiveStrategy:
@@ -58,7 +74,7 @@ class ExhaustiveStrategy:
             )
         columns = space.enumerate()
         scores = scorer(columns)
-        best = np.argsort(scores, kind="stable")[:shortlist]
+        best = best_rows(scores, shortlist)
         return SearchResult(
             candidates=[columns.candidate(int(row)) for row in best],
             scores=[float(scores[row]) for row in best],

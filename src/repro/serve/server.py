@@ -25,6 +25,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Set, Tuple
@@ -64,6 +65,11 @@ from repro.serve.protocol import (
 from repro.sim.network import FunctionalNetworkRunner
 
 __all__ = ["EvalServer"]
+
+#: sweep contexts a server keeps, least recently used evicted first; an
+#: evicted context costs ~0.5 ms to rebuild (VGG-16), and the bound caps
+#: what clients sending ever-new base configs can make the server hold
+MAX_SWEEP_CONTEXTS = 64
 
 _M_REQUESTS = obs_metrics.counter("serve.requests")
 _M_ERRORS = obs_metrics.counter("serve.errors")
@@ -107,8 +113,10 @@ class EvalServer:
         self.cache = cache
         self.coalescer = Coalescer(self._evaluate_merged)
         #: sweep contexts by (engine, network, base config), built on the
-        #: first sweep that needs one
-        self._contexts: Dict[Tuple[str, str, ChainConfig], _SweepContext] = {}
+        #: first sweep that needs one; at most MAX_SWEEP_CONTEXTS, least
+        #: recently used evicted first
+        self._contexts: OrderedDict[Tuple[str, str, ChainConfig],
+                                    _SweepContext] = OrderedDict()
         self._eval_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="serve-eval")
         self._long_pool = ThreadPoolExecutor(
@@ -272,6 +280,10 @@ class EvalServer:
             context = self._contexts[context_id] = _SweepContext(
                 coalesce_key(engine_name, network, base),
                 create_engine(engine_name), network, base)
+            if len(self._contexts) > MAX_SWEEP_CONTEXTS:
+                self._contexts.popitem(last=False)
+        else:
+            self._contexts.move_to_end(context_id)
         # parsed exactly as DesignSpaceExplorer.sweep_grid parses it
         grid = DesignGrid.parse(params.grid, base=context.base,
                                 default_batch=params.batch)

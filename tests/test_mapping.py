@@ -9,10 +9,17 @@ plan, im2col golden reference matched to float round-off.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import hashlib
+import io
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.batch import MAPPING_RESULT_COLUMNS, MappingBatchEvaluator
 from repro.cnn.generator import WorkloadGenerator, stable_seed
@@ -32,9 +39,16 @@ from repro.mapping import (
     OptimizedSchedule,
     ScheduleOptimizer,
 )
-from repro.mapping import strategies
+from repro.cli import main
+from repro.mapping import CandidateColumns, mapspace, strategies
 from repro.mapping.mapspace import ALGORITHM_MODES, candidate_arrays
 from repro.sim.functional import FunctionalChainSimulator, scalar_window_walk
+
+#: SHA-256 of the stdout of every ``map --network N --objective O
+#: --algorithm A --json`` over the zoo, recorded before the search scored
+#: only its objective's proxy column and kept its shortlist by a partial
+#: selection instead of a full stable sort
+MAP_DIGESTS = Path(__file__).resolve().parent / "fixtures" / "map_json_digests.json"
 
 
 def rows(columns):
@@ -230,6 +244,49 @@ class TestMappingBatchEvaluator:
                 < columns["first_image_latency_s"][0])
         assert columns["time_per_batch_s"][1] > columns["time_per_batch_s"][0]
 
+    # an eligible 3x3 layer whose weights need refills (image-major rows)
+    # and a strided layer (direct only, kMemory re-read per ofmap row)
+    SPACES = {
+        "eligible": (ConvLayer("wino", in_channels=16, out_channels=24,
+                               in_height=14, in_width=14, kernel_size=3,
+                               padding=1),
+                     ChainConfig(num_pes=45, kmemory_words_per_pe=8)),
+        "strided": (ConvLayer("strided", in_channels=6, out_channels=8,
+                              in_height=23, in_width=23, kernel_size=5,
+                              stride=2),
+                    ChainConfig(num_pes=75, kmemory_words_per_pe=4)),
+    }
+
+    @pytest.mark.parametrize("space_name, subset", [
+        ("eligible", "direct"), ("eligible", "winograd"),
+        ("eligible", "mixed"), ("strided", "direct")])
+    def test_each_column_alone_equals_the_full_vector(self, space_name, subset):
+        """A column is the same bits whether scored alone or with all."""
+        layer, config = self.SPACES[space_name]
+        columns = LayerMapSpace(layer, config, algorithm="auto").enumerate()
+        keep = {"direct": ~columns.winograd, "winograd": columns.winograd,
+                "mixed": np.ones(len(columns), dtype=bool)}[subset]
+        arrays = tuple(array[keep] for array in columns.arrays())
+        assert arrays[3].any(), "no image-major rows"
+        assert arrays[4].any() == (subset != "direct")
+        assert arrays[4].all() == (subset == "winograd")
+        evaluator = MappingBatchEvaluator(layer, config, batch=4)
+        full = evaluator.evaluate(*arrays)
+        assert tuple(full) == MAPPING_RESULT_COLUMNS
+        for name in MAPPING_RESULT_COLUMNS:
+            alone = evaluator.evaluate(*arrays, columns=(name,))
+            assert list(alone) == [name]
+            assert alone[name].dtype == full[name].dtype
+            assert alone[name].tobytes() == full[name].tobytes(), name
+        pair = evaluator.evaluate(*arrays, columns=("edp_js", "passes"))
+        assert list(pair) == ["edp_js", "passes"]
+
+    def test_unknown_column_is_rejected(self, small_space):
+        evaluator = MappingBatchEvaluator(small_space.layer, small_space.config)
+        with pytest.raises(ConfigurationError, match="conv_img"):
+            evaluator.evaluate(*small_space.enumerate().arrays(),
+                               columns=("fps", "conv_img"))
+
     def test_rejects_bad_configuration(self, small_layer):
         with pytest.raises(ConfigurationError):
             MappingBatchEvaluator(small_layer, batch=0)
@@ -250,6 +307,62 @@ class TestStrategies:
         everything = scorer(small_space.enumerate())
         assert result.scores[0] == pytest.approx(float(everything.min()))
         assert result.evaluations == small_space.pruned_size()
+
+    @staticmethod
+    def _search_scores(scores, shortlist):
+        """``ExhaustiveStrategy.search`` over a stub space whose row ``i``
+        scores ``scores[i]``; returns (row indices, scores) of the result."""
+        n = len(scores)
+
+        class Space:
+            layer = ConvLayer("stub", 1, 1, 5, 5, kernel_size=3)
+
+            def pruned_size(self):
+                return n
+
+            def enumerate(self):
+                return CandidateColumns(
+                    primitives=np.arange(1, n + 1), stripe_height=np.ones(n, int),
+                    chunk=np.ones(n, int), image_major=np.zeros(n, bool),
+                    winograd=np.zeros(n, bool))
+
+        result = ExhaustiveStrategy().search(
+            Space(), lambda columns: np.asarray(scores, dtype=np.float64),
+            shortlist=shortlist)
+        assert result.evaluations == n
+        return ([candidate.primitives - 1 for candidate in result.candidates],
+                result.scores)
+
+    @settings(max_examples=300, deadline=None)
+    @given(scores=st.lists(st.sampled_from([0.0, -0.0, 1.0, 1.5, 2.0,
+                                            float("inf"), float("nan")]),
+                           min_size=1, max_size=40),
+           shortlist=st.integers(min_value=1, max_value=45))
+    # ties across the k-th value, and a shortlist longer than the space
+    @example(scores=[1.0, 0.0, 1.0, 0.0, 1.0, 1.0], shortlist=3)
+    @example(scores=[2.0, 2.0, 2.0], shortlist=2)
+    @example(scores=[1.0, 0.0], shortlist=5)
+    def test_shortlist_is_the_stable_argsort_prefix(self, scores, shortlist):
+        """Best first, ties in enumeration order: the same rows, in the same
+        order, as ``np.argsort(scores, kind="stable")[:shortlist]``."""
+        rows, kept = self._search_scores(scores, shortlist)
+        expected = np.argsort(np.asarray(scores), kind="stable")[:shortlist]
+        assert rows == expected.tolist()
+        assert np.array_equal(kept, np.asarray(scores)[expected], equal_nan=True)
+
+    def test_pairs_are_built_once_per_algorithm(self, alexnet_net, monkeypatch):
+        """The size guard and the enumeration share one plateau walk."""
+        calls = []
+        plateaus = mapspace._chunk_plateaus
+        monkeypatch.setattr(mapspace, "_chunk_plateaus",
+                            lambda *args: calls.append(1) or plateaus(*args))
+        space = LayerMapSpace(alexnet_net.conv_layer("conv3"), algorithm="auto")
+        evaluator = MappingBatchEvaluator(space.layer, batch=4)
+        result = ExhaustiveStrategy().search(
+            space, lambda columns: evaluator.evaluate(
+                *columns.arrays(), columns=("fps",))["fps"])
+        assert result.evaluations == space.pruned_size() == len(space.enumerate())
+        assert len(calls) == len(space.algorithms) == 2
 
     def test_size_guard_raises_before_enumerating(self, alexnet_net,
                                                   monkeypatch):
@@ -334,6 +447,26 @@ class TestScheduleOptimizer:
     def test_rejects_unknown_objective(self):
         with pytest.raises(ConfigurationError):
             ScheduleOptimizer(objective="area")
+
+
+class TestMapJsonBytes:
+    """``map --json`` is pinned byte for byte over the zoo, every objective
+    and every algorithm mode (recorded digests, see :data:`MAP_DIGESTS`)."""
+
+    DIGESTS = json.loads(MAP_DIGESTS.read_text())
+
+    def test_fixture_covers_the_zoo(self):
+        assert len(self.DIGESTS) == 4 * len(OBJECTIVES) * len(ALGORITHM_MODES)
+
+    @pytest.mark.parametrize("command", sorted(DIGESTS))
+    def test_map_json_bytes(self, command, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(command.split()) == 0
+        digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+        assert digest == self.DIGESTS[command]
 
 
 class TestFunctionalEquivalence:

@@ -5,6 +5,7 @@ stats-footer surfaces."""
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -296,6 +297,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert "[obs] map:" in err and "candidates" in err
         assert "cache off" in err
+
+    def test_footer_counts_this_command_alone(self, tmp_path, capsys,
+                                              monkeypatch):
+        """The registry counts the whole process; two in-process commands
+        each print their own counts, not the running totals."""
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        footer = re.compile(r"\[obs\] (\w+): (\d+) (\w+) in [0-9.]+s.*, "
+                            r"(cache off|cache (\d+)/(\d+) hits)")
+        for network in ("lenet5", "cifar10"):
+            assert cli_main(["map", "--network", network, "--objective",
+                             "latency", "--algorithm", "auto", "--json"]) == 0
+            captured = capsys.readouterr()
+            evaluations = json.loads(captured.out)["evaluations"]
+            match = footer.search(captured.err)
+            assert match.group(1, 2, 3, 4) == ("map", str(evaluations),
+                                               "candidates", "cache off")
+
+        argv = ["sweep", "pes", "--network", "lenet5",
+                "--cache-dir", str(tmp_path / "cache")]
+        counts = []
+        for _ in range(2):
+            assert cli_main(argv) == 0
+            match = footer.search(capsys.readouterr().err)
+            counts.append((int(match.group(2)), int(match.group(5)),
+                           int(match.group(6))))
+        (points, cold_hits, cold_lookups), warm = counts
+        assert points > 0 and cold_hits == 0 and cold_lookups > 0
+        assert warm == (points, cold_lookups, cold_lookups)
 
     def test_jsonl_trace_export(self, tmp_path, capsys):
         path = tmp_path / "trace.jsonl"

@@ -35,9 +35,11 @@ from repro.obs.metrics import REGISTRY
 from repro.serve.client import ServeClient, ServeError, request_json
 from repro.serve.coalesce import Coalescer, merge_grids, scatter_result
 from repro.serve.protocol import (
+    MapParams,
     ProtocolError,
     RunParams,
     SweepParams,
+    VerifyParams,
     coalesce_key,
     http_response,
     parse_params,
@@ -315,6 +317,46 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match="grdi"):
             parse_params(SweepParams, {"grdi": "pe=1:1:1"})
 
+    @pytest.mark.parametrize("cls, body, message", [
+        (SweepParams, {"network": ["alexnet"]},
+         "network must be a string, got an array"),
+        (SweepParams, {"frequency_mhz": "700"},
+         "frequency_mhz must be a number, got a string"),
+        (SweepParams, {"frequency_mhz": True},
+         "frequency_mhz must be a number, got a boolean"),
+        (SweepParams, {"top": "3"}, "top must be an integer or null, got a string"),
+        (SweepParams, {"top": 3.0}, "top must be an integer or null, got a number"),
+        (SweepParams, {"grid": 5}, "grid must be a string, got a number"),
+        (SweepParams, {"pareto": 1}, "pareto must be a boolean, got a number"),
+        (SweepParams, {"objectives": "fps"},
+         "objectives must be a list of strings, got a string"),
+        (SweepParams, {"objectives": ["fps", 1]},
+         "objectives must be a list of strings, got an array"),
+        (RunParams, {"batch": "4"}, "batch must be an integer, got a string"),
+        (RunParams, {"batch": True}, "batch must be an integer, got a boolean"),
+        (RunParams, {"traffic": "yes"}, "traffic must be a boolean, got a string"),
+        (RunParams, {"mode": 1}, "mode must be a string or null, got a number"),
+        (RunParams, {"pes": {"n": 576}}, "pes must be an integer, got an object"),
+        (MapParams, {"seed": None}, "seed must be an integer, got null"),
+        (VerifyParams, {"algorithm": False},
+         "algorithm must be a string, got a boolean"),
+    ])
+    def test_every_field_is_type_checked(self, cls, body, message):
+        with pytest.raises(ProtocolError) as raised:
+            parse_params(cls, body)
+        assert str(raised.value) == message
+        assert raised.value.status == 400
+
+    def test_only_int_widens_to_float(self):
+        params = parse_params(SweepParams, {"frequency_mhz": 500, "top": None,
+                                            "objectives": ["fps"]})
+        assert params.frequency_mhz == 500.0
+        assert type(params.frequency_mhz) is float
+        assert (params.top, params.objectives) == (None, ("fps",))
+        run = parse_params(RunParams, {"mode": None, "traffic": False,
+                                       "batch": 2})
+        assert (run.mode, run.traffic, run.batch) == (None, False, 2)
+
     def test_coalesce_key_separates_engines_networks_and_bases(self):
         network = tiny_test_network()
         key = coalesce_key("analytical-batch", network, BASE)
@@ -445,8 +487,57 @@ class TestServerBitIdentity:
 
         responses = _serve(clients)
         assert [status for status, _ in responses] == [200, 200, 400, 400, 400]
-        for _, raw in responses[2:]:
-            assert b"num_pes must be an integer" in raw
+        assert [json.loads(raw)["error"] for _, raw in responses[2:]] == [
+            f"pes must be an integer, got {kind}"
+            for kind in ("a number", "a boolean", "an array")]
+
+    def test_wrongly_typed_fields_answer_400(self):
+        requests = [("/v1/sweep", {"network": ["alexnet"]}),
+                    ("/v1/run", {"network": ["alexnet"]}),
+                    ("/v1/sweep", {"frequency_mhz": "700"}),
+                    ("/v1/sweep", {"top": "3"}),
+                    ("/v1/sweep", {"grid": 5}),
+                    ("/v1/run", {"batch": "4"}),
+                    ("/v1/run", {"traffic": "yes"}),
+                    ("/v1/map", {"verify": "no"}),
+                    ("/v1/verify", {"seed": 1.5})]
+
+        async def clients(server):
+            return [await request_json(server.host, server.port, path, body)
+                    for path, body in requests]
+
+        responses = _serve(clients)
+        assert [status for status, _ in responses] == [400] * len(requests)
+        for (_, body), (_, raw) in zip(requests, responses):
+            (name,) = body
+            assert json.loads(raw)["error"].startswith(f"{name} must be ")
+
+    def test_sweep_contexts_are_bounded_and_responses_unchanged(self):
+        """Least recently used contexts go; a rebuilt one answers the same
+        bytes."""
+        bound = server_module.MAX_SWEEP_CONTEXTS
+        bodies = [{"grid": "pe=128:256:128", "network": "lenet5", "pes": pes}
+                  for pes in range(100, 100 + bound + 8)]
+
+        async def clients(server):
+            first = [await request_json(server.host, server.port, "/v1/sweep",
+                                        body) for body in bodies]
+            sizes = [len(server._contexts)]
+            # the first eight were evicted; the last one is the newest
+            again = [await request_json(server.host, server.port, "/v1/sweep",
+                                        body) for body in bodies[:8] + bodies[-1:]]
+            sizes.append(len(server._contexts))
+            newest = next(reversed(server._contexts))
+            return first, again, sizes, newest
+
+        first, again, sizes, newest = _serve(clients)
+        assert sizes == [bound, bound]
+        assert newest[2].num_pes == bodies[-1]["pes"]
+        assert all(status == 200 for status, _ in first + again)
+        assert again == first[:8] + first[-1:]
+        assert first[0][1].decode() + "\n" == _cli_out(
+            ["--pes", "100", "sweep", "--grid", "pe=128:256:128",
+             "--network", "lenet5", "--json"])
 
     def test_map_stream_result_matches_cli(self, monkeypatch):
         """A streamed map result and an overlapping sweep == CLI bytes."""
