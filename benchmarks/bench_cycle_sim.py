@@ -12,7 +12,6 @@ import pytest
 
 from repro.cnn.generator import WorkloadGenerator
 from repro.cnn.layer import ConvLayer
-from repro.cnn.quantize import quantize_layer_tensors
 from repro.core.config import ChainConfig
 from repro.core.performance import PerformanceModel
 from repro.sim.cycle import CycleAccurateChainSimulator
@@ -49,9 +48,7 @@ def test_functional_simulator_throughput(benchmark, tensors):
     geometry quickly."""
     layer = ConvLayer("func", in_channels=8, out_channels=8, in_height=27, in_width=27,
                       kernel_size=5, padding=2)
-    # 16-bit fixed point: the functional simulator's input domain
-    ifmaps, weights, _, _ = quantize_layer_tensors(
-        *WorkloadGenerator(seed=2).layer_pair(layer))
+    ifmaps, weights = WorkloadGenerator(seed=2).layer_pair(layer)
     simulator = FunctionalChainSimulator(ChainConfig())
 
     result = benchmark(simulator.run_layer, layer, ifmaps, weights)

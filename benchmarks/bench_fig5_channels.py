@@ -31,13 +31,13 @@ def test_fig5_single_vs_dual_channel(benchmark):
 
 def test_fig5_alexnet_impact(benchmark, alexnet_network):
     """End-to-end impact on AlexNet: a single-channel chain is several times slower."""
-    from repro.baselines.single_channel import SingleChannelChain
     from repro.core.accelerator import ChainNN
+    from repro.core.config import ChainConfig
 
     def run():
         dual = ChainNN().evaluate(alexnet_network, 4)
-        single = SingleChannelChain().workload_time_s(alexnet_network, 4)
-        return single / dual.total_time_per_batch_s
+        single = ChainNN(ChainConfig().single_channel()).evaluate(alexnet_network, 4)
+        return single.total_time_per_batch_s / dual.total_time_per_batch_s
 
     slowdown = benchmark(run)
     # AlexNet mixes K = 11, 5 and 3 layers, so the slowdown is between 3x and 11x

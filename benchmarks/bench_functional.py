@@ -31,7 +31,6 @@ import pytest
 
 from _record import REPO_ROOT, record_benchmark
 from repro.cnn.generator import WorkloadGenerator
-from repro.cnn.quantize import quantize_layer_tensors
 from repro.cnn.zoo import alexnet
 from repro.core.config import ChainConfig
 from repro.sim.functional import FunctionalChainSimulator, scalar_window_walk
@@ -65,10 +64,8 @@ def test_vectorized_functional_backend_speedup_on_alexnet_conv3(benchmark):
     # probe time * (channel_pairs / probe pairs)
     probe = layer.scaled(name="conv3-probe", in_channels=32, out_channels=48)
     generator = WorkloadGenerator(seed=13)
-    # 16-bit fixed point: the simulator's input domain
-    ifmaps, weights, _, _ = quantize_layer_tensors(*generator.layer_pair(layer))
-    probe_ifmaps, probe_weights, _, _ = quantize_layer_tensors(
-        *generator.layer_pair(probe))
+    ifmaps, weights = generator.layer_pair(layer)
+    probe_ifmaps, probe_weights = generator.layer_pair(probe)
 
     fast_sim = FunctionalChainSimulator(ChainConfig())
 

@@ -10,18 +10,15 @@ memory-centric baseline (DaDianNao-like) buys reconfigurability with large,
 expensive memory accesses; the 2D spatial baseline (Eyeriss-like) reduces
 traffic but pays for the on-chip network and per-PE control; the 1D chain
 keeps the reuse while stripping the overheads.  The example also includes the
-single-channel chain ablation (Fig. 5) and the roofline view that explains
-where the dual-channel scan matters.
+single-channel chain ablation (Fig. 5): what the dual-channel scan is worth
+on AlexNet, layer by layer.
 """
 
 from __future__ import annotations
 
-from repro import alexnet
+from repro import ChainConfig, ChainNN, alexnet
 from repro.analysis.comparison import StateOfTheArtComparison
-from repro.analysis.report import render_bar_chart, render_dict_table, render_table
-from repro.analysis.roofline import RooflineModel
-from repro.baselines.single_channel import SingleChannelChain
-from repro.core.config import ChainConfig
+from repro.analysis.report import render_bar_chart, render_dict_table
 
 
 def main() -> None:
@@ -42,21 +39,17 @@ def main() -> None:
                             title="Area efficiency (Sec. V.D)", row_label=""))
     print()
 
-    # Fig. 5 ablation: what the second ifmap channel is worth end to end
-    single = SingleChannelChain()
-    print(render_table(
-        [{"kernel": k, "peak fraction": fraction}
-         for k, fraction in single.utilization_by_kernel().items()],
-        title="Single-channel chain: reachable fraction of peak (Fig. 5a)",
-    ))
-    print()
-
-    # roofline: the dual channel keeps every AlexNet layer compute-bound
-    for label, config in (("dual-channel", ChainConfig()),
-                          ("single-channel", ChainConfig().single_channel())):
-        roofline = RooflineModel(config)
-        bounds = roofline.summary(network)
-        print(f"{label:>15}: " + ", ".join(f"{name}:{bound}" for name, bound in bounds.items()))
+    # Fig. 5 ablation: a single-channel PE waits K cycles for each window's
+    # new column, so each layer slows by about its kernel size
+    dual = ChainNN().evaluate(network, 4)
+    single = ChainNN(ChainConfig().single_channel()).evaluate(network, 4)
+    dual_ms = dual.layer_times_ms()
+    print(render_bar_chart(
+        {name: ms / dual_ms[name] for name, ms in single.layer_times_ms().items()},
+        title="Single-channel chain: per-layer slowdown on AlexNet, batch 4 (Fig. 5a)",
+        unit="x"))
+    print(f"whole network: {single.total_time_per_batch_s / dual.total_time_per_batch_s:.2f}x "
+          f"slower with single-channel PEs")
 
 
 if __name__ == "__main__":

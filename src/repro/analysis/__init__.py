@@ -1,4 +1,4 @@
-"""Result generation: reports, the Table V comparison, sweeps and rooflines."""
+"""Result generation: reports, the Table V comparison and sweeps."""
 
 from repro.analysis.batch import (
     BatchDesignEvaluator,
@@ -14,7 +14,6 @@ from repro.analysis.report import (
     render_dict_table,
     render_table,
 )
-from repro.analysis.roofline import RooflineModel, RooflinePoint
 from repro.analysis.sweep import DesignSpaceExplorer, SweepPoint
 
 __all__ = [
@@ -25,8 +24,6 @@ __all__ = [
     "StateOfTheArtComparison",
     "DesignSpaceExplorer",
     "SweepPoint",
-    "RooflineModel",
-    "RooflinePoint",
     "format_cell",
     "pareto_indices",
     "pareto_mask",

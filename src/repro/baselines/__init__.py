@@ -3,7 +3,6 @@
 from repro.baselines.base import AcceleratorModel, AcceleratorSummary
 from repro.baselines.chain_nn_model import ChainNNModel
 from repro.baselines.memory_centric import MemoryCentricAccelerator, MemoryCentricParams
-from repro.baselines.single_channel import SingleChannelChain
 from repro.baselines.spatial_2d import Spatial2DAccelerator, Spatial2DParams
 from repro.baselines.specs import (
     ALL_PUBLISHED_SPECS,
@@ -22,7 +21,6 @@ __all__ = [
     "MemoryCentricParams",
     "Spatial2DAccelerator",
     "Spatial2DParams",
-    "SingleChannelChain",
     "PublishedSpec",
     "ALL_PUBLISHED_SPECS",
     "DADIANNAO_SPEC",

@@ -17,7 +17,6 @@ from repro.cnn.reference import (
     pad_input,
     strided_windows,
 )
-from repro.cnn.tensor import FeatureMap
 from repro.cnn.zoo import (
     NETWORKS,
     alexnet,
@@ -34,7 +33,6 @@ __all__ = [
     "PoolingLayer",
     "Network",
     "validate_chaining",
-    "FeatureMap",
     "WorkloadGenerator",
     "TensorStats",
     "QuantizationResult",

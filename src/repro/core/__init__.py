@@ -3,11 +3,8 @@
 from repro.core.accelerator import ChainNN
 from repro.core.chain import ChainPartition, PEChain, PrimitiveSlot
 from repro.core.config import MAINSTREAM_KERNEL_SIZES, ChainConfig
-from repro.core.controller import ChainController, Phase
 from repro.core.dataflow import DataflowPlanner, LoopIteration, TileConfig
-from repro.core.kernel_loader import KernelLoader, KernelPlacement, LayerLoadPlan
 from repro.core.mapper import LayerMapper, LayerMapping
-from repro.core.scheduler import BatchSchedule, BatchScheduler, TimelineSegment
 from repro.core.pe import DualChannelPE, PEInputs, PEOutputs, TaggedPsum
 from repro.core.performance import LayerPerformance, PerformanceModel
 from repro.core.primitive import PrimitiveOutput, StripeRunResult, SystolicPrimitive
@@ -29,19 +26,11 @@ __all__ = [
     "PEChain",
     "ChainPartition",
     "PrimitiveSlot",
-    "ChainController",
-    "Phase",
     "DataflowPlanner",
     "TileConfig",
     "LoopIteration",
-    "KernelLoader",
-    "KernelPlacement",
-    "LayerLoadPlan",
     "LayerMapper",
     "LayerMapping",
-    "BatchScheduler",
-    "BatchSchedule",
-    "TimelineSegment",
     "DualChannelPE",
     "PEInputs",
     "PEOutputs",

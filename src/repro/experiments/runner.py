@@ -456,9 +456,7 @@ def observability_section(bench_path: str | Path = "BENCH_obs.json") -> str:
         "```",
         "",
         "Only *closed* spans are recorded, so an exported trace",
-        "structurally cannot contain unclosed spans; cycle-domain",
-        "simulator traces (`repro.sim.trace`) remain a separate, unrelated",
-        "layer.",
+        "structurally cannot contain unclosed spans.",
         "",
     ]
     bench_path = Path(bench_path)

@@ -13,10 +13,9 @@ searches the *space* of legal mappings around that point:
 * :mod:`repro.mapping.strategies` — :class:`ExhaustiveStrategy`, the one
   search: score the whole pruned space, keep a best-first shortlist;
 * :mod:`repro.mapping.optimizer` — :class:`ScheduleOptimizer` producing an
-  :class:`OptimizedSchedule` (consumed by
-  :meth:`repro.core.scheduler.BatchScheduler.schedule_optimized`, the
-  ``analytical-mapped`` engine and ``repro map``), plus functional
-  verification of searched mappings against the im2col golden reference.
+  :class:`OptimizedSchedule` (consumed by the ``analytical-mapped`` engine
+  and ``repro map``), plus functional verification of searched mappings
+  against the im2col golden reference.
 
 Candidates are scored columnar through
 :class:`repro.analysis.batch.MappingBatchEvaluator` (one call per layer

@@ -399,7 +399,6 @@ class ScheduleOptimizer:
                                                  cached=True)))
             if schedule is not None:
                 _M_SCHEDULE_CACHE_HITS.inc()
-                _M_CANDIDATES_SEARCHED.inc(schedule.evaluations)
                 return schedule
         with obs_trace.span("map.optimize", network=network.name,
                             objective=self.objective):

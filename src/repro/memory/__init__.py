@@ -1,17 +1,8 @@
-"""Memory-hierarchy substrate: DRAM, on-chip SRAMs, traffic and bandwidth models."""
+"""Memory-communication model: per-layer DRAM and on-chip SRAM traffic (Table IV)."""
 
-from repro.memory.bandwidth import BandwidthAnalyzer, LayerBandwidth
-from repro.memory.dram import Dram, DramSpec
-from repro.memory.hierarchy import HierarchySizes, MemoryHierarchy
 from repro.memory.traffic import LayerTraffic, TrafficModel
 
 __all__ = [
-    "BandwidthAnalyzer",
-    "LayerBandwidth",
-    "Dram",
-    "DramSpec",
-    "HierarchySizes",
-    "MemoryHierarchy",
     "LayerTraffic",
     "TrafficModel",
 ]

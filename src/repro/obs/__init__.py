@@ -4,9 +4,7 @@ The observability layer over the whole stack:
 
 * :mod:`repro.obs.trace` — span-based *wall-clock* tracing with nested
   spans, monotonic timestamps, attributes, and process identity;
-  near-zero overhead while disabled.  (Distinct from
-  :mod:`repro.sim.trace`, the simulated *cycle-domain* event log of the
-  cycle-accurate PE-chain simulator.)
+  near-zero overhead while disabled.
 * :mod:`repro.obs.metrics` — an always-on registry of counters, gauges,
   and histograms fed by ``RunCache``, the sweep executors, the mapping
   search, and the evaluation service.

@@ -19,10 +19,7 @@ a single ``None`` check — cheap enough to leave in hot paths (the
 structurally cannot contain unclosed spans.
 
 The clock is injectable (``TraceRecorder(clock=...)``) so tests can
-assert exact timestamps.  Not to be confused with
-:mod:`repro.sim.trace`, which records *simulated cycle-domain* PE events
-inside the cycle-accurate simulator; this module records *wall-clock*
-host execution.
+assert exact timestamps.
 """
 
 from __future__ import annotations

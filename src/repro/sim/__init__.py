@@ -18,7 +18,6 @@ from repro.sim.network import (
     StageReport,
     pool2d,
 )
-from repro.sim.trace import TraceEvent, TraceLog
 
 __all__ = [
     "CycleAccurateChainSimulator",
@@ -31,8 +30,6 @@ __all__ = [
     "NetworkRunResult",
     "PairWindowStats",
     "StageReport",
-    "TraceEvent",
-    "TraceLog",
     "pair_window_stats",
     "pool2d",
     "stride_keep_mask",

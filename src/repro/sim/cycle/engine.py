@@ -41,7 +41,6 @@ from repro.cnn.layer import ConvLayer
 from repro.cnn.quantize import choose_format
 from repro.cnn.reference import conv2d_direct, pad_input
 from repro.core.config import ChainConfig
-from repro.core.controller import ChainController
 from repro.core.mapper import LayerMapper
 from repro.core.primitive import SystolicPrimitive
 from repro.errors import ConfigurationError, SimulationError, WorkloadError
@@ -111,7 +110,6 @@ class CycleAccurateChainSimulator:
         self.total_bits = total_bits
         self.backend = backend
         self.mapper = LayerMapper(self.config)
-        self.controller = ChainController()
 
     # ------------------------------------------------------------------ #
     # helpers
@@ -150,8 +148,6 @@ class CycleAccurateChainSimulator:
         output_scale = ifmap_fmt.scale * weight_fmt.scale
 
         mapping = self.mapper.map_layer(layer)
-        self.controller.reset()
-        self.controller.configure(mapping)
 
         if self.backend == "vectorized" and layer.kernel_size ** 2 <= MAX_EXACT_KERNEL_PES:
             raw_ofmaps, stats = self._run_layer_vectorized(layer, raw_ifmaps, raw_weights)
@@ -164,9 +160,6 @@ class CycleAccurateChainSimulator:
         # hardware loads each weight once per batch regardless of how the
         # simulator re-uses its single primitive object
         stats.kernel_load_cycles = layer.weight_count
-        self.controller.load_kernels(stats.kernel_load_cycles)
-        self.controller.stream(stats.primitive_cycles)
-        self.controller.finish_layer()
 
         ofmaps = raw_ofmaps.astype(np.float64) * output_scale
         chain_cycles = stats.primitive_cycles / mapping.active_primitives

@@ -1,23 +1,5 @@
-"""Shared helpers: unit formatting/conversion and argument validation."""
+"""Shared helpers: argument validation."""
 
-from repro.utils.units import (
-    GIGA,
-    KIBI,
-    MEBI,
-    MEGA,
-    MILLI,
-    bytes_to_kib,
-    bytes_to_mib,
-    format_bytes,
-    format_energy,
-    format_frequency,
-    format_gops,
-    format_power,
-    format_time,
-    gops,
-    gops_per_watt,
-    seconds_to_ms,
-)
 from repro.utils.validation import (
     check_in_range,
     check_non_negative,
@@ -27,22 +9,6 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "GIGA",
-    "KIBI",
-    "MEBI",
-    "MEGA",
-    "MILLI",
-    "bytes_to_kib",
-    "bytes_to_mib",
-    "format_bytes",
-    "format_energy",
-    "format_frequency",
-    "format_gops",
-    "format_power",
-    "format_time",
-    "gops",
-    "gops_per_watt",
-    "seconds_to_ms",
     "check_in_range",
     "check_non_negative",
     "check_positive",

@@ -1,4 +1,4 @@
-"""Tests for the reporting, comparison, sweep and roofline tooling."""
+"""Tests for the reporting, comparison and sweep tooling."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.analysis.report import (
     render_dict_table,
     render_table,
 )
-from repro.analysis.roofline import RooflineModel
 from repro.analysis.sweep import DesignSpaceExplorer
 from repro.cnn.zoo import alexnet
 from repro.core.config import ChainConfig
@@ -119,26 +118,3 @@ class TestSweep:
         row = point.as_row()
         assert row["PEs"] == 576
         assert row["GOPS/W"] > 0
-
-
-class TestRoofline:
-    def test_alexnet_layers_are_compute_bound_with_dual_channel(self):
-        model = RooflineModel(ChainConfig())
-        summary = model.summary(alexnet())
-        assert all(bound == "compute" for bound in summary.values())
-
-    def test_single_channel_pushes_layers_to_bandwidth_bound(self):
-        model = RooflineModel(ChainConfig().single_channel())
-        points = model.network_points(alexnet())
-        assert any(point.bound == "bandwidth" for point in points)
-
-    def test_roof_fraction_bounded(self):
-        model = RooflineModel(ChainConfig())
-        for point in model.network_points(alexnet()):
-            assert 0 < point.roof_fraction <= 1.0
-
-    def test_operational_intensity_grows_with_kernel(self):
-        model = RooflineModel(ChainConfig())
-        conv1 = model.layer_point(alexnet().conv_layer("conv1"))
-        conv3 = model.layer_point(alexnet().conv_layer("conv3"))
-        assert conv1.operational_intensity > conv3.operational_intensity

@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines.base import AcceleratorSummary
 from repro.baselines.chain_nn_model import ChainNNModel
 from repro.baselines.memory_centric import MemoryCentricAccelerator, MemoryCentricParams
-from repro.baselines.single_channel import SingleChannelChain
 from repro.baselines.spatial_2d import Spatial2DAccelerator, Spatial2DParams
 from repro.baselines.specs import (
     ALL_PUBLISHED_SPECS,
@@ -112,29 +110,6 @@ class TestSpatial2DModel:
     def test_energy_per_mac_is_above_raw_mac(self):
         params = Spatial2DParams()
         assert params.energy_per_mac_j > params.mac_op_j
-
-
-class TestSingleChannelChain:
-    def test_throughput_fraction_is_one_over_k(self):
-        model = SingleChannelChain()
-        assert model.throughput_fraction(3) == pytest.approx(1 / 3)
-        assert model.utilization_by_kernel()[11] == pytest.approx(1 / 11)
-
-    def test_runtime_is_k_times_dual_channel(self, network):
-        from repro.core.config import ChainConfig
-        from repro.core.performance import PerformanceModel
-
-        single = SingleChannelChain()
-        dual = PerformanceModel(ChainConfig())
-        conv3 = network.conv_layer("conv3")
-        ratio = (single.layer_utilization(conv3),
-                 dual.layer_performance(conv3).temporal_utilization)
-        assert ratio[0] == pytest.approx(ratio[1] / 3, rel=0.01)
-
-    def test_summary_interface(self, network):
-        summary = SingleChannelChain().summarise(network, batch=1)
-        assert isinstance(summary, AcceleratorSummary)
-        assert summary.peak_gops == pytest.approx(806.4)
 
 
 class TestChainNNModelAdapter:

@@ -24,7 +24,6 @@ from repro.cnn.quantize import (
     evaluate_layer_quantization,
     quantize_layer_tensors,
 )
-from repro.cnn.tensor import FeatureMap
 from repro.cnn.zoo import NETWORKS, get_network
 from repro.errors import QuantizationError, WorkloadError
 from repro.hwmodel.fixed_point import FixedPointFormat
@@ -287,38 +286,3 @@ class TestGridBornTensors:
         for a, b, c in zip(first, again, other):
             assert a.tobytes() == b.tobytes()
             assert a.tobytes() != c.tobytes()
-
-
-class TestFeatureMap:
-    def test_shape_accessors(self):
-        fmap = FeatureMap("x", np.zeros((3, 4, 5)))
-        assert (fmap.channels, fmap.height, fmap.width) == (3, 4, 5)
-
-    def test_channel_access_and_iteration(self):
-        data = np.arange(2 * 2 * 2).reshape(2, 2, 2).astype(float)
-        fmap = FeatureMap("x", data)
-        np.testing.assert_array_equal(fmap.channel(1), data[1])
-        assert [idx for idx, _ in fmap.iter_channels()] == [0, 1]
-
-    def test_channel_out_of_range(self):
-        fmap = FeatureMap("x", np.zeros((2, 2, 2)))
-        with pytest.raises(WorkloadError):
-            fmap.channel(2)
-
-    def test_padding(self):
-        fmap = FeatureMap("x", np.ones((1, 2, 2))).padded(1)
-        assert fmap.shape == (1, 4, 4)
-        assert fmap.data.sum() == pytest.approx(4.0)
-
-    def test_hwc_round_trip(self):
-        data = np.random.default_rng(0).random((3, 4, 5))
-        fmap = FeatureMap("x", data)
-        round_trip = FeatureMap.from_hwc("y", fmap.to_hwc())
-        np.testing.assert_allclose(round_trip.data, data)
-
-    def test_rejects_non_3d(self):
-        with pytest.raises(WorkloadError):
-            FeatureMap("x", np.zeros((2, 2)))
-
-    def test_bytes(self):
-        assert FeatureMap("x", np.zeros((2, 3, 4))).bytes() == 48

@@ -1,4 +1,4 @@
-"""Tests for the layer mapper, the Fig. 7 dataflow planner and the controller FSM."""
+"""Tests for the layer mapper and the Fig. 7 dataflow planner."""
 
 from __future__ import annotations
 
@@ -9,10 +9,9 @@ import pytest
 from repro.cnn.layer import ConvLayer
 from repro.cnn.zoo import alexnet
 from repro.core.config import ChainConfig
-from repro.core.controller import ChainController, Phase
 from repro.core.dataflow import DataflowPlanner
 from repro.core.mapper import LayerMapper
-from repro.errors import MappingError, SimulationError
+from repro.errors import MappingError
 
 
 @pytest.fixture
@@ -201,58 +200,3 @@ class TestDataflowPlanner:
         layer = alexnet_network.conv_layer("conv2")
         tile = planner.plan(layer, active_primitives=23)
         assert "Tm=" in tile.describe()
-
-
-class TestChainController:
-    def test_normal_sequence(self, mapper, alexnet_network):
-        mapping = mapper.map_layer(alexnet_network.conv_layer("conv3"))
-        controller = ChainController()
-        controller.configure(mapping)
-        load = controller.load_kernels()
-        assert load == mapping.kernel_load_cycles
-        controller.stream(1000)
-        controller.drain(20)
-        controller.finish_layer()
-        assert controller.phase == Phase.IDLE
-        assert controller.layers_completed == 1
-        assert controller.log.busy == load + 1020
-
-    def test_busy_fraction(self, mapper, alexnet_network):
-        mapping = mapper.map_layer(alexnet_network.conv_layer("conv5"))
-        controller = ChainController()
-        controller.configure(mapping)
-        controller.load_kernels(10)
-        controller.stream(90)
-        controller.finish_layer()
-        assert controller.busy_fraction == pytest.approx(100 / 101)
-
-    def test_illegal_transition(self):
-        controller = ChainController()
-        with pytest.raises(SimulationError):
-            controller.stream(10)
-
-    def test_load_without_configure(self):
-        controller = ChainController()
-        with pytest.raises(SimulationError):
-            controller.load_kernels()
-
-    def test_finish_from_idle_rejected(self):
-        controller = ChainController()
-        with pytest.raises(SimulationError):
-            controller.finish_layer()
-
-    def test_negative_cycles_rejected(self, mapper, alexnet_network):
-        mapping = mapper.map_layer(alexnet_network.conv_layer("conv5"))
-        controller = ChainController()
-        controller.configure(mapping)
-        controller.load_kernels(5)
-        with pytest.raises(SimulationError):
-            controller.stream(-1)
-
-    def test_reset(self, mapper, alexnet_network):
-        mapping = mapper.map_layer(alexnet_network.conv_layer("conv5"))
-        controller = ChainController()
-        controller.configure(mapping)
-        controller.reset()
-        assert controller.phase == Phase.IDLE
-        assert controller.log.total == 0

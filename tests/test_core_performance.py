@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis.batch import BatchDesignEvaluator
 from repro.cnn.layer import ConvLayer
+from repro.cnn.zoo import get_network
 from repro.core.config import ChainConfig
 from repro.core.performance import PerformanceModel
 from repro.errors import ConfigurationError
@@ -96,6 +97,23 @@ class TestNetworkPerformance:
     def test_larger_batches_amortise_kernel_loading(self, evaluator):
         fps = [evaluator.breakdown(b).fps for b in (1, 4, 32, 128)]
         assert fps == sorted(fps)
+
+    @pytest.mark.parametrize("higher,lower,share", [
+        # every VGG-16 layer is 3x3 stride 1, so the chain stays busier
+        ("vgg16", "alexnet", "of_peak"),
+        # small conv workloads amortise their kernel loads less
+        ("lenet5", "alexnet", "kernel_load"),
+        ("cifar10", "vgg16", "kernel_load"),
+    ])
+    def test_zoo_shares_at_batch_8(self, paper_config, higher, lower, share):
+        def value(name):
+            point = BatchDesignEvaluator(get_network(name),
+                                         base=paper_config).breakdown(8)
+            if share == "of_peak":
+                return point.achieved_gops / point.peak_gops
+            return point.kernel_load_time_per_batch_s / point.total_time_per_batch_s
+
+        assert value(higher) > value(lower)
 
     def test_achieved_gops_below_peak(self, evaluator, paper_config):
         point = evaluator.breakdown(128)

@@ -1,15 +1,13 @@
-"""Tests for registers, MAC, mux, clock and the cycle-simulation engine."""
+"""Tests for registers, MAC, mux and clock."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import SimulationError
 from repro.hwmodel.clock import ClockDomain
 from repro.hwmodel.mac import MacUnit
 from repro.hwmodel.mux import Mux
 from repro.hwmodel.register import Pipeline, Register, ShiftRegister
-from repro.hwmodel.simulator import ClockedComponent, CycleSimulator
 
 
 class TestRegister:
@@ -185,57 +183,3 @@ class TestClockDomain:
     def test_negative_cycles_rejected(self):
         with pytest.raises(ValueError):
             ClockDomain(700e6).cycles_to_seconds(-1)
-
-
-class _Counter(ClockedComponent):
-    def __init__(self):
-        self.value = 0
-
-    def tick(self):
-        self.value += 1
-
-    def reset(self):
-        self.value = 0
-
-
-class TestCycleSimulator:
-    def test_step_advances_all_components(self):
-        sim = CycleSimulator()
-        a, b = _Counter(), _Counter()
-        sim.add(a)
-        sim.add(b)
-        sim.step(10)
-        assert a.value == 10 and b.value == 10 and sim.cycle == 10
-
-    def test_run_until(self):
-        sim = CycleSimulator()
-        counter = sim.add(_Counter())
-        cycles = sim.run_until(lambda: counter.value >= 7)
-        assert cycles == 7
-
-    def test_run_until_times_out(self):
-        sim = CycleSimulator()
-        sim.add(_Counter())
-        with pytest.raises(SimulationError):
-            sim.run_until(lambda: False, max_cycles=5)
-
-    def test_max_cycles_guard(self):
-        sim = CycleSimulator(max_cycles=3)
-        sim.add(_Counter())
-        with pytest.raises(SimulationError):
-            sim.step(5)
-
-    def test_watcher_called_each_cycle(self):
-        sim = CycleSimulator()
-        sim.add(_Counter())
-        seen = []
-        sim.add_watcher(seen.append)
-        sim.step(4)
-        assert seen == [1, 2, 3, 4]
-
-    def test_reset(self):
-        sim = CycleSimulator()
-        counter = sim.add(_Counter())
-        sim.step(5)
-        sim.reset()
-        assert sim.cycle == 0 and counter.value == 0

@@ -7,6 +7,9 @@ must tell one consistent story about the same layer.
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
@@ -18,14 +21,21 @@ from repro.core.performance import PerformanceModel
 from repro.sim.cycle import CycleAccurateChainSimulator
 from repro.sim.functional import FunctionalChainSimulator
 
+#: ``repro`` and every subpackage under it
+PACKAGES = ["repro"] + [info.name for info in
+                        pkgutil.walk_packages(repro.__path__, "repro.")
+                        if info.ispkg]
+
 
 class TestPackageApi:
     def test_version(self):
         assert repro.__version__ == "1.6.0"
 
-    def test_public_symbols_importable(self):
-        for name in repro.__all__:
-            assert getattr(repro, name) is not None
+    @pytest.mark.parametrize("package", PACKAGES)
+    def test_public_symbols_importable(self, package):
+        module = importlib.import_module(package)
+        for name in module.__all__:
+            assert getattr(module, name) is not None
 
     def test_quickstart_snippet(self):
         chip = ChainNN.paper_configuration()

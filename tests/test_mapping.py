@@ -27,7 +27,6 @@ from repro.cnn.layer import ConvLayer
 from repro.cnn.reference import conv2d_im2col
 from repro.cnn.zoo import alexnet, get_network, tiny_test_network
 from repro.core.config import ChainConfig
-from repro.core.scheduler import BatchScheduler
 from repro.engine import RunCache, create_engine
 from repro.errors import ConfigurationError, MappingError
 from repro.mapping import (
@@ -426,23 +425,6 @@ class TestScheduleOptimizer:
                                                      max_abs_error=1e-12)
         assert not verification.passed
         assert verification.describe().endswith(" max|err|=1.00e-12 (inexact)")
-
-    def test_batch_scheduler_consumes_optimized_schedules(self, alexnet_net):
-        optimizer = ScheduleOptimizer(objective="throughput", batch=16)
-        schedule = optimizer.optimize(alexnet_net)
-        timeline = BatchScheduler().schedule_optimized(alexnet_net, schedule)
-        assert timeline.batch == 16
-        assert timeline.total_time_s == pytest.approx(
-            schedule.total_time_per_batch_s())
-        assert timeline.frames_per_second == pytest.approx(
-            schedule.frames_per_second())
-
-    def test_batch_scheduler_rejects_foreign_schedules(self, alexnet_net):
-        optimizer = ScheduleOptimizer(objective="throughput", batch=4,
-                                      config=ChainConfig(num_pes=36))
-        schedule = optimizer.optimize(tiny_test_network())
-        with pytest.raises(ConfigurationError):
-            BatchScheduler().schedule_optimized(alexnet_net, schedule)
 
     def test_rejects_unknown_objective(self):
         with pytest.raises(ConfigurationError):

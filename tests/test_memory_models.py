@@ -1,4 +1,4 @@
-"""Tests for the DRAM model, the memory hierarchy and the Table IV traffic model."""
+"""Tests for the Table IV traffic model."""
 
 from __future__ import annotations
 
@@ -8,8 +8,6 @@ from repro.analysis.batch import BatchDesignEvaluator
 from repro.cnn.layer import ConvLayer
 from repro.cnn.zoo import alexnet
 from repro.core.config import ChainConfig
-from repro.memory.dram import Dram, DramSpec
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.traffic import TrafficModel
 
 #: Table IV as printed in the paper (MByte, batch 4)
@@ -20,59 +18,6 @@ PAPER_TABLE4 = {
     "conv4": {"DRAM": 3.4, "iMemory": 3.6, "kMemory": 27.9, "oMemory": 199.4},
     "conv5": {"DRAM": 2.3, "iMemory": 2.4, "kMemory": 18.6, "oMemory": 132.9},
 }
-
-
-class TestDram:
-    def test_traffic_accounting(self):
-        dram = Dram()
-        dram.record_read(1000)
-        dram.record_write(500)
-        assert dram.total_bytes == 1500
-
-    def test_transfer_time_uses_effective_bandwidth(self):
-        spec = DramSpec(peak_bandwidth_bytes_per_s=10e9, efficiency=0.5)
-        dram = Dram(spec)
-        assert dram.transfer_time_s(5e9) == pytest.approx(1.0)
-
-    def test_energy(self):
-        dram = Dram(DramSpec(energy_per_byte_j=100e-12))
-        assert dram.energy_j(1_000_000) == pytest.approx(100e-6)
-
-    def test_negative_bytes_rejected(self):
-        with pytest.raises(ValueError):
-            Dram().record_read(-1)
-
-    def test_reset(self):
-        dram = Dram()
-        dram.record_read(10)
-        dram.reset()
-        assert dram.total_bytes == 0
-
-
-class TestMemoryHierarchy:
-    def test_paper_sizes(self, paper_config):
-        hierarchy = MemoryHierarchy(paper_config)
-        sizes = hierarchy.sizes
-        assert sizes.imemory_bytes == 32 * 1024
-        assert sizes.omemory_bytes == 25 * 1024
-        assert sizes.kmemory_bytes == 576 * 512
-        assert sizes.total_bytes == paper_config.onchip_memory_bytes
-
-    def test_traffic_collection(self, paper_config):
-        hierarchy = MemoryHierarchy(paper_config)
-        hierarchy.imemory.record_stream_read(100)
-        hierarchy.omemory.record_stream_write(50)
-        hierarchy.dram.record_read(64)
-        traffic = hierarchy.traffic_bytes()
-        assert traffic["iMemory"] == 200
-        assert traffic["oMemory"] == 100
-        assert traffic["DRAM"] == 64
-
-    def test_reset(self, paper_config):
-        hierarchy = MemoryHierarchy(paper_config)
-        hierarchy.kmemory.record_stream_read(10)
-        hierarchy.reset()
-        assert hierarchy.traffic_bytes()["kMemory"] == 0
 
 
 class TestTrafficModelTable4:

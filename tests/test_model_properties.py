@@ -13,12 +13,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.batch import BatchDesignEvaluator
 from repro.cnn.layer import ConvLayer
 from repro.core.config import ChainConfig
 from repro.core.mapper import LayerMapper
 from repro.core.performance import PerformanceModel
-from repro.core.scheduler import BatchScheduler
 from repro.memory.traffic import TrafficModel
 
 
@@ -127,18 +125,3 @@ class TestTrafficInvariants:
         two = model.layer_traffic(layer, batch=2)
         assert two.omemory_bytes == 2 * one.omemory_bytes
         assert two.dram_bytes < 2 * one.dram_bytes  # weights amortised
-
-
-class TestSchedulerInvariants:
-    @given(batch=st.sampled_from([1, 2, 4, 16, 64, 128]))
-    @settings(max_examples=12, deadline=None)
-    def test_schedule_time_equals_performance_model(self, batch):
-        from repro.cnn.zoo import alexnet
-
-        config = ChainConfig()
-        scheduler = BatchScheduler(config)
-        schedule = scheduler.schedule(alexnet(), batch)
-        point = BatchDesignEvaluator(alexnet(), base=config).breakdown(batch)
-        assert schedule.total_time_s == pytest.approx(point.total_time_per_batch_s)
-        assert schedule.kernel_load_cycles == pytest.approx(
-            point.kernel_load_time_per_batch_s * config.frequency_hz)

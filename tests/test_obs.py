@@ -326,6 +326,19 @@ class TestCli:
         assert points > 0 and cold_hits == 0 and cold_lookups > 0
         assert warm == (points, cold_lookups, cold_lookups)
 
+    def test_cached_map_footer_counts_no_candidates(self, tmp_path, capsys):
+        """A schedule served from the cache scored nothing."""
+        argv = ["map", "--network", "lenet5", "--objective", "latency",
+                "--cache-dir", str(tmp_path / "cache"), "--json"]
+        footers = []
+        for _ in range(2):
+            assert cli_main(argv) == 0
+            footers.append(capsys.readouterr().err)
+        assert re.search(r"\[obs\] map: [1-9][0-9]* candidates in .*, "
+                         r"cache 0/1 hits", footers[0])
+        assert re.search(r"\[obs\] map: 0 candidates in [0-9.]+s, "
+                         r"cache 1/1 hits", footers[1])
+
     def test_jsonl_trace_export(self, tmp_path, capsys):
         path = tmp_path / "trace.jsonl"
         status = cli_main(["--trace", str(path),

@@ -13,7 +13,6 @@ from repro.core.config import ChainConfig
 from repro.core.performance import PerformanceModel
 from repro.errors import SimulationError, WorkloadError
 from repro.sim.cycle import CycleAccurateChainSimulator, engine
-from repro.sim.trace import TraceEvent, TraceLog
 
 
 @pytest.fixture(scope="module")
@@ -142,37 +141,3 @@ class TestCycleAccounting:
         assert result.ifmap_format.total_bits == 16
         assert result.weight_format.total_bits == 16
         assert result.total_cycles_with_kernel_load > result.chain_cycles_estimate
-
-
-class TestTraceLog:
-    def test_record_and_query(self):
-        log = TraceLog()
-        log.record(1, "pe0", "mac", 5)
-        log.record(2, "pe1", "mac", 6)
-        log.record(3, "pe0", "stall")
-        assert len(log) == 3
-        assert len(log.by_source("pe0")) == 2
-        assert len(log.by_event("mac")) == 2
-        assert len(log.between(2, 3)) == 2
-
-    def test_disabled_log_records_nothing(self):
-        log = TraceLog(enabled=False)
-        log.record(1, "x", "y")
-        assert len(log) == 0
-
-    def test_limit(self):
-        log = TraceLog(limit=2)
-        for cycle in range(5):
-            log.record(cycle, "x", "event")
-        assert len(log) == 2
-
-    def test_dump_format(self):
-        event = TraceEvent(cycle=7, source="pe3", event="mac", value=42)
-        text = TraceLog(events=[event]).dump()
-        assert "pe3" in text and "42" in text
-
-    def test_clear(self):
-        log = TraceLog()
-        log.record(1, "x", "y")
-        log.clear()
-        assert len(log) == 0

@@ -1,75 +1,11 @@
-"""Tests for repro.utils (units and validation helpers)."""
+"""Tests for repro.utils (validation helpers)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.utils import units, validation
-
-
-class TestGops:
-    def test_peak_chain_nn_throughput(self):
-        # 576 PEs x 2 ops x 700 MHz over one second
-        assert units.gops(576 * 2 * 700e6, 1.0) == pytest.approx(806.4)
-
-    def test_scaling_with_time(self):
-        assert units.gops(1e9, 0.5) == pytest.approx(2.0)
-
-    def test_rejects_non_positive_time(self):
-        with pytest.raises(ValueError):
-            units.gops(1.0, 0.0)
-
-    def test_gops_per_watt(self):
-        assert units.gops_per_watt(806.4, 0.5675) == pytest.approx(1421.0, rel=1e-3)
-
-    def test_gops_per_watt_rejects_zero_power(self):
-        with pytest.raises(ValueError):
-            units.gops_per_watt(100.0, 0.0)
-
-
-class TestConversions:
-    def test_seconds_to_ms(self):
-        assert units.seconds_to_ms(0.35) == pytest.approx(350.0)
-
-    def test_bytes_to_mib_round_trip(self):
-        assert units.bytes_to_mib(352 * 1024) == pytest.approx(0.34375)
-
-    def test_bytes_to_kib(self):
-        assert units.bytes_to_kib(2048) == pytest.approx(2.0)
-
-    def test_bytes_to_mb_is_decimal(self):
-        assert units.bytes_to_mb(1_000_000) == pytest.approx(1.0)
-
-
-class TestFormatting:
-    def test_format_bytes_picks_suffix(self):
-        assert units.format_bytes(512) == "512 B"
-        assert "KiB" in units.format_bytes(4096)
-        assert "MiB" in units.format_bytes(5 * 1024 * 1024)
-        assert "GiB" in units.format_bytes(3 * 1024 ** 3)
-
-    def test_format_time_granularity(self):
-        assert units.format_time(2.0).endswith(" s")
-        assert units.format_time(0.0025).endswith(" ms")
-        assert units.format_time(2.5e-6).endswith(" us")
-        assert units.format_time(1.4e-9).endswith(" ns")
-
-    def test_format_frequency(self):
-        assert units.format_frequency(700e6) == "700.0 MHz"
-        assert units.format_frequency(1.4e9) == "1.40 GHz"
-
-    def test_format_power(self):
-        assert units.format_power(0.5675) == "567.5 mW"
-        assert units.format_power(15.97) == "15.97 W"
-
-    def test_format_energy(self):
-        assert units.format_energy(1.2e-12).endswith("pJ")
-        assert units.format_energy(3.4e-9).endswith("nJ")
-
-    def test_format_gops_switches_to_tops(self):
-        assert units.format_gops(806.4).endswith("GOPS")
-        assert units.format_gops(1421.0).endswith("TOPS")
+from repro.utils import validation
 
 
 class TestValidation:
