@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import shlex
@@ -26,6 +27,9 @@ DOCUMENTS = ("README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md")
 
 #: how a documented line invokes the CLI
 PREFIXES = ("PYTHONPATH=src python -m repro ", "python -m repro ", "repro ")
+
+#: SHA-256 of the stdout of every pinned command (see :class:`TestPinnedOutput`)
+OUTPUT_DIGESTS = ROOT / "tests" / "fixtures" / "cli_output_digests.json"
 
 REQUEST_PARAMS = {"run": RunParams, "sweep": SweepParams, "map": MapParams,
                   "verify": VerifyParams}
@@ -468,3 +472,24 @@ class TestCacheCommands:
         assert cache_dir in out
         assert "entries    : 0" in out
         assert "16.0 MiB" in out
+
+
+class TestPinnedOutput:
+    """``sweep``, ``pareto``, ``experiments --json``, ``verify``, ``info`` and
+    ``networks --json`` are pinned byte for byte over the zoo (recorded
+    digests, see :data:`OUTPUT_DIGESTS`)."""
+
+    DIGESTS = json.loads(OUTPUT_DIGESTS.read_text())
+
+    def test_fixture_covers_every_sweep_of_the_zoo(self):
+        sweeps = [command for command in self.DIGESTS
+                  if command.startswith(("sweep ", "pareto "))]
+        # three axes, one dense grid and its Pareto frontier per network
+        assert len(sweeps) == 4 * 5
+
+    @pytest.mark.parametrize("command", sorted(DIGESTS))
+    def test_output_bytes(self, command, capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        assert main(command.split()) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.DIGESTS[command]

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cnn.layer import ConvLayer
 from repro.cnn.zoo import alexnet, lenet5
 from repro.core.accelerator import ChainNN
 from repro.core.config import ChainConfig
+from repro.core.performance import PerformanceModel
 
 
 @pytest.fixture(scope="module")
@@ -86,3 +88,39 @@ class TestNetworkResult:
         result = chip.evaluate(lenet5(), batch=1)
         assert result.fps > 0
         assert len(result.layer_names) == 2
+
+
+class TestSingleChannelChain:
+    """The Fig. 5(a) strawman: one ifmap channel instead of two."""
+
+    @pytest.fixture(scope="class")
+    def results(self):
+        network = alexnet()
+        dual = ChainNN(ChainConfig()).evaluate(network, batch=4)
+        single = ChainNN(ChainConfig().single_channel()).evaluate(network, batch=4)
+        return dual, single
+
+    @pytest.mark.parametrize("name", ["conv1", "conv2", "conv3", "conv4", "conv5"])
+    def test_layer_convolves_k_times_slower(self, results, name):
+        dual, single = results
+        k = alexnet().conv_layer(name).kernel_size
+        assert single.layer_times_ms()[name] == pytest.approx(
+            k * dual.layer_times_ms()[name])
+        # kernel loading does not use the ifmap channels
+        assert single.kernel_load_times_ms()[name] == pytest.approx(
+            dual.kernel_load_times_ms()[name])
+
+    @pytest.mark.parametrize("kernel", [3, 5, 7, 9, 11])
+    def test_temporal_utilization_is_one_over_k(self, kernel):
+        layer = ConvLayer("k", 4, 4, 32, 32, kernel_size=kernel)
+        dual = PerformanceModel(ChainConfig()).layer_performance(layer)
+        single = PerformanceModel(ChainConfig().single_channel()).layer_performance(layer)
+        assert single.temporal_utilization == pytest.approx(
+            dual.temporal_utilization / kernel)
+
+    def test_peak_is_unchanged(self):
+        assert ChainNN(ChainConfig().single_channel()).peak_gops == pytest.approx(806.4)
+
+    def test_alexnet_slowdown_between_3x_and_11x(self, results):
+        dual, single = results
+        assert 3 < dual.fps / single.fps < 11

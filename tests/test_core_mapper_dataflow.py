@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.cnn.layer import ConvLayer
-from repro.cnn.zoo import alexnet
+from repro.cnn.zoo import alexnet, get_network
 from repro.core.config import ChainConfig
 from repro.core.dataflow import DataflowPlanner
 from repro.core.mapper import LayerMapper
@@ -147,6 +147,32 @@ class TestLayerMapperEdgeCases:
             mapper.map_layer_with(layer, stripe_height=4)
         with pytest.raises(MappingError):
             mapper.map_layer_with(layer, stripe_height=0)
+
+
+#: kMemory (re)fills per AlexNet layer: weights per PE over 256 kMemory words
+ALEXNET_REFILLS = {"conv1": 1, "conv2": 3, "conv3": 6, "conv4": 5, "conv5": 3}
+
+
+class TestKernelResidency:
+    @pytest.mark.parametrize("name,refills", sorted(ALEXNET_REFILLS.items()))
+    def test_alexnet_refills(self, mapper, alexnet_network, paper_config, name,
+                             refills):
+        mapping = mapper.map_layer(alexnet_network.conv_layer(name))
+        assert mapping.kmemory_refills == refills
+        assert mapping.kmemory_refills == math.ceil(
+            mapping.weights_per_pe / paper_config.kmemory_words_per_pe)
+
+    @pytest.mark.parametrize("name,words", [
+        ("alexnet", 1536), ("cifar10", 90), ("lenet5", 44), ("vgg16", 4096),
+    ])
+    def test_network_requirement_is_max_over_layers(self, mapper, name, words):
+        layers = get_network(name).conv_layers
+        assert max(mapper.map_layer(layer).weights_per_pe for layer in layers) == words
+
+    def test_vgg16_keeps_every_pe_busy(self, mapper):
+        # every VGG-16 layer is 3x3: 64 primitives of 9 PEs fill the chain
+        for layer in get_network("vgg16").conv_layers:
+            assert mapper.map_layer(layer).spatial_utilization == 1.0
 
 
 class TestDataflowPlanner:

@@ -131,6 +131,91 @@ class TestNetworkPerformance:
             model.layer_performance(alexnet_network.conv_layer("conv1"), batch=0)
 
 
+class TestBatchTimeline:
+    """A batch runs layer by layer: load the kernels once, then stream every
+    image.  The columnar breakdown must tell the same story as the per-layer
+    model."""
+
+    @pytest.mark.parametrize("batch", [1, 2, 4, 16, 64, 128])
+    def test_breakdown_sums_the_layer_model(self, evaluator, model, alexnet_network,
+                                            batch):
+        point = evaluator.breakdown(batch)
+        layers = [model.layer_performance(layer, batch)
+                  for layer in alexnet_network.conv_layers]
+        assert point.total_time_per_batch_s == pytest.approx(
+            sum(perf.total_time_per_batch_s for perf in layers))
+        assert point.kernel_load_time_per_batch_s == pytest.approx(
+            sum(perf.kernel_load_time_s for perf in layers))
+        assert point.fps == pytest.approx(batch / point.total_time_per_batch_s)
+
+    @pytest.mark.parametrize("name,paper_ms", sorted(PAPER_LAYER_TIMES_MS.items()))
+    def test_fig9_bars(self, evaluator, alexnet_network, paper_config, name, paper_ms):
+        point = evaluator.breakdown(128)
+        tolerance = 0.20 if name == "conv2" else 0.01
+        assert point.layer_times_ms()[name] == pytest.approx(paper_ms, rel=tolerance)
+        # one weight per cycle, once per batch
+        weights = alexnet_network.conv_layer(name).weight_count
+        assert point.kernel_load_times_ms()[name] == pytest.approx(
+            weights / paper_config.frequency_hz * 1e3)
+
+    def test_kernel_load_share_shrinks_with_batch(self, evaluator):
+        def share(batch):
+            point = evaluator.breakdown(batch)
+            return point.kernel_load_time_per_batch_s / point.total_time_per_batch_s
+
+        assert share(128) < share(1)
+        assert share(128) < 0.02
+
+    def test_invalid_batch(self, evaluator):
+        with pytest.raises(ConfigurationError):
+            evaluator.breakdown(0)
+
+    def test_lenet_streams_both_conv_layers(self, paper_config):
+        point = BatchDesignEvaluator(get_network("lenet5"),
+                                     base=paper_config).breakdown(16)
+        assert point.layer_names == ("conv1", "conv2")
+        assert point.fps > 1000
+
+
+ZOO = ("alexnet", "cifar10", "lenet5", "vgg16")
+
+
+class TestZooNetworks:
+    """Every zoo network on the paper's chain."""
+
+    @pytest.fixture(scope="class")
+    def evaluators(self):
+        config = ChainConfig.paper_default()
+        return {name: BatchDesignEvaluator(get_network(name), base=config)
+                for name in ZOO}
+
+    @pytest.mark.parametrize("name", ZOO)
+    def test_sustained_rate_below_peak(self, evaluators, name):
+        point = evaluators[name].breakdown(8)
+        assert point.peak_gops == pytest.approx(806.4)
+        assert 0 < point.achieved_gops < point.peak_gops
+
+    @pytest.mark.parametrize("name", ZOO)
+    def test_every_conv_layer_loads_and_streams(self, evaluators, name):
+        point = evaluators[name].breakdown(8)
+        network = get_network(name)
+        assert point.layer_names == tuple(layer.name for layer in network.conv_layers)
+        assert all(seconds > 0 for seconds in point.conv_time_s)
+        assert all(seconds > 0 for seconds in point.kernel_load_time_s)
+
+    @pytest.mark.parametrize("name", ZOO)
+    def test_kernel_load_share_falls_with_batch(self, evaluators, name):
+        def share(batch):
+            point = evaluators[name].breakdown(batch)
+            return point.kernel_load_time_per_batch_s / point.total_time_per_batch_s
+
+        assert share(1) > share(8) > share(128)
+
+    def test_alexnet_at_batch_8(self, evaluators):
+        assert get_network("alexnet").total_conv_macs == pytest.approx(666e6, rel=0.01)
+        assert 250 < evaluators["alexnet"].breakdown(8).fps < 400
+
+
 class TestUtilizationMetrics:
     def test_temporal_utilization_below_one(self, model, alexnet_network):
         for layer in alexnet_network.conv_layers:

@@ -426,6 +426,28 @@ class TestScheduleOptimizer:
         assert not verification.passed
         assert verification.describe().endswith(" max|err|=1.00e-12 (inexact)")
 
+    def test_schedule_totals_sum_its_layers(self, alexnet_net):
+        """Each layer loads its kernels, then convolves the whole batch."""
+        schedule = ScheduleOptimizer(objective="throughput", batch=16).optimize(alexnet_net)
+        cycles = [entry.metrics["kernel_load_cycles"]
+                  + entry.metrics["conv_cycles_per_image"] * 16
+                  for entry in schedule.layers]
+        for entry, layer_cycles in zip(schedule.layers, cycles):
+            assert entry.metrics["time_per_batch_s"] == pytest.approx(
+                layer_cycles / schedule.frequency_hz)
+        assert schedule.total_time_per_batch_s() == pytest.approx(
+            sum(cycles) / schedule.frequency_hz)
+        assert schedule.frames_per_second() == pytest.approx(
+            16 / schedule.total_time_per_batch_s())
+
+    def test_layer_lookup_rejects_foreign_layers(self):
+        optimizer = ScheduleOptimizer(objective="throughput", batch=4,
+                                      config=ChainConfig(num_pes=36))
+        schedule = optimizer.optimize(tiny_test_network())
+        assert schedule.layer_schedule("convA").layer_name == "convA"
+        with pytest.raises(ConfigurationError):
+            schedule.layer_schedule("conv3")
+
     def test_rejects_unknown_objective(self):
         with pytest.raises(ConfigurationError):
             ScheduleOptimizer(objective="area")

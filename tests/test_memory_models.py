@@ -89,3 +89,13 @@ class TestTrafficModelStructure:
         assert traffic.total_bytes == traffic.onchip_bytes + traffic.dram_bytes
         assert traffic.as_megabytes()["oMemory"] == pytest.approx(
             traffic.omemory_bytes / 1e6)
+
+    @pytest.mark.parametrize("name", ["conv1", "conv2", "conv3", "conv4", "conv5"])
+    def test_dram_traffic_far_below_memory_centric(self, name):
+        # a memory-centric design moves a weight, an ifmap word and a psum
+        # word per MAC; the chain keeps all three on chip
+        config = ChainConfig()
+        layer = alexnet().conv_layer(name)
+        traffic = TrafficModel(config).layer_traffic(layer, batch=4)
+        memory_centric_bytes = 3 * config.word_bytes * layer.macs * 4
+        assert memory_centric_bytes > 100 * traffic.dram_bytes
