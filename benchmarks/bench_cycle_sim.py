@@ -1,7 +1,7 @@
 """Benchmark: cycle-accurate simulation of the chain (the ModelSim-check path).
 
 Not a paper artifact by itself, but the mechanism the paper's verification
-methodology relies on: the register-accurate simulator must (a) agree exactly
+methodology relies on: the cycle-accurate simulator must (a) agree exactly
 with the software reference on the quantised operands, and (b) agree with the
 analytical cycle model that generates Fig. 9.
 """

@@ -6,12 +6,12 @@ Run with::
     python examples/cycle_accurate_verification.py
 
 This is the reproduction of the paper's verification methodology (Sec. V.A):
-layers are executed on the register-accurate model of the systolic primitives
-— dual ifmap channels, stationary kernels, column-wise scan — and the outputs
-are checked on the fly against the software reference, exactly like the
-paper's ModelSim-vs-simulator comparison.  It also demonstrates the 16-bit
-fixed-point datapath: the script reports the quantisation error against the
-floating-point reference.
+layers are executed by the cycle-accurate chain simulator, which follows the
+systolic primitives' schedule — dual ifmap channels, stationary kernels,
+column-wise scan — and the outputs are checked on the fly against the
+software reference, exactly like the paper's ModelSim-vs-simulator
+comparison.  It also demonstrates the 16-bit fixed-point datapath: the
+script reports the quantisation error against the floating-point reference.
 """
 
 from __future__ import annotations

@@ -32,7 +32,6 @@ from repro.core import (
     ColumnScanSchedule,
     LayerMapper,
     PerformanceModel,
-    SystolicPrimitive,
     utilization_table,
 )
 from repro.energy import AreaModel, EnergyParams, PowerModel
@@ -59,7 +58,6 @@ __all__ = [
     "SweepExecutor",
     "ChainConfig",
     "ColumnScanSchedule",
-    "SystolicPrimitive",
     "LayerMapper",
     "PerformanceModel",
     "TrafficModel",

@@ -17,10 +17,10 @@ writing any Python:
 * ``pareto``      — grid sweep + Pareto frontier (time vs. power vs. area)
   in one command;
 * ``cache``       — ``stats`` / ``clear`` for the on-disk sweep result cache;
-* ``verify``      — cross-check the cycle-accurate simulator's vectorized
-  and register-accurate paths on the tiny network (``--sim cycle``), or run
-  whole-network functional dataflow verification
-  (``--sim functional [--network alexnet]``), every stage exact;
+* ``verify``      — run a network's conv layers through the cycle-accurate
+  simulator (``--sim cycle``, the default) or whole-network functional
+  dataflow verification (``--sim functional``), on the tiny test network
+  or ``--network alexnet``; every layer must equal the golden exactly;
 * ``map``         — exhaustively search the pruned per-layer mapping space
   (primitive partition, stripe height, kernel chunking, batch interleave)
   for a latency / throughput / EDP / energy objective, report
@@ -67,14 +67,13 @@ import sys
 import time
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.analysis.batch import DEFAULT_OBJECTIVES
 from repro.analysis.winograd import network_winograd_coverage, winograd_eligible
 from repro.analysis.report import render_bar_chart, render_dict_table, render_table
 from repro.analysis.sweep import DesignSpaceExplorer
 from repro.cnn.generator import WorkloadGenerator
 from repro.cnn.layer import FullyConnectedLayer
+from repro.cnn.network import Network
 from repro.cnn.zoo import NETWORKS, get_network, tiny_test_network
 from repro.core.config import MAINSTREAM_KERNEL_SIZES, ChainConfig
 from repro.core.utilization import utilization_table
@@ -86,7 +85,7 @@ from repro.engine import (
     available_engines,
     create_engine,
 )
-from repro.errors import INPUT_ERRORS
+from repro.errors import INPUT_ERRORS, ConfigurationError
 from repro.hwmodel.clock import ClockDomain
 from repro.mapping import OBJECTIVES, ScheduleOptimizer
 from repro.mapping.mapspace import ALGORITHM_MODES
@@ -288,12 +287,9 @@ def cmd_sweep_grid(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.grid is not None and args.axis is not None:
-        print("error: give either a sweep axis or --grid, not both", file=sys.stderr)
-        return 2
+        raise ConfigurationError("give either a sweep axis or --grid, not both")
     if args.grid is None and args.axis is None:
-        print("error: need a sweep axis (pes/frequency/batch) or --grid",
-              file=sys.stderr)
-        return 2
+        raise ConfigurationError("need a sweep axis (pes/frequency/batch) or --grid")
     if args.grid is not None:
         return cmd_sweep_grid(args)
     explorer = DesignSpaceExplorer(
@@ -375,31 +371,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print("error: --algorithm applies to --sim functional only (the "
               "cycle simulator executes the direct dataflow)", file=sys.stderr)
         return 2
-    if args.network != "tiny":
-        print("error: --network applies to --sim functional only (the scalar "
-              "cycle cross-check is limited to the tiny network)", file=sys.stderr)
-        return 2
-    config = _config_from_args(args)
-    fast = CycleAccurateChainSimulator(config, backend="vectorized")
-    register_accurate = CycleAccurateChainSimulator(config, backend="scalar")
+    simulator = CycleAccurateChainSimulator(_config_from_args(args))
     generator = WorkloadGenerator(seed=args.seed)
-    failures = 0
-    for layer in tiny_test_network().conv_layers:
-        # drawn on the simulators' grid, so their entry quantisation is exact
-        ifmaps, weights = generator.layer_pair(layer, bits=fast.total_bits)
+    for layer in _verify_network(args).conv_layers:
+        # drawn on the simulator's grid, so its entry quantisation is exact
+        ifmaps, weights = generator.layer_pair(layer, bits=simulator.total_bits)
         # run_layer raises on any nonzero difference from the direct golden
-        vectorized = fast.run_layer(layer, ifmaps, weights)
-        scalar = register_accurate.run_layer(layer, ifmaps, weights)
-        agree = (np.array_equal(vectorized.ofmaps, scalar.ofmaps)
-                 and vectorized.stats == scalar.stats)
-        if not agree:
-            failures += 1
+        result = simulator.run_layer(layer, ifmaps, weights)
         print(f"{layer.name:<10} K={layer.kernel_size} "
-              f"max|err|={vectorized.reference_max_abs_error:.2e} "
-              f"cycles={vectorized.stats.primitive_cycles:<8} "
-              f"[vectorized+scalar] {'ok' if agree else 'BACKEND-MISMATCH'}")
-    print("verification " + ("PASSED" if failures == 0 else f"FAILED ({failures} layers)"))
-    return 0 if failures == 0 else 1
+              f"max|err|={result.reference_max_abs_error:.2e} "
+              f"cycles={result.stats.primitive_cycles}")
+    print("verification PASSED")
+    return 0
 
 
 def cmd_networks(args: argparse.Namespace) -> int:
@@ -635,18 +618,21 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _verify_network(args: argparse.Namespace) -> Network:
+    """The network ``verify --network`` names (``tiny`` is the test network)."""
+    return tiny_test_network() if args.network == "tiny" else get_network(args.network)
+
+
 def _verify_functional(args: argparse.Namespace) -> int:
     """Whole-network dataflow verification through the functional simulator.
 
     Every conv stage must equal the im2col golden exactly; the whole-array
     simulator keeps full AlexNet/VGG verification a seconds-scale operation.
     """
-    network = (tiny_test_network() if args.network == "tiny"
-               else get_network(args.network))
     runner = FunctionalNetworkRunner(
         _config_from_args(args), seed=args.seed, algorithm=args.algorithm,
     )
-    result = runner.run(network)
+    result = runner.run(_verify_network(args))
     print(result.describe())
     return 0 if result.passed else 1
 
@@ -813,17 +799,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser(
         "verify",
-        help="simulator verification: cycle-accurate vectorized vs "
-             "register-accurate cross-check on small layers, or "
-             "whole-network functional dataflow verification",
+        help="simulator verification: a network's conv layers through the "
+             "cycle-accurate simulator, or whole-network functional dataflow "
+             "verification, each checked exactly against the golden",
     )
     verify.add_argument("--seed", type=int, default=2017)
     verify.add_argument("--sim", choices=("cycle", "functional"), default="cycle",
                         help="which simulator to verify (default: cycle)")
     verify.add_argument("--network", choices=("tiny",) + tuple(sorted(NETWORKS)),
                         default="tiny",
-                        help="network to verify with --sim functional "
-                             "(default: the tiny test network)")
+                        help="network to verify (default: the tiny test "
+                             "network)")
     verify.add_argument("--algorithm", choices=ALGORITHM_MODES,
                         default="direct",
                         help="run eligible 3x3-stride-1 layers through the "

@@ -5,9 +5,7 @@ from repro.core.chain import ChainPartition, PEChain, PrimitiveSlot
 from repro.core.config import MAINSTREAM_KERNEL_SIZES, ChainConfig
 from repro.core.dataflow import DataflowPlanner, LoopIteration, TileConfig
 from repro.core.mapper import LayerMapper, LayerMapping
-from repro.core.pe import DualChannelPE, PEInputs, PEOutputs, TaggedPsum
 from repro.core.performance import LayerPerformance, PerformanceModel
-from repro.core.primitive import PrimitiveOutput, StripeRunResult, SystolicPrimitive
 from repro.core.scan import ColumnScanSchedule, PixelDelivery, WindowTag, stripe_plan
 from repro.core.utilization import (
     UtilizationEntry,
@@ -31,15 +29,8 @@ __all__ = [
     "LoopIteration",
     "LayerMapper",
     "LayerMapping",
-    "DualChannelPE",
-    "PEInputs",
-    "PEOutputs",
-    "TaggedPsum",
     "PerformanceModel",
     "LayerPerformance",
-    "SystolicPrimitive",
-    "StripeRunResult",
-    "PrimitiveOutput",
     "ColumnScanSchedule",
     "PixelDelivery",
     "WindowTag",

@@ -249,9 +249,9 @@ class MappedAnalyticalEngine(Engine):
 class CycleEngine(Engine):
     """Cycle-accurate simulation of every conv layer on seeded tensors.
 
-    Layers run on the simulator's vectorized path (kernels above 11x11 on its
-    register-accurate path), and each is checked exactly against the direct
-    golden on the operands it simulated.
+    Each layer runs on :class:`~repro.sim.cycle.CycleAccurateChainSimulator`
+    (kernels up to 11x11) and is checked exactly against the direct golden
+    on the operands it simulated.
     """
 
     def __init__(self, seed: int = 2017, total_bits: int = 16) -> None:

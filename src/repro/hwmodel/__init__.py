@@ -1,33 +1,19 @@
 """Generic hardware-modelling substrate.
 
-This subpackage provides the building blocks the Chain-NN processor core is
-assembled from: a 16-bit fixed-point number system, registers and shift
-registers, a multiply-accumulate (MAC) datapath, channel multiplexers,
-register-file / SRAM storage with access counting and clock domains.
-
-The abstraction level is *register-transfer behaviour*: component state only
-changes on the component's ``tick()``, and combinational outputs are
-recomputed from the current state, which is exactly the level the paper's
-ModelSim functional simulation validates.
+The number system and clock the Chain-NN models are built on: a 16-bit
+fixed-point format with saturating multiply-accumulate and the float64
+exactness guard (:mod:`repro.hwmodel.fixed_point`), and the clock domain
+that turns cycles into seconds (:mod:`repro.hwmodel.clock`).  The
+register-level PE and primitive models live in the cycle simulator's test
+oracle, :mod:`repro.sim.cycle.oracle`.
 """
 
 from repro.hwmodel.clock import ClockDomain
 from repro.hwmodel.fixed_point import FixedPointFormat, quantize_array, quantize_value
-from repro.hwmodel.mac import MacUnit
-from repro.hwmodel.memory import RegisterFile, Sram
-from repro.hwmodel.mux import Mux
-from repro.hwmodel.register import Pipeline, Register, ShiftRegister
 
 __all__ = [
     "ClockDomain",
     "FixedPointFormat",
-    "MacUnit",
-    "Mux",
-    "Pipeline",
-    "Register",
-    "RegisterFile",
-    "ShiftRegister",
-    "Sram",
     "quantize_array",
     "quantize_value",
 ]

@@ -1,7 +1,6 @@
 """Cycle-accurate chain simulation."""
 
 from repro.sim.cycle.engine import (
-    CYCLE_BACKENDS,
     CycleAccurateChainSimulator,
     CycleSimResult,
     CycleSimStats,
@@ -9,7 +8,6 @@ from repro.sim.cycle.engine import (
 from repro.sim.cycle.vectorized import PairGeometryStats, pair_geometry, stripe_mac_count
 
 __all__ = [
-    "CYCLE_BACKENDS",
     "CycleAccurateChainSimulator",
     "CycleSimResult",
     "CycleSimStats",

@@ -2,29 +2,18 @@
 
 This is the reproduction of the paper's ModelSim functional verification: the
 layer is decomposed exactly as the hardware would execute it (channel pairs →
-stripes → column-wise scan), every stripe is streamed through a
-register-accurate :class:`~repro.core.primitive.SystolicPrimitive`, the
-finished window sums are accumulated across ifmap channels, and the result is
-compared on-the-fly against the software reference.
+stripes → column-wise scan), the finished window sums are accumulated across
+ifmap channels, and the result is compared on the fly against the software
+reference.
 
 The simulator works on 16-bit fixed-point raw values, so it also demonstrates
 the numeric path (quantise → integer MACs → wide accumulator → dequantise).
-
-Two backends share the same decomposition and produce bit-identical results:
-
-``vectorized`` (default)
-    Batches each stripe's MAC schedule into NumPy array operations (one
-    exact im2col GEMM per channel group on the raw integers, closed-form
-    cycle/MAC counters — see :mod:`repro.sim.cycle.vectorized`).  Fast
-    enough to cycle-verify full AlexNet-scale layers.
-
-``scalar``
-    The original register-accurate path: every stripe is streamed through a
-    :class:`~repro.core.primitive.SystolicPrimitive` one clock cycle at a
-    time.  Each simulated cycle costs Python-level work per PE, so this
-    backend is meant for small layers; it serves as the ground-truth
-    cross-check of the vectorized fast path (``repro verify`` runs both on
-    the tiny network) and runs kernels larger than 11x11.
+It batches each stripe's MAC schedule into NumPy array operations: one exact
+im2col GEMM per channel group on the raw integers, and closed-form
+cycle/MAC counters (see :mod:`repro.sim.cycle.vectorized`), fast enough to
+cycle-verify full VGG-16.  Its test oracle,
+:func:`repro.sim.cycle.oracle.register_level_layer`, ticks every PE register
+of a systolic primitive and yields the same ofmaps and counters.
 
 Every layer is checked exactly against the direct golden on the operands
 it simulated.
@@ -33,7 +22,7 @@ it simulated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -42,17 +31,13 @@ from repro.cnn.quantize import choose_format
 from repro.cnn.reference import conv2d_direct, pad_input
 from repro.core.config import ChainConfig
 from repro.core.mapper import LayerMapper
-from repro.core.primitive import SystolicPrimitive
-from repro.errors import ConfigurationError, SimulationError, WorkloadError
+from repro.errors import SimulationError, WorkloadError
 from repro.hwmodel.fixed_point import FixedPointFormat
 from repro.sim.cycle.vectorized import (
     MAX_EXACT_KERNEL_PES,
     correlate_layer_raw,
     pair_geometry,
 )
-
-#: backends accepted by :class:`CycleAccurateChainSimulator`
-CYCLE_BACKENDS = ("vectorized", "scalar")
 
 
 @dataclass
@@ -90,38 +75,18 @@ class CycleSimResult:
 
 
 class CycleAccurateChainSimulator:
-    """Runs conv layers through register-accurate systolic primitives.
+    """Cycle-accurate conv layers: exact ofmaps and the primitives' counters.
 
-    ``backend`` selects how stripes are executed: ``"vectorized"`` (default)
-    batches the MAC schedule into NumPy array operations, ``"scalar"`` ticks
-    every PE register.  Both produce bit-identical ofmaps and identical
-    :class:`CycleSimStats`; kernels larger than 11x11 would exceed the range
-    the hardware accumulator is sized for and automatically use the scalar
-    path, which models the saturation.
+    Kernels up to 11x11 (``MAX_EXACT_KERNEL_PES`` PEs), the largest the
+    primitive's 39-bit accumulator is sized for, are accepted.
     """
 
     def __init__(self, config: Optional[ChainConfig] = None,
-                 total_bits: int = 16, backend: str = "vectorized") -> None:
-        if backend not in CYCLE_BACKENDS:
-            raise ConfigurationError(
-                f"backend must be one of {CYCLE_BACKENDS}, got {backend!r}"
-            )
+                 total_bits: int = 16) -> None:
         self.config = config or ChainConfig()
         self.total_bits = total_bits
-        self.backend = backend
         self.mapper = LayerMapper(self.config)
 
-    # ------------------------------------------------------------------ #
-    # helpers
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _stripe_bases(padded_height: int, kernel_size: int) -> List[int]:
-        out_rows_stride1 = padded_height - kernel_size + 1
-        return list(range(0, out_rows_stride1, kernel_size))
-
-    # ------------------------------------------------------------------ #
-    # public API
-    # ------------------------------------------------------------------ #
     def run_layer(self, layer: ConvLayer, ifmaps: np.ndarray,
                   weights: np.ndarray) -> CycleSimResult:
         """Simulate one layer cycle by cycle.
@@ -132,13 +97,20 @@ class CycleAccurateChainSimulator:
         :func:`~repro.cnn.reference.conv2d_direct` on the same quantised
         operands (the dequantised raw ifmaps and weights the simulator ran
         on); every sum is exact, so any nonzero difference raises
-        :class:`~repro.errors.SimulationError`.
+        :class:`~repro.errors.SimulationError`.  A kernel larger than 11x11
+        raises :class:`~repro.errors.WorkloadError`.
         """
         ifmaps = np.asarray(ifmaps, dtype=np.float64)
         weights = np.asarray(weights, dtype=np.float64)
         if ifmaps.shape != layer.in_shape:
             raise WorkloadError(
                 f"{layer.name}: ifmaps shape {ifmaps.shape} does not match {layer.in_shape}"
+            )
+        k = layer.kernel_size
+        if k * k > MAX_EXACT_KERNEL_PES:
+            raise WorkloadError(
+                f"{layer.name}: K={k} exceeds the 11x11 kernels the primitive's "
+                "accumulator is sized for"
             )
 
         ifmap_fmt = choose_format(ifmaps, self.total_bits)
@@ -148,18 +120,21 @@ class CycleAccurateChainSimulator:
         output_scale = ifmap_fmt.scale * weight_fmt.scale
 
         mapping = self.mapper.map_layer(layer)
-
-        if self.backend == "vectorized" and layer.kernel_size ** 2 <= MAX_EXACT_KERNEL_PES:
-            raw_ofmaps, stats = self._run_layer_vectorized(layer, raw_ifmaps, raw_weights)
-        else:
-            operand_format = FixedPointFormat(self.total_bits, ifmap_fmt.frac_bits)
-            raw_ofmaps, stats = self._run_layer_scalar(
-                layer, raw_ifmaps, raw_weights, operand_format
-            )
-
-        # hardware loads each weight once per batch regardless of how the
-        # simulator re-uses its single primitive object
-        stats.kernel_load_cycles = layer.weight_count
+        geometry = pair_geometry(layer)
+        pairs = layer.channel_pairs()
+        stats = CycleSimStats(
+            primitive_cycles=geometry.primitive_cycles * pairs,
+            # the hardware loads each weight once per batch
+            kernel_load_cycles=layer.weight_count,
+            macs=geometry.macs * pairs,
+            pairs_processed=pairs,
+            stripes_processed=geometry.stripes * pairs,
+            outputs_collected=geometry.outputs_kept * pairs,
+            outputs_discarded_by_stride=geometry.outputs_discarded * pairs,
+            kmemory_reads=k * k * pairs,
+        )
+        raw_ofmaps = correlate_layer_raw(layer, raw_ifmaps, raw_weights,
+                                         self.total_bits)
 
         ofmaps = raw_ofmaps.astype(np.float64) * output_scale
         chain_cycles = stats.primitive_cycles / mapping.active_primitives
@@ -184,89 +159,3 @@ class CycleAccurateChainSimulator:
             weight_format=weight_fmt,
             reference_max_abs_error=reference_error,
         )
-
-    # ------------------------------------------------------------------ #
-    # backends
-    # ------------------------------------------------------------------ #
-    def _run_layer_vectorized(
-        self,
-        layer: ConvLayer,
-        raw_ifmaps: np.ndarray,
-        raw_weights: np.ndarray,
-    ) -> tuple[np.ndarray, CycleSimStats]:
-        """NumPy fast path: identical outputs and counters, no per-cycle work."""
-        k = layer.kernel_size
-        geometry = pair_geometry(layer)
-        pairs = layer.channel_pairs()
-        stats = CycleSimStats(
-            primitive_cycles=geometry.primitive_cycles * pairs,
-            macs=geometry.macs * pairs,
-            pairs_processed=pairs,
-            stripes_processed=geometry.stripes * pairs,
-            outputs_collected=geometry.outputs_kept * pairs,
-            outputs_discarded_by_stride=geometry.outputs_discarded * pairs,
-            kmemory_reads=k * k * pairs,
-        )
-        raw_ofmaps = correlate_layer_raw(layer, raw_ifmaps, raw_weights,
-                                         self.total_bits)
-        return raw_ofmaps, stats
-
-    def _run_layer_scalar(
-        self,
-        layer: ConvLayer,
-        raw_ifmaps: np.ndarray,
-        raw_weights: np.ndarray,
-        operand_format: FixedPointFormat,
-    ) -> tuple[np.ndarray, CycleSimStats]:
-        """Register-accurate path: tick every PE of a systolic primitive."""
-        k = layer.kernel_size
-        stride = layer.stride
-        stats = CycleSimStats()
-        raw_ofmaps = np.zeros(layer.out_shape, dtype=np.int64)
-
-        primitive = SystolicPrimitive(
-            kernel_size=k,
-            kmemory_depth=self.config.kmemory_words_per_pe,
-            operand_format=operand_format,
-            name=f"{layer.name}.primitive",
-        )
-
-        in_per_group = layer.in_channels_per_group
-        out_per_group = layer.out_channels_per_group
-        padded_height = layer.padded_height
-        bases = self._stripe_bases(padded_height, k)
-
-        for group in range(layer.groups):
-            for m_local in range(out_per_group):
-                m = group * out_per_group + m_local
-                for c_local in range(in_per_group):
-                    c = group * in_per_group + c_local
-                    primitive.load_kernel(raw_weights[m, c_local], slot=0)
-                    primitive.select_kernel(slot=0)
-                    stats.kmemory_reads += primitive.num_pes
-
-                    for base in bases:
-                        rows = min(2 * k - 1, padded_height - base)
-                        if rows < k:
-                            continue
-                        stripe = raw_ifmaps[c, base:base + rows, :]
-                        run = primitive.run_stripe(stripe)
-                        stats.primitive_cycles += run.cycles
-                        stats.stripes_processed += 1
-                        stats.macs += run.macs
-                        for output in run.outputs:
-                            in_row = base + output.out_row_in_stripe
-                            in_col = output.out_col
-                            if in_row % stride or in_col % stride:
-                                stats.outputs_discarded_by_stride += 1
-                                continue
-                            out_row = in_row // stride
-                            out_col = in_col // stride
-                            if out_row >= layer.out_height or out_col >= layer.out_width:
-                                stats.outputs_discarded_by_stride += 1
-                                continue
-                            raw_ofmaps[m, out_row, out_col] += output.raw_value
-                            stats.outputs_collected += 1
-                    stats.pairs_processed += 1
-
-        return raw_ofmaps, stats

@@ -1,12 +1,12 @@
-"""Vectorized NumPy fast path of the cycle-accurate chain simulator.
+"""Array form of the cycle-accurate chain simulator.
 
-The register-accurate scalar engine (:mod:`repro.sim.cycle.engine`) ticks
-every PE of a :class:`~repro.core.primitive.SystolicPrimitive` in Python,
-which limits it to tiny layers.  This module replays the *same* execution —
-channel pairs, stripes, column-wise scan, stride filtering — with whole-array
-integer operations, producing bit-identical raw ofmaps and identical
-:class:`~repro.sim.cycle.engine.CycleSimStats` counters at a fraction of the
-cost, so full AlexNet-scale layers become cycle-verifiable.
+The register-accurate oracle (:mod:`repro.sim.cycle.oracle`) ticks every PE
+of a systolic primitive in Python, which limits it to tiny layers.  This
+module replays the *same* execution — channel pairs, stripes, column-wise
+scan, stride filtering — with whole-array integer operations, producing the
+oracle's raw ofmaps bit for bit and its
+:class:`~repro.sim.cycle.engine.CycleSimStats` counters exactly at a
+fraction of the cost, so full AlexNet-scale layers become cycle-verifiable.
 
 Two observations make this possible:
 
@@ -21,7 +21,7 @@ Two observations make this possible:
   the accumulator-width guard
   (:func:`repro.hwmodel.fixed_point.check_exact_accumulation`) every sum is
   an integer below ``2**53``, hence exact; the 39-bit saturating
-  accumulator of the scalar MAC never saturates for ``K <= 11`` (at most
+  accumulator of the oracle's MAC never saturates for ``K <= 11`` (at most
   121 products of 16-bit operands), so the exact sum is the hardware's.
 
 * **Counters.**  Whether a PE performs a MAC in a given cycle depends only
@@ -46,9 +46,10 @@ from repro.cnn.layer import ConvLayer
 from repro.hwmodel.fixed_point import check_exact_accumulation
 from repro.sim.functional_vectorized import vectorized_layer_ofmaps
 
-#: kernel area above which the scalar MAC's saturating accumulator (sized for
-#: 121 products) could saturate mid-window; beyond it the fast path would no
-#: longer be bit-exact, so callers must fall back to the scalar engine.
+#: kernel area above which the primitive's saturating accumulator (sized for
+#: 121 products) could saturate mid-window; beyond it the exact GEMM would no
+#: longer equal the hardware's sums, so the cycle simulator rejects such
+#: kernels.
 MAX_EXACT_KERNEL_PES = 121
 
 
@@ -56,7 +57,7 @@ MAX_EXACT_KERNEL_PES = 121
 class PairGeometryStats:
     """Per-channel-pair counters implied by the stripe geometry of a layer.
 
-    These are exactly what the scalar engine counts while streaming one pair;
+    These are exactly what the oracle counts while streaming one pair;
     every pair of a layer shares the same geometry, so layer totals are these
     values multiplied by ``layer.channel_pairs()``.
     """
@@ -70,7 +71,7 @@ class PairGeometryStats:
 
 
 def stripe_mac_count(kernel_size: int, width: int, rows: int) -> int:
-    """MACs the scalar engine performs streaming one stripe of one pair.
+    """MACs the oracle's primitive performs streaming one stripe of one pair.
 
     A window injected at streaming cycle ``s`` (``1 <= s <= T`` with
     ``T = K * (width - 1) + rows``) triggers a MAC at PE ``q`` iff the

@@ -145,6 +145,17 @@ class TestInputErrors:
         assert "Traceback" not in captured.err
         assert [line for line in captured.err.splitlines() if "error:" in line]
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--network", "lenet5"],
+        ["sweep", "pes", "--grid", "pe=128:576:64", "--network", "lenet5"],
+    ], ids=" ".join)
+    def test_sweep_usage_errors_print_no_stats_footer(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "[obs]" not in captured.err
+
     def test_model_errors_print_one_line(self, capsys):
         assert main(["--pes", "100", "run", "alexnet"]) == 2
         captured = capsys.readouterr()
@@ -195,9 +206,9 @@ class TestCommands:
         assert main(["verify"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[-1] == "verification PASSED"
-        # every layer runs both cycle paths and compares them
-        assert len(lines) == 3
-        assert all(line.endswith(" [vectorized+scalar] ok") for line in lines[:-1])
+        # one line per conv layer of the tiny network, each exact
+        assert [line.split()[0] for line in lines[:-1]] == ["convA", "convB"]
+        assert all(" max|err|=0.00e+00 cycles=" in line for line in lines[:-1])
 
     def test_verify_functional_tiny(self, capsys):
         assert main(["verify", "--sim", "functional"]) == 0
@@ -218,9 +229,14 @@ class TestCommands:
                             r"max\|err\|=0\.00e\+00 \(exact\), \d+ windows "
                             r"kept, \d+\.\d\ds", verdict), verdict
 
-    def test_verify_cycle_rejects_network_flag(self, capsys):
-        assert main(["verify", "--network", "lenet5"]) == 2
-        assert "--sim functional" in capsys.readouterr().err
+    def test_verify_cycle_network(self, capsys):
+        assert main(["verify", "--network", "lenet5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "verification PASSED"
+        assert [line.split()[:2] for line in lines[:-1]] == [["conv1", "K=5"],
+                                                             ["conv2", "K=5"]]
+        assert all(re.search(r" max\|err\|=0\.00e\+00 cycles=\d+$", line)
+                   for line in lines[:-1])
 
 
 class TestEngineCommands:

@@ -5,8 +5,9 @@ Four paths simulate the same random layers on 16-bit fixed-point operands:
 * the scalar oracle walk (:func:`repro.sim.functional.scalar_window_walk`);
 * the functional simulator
   (:class:`~repro.sim.functional.FunctionalChainSimulator`);
-* the cycle simulator's vectorized path and its register-accurate path
-  (:class:`~repro.sim.cycle.CycleAccurateChainSimulator`).
+* the cycle simulator (:class:`~repro.sim.cycle.CycleAccurateChainSimulator`)
+  and its register-accurate oracle
+  (:func:`repro.sim.cycle.oracle.register_level_layer`).
 
 Their ofmaps must be equal bit for bit, and their counters must be equal or
 differ by a named closed-form term: the cycle simulator's primitive cycles
@@ -28,9 +29,10 @@ from repro.core.config import ChainConfig
 from repro.core.mapper import LayerMapper
 from repro.engine import create_engine
 from repro.sim.cycle import CycleAccurateChainSimulator
+from repro.sim.cycle.oracle import register_level_layer
 from repro.sim.functional import FunctionalChainSimulator, scalar_window_walk
 
-#: random layers per run; each is small enough for the register-accurate path
+#: random layers per run; each is small enough for the register-accurate oracle
 RANDOM_LAYERS = 25
 
 
@@ -78,24 +80,22 @@ def _drain_cycles(layer: ConvLayer) -> int:
 def test_random_layer_paths_agree(seed):
     layer = _random_layer(seed)
     ifmaps, weights = _real_tensors(layer, seed)
-    # the cycle simulators quantise these raw floats on entry with the same
-    # per-tensor formats, so all four paths compute on identical fixed-point
-    # operands and the comparison checks that entry quantisation
+    # the cycle simulator and its oracle quantise these raw floats on entry
+    # with the same per-tensor formats, so all four paths compute on identical
+    # fixed-point operands and the comparison checks that entry quantisation
     fixed_ifmaps, fixed_weights, _, _ = quantize_layer_tensors(ifmaps, weights)
     assert not np.array_equal(fixed_weights, weights)
 
     walk_ofmaps, walk_stats = scalar_window_walk(layer, fixed_ifmaps, fixed_weights)
     functional = FunctionalChainSimulator().run_layer(layer, fixed_ifmaps,
                                                       fixed_weights)
-    fast = CycleAccurateChainSimulator(backend="vectorized").run_layer(
-        layer, ifmaps, weights)
-    register = CycleAccurateChainSimulator(backend="scalar").run_layer(
-        layer, ifmaps, weights)
+    fast = CycleAccurateChainSimulator().run_layer(layer, ifmaps, weights)
+    register_ofmaps, register_stats = register_level_layer(layer, ifmaps, weights)
 
-    for ofmaps in (functional.ofmaps, fast.ofmaps, register.ofmaps):
+    for ofmaps in (functional.ofmaps, fast.ofmaps, register_ofmaps):
         assert np.array_equal(walk_ofmaps, ofmaps)
     assert walk_stats == functional.stats
-    assert fast.stats == register.stats
+    assert fast.stats == register_stats
 
     scan, cycle = functional.stats, fast.stats
     assert cycle.outputs_collected == scan.windows_kept

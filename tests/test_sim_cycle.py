@@ -77,6 +77,13 @@ class TestCycleAccurateCorrectness:
         with pytest.raises(WorkloadError):
             simulator.run_layer(tiny_layer, ifmaps[:1], weights)
 
+    def test_kernel_above_11x11_rejected(self, simulator):
+        # the primitive's accumulator is sized for 121 products
+        layer = ConvLayer("k13", 1, 1, 13, 13, kernel_size=13)
+        ifmaps, weights = _tensors(layer)
+        with pytest.raises(WorkloadError, match="K=13"):
+            simulator.run_layer(layer, ifmaps, weights)
+
 
 class TestExactReferenceCheck:
     """The on-the-fly golden check tolerates no difference at all."""

@@ -1,4 +1,5 @@
-"""Tests for the dual-channel PE and the 1D systolic primitive (cycle level)."""
+"""Tests for the cycle simulator's register-accurate oracle: registers, the
+dual-channel PE and the 1D systolic primitive."""
 
 from __future__ import annotations
 
@@ -8,29 +9,73 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cnn.reference import conv2d_single_channel
-from repro.core.pe import DualChannelPE, PEInputs, TaggedPsum
-from repro.core.primitive import SystolicPrimitive
-from repro.errors import MappingError, SimulationError
+from repro.errors import CapacityError, MappingError
+from repro.hwmodel.fixed_point import FixedPointFormat
+from repro.sim.cycle.oracle import (
+    DualChannelPE,
+    PEInputs,
+    Register,
+    SystolicPrimitive,
+    TaggedPsum,
+)
+
+IDLE = PEInputs(None, None, None, None)
 
 
-class TestTaggedPsum:
-    def test_accumulate_preserves_tag(self):
-        psum = TaggedPsum(value=10, start_timestamp=7)
-        updated = psum.accumulate(5)
-        assert updated.value == 15
-        assert updated.start_timestamp == 7
+def _psum_two_cycles_later(pe, inputs):
+    """The psum ``pe`` presents downstream two edges after seeing ``inputs``."""
+    pe.evaluate(inputs)
+    pe.tick()
+    pe.evaluate(IDLE)
+    pe.tick()
+    return pe.evaluate(IDLE).psum
+
+
+def _dense(result, out_rows, out_cols):
+    """A stripe run's window sums as a dense ``(out_rows, out_cols)`` array."""
+    dense = np.zeros((out_rows, out_cols), dtype=np.int64)
+    for output in result.outputs:
+        dense[output.out_row_in_stripe, output.out_col] = output.raw_value
+    return dense
+
+
+class TestRegister:
+    def test_value_changes_only_on_tick(self):
+        reg = Register(reset_value=0)
+        reg.set_next(5)
+        assert reg.value == 0
+        reg.tick()
+        assert reg.value == 5
+
+    def test_unstaged_tick_holds_value(self):
+        reg = Register(reset_value=3)
+        reg.tick()
+        assert reg.value == 3
+        reg.set_next(9)
+        reg.tick()
+        reg.tick()
+        assert reg.value == 9
+
+    def test_reset_clears_value_and_staged_next(self):
+        reg = Register(reset_value=7)
+        reg.set_next(1)
+        reg.tick()
+        reg.set_next(2)
+        reg.reset()
+        assert reg.value == 7
+        reg.tick()
+        assert reg.value == 7
 
 
 class TestDualChannelPE:
     def test_weight_load_and_select(self):
-        pe = DualChannelPE(position=0, kmemory_depth=4)
+        pe = DualChannelPE(kmemory_depth=4)
         pe.load_weight(2, 99)
         pe.select_weight(2)
-        assert pe.active_weight == 99
-        assert pe.kmemory_reads == 1
+        assert pe.weight_reg.value == 99
 
     def test_mac_uses_selected_channel(self):
-        pe = DualChannelPE(position=0)
+        pe = DualChannelPE()
         pe.load_weight(0, 3)
         pe.select_weight(0)
         outputs = pe.evaluate(PEInputs(even_pixel=2, odd_pixel=7, psum=TaggedPsum(0, 1),
@@ -39,26 +84,43 @@ class TestDualChannelPE:
         # the psum computed this cycle only becomes visible downstream after
         # two further edges; this cycle's downstream values are the reset ones
         assert outputs.psum is None
-        pe.evaluate(PEInputs(None, None, None, None))
+        pe.evaluate(IDLE)
         pe.tick()
-        outputs = pe.evaluate(PEInputs(None, None, None, None))
-        assert outputs.psum.value == 6
+        outputs = pe.evaluate(IDLE)
+        assert outputs.psum == TaggedPsum(6, 1)
+
+    def test_mac_is_psum_plus_pixel_times_weight(self):
+        pe = DualChannelPE()
+        pe.load_weight(0, 4)
+        pe.select_weight(0)
+        psum = _psum_two_cycles_later(pe, PEInputs(5, 3, TaggedPsum(10, 7), "odd"))
+        assert psum == TaggedPsum(22, 7)
+        assert pe.mac_count == 1
+
+    def test_mac_saturates_at_the_39_bit_accumulator(self):
+        pe = DualChannelPE(operand_format=FixedPointFormat(16, 8))
+        # 32-bit products plus ceil(log2(121)) = 7 guard bits
+        assert pe.accumulator_format.total_bits == 39
+        top = (1 << 38) - 1
+        pe.load_weight(0, 1000)
+        pe.select_weight(0)
+        high = _psum_two_cycles_later(pe, PEInputs(1000, None, TaggedPsum(top - 10, 1),
+                                                   "even"))
+        assert high.value == top
+        low = _psum_two_cycles_later(pe, PEInputs(-1000, None, TaggedPsum(-top, 1),
+                                                  "even"))
+        assert low.value == -(1 << 38)
 
     def test_missing_pixel_forwards_psum_unchanged(self):
-        pe = DualChannelPE(position=0)
+        pe = DualChannelPE()
         pe.load_weight(0, 3)
         pe.select_weight(0)
-        pe.evaluate(PEInputs(even_pixel=None, odd_pixel=None, psum=TaggedPsum(5, 1),
-                             channel_select="even"))
-        pe.tick()
-        pe.evaluate(PEInputs(None, None, None, None))
-        pe.tick()
-        outputs = pe.evaluate(PEInputs(None, None, None, None))
-        assert outputs.psum.value == 5
-        assert pe.idle_cycles >= 1
+        psum = _psum_two_cycles_later(pe, PEInputs(None, None, TaggedPsum(5, 1), "even"))
+        assert psum == TaggedPsum(5, 1)
+        assert pe.mac_count == 0
 
     def test_channel_registers_forward_with_one_cycle_delay(self):
-        pe = DualChannelPE(position=0)
+        pe = DualChannelPE()
         first = pe.evaluate(PEInputs(even_pixel=11, odd_pixel=22, psum=None, channel_select=None))
         assert first.even_pixel is None and first.odd_pixel is None
         pe.tick()
@@ -66,29 +128,40 @@ class TestDualChannelPE:
         assert second.even_pixel == 11 and second.odd_pixel == 22
 
     def test_reset_datapath_keeps_weights(self):
-        pe = DualChannelPE(position=0)
+        pe = DualChannelPE()
         pe.load_weight(0, 7)
         pe.select_weight(0)
         pe.evaluate(PEInputs(1, 1, TaggedPsum(0, 1), "even"))
         pe.tick()
         pe.reset_datapath()
-        assert pe.active_weight == 7
+        assert pe.weight_reg.value == 7
         assert pe.psum_reg_a.value is None
+
+    def test_kmemory_rejects_out_of_range_address(self):
+        pe = DualChannelPE(kmemory_depth=4)
+        with pytest.raises(CapacityError):
+            pe.load_weight(4, 1)
+        with pytest.raises(CapacityError):
+            pe.load_weight(-1, 1)
+        with pytest.raises(CapacityError):
+            pe.select_weight(4)
+
+    @pytest.mark.parametrize("depth", [0, -3])
+    def test_kmemory_rejects_non_positive_depth(self, depth):
+        with pytest.raises(CapacityError):
+            DualChannelPE(kmemory_depth=depth)
 
 
 class TestSystolicPrimitiveBasics:
     def test_kernel_loading_is_column_major(self):
         primitive = SystolicPrimitive(kernel_size=3)
         kernel = np.arange(9).reshape(3, 3)
-        cycles = primitive.load_kernel(kernel, slot=0)
+        primitive.load_kernel(kernel, slot=0)
         primitive.select_kernel(0)
-        assert cycles == 9
-        snapshot = primitive.weight_snapshot()
+        weights = [pe.weight_reg.value for pe in primitive.pes]
         # PE q holds kernel[q % K][q // K]
-        assert snapshot[0] == kernel[0, 0]
-        assert snapshot[1] == kernel[1, 0]
-        assert snapshot[3] == kernel[0, 1]
-        assert snapshot[8] == kernel[2, 2]
+        assert weights == [kernel[q % 3, q // 3] for q in range(9)]
+        assert weights[1] == kernel[1, 0] and weights[3] == kernel[0, 1]
 
     def test_kernel_shape_mismatch(self):
         primitive = SystolicPrimitive(kernel_size=3)
@@ -98,13 +171,6 @@ class TestSystolicPrimitiveBasics:
     def test_invalid_kernel_size(self):
         with pytest.raises(MappingError):
             SystolicPrimitive(kernel_size=0)
-
-    def test_stripe_must_be_2d(self):
-        primitive = SystolicPrimitive(kernel_size=2)
-        primitive.load_kernel(np.ones((2, 2)))
-        primitive.select_kernel()
-        with pytest.raises(SimulationError):
-            primitive.run_stripe(np.ones(5))
 
     def test_drain_latency_scales_with_kernel(self):
         assert SystolicPrimitive(3).drain_latency() == 2 * 9 + 2
@@ -122,7 +188,7 @@ class TestSystolicPrimitiveConvolution:
         result = primitive.run_stripe(stripe)
         expected = conv2d_single_channel(stripe.astype(float), kernel.astype(float))
         out_rows = rows - kernel_size + 1
-        produced = result.as_array(out_rows, width - kernel_size + 1)
+        produced = _dense(result, out_rows, width - kernel_size + 1)
         return result, produced, expected[:out_rows]
 
     def test_full_stripe_k3_matches_reference(self):
@@ -188,7 +254,7 @@ class TestSystolicPrimitiveProperties:
         result = primitive.run_stripe(stripe)
         expected = conv2d_single_channel(stripe.astype(float), weights.astype(float))
         out_rows = rows - kernel + 1
-        produced = result.as_array(out_rows, width - kernel + 1)
+        produced = _dense(result, out_rows, width - kernel + 1)
         np.testing.assert_array_equal(produced, expected[:out_rows])
 
     @given(

@@ -1,4 +1,4 @@
-"""Vectorized cycle-engine fast path: bit-identical to the scalar reference."""
+"""The cycle simulator equals its register-accurate oracle bit for bit."""
 
 from __future__ import annotations
 
@@ -9,12 +9,13 @@ from repro.cnn.generator import WorkloadGenerator
 from repro.cnn.layer import ConvLayer
 from repro.cnn.zoo import alexnet
 from repro.core.config import ChainConfig
-from repro.errors import ConfigurationError
+from repro.core.mapper import LayerMapper
 from repro.sim.cycle import (
     CycleAccurateChainSimulator,
     pair_geometry,
     stripe_mac_count,
 )
+from repro.sim.cycle.oracle import register_level_layer
 
 
 def _tensors(layer, seed=0):
@@ -22,58 +23,57 @@ def _tensors(layer, seed=0):
 
 
 def _both(layer, seed=0, config=None):
+    """``((oracle ofmaps, oracle stats), simulator result)`` on one workload."""
     config = config or ChainConfig()
     ifmaps, weights = _tensors(layer, seed)
-    scalar = CycleAccurateChainSimulator(config, backend="scalar").run_layer(
-        layer, ifmaps, weights)
-    fast = CycleAccurateChainSimulator(config, backend="vectorized").run_layer(
-        layer, ifmaps, weights)
-    return scalar, fast
+    oracle = register_level_layer(layer, ifmaps, weights,
+                                  kmemory_depth=config.kmemory_words_per_pe)
+    fast = CycleAccurateChainSimulator(config).run_layer(layer, ifmaps, weights)
+    return oracle, fast
 
 
-class TestBackendEquivalence:
-    """Acceptance: bit-identical ofmaps and identical stats on the unit layers."""
+class TestOracleEquivalence:
+    """Bit-identical ofmaps and identical stats on the unit layers."""
 
     def test_stride1_layer(self, tiny_layer):
-        scalar, fast = _both(tiny_layer)
-        assert np.array_equal(scalar.ofmaps, fast.ofmaps)
-        assert scalar.stats == fast.stats
+        (ofmaps, stats), fast = _both(tiny_layer)
+        assert np.array_equal(ofmaps, fast.ofmaps)
+        assert stats == fast.stats
 
     def test_strided_layer(self, strided_layer):
-        scalar, fast = _both(strided_layer, seed=1)
-        assert np.array_equal(scalar.ofmaps, fast.ofmaps)
-        assert scalar.stats == fast.stats
+        (ofmaps, stats), fast = _both(strided_layer, seed=1)
+        assert np.array_equal(ofmaps, fast.ofmaps)
+        assert stats == fast.stats
         assert fast.stats.outputs_discarded_by_stride > 0
 
     def test_grouped_layer(self, grouped_layer):
-        scalar, fast = _both(grouped_layer, seed=2)
-        assert np.array_equal(scalar.ofmaps, fast.ofmaps)
-        assert scalar.stats == fast.stats
+        (ofmaps, stats), fast = _both(grouped_layer, seed=2)
+        assert np.array_equal(ofmaps, fast.ofmaps)
+        assert stats == fast.stats
 
     def test_k5_layer(self):
         layer = ConvLayer("k5", 1, 2, 11, 11, kernel_size=5)
-        scalar, fast = _both(layer, seed=3)
-        assert np.array_equal(scalar.ofmaps, fast.ofmaps)
-        assert scalar.stats == fast.stats
+        (ofmaps, stats), fast = _both(layer, seed=3)
+        assert np.array_equal(ofmaps, fast.ofmaps)
+        assert stats == fast.stats
 
     def test_conv1_like_strided_k11(self):
         layer = ConvLayer("k11s4", 1, 1, 23, 23, kernel_size=11, stride=4)
-        scalar, fast = _both(layer, seed=4)
-        assert np.array_equal(scalar.ofmaps, fast.ofmaps)
-        assert scalar.stats == fast.stats
+        (ofmaps, stats), fast = _both(layer, seed=4)
+        assert np.array_equal(ofmaps, fast.ofmaps)
+        assert stats == fast.stats
 
     def test_asymmetric_padded_strided(self):
         layer = ConvLayer("oddgeom", 2, 2, 10, 12, kernel_size=3, stride=3, padding=2)
-        scalar, fast = _both(layer, seed=5)
-        assert np.array_equal(scalar.ofmaps, fast.ofmaps)
-        assert scalar.stats == fast.stats
+        (ofmaps, stats), fast = _both(layer, seed=5)
+        assert np.array_equal(ofmaps, fast.ofmaps)
+        assert stats == fast.stats
 
-    def test_chain_cycles_and_formats_agree(self, tiny_layer):
-        scalar, fast = _both(tiny_layer)
-        assert fast.chain_cycles_estimate == scalar.chain_cycles_estimate
-        assert fast.ifmap_format == scalar.ifmap_format
-        assert fast.weight_format == scalar.weight_format
-        assert fast.reference_max_abs_error == pytest.approx(0.0, abs=1e-9)
+    def test_chain_cycles_spread_the_oracle_cycles_over_the_primitives(self, tiny_layer):
+        (_, stats), fast = _both(tiny_layer)
+        primitives = LayerMapper(ChainConfig()).map_layer(tiny_layer).active_primitives
+        assert fast.chain_cycles_estimate == stats.primitive_cycles / primitives
+        assert fast.reference_max_abs_error == 0.0
 
 
 class TestAlexNetScale:
@@ -105,7 +105,3 @@ class TestGeometryHelpers:
         assert geometry.valid_windows == stride1_windows
         assert geometry.outputs_kept == tiny_layer.out_height * tiny_layer.out_width
         assert geometry.outputs_discarded == stride1_windows - geometry.outputs_kept
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="backend"):
-            CycleAccurateChainSimulator(backend="quantum")
