@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.cnn.zoo import get_network
+from repro.sim.cycle import pair_geometry
 from repro.obs.metrics import REGISTRY
 from repro.serve.protocol import (
     MapParams,
@@ -237,6 +239,23 @@ class TestCommands:
                                                              ["conv2", "K=5"]]
         assert all(re.search(r" max\|err\|=0\.00e\+00 cycles=\d+$", line)
                    for line in lines[:-1])
+
+    @pytest.mark.parametrize("network", ["cifar10", "lenet5", "alexnet"])
+    def test_verify_cycle_reports_closed_form_cycles(self, capsys, network):
+        assert main(["verify", "--network", network]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "verification PASSED"
+        # one exact line per conv layer; the cycles are the stripe geometry's
+        expected = [[layer.name, f"K={layer.kernel_size}", "max|err|=0.00e+00",
+                     f"cycles={pair_geometry(layer).primitive_cycles * layer.channel_pairs()}"]
+                    for layer in get_network(network).conv_layers]
+        assert [line.split() for line in lines[:-1]] == expected
+
+    def test_verify_cycle_rejects_algorithm(self, capsys):
+        assert main(["verify", "--algorithm", "winograd"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--algorithm applies to --sim functional only" in captured.err
 
 
 class TestEngineCommands:

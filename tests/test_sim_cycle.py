@@ -84,6 +84,20 @@ class TestCycleAccurateCorrectness:
         with pytest.raises(WorkloadError, match="K=13"):
             simulator.run_layer(layer, ifmaps, weights)
 
+    def test_kernel_12x12_rejected(self, simulator):
+        # the first kernel past the limit: 144 PEs > MAX_EXACT_KERNEL_PES
+        layer = ConvLayer("k12", 1, 1, 12, 12, kernel_size=12)
+        ifmaps, weights = _tensors(layer)
+        with pytest.raises(WorkloadError, match="K=12"):
+            simulator.run_layer(layer, ifmaps, weights)
+
+    def test_kernel_11x11_is_accepted(self, simulator):
+        layer = ConvLayer("k11", 2, 2, 15, 15, kernel_size=11, stride=2, padding=1)
+        ifmaps, weights = _tensors(layer, seed=9)
+        result = simulator.run_layer(layer, ifmaps, weights)
+        assert result.reference_max_abs_error == 0.0
+        assert result.stats.kmemory_reads == 121 * layer.channel_pairs()
+
 
 class TestExactReferenceCheck:
     """The on-the-fly golden check tolerates no difference at all."""

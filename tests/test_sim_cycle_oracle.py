@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.cnn.reference import conv2d_single_channel
 from repro.errors import CapacityError, MappingError
 from repro.hwmodel.fixed_point import FixedPointFormat
+from repro.sim.cycle import stripe_mac_count
 from repro.sim.cycle.oracle import (
     DualChannelPE,
     PEInputs,
@@ -29,6 +30,22 @@ def _psum_two_cycles_later(pe, inputs):
     pe.evaluate(IDLE)
     pe.tick()
     return pe.evaluate(IDLE).psum
+
+
+def _loaded_pe(weight):
+    """A PE whose active weight is ``weight`` (kMemory slot 0)."""
+    pe = DualChannelPE()
+    pe.load_weight(0, weight)
+    pe.select_weight(0)
+    return pe
+
+
+def _loaded_primitive(kernel):
+    """A primitive with ``kernel`` loaded into slot 0 and selected."""
+    primitive = SystolicPrimitive(kernel_size=len(kernel))
+    primitive.load_kernel(kernel)
+    primitive.select_kernel()
+    return primitive
 
 
 def _dense(result, out_rows, out_cols):
@@ -65,6 +82,20 @@ class TestRegister:
         assert reg.value == 7
         reg.tick()
         assert reg.value == 7
+
+    def test_reset_value_defaults_to_none(self):
+        # an empty channel or psum register reads None: the idle marker
+        reg = Register()
+        assert reg.value is None
+        reg.tick()
+        assert reg.value is None
+
+    def test_last_staged_value_wins(self):
+        reg = Register(reset_value=0)
+        reg.set_next(1)
+        reg.set_next(2)
+        reg.tick()
+        assert reg.value == 2
 
 
 class TestDualChannelPE:
@@ -151,6 +182,78 @@ class TestDualChannelPE:
         with pytest.raises(CapacityError):
             DualChannelPE(kmemory_depth=depth)
 
+    def test_psum_reaches_the_next_pe_exactly_two_edges_later(self):
+        pe = _loaded_pe(2)
+        seen = []
+        for inputs in (PEInputs(3, None, TaggedPsum(1, 4), "even"), IDLE, IDLE, IDLE):
+            seen.append(pe.evaluate(inputs).psum)
+            pe.tick()
+        assert seen == [None, None, TaggedPsum(7, 4), None]
+
+    def test_back_to_back_psums_emerge_in_order_one_per_cycle(self):
+        pe = _loaded_pe(1)
+        emerged = []
+        for cycle in range(1, 8):
+            inputs = (PEInputs(cycle, None, TaggedPsum(0, cycle), "even")
+                      if cycle <= 4 else IDLE)
+            emerged.append(pe.evaluate(inputs).psum)
+            pe.tick()
+        assert emerged == [None, None] + [TaggedPsum(t, t) for t in range(1, 5)] + [None]
+        assert pe.mac_count == 4
+
+    def test_mac_count_counts_every_mac(self):
+        pe = _loaded_pe(1)
+        for cycle in range(5):
+            pe.evaluate(PEInputs(1, 1, TaggedPsum(0, cycle), "odd"))
+            pe.tick()
+        assert pe.mac_count == 5
+
+    def test_idle_pe_performs_no_mac(self):
+        # without a channel select the PE is idle: nothing is accumulated
+        pe = _loaded_pe(3)
+        assert _psum_two_cycles_later(pe, PEInputs(2, 5, TaggedPsum(1, 1), None)) is None
+        assert _psum_two_cycles_later(pe, PEInputs(2, 5, None, "even")) is None
+        assert pe.mac_count == 0
+
+    def test_kmemory_slots_hold_independent_weights(self):
+        weights = (5, -7, 0, 32767)
+        pe = DualChannelPE(kmemory_depth=len(weights))
+        for slot, weight in enumerate(weights):
+            pe.load_weight(slot, weight)
+        for slot in (3, 1, 0, 2):
+            pe.select_weight(slot)
+            assert pe.weight_reg.value == weights[slot]
+
+    def test_kmemory_write_leaves_the_active_weight_until_reselected(self):
+        # weights are stationary: loading the next kernel does not disturb
+        # the MACs of the current one
+        pe = _loaded_pe(5)
+        pe.load_weight(0, 9)
+        assert pe.weight_reg.value == 5
+        psum = _psum_two_cycles_later(pe, PEInputs(2, None, TaggedPsum(0, 1), "even"))
+        assert psum.value == 10
+        pe.select_weight(0)
+        assert pe.weight_reg.value == 9
+
+    @pytest.mark.parametrize("total_bits, frac_bits", [(8, 4), (12, 6), (16, 8)])
+    def test_accumulator_holds_121_full_width_products(self, total_bits, frac_bits):
+        pe = DualChannelPE(operand_format=FixedPointFormat(total_bits, frac_bits))
+        # the product doubles the width; ceil(log2(121)) = 7 guard bits on top
+        assert pe.accumulator_format.total_bits == 2 * total_bits + 7
+        assert pe.accumulator_format.frac_bits == 2 * frac_bits
+        most_negative = -(1 << (total_bits - 1))
+        assert 121 * most_negative * most_negative <= pe.accumulator_format.raw_max
+
+    def test_reset_datapath_clears_channels_and_keeps_the_mac_count(self):
+        pe = _loaded_pe(1)
+        pe.evaluate(PEInputs(4, 6, TaggedPsum(0, 1), "odd"))
+        pe.tick()
+        pe.reset_datapath()
+        assert pe.even_reg.value is None and pe.odd_reg.value is None
+        assert pe.psum_reg_a.value is None and pe.psum_reg_b.value is None
+        # the primitive's MAC total spans stripes, which reset the datapath
+        assert pe.mac_count == 1
+
 
 class TestSystolicPrimitiveBasics:
     def test_kernel_loading_is_column_major(self):
@@ -175,6 +278,45 @@ class TestSystolicPrimitiveBasics:
     def test_drain_latency_scales_with_kernel(self):
         assert SystolicPrimitive(3).drain_latency() == 2 * 9 + 2
         assert SystolicPrimitive(5).drain_latency() == 2 * 25 + 2
+
+    def test_select_kernel_switches_kmemory_slot(self):
+        primitive = SystolicPrimitive(kernel_size=2)
+        first, second = np.array([[1, 2], [3, 4]]), np.array([[-5, 6], [7, -8]])
+        primitive.load_kernel(first, slot=0)
+        primitive.load_kernel(second, slot=1)
+        for slot, kernel in ((1, second), (0, first), (1, second)):
+            primitive.select_kernel(slot)
+            result = primitive.run_stripe(np.arange(9).reshape(3, 3))
+            expected = conv2d_single_channel(np.arange(9.0).reshape(3, 3),
+                                             kernel.astype(float))
+            np.testing.assert_array_equal(_dense(result, 2, 2), expected)
+
+    @pytest.mark.parametrize("kernel_size", [1, 2, 3, 4])
+    def test_window_emerges_2k_squared_cycles_after_injection(self, kernel_size):
+        primitive = _loaded_primitive(np.ones((kernel_size, kernel_size), dtype=int))
+        emerged = [(cycle, primitive.step(None, None, inject_window=cycle == 1))
+                   for cycle in range(1, primitive.drain_latency() + 2)]
+        finished = [(cycle, psum) for cycle, psum in emerged if psum is not None]
+        # K^2 MACs two cycles apart, then the last PE's two psum registers
+        assert finished == [(1 + 2 * kernel_size ** 2, TaggedPsum(0, 1))]
+        assert primitive.drain_latency() >= 2 * kernel_size ** 2
+
+    def test_reset_datapath_restarts_the_cycle_count(self):
+        primitive = _loaded_primitive(np.ones((2, 2), dtype=int))
+        for _ in range(3):
+            primitive.step(1, 2, inject_window=True)
+        assert primitive.cycle == 3
+        primitive.reset_datapath()
+        assert primitive.cycle == 0
+        # the windows in flight were flushed with the datapath
+        assert all(primitive.step(None, None, inject_window=False) is None
+                   for _ in range(primitive.drain_latency()))
+
+    def test_pixels_without_a_window_emit_nothing(self):
+        primitive = _loaded_primitive(np.ones((3, 3), dtype=int))
+        assert all(primitive.step(cycle, -cycle, inject_window=False) is None
+                   for cycle in range(40))
+        assert primitive.total_macs == 0
 
 
 class TestSystolicPrimitiveConvolution:
@@ -204,6 +346,14 @@ class TestSystolicPrimitiveConvolution:
         _, produced, expected = self._run(5, rows=9, width=12, seed=3)
         np.testing.assert_array_equal(produced, expected)
 
+    @pytest.mark.parametrize("kernel_size, width",
+                             [(1, 6), (4, 9), (6, 10), (7, 12), (11, 13)])
+    def test_full_stripe_matches_reference(self, kernel_size, width):
+        result, produced, expected = self._run(kernel_size, rows=2 * kernel_size - 1,
+                                                width=width, seed=kernel_size)
+        np.testing.assert_array_equal(produced, expected)
+        assert len(result.outputs) == expected.size
+
     def test_partial_stripe_produces_one_row(self):
         _, produced, expected = self._run(3, rows=3, width=8, seed=1)
         assert produced.shape == (1, 6)
@@ -232,6 +382,29 @@ class TestSystolicPrimitiveConvolution:
         for output in result.outputs:
             assert 0 <= output.out_row_in_stripe < 3
             assert 0 <= output.out_col < 7
+
+    @pytest.mark.parametrize("kernel_size, rows, width", [(3, 5, 9), (3, 3, 8), (5, 7, 12)])
+    def test_stripe_macs_equal_the_closed_form(self, kernel_size, rows, width):
+        result, _, _ = self._run(kernel_size, rows=rows, width=width)
+        assert result.macs == stripe_mac_count(kernel_size, width, rows)
+
+    def test_back_to_back_stripes_share_no_state(self):
+        rng = np.random.default_rng(7)
+        kernel = rng.integers(-4, 4, size=(3, 3))
+        first, second = rng.integers(-8, 8, size=(2, 5, 9))
+        reused = _loaded_primitive(kernel)
+        reused.run_stripe(first)
+        again = reused.run_stripe(second)
+        fresh = _loaded_primitive(kernel).run_stripe(second)
+        assert again.outputs == fresh.outputs
+        assert (again.cycles, again.macs) == (fresh.cycles, fresh.macs)
+
+    def test_total_macs_accumulate_across_stripes(self):
+        rng = np.random.default_rng(8)
+        primitive = _loaded_primitive(rng.integers(-4, 4, size=(3, 3)))
+        runs = [primitive.run_stripe(rng.integers(-8, 8, size=(rows, 9)))
+                for rows in (5, 4, 3)]
+        assert primitive.total_macs == sum(run.macs for run in runs)
 
 
 class TestSystolicPrimitiveProperties:

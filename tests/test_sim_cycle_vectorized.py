@@ -10,6 +10,7 @@ from repro.cnn.layer import ConvLayer
 from repro.cnn.zoo import alexnet
 from repro.core.config import ChainConfig
 from repro.core.mapper import LayerMapper
+from repro.errors import CapacityError
 from repro.sim.cycle import (
     CycleAccurateChainSimulator,
     pair_geometry,
@@ -68,6 +69,34 @@ class TestOracleEquivalence:
         (ofmaps, stats), fast = _both(layer, seed=5)
         assert np.array_equal(ofmaps, fast.ofmaps)
         assert stats == fast.stats
+
+    @pytest.mark.parametrize("total_bits", [8, 12])
+    def test_narrow_operands(self, tiny_layer, total_bits):
+        ifmaps, weights = _tensors(tiny_layer, seed=6)
+        ofmaps, stats = register_level_layer(tiny_layer, ifmaps, weights,
+                                             total_bits=total_bits)
+        fast = CycleAccurateChainSimulator(total_bits=total_bits).run_layer(
+            tiny_layer, ifmaps, weights)
+        assert fast.ifmap_format.total_bits == total_bits
+        assert np.array_equal(ofmaps, fast.ofmaps)
+        assert stats == fast.stats
+
+    def test_oracle_counters_follow_the_layer_geometry(self, grouped_layer):
+        (_, stats), _ = _both(grouped_layer, seed=7)
+        layer, k = grouped_layer, grouped_layer.kernel_size
+        pairs = layer.out_channels * layer.in_channels_per_group
+        stripes = len(range(0, layer.padded_height - k + 1, k))
+        assert stats.pairs_processed == pairs
+        assert stats.kmemory_reads == k * k * pairs
+        assert stats.stripes_processed == stripes * pairs
+        assert stats.kernel_load_cycles == layer.weight_count
+        assert stats.outputs_collected == (layer.out_channels * layer.out_height
+                                           * layer.out_width * layer.in_channels_per_group)
+
+    def test_oracle_kmemory_depth_reaches_the_pes(self, tiny_layer):
+        ifmaps, weights = _tensors(tiny_layer)
+        with pytest.raises(CapacityError):
+            register_level_layer(tiny_layer, ifmaps, weights, kmemory_depth=0)
 
     def test_chain_cycles_spread_the_oracle_cycles_over_the_primitives(self, tiny_layer):
         (_, stats), fast = _both(tiny_layer)
