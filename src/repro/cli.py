@@ -71,7 +71,6 @@ from repro.analysis.batch import DEFAULT_OBJECTIVES
 from repro.analysis.winograd import network_winograd_coverage, winograd_eligible
 from repro.analysis.report import render_bar_chart, render_dict_table, render_table
 from repro.analysis.sweep import DesignSpaceExplorer
-from repro.cnn.generator import WorkloadGenerator
 from repro.cnn.layer import FullyConnectedLayer
 from repro.cnn.network import Network
 from repro.cnn.zoo import NETWORKS, get_network, tiny_test_network
@@ -94,7 +93,6 @@ from repro.obs.export import export_trace, render_summary, summarize_trace
 from repro.obs.metrics import REGISTRY, render_metrics
 from repro.serve import payloads as serve_payloads
 from repro.serve.protocol import DEFAULT_PORT
-from repro.sim.cycle import CycleAccurateChainSimulator
 from repro.sim.network import FunctionalNetworkRunner
 
 
@@ -371,16 +369,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print("error: --algorithm applies to --sim functional only (the "
               "cycle simulator executes the direct dataflow)", file=sys.stderr)
         return 2
-    simulator = CycleAccurateChainSimulator(_config_from_args(args))
-    generator = WorkloadGenerator(seed=args.seed)
-    for layer in _verify_network(args).conv_layers:
-        # drawn on the simulator's grid, so its entry quantisation is exact
-        ifmaps, weights = generator.layer_pair(layer, bits=simulator.total_bits)
-        # run_layer raises on any nonzero difference from the direct golden
-        result = simulator.run_layer(layer, ifmaps, weights)
+    network = _verify_network(args)
+    # the cycle engine's simulator raises on any nonzero difference from the
+    # direct golden, so a record that comes back has verified every layer
+    record = create_engine("cycle", seed=args.seed).evaluate(
+        network, _config_from_args(args))
+    for layer in network.conv_layers:
+        simulated = record.extra["layers"][layer.name]
         print(f"{layer.name:<10} K={layer.kernel_size} "
-              f"max|err|={result.reference_max_abs_error:.2e} "
-              f"cycles={result.stats.primitive_cycles}")
+              f"max|err|={simulated['max_abs_error']:.2e} "
+              f"cycles={int(simulated['primitive_cycles'])}")
     print("verification PASSED")
     return 0
 

@@ -189,6 +189,6 @@ class Engine(abc.ABC):
         """Engine identity entering the cache key.
 
         Adapters extend this with every parameter that can change the result
-        (fidelity mode, simulation backend, tensor seed, ...).
+        (fidelity mode, algorithm, tensor seed, ...).
         """
         return {"name": self.name}

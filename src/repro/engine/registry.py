@@ -62,7 +62,7 @@ def create_engine(name: str, **kwargs) -> Engine:
     """Instantiate the engine registered under ``name``.
 
     Keyword arguments are forwarded to the factory, so engine-specific knobs
-    (``mode``, ``backend``, ``seed``, ...) stay reachable through the string
+    (``mode``, ``algorithm``, ``seed``, ...) stay reachable through the string
     interface.
     """
     try:

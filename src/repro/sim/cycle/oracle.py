@@ -190,13 +190,13 @@ class DualChannelPE:
 class SystolicPrimitive:
     """``K^2`` chained dual-channel PEs with stationary kernel weights."""
 
-    def __init__(self, kernel_size: int, kmemory_depth: int = 256,
+    def __init__(self, kernel_size: int,
                  operand_format: FixedPointFormat | None = None) -> None:
         if kernel_size < 1:
             raise MappingError(f"kernel_size must be >= 1, got {kernel_size}")
         self.kernel_size = kernel_size
         self.num_pes = kernel_size * kernel_size
-        self.pes = [DualChannelPE(kmemory_depth, operand_format)
+        self.pes = [DualChannelPE(operand_format=operand_format)
                     for _ in range(self.num_pes)]
         self.cycle = 0
 
@@ -295,8 +295,7 @@ class SystolicPrimitive:
 
 
 def register_level_layer(layer: ConvLayer, ifmaps: np.ndarray, weights: np.ndarray,
-                         total_bits: int = 16,
-                         kmemory_depth: int = 256) -> Tuple[np.ndarray, CycleSimStats]:
+                         total_bits: int = 16) -> Tuple[np.ndarray, CycleSimStats]:
     """Run a conv layer through one register-accurate primitive.
 
     Quantises ``ifmaps`` ``(C, H, W)`` and ``weights`` ``(M, C/g, K, K)``
@@ -315,8 +314,7 @@ def register_level_layer(layer: ConvLayer, ifmaps: np.ndarray, weights: np.ndarr
 
     k = layer.kernel_size
     stride = layer.stride
-    primitive = SystolicPrimitive(k, kmemory_depth,
-                                  FixedPointFormat(total_bits, ifmap_fmt.frac_bits))
+    primitive = SystolicPrimitive(k, FixedPointFormat(total_bits, ifmap_fmt.frac_bits))
     # the hardware loads each weight once per batch
     stats = CycleSimStats(kernel_load_cycles=layer.weight_count)
     raw_ofmaps = np.zeros(layer.out_shape, dtype=np.int64)

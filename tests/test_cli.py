@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
-from repro.cnn.zoo import get_network
-from repro.sim.cycle import pair_geometry
+from repro.cnn.generator import WorkloadGenerator
+from repro.cnn.zoo import get_network, tiny_test_network
+from repro.sim.cycle.oracle import register_level_layer
 from repro.obs.metrics import REGISTRY
 from repro.serve.protocol import (
     MapParams,
@@ -208,9 +209,15 @@ class TestCommands:
         assert main(["verify"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[-1] == "verification PASSED"
-        # one line per conv layer of the tiny network, each exact
-        assert [line.split()[0] for line in lines[:-1]] == ["convA", "convB"]
-        assert all(" max|err|=0.00e+00 cycles=" in line for line in lines[:-1])
+        # one exact line per conv layer of the tiny network; its cycle count
+        # is the register-accurate oracle's, which depends only on geometry
+        generator = WorkloadGenerator(seed=0)
+        expected = []
+        for layer in tiny_test_network().conv_layers:
+            _, stats = register_level_layer(layer, *generator.layer_pair(layer))
+            expected.append([layer.name, f"K={layer.kernel_size}",
+                             "max|err|=0.00e+00", f"cycles={stats.primitive_cycles}"])
+        assert [line.split() for line in lines[:-1]] == expected
 
     def test_verify_functional_tiny(self, capsys):
         assert main(["verify", "--sim", "functional"]) == 0
@@ -231,25 +238,17 @@ class TestCommands:
                             r"max\|err\|=0\.00e\+00 \(exact\), \d+ windows "
                             r"kept, \d+\.\d\ds", verdict), verdict
 
-    def test_verify_cycle_network(self, capsys):
-        assert main(["verify", "--network", "lenet5"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[-1] == "verification PASSED"
-        assert [line.split()[:2] for line in lines[:-1]] == [["conv1", "K=5"],
-                                                             ["conv2", "K=5"]]
-        assert all(re.search(r" max\|err\|=0\.00e\+00 cycles=\d+$", line)
-                   for line in lines[:-1])
-
     @pytest.mark.parametrize("network", ["cifar10", "lenet5", "alexnet"])
-    def test_verify_cycle_reports_closed_form_cycles(self, capsys, network):
+    def test_verify_cycle_network(self, capsys, network):
         assert main(["verify", "--network", network]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[-1] == "verification PASSED"
-        # one exact line per conv layer; the cycles are the stripe geometry's
-        expected = [[layer.name, f"K={layer.kernel_size}", "max|err|=0.00e+00",
-                     f"cycles={pair_geometry(layer).primitive_cycles * layer.channel_pairs()}"]
-                    for layer in get_network(network).conv_layers]
-        assert [line.split() for line in lines[:-1]] == expected
+        # one exact line per conv layer of the chosen network
+        assert [line.split()[:3] for line in lines[:-1]] == [
+            [layer.name, f"K={layer.kernel_size}", "max|err|=0.00e+00"]
+            for layer in get_network(network).conv_layers]
+        assert all(re.fullmatch(r"cycles=[1-9]\d*", line.split()[3])
+                   for line in lines[:-1])
 
     def test_verify_cycle_rejects_algorithm(self, capsys):
         assert main(["verify", "--algorithm", "winograd"]) == 2

@@ -10,7 +10,6 @@ from repro.cnn.layer import ConvLayer
 from repro.cnn.zoo import alexnet
 from repro.core.config import ChainConfig
 from repro.core.mapper import LayerMapper
-from repro.errors import CapacityError
 from repro.sim.cycle import (
     CycleAccurateChainSimulator,
     pair_geometry,
@@ -23,13 +22,11 @@ def _tensors(layer, seed=0):
     return WorkloadGenerator(seed=seed).layer_pair(layer)
 
 
-def _both(layer, seed=0, config=None):
+def _both(layer, seed=0):
     """``((oracle ofmaps, oracle stats), simulator result)`` on one workload."""
-    config = config or ChainConfig()
     ifmaps, weights = _tensors(layer, seed)
-    oracle = register_level_layer(layer, ifmaps, weights,
-                                  kmemory_depth=config.kmemory_words_per_pe)
-    fast = CycleAccurateChainSimulator(config).run_layer(layer, ifmaps, weights)
+    oracle = register_level_layer(layer, ifmaps, weights)
+    fast = CycleAccurateChainSimulator().run_layer(layer, ifmaps, weights)
     return oracle, fast
 
 
@@ -92,11 +89,6 @@ class TestOracleEquivalence:
         assert stats.kernel_load_cycles == layer.weight_count
         assert stats.outputs_collected == (layer.out_channels * layer.out_height
                                            * layer.out_width * layer.in_channels_per_group)
-
-    def test_oracle_kmemory_depth_reaches_the_pes(self, tiny_layer):
-        ifmaps, weights = _tensors(tiny_layer)
-        with pytest.raises(CapacityError):
-            register_level_layer(tiny_layer, ifmaps, weights, kmemory_depth=0)
 
     def test_chain_cycles_spread_the_oracle_cycles_over_the_primitives(self, tiny_layer):
         (_, stats), fast = _both(tiny_layer)
