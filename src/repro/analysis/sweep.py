@@ -122,8 +122,8 @@ class DesignSpaceExplorer:
         return SweepPoint(
             label=label or f"{config.num_pes} PEs @ {config.frequency_hz / 1e6:.0f} MHz",
             config=config,
-            peak_gops=metrics.get("peak_gops", config.peak_gops),
-            fps=metrics.get("fps", 0.0),
+            peak_gops=metrics["peak_gops"],
+            fps=metrics["fps"],
             power_w=metrics.get("power_w", 0.0),
             gops_per_watt=metrics.get("gops_per_watt", 0.0),
             worst_case_utilization=worst,
@@ -150,7 +150,7 @@ class DesignSpaceExplorer:
         """Frame rate versus batch size (kernel loading amortisation, Sec. V.B)."""
         config = base or ChainConfig()
         records = self.executor.run_batches(config, batches)
-        return {batch: record.metrics.get("fps", 0.0)
+        return {batch: record.metrics["fps"]
                 for batch, record in zip(batches, records)}
 
     # ------------------------------------------------------------------ #

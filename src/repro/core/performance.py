@@ -18,10 +18,13 @@ with two fidelity modes:
     <1 % and conv2 to ~18 % (see EXPERIMENTS.md).
 
 ``detailed``
-    The register-accurate accounting of the cycle-level simulator: integral
-    stripes (a short final stripe still pays full column cadence), padded
-    width, plus the per-stripe drain latency.  Used to cross-validate the
-    simulator and to quantify how optimistic the paper's accounting is.
+    The cycle simulator's accounting, read from the one closed form of a
+    pair's stripe geometry (:func:`repro.core.scan.pair_geometry`): integral
+    stride-1 stripes over the padded plane (a short final stripe still pays
+    full column cadence, a strided layer streams every row and keeps the
+    windows on its stride grid), plus the ``2K^2 + 2`` drain per stripe.
+    The ``cycle`` engine reads the same closed form, so the two report the
+    same time; this mode shows how optimistic the paper's accounting is.
 
 Kernel loading takes one weight per cycle (the rate the paper's per-layer
 kernel-load times imply) and happens once per batch.
@@ -35,7 +38,7 @@ from typing import Literal
 from repro.cnn.layer import ConvLayer
 from repro.core.config import ChainConfig
 from repro.core.mapper import LayerMapper, LayerMapping
-from repro.core.scan import ColumnScanSchedule, stripe_plan
+from repro.core.scan import pair_geometry
 from repro.errors import ConfigurationError
 
 Mode = Literal["paper", "detailed"]
@@ -70,26 +73,6 @@ def pair_cycles_paper(layer: ConvLayer) -> float:
     return stripes * per_stripe_cycles_paper(layer)
 
 
-def pair_cycles_detailed(layer: ConvLayer) -> int:
-    """Register-accurate cycles for one channel pair (cycle-sim accounting)."""
-    k = layer.kernel_size
-    width = layer.padded_width
-    total = 0
-    drain = 2 * k * k + 2
-    for out_rows in stripe_plan(layer.out_height, k):
-        stripe_rows = (out_rows - 1) * layer.stride + k
-        # strided layers stream every column at stride-1 cadence and
-        # discard the outputs that do not fall on the stride grid
-        schedule = ColumnScanSchedule(k, width, stripe_rows=min(stripe_rows, 2 * k - 1))
-        total += schedule.total_timestamps + drain
-    if layer.stride > 1:
-        # rows skipped vertically between stripes still have to be read
-        # out of iMemory but do not occupy the MAC schedule; the dominant
-        # term is the horizontal stride-1 streaming already counted above.
-        total = int(total * layer.stride)
-    return total
-
-
 def pair_cycles_for(layer: ConvLayer, mode: Mode, dual_channel: bool = True) -> float:
     """Dispatch the per-pair closed form by fidelity mode.
 
@@ -100,7 +83,7 @@ def pair_cycles_for(layer: ConvLayer, mode: Mode, dual_channel: bool = True) -> 
     if mode == "paper":
         pair = pair_cycles_paper(layer)
     elif mode == "detailed":
-        pair = float(pair_cycles_detailed(layer))
+        pair = float(pair_geometry(layer).primitive_cycles)
     else:
         raise ConfigurationError(f"mode must be 'paper' or 'detailed', got {mode!r}")
     return pair if dual_channel else pair * layer.kernel_size

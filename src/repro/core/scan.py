@@ -22,16 +22,18 @@ stripe produces fewer valid windows per column, which is the honest hardware
 behaviour (the analytical model optionally idealises this away the way the
 paper's numbers do).
 
-The helpers here compute the timestamp mapping, its inverse (which window
-ends at a given cycle), the per-PE channel-parity selection, and generate the
-full delivery schedule used by the cycle-level simulator's input feeder.
+:class:`ColumnScanSchedule` spells this schedule out pixel by pixel for the
+two test oracles and Fig. 5.  :func:`pair_geometry` is the same geometry in
+closed form for one channel pair: the one source of the per-pair counts of
+the ``analytical-detailed`` model and of both simulators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
+from repro.cnn.layer import ConvLayer
 from repro.errors import ConfigurationError
 
 
@@ -47,11 +49,6 @@ class PixelDelivery:
     timestamp: int
     even: Optional[Tuple[int, int]]
     odd: Optional[Tuple[int, int]]
-
-    @property
-    def pixel_count(self) -> int:
-        """Number of pixels delivered in this slot (0, 1 or 2)."""
-        return int(self.odd is not None) + int(self.even is not None)
 
 
 @dataclass(frozen=True)
@@ -114,11 +111,6 @@ class ColumnScanSchedule:
         """Largest timestamp used by the stripe (also the streaming cycle count)."""
         return self.timestamp(self.stripe_rows - 1, self.width - 1)
 
-    @property
-    def fill_latency(self) -> int:
-        """Timestamp of the first completed window (``K^2``)."""
-        return self.kernel_size * self.kernel_size
-
     def pixels_at(self, timestamp: int) -> List[Tuple[int, int]]:
         """All stripe pixels sharing ``timestamp`` (at most two)."""
         if timestamp < 1 or timestamp > self.total_timestamps:
@@ -146,11 +138,6 @@ class ColumnScanSchedule:
                 odd = (row, col)
         return PixelDelivery(timestamp=timestamp, even=even, odd=odd)
 
-    def deliveries(self) -> Iterator[PixelDelivery]:
-        """Iterate the full delivery schedule of the stripe in timestamp order."""
-        for timestamp in range(1, self.total_timestamps + 1):
-            yield self.delivery_at(timestamp)
-
     # ------------------------------------------------------------------ #
     # window arithmetic
     # ------------------------------------------------------------------ #
@@ -171,70 +158,42 @@ class ColumnScanSchedule:
             return WindowTag(timestamp, -1, -1, valid=False)
         return WindowTag(timestamp, out_row, out_col, valid=True)
 
-    def window_pixels(self, out_row: int, out_col: int) -> List[Tuple[int, int]]:
-        """Window pixels in column-major (scan) order for a given output position."""
-        k = self.kernel_size
-        if not (0 <= out_row < self.out_rows):
-            raise ConfigurationError(f"out_row {out_row} outside stripe outputs")
-        if not (0 <= out_col <= self.width - k):
-            raise ConfigurationError(f"out_col {out_col} leaves no room for the kernel")
-        return [(out_row + i, out_col + j) for j in range(k) for i in range(k)]
-
     def valid_windows(self) -> List[WindowTag]:
         """All valid windows of the stripe, in completion (timestamp) order."""
         windows = []
-        for timestamp in range(self.fill_latency, self.total_timestamps + 1):
+        for timestamp in range(self.kernel_size ** 2, self.total_timestamps + 1):
             tag = self.window_ending_at(timestamp)
             if tag.valid:
                 windows.append(tag)
         return windows
 
     # ------------------------------------------------------------------ #
-    # PE-level selection
-    # ------------------------------------------------------------------ #
-    def pe_column(self, pe_index: int, timestamp: int) -> Optional[int]:
-        """Absolute column of the pixel PE ``pe_index`` consumes at ``timestamp``.
-
-        PE ``q`` (0-based position inside the primitive, which is also the
-        column-major index of its stationary weight) serves, at timestamp
-        ``u``, the window whose scan started at timestamp ``u - q``; its
-        in-window column offset is ``q // K``.  Returns ``None`` while the
-        pipeline is still filling (no window has reached this PE yet).
-        """
-        k = self.kernel_size
-        if not (0 <= pe_index < k * k):
-            raise ConfigurationError(f"pe_index {pe_index} outside primitive of {k * k} PEs")
-        start_ts = timestamp - pe_index
-        if start_ts < 1:
-            return None
-        window_col = (start_ts - 1) // k
-        return window_col + pe_index // k
-
-    def pe_channel_select(self, pe_index: int, timestamp: int) -> Optional[str]:
-        """Which ifmap channel ('even'/'odd' column parity) the PE taps at ``timestamp``."""
-        column = self.pe_column(pe_index, timestamp)
-        if column is None:
-            return None
-        return "even" if column % 2 == 0 else "odd"
-
-    # ------------------------------------------------------------------ #
-    # bandwidth statistics
+    # statistics
     # ------------------------------------------------------------------ #
     def pixels_streamed(self) -> int:
         """Total pixels delivered over the stripe (= stripe_rows * width)."""
         return self.stripe_rows * self.width
 
-    def peak_pixels_per_cycle(self) -> int:
-        """Maximum pixels delivered in any single timestamp slot."""
-        return max(delivery.pixel_count for delivery in self.deliveries())
-
-    def average_pixels_per_cycle(self) -> float:
-        """Average delivery rate over the stripe."""
-        return self.pixels_streamed() / self.total_timestamps
-
     def utilization(self) -> float:
         """Fraction of streaming cycles that complete a valid window."""
         return len(self.valid_windows()) / self.total_timestamps
+
+
+def _stripe_split(out_height: int, kernel_size: int,
+                  stripe_height: Optional[int]) -> Tuple[int, int, int]:
+    """``(height, full, remainder)``: ``full`` stripes of ``height`` output
+    rows, then one of ``remainder`` rows if it is nonzero."""
+    if out_height < 1:
+        raise ConfigurationError(f"out_height must be >= 1, got {out_height}")
+    if kernel_size < 1:
+        raise ConfigurationError(f"kernel_size must be >= 1, got {kernel_size}")
+    height = kernel_size if stripe_height is None else stripe_height
+    if not (1 <= height <= kernel_size):
+        raise ConfigurationError(
+            f"stripe_height must be in [1, {kernel_size}], got {height}"
+        )
+    full, remainder = divmod(out_height, height)
+    return height, full, remainder
 
 
 def stripe_plan(out_height: int, kernel_size: int,
@@ -249,17 +208,77 @@ def stripe_plan(out_height: int, kernel_size: int,
     output-row counts per stripe (all ``stripe_height`` except a
     possibly-shorter final stripe), e.g. ``stripe_plan(13, 3) == [3, 3, 3, 3, 1]``.
     """
-    if out_height < 1:
-        raise ConfigurationError(f"out_height must be >= 1, got {out_height}")
-    if kernel_size < 1:
-        raise ConfigurationError(f"kernel_size must be >= 1, got {kernel_size}")
-    height = kernel_size if stripe_height is None else stripe_height
-    if not (1 <= height <= kernel_size):
-        raise ConfigurationError(
-            f"stripe_height must be in [1, {kernel_size}], got {height}"
-        )
-    full, remainder = divmod(out_height, height)
+    height, full, remainder = _stripe_split(out_height, kernel_size, stripe_height)
     plan = [height] * full
     if remainder:
         plan.append(remainder)
     return plan
+
+
+def stripe_mac_count(kernel_size: int, width: int, rows: int) -> int:
+    """MACs one primitive performs streaming one ``rows x width`` stripe.
+
+    The window injected at streaming cycle ``s`` (``1 <= s <= K(width-1) +
+    rows``, with ``oc = (s-1) // K`` and ``r0 = (s-1) % K``) meets at PE
+    ``q`` the pixel ``(r0 + q % K, oc + q // K)``, and the PE performs a MAC
+    iff that pixel lies inside the stripe.  The count over ``s`` and ``q``
+    factorises into a column sum, ``sum over oc of min(K, width - oc)``, times
+    a row sum, ``sum over r0 of min(K, rows - r0)``, which with ``d = rows -
+    K + 1`` output rows is ``K*d + (K-1+d)(K-d)/2``.
+    """
+    k = kernel_size
+    d = rows - k + 1
+    columns = k * (k + 1) // 2 + k * (width - k)
+    return columns * (k * d + (k - 1 + d) * (k - d) // 2)
+
+
+@dataclass(frozen=True)
+class PairGeometry:
+    """What one primitive streams and counts for one channel pair of a layer.
+
+    Every (ofmap, ifmap) channel pair of a layer shares this geometry, so
+    layer totals are these values times ``layer.channel_pairs()``.
+    """
+
+    stripes: int
+    pixels_streamed: int
+    scan_cycles: int  # K * (W_p - 1) + rows per stripe
+    drain_cycles: int  # 2K^2 + 2 per stripe, until the last window leaves
+    macs: int
+    windows_evaluated: int  # valid stride-1 windows
+    windows_kept: int  # the windows on the stride grid inside the ofmap
+
+    @property
+    def primitive_cycles(self) -> int:
+        """Scan plus drain cycles: the primitive's time for the pair."""
+        return self.scan_cycles + self.drain_cycles
+
+
+def pair_geometry(layer: ConvLayer, stripe_height: Optional[int] = None) -> PairGeometry:
+    """Closed-form :class:`PairGeometry` of one channel pair of ``layer``.
+
+    The stripes split the stride-1 output rows of the padded plane
+    (:func:`stripe_plan`, ``stripe_height`` defaulting to ``K``), so a
+    strided layer streams every input row at stride-1 cadence and keeps the
+    windows on its stride grid.  A stripe of ``d`` output rows streams ``d +
+    K - 1`` input rows; every stripe has ``stripe_height`` output rows except
+    possibly the last, so a pair has at most two stripe shapes.
+    """
+    k = layer.kernel_size
+    width = layer.padded_width
+    out_rows = layer.padded_height - k + 1
+    height, full, remainder = _stripe_split(out_rows, k, stripe_height)
+    stripes = full + (remainder > 0)
+    streamed_rows = out_rows + stripes * (k - 1)
+    macs = full * stripe_mac_count(k, width, height + k - 1)
+    if remainder:
+        macs += stripe_mac_count(k, width, remainder + k - 1)
+    return PairGeometry(
+        stripes=stripes,
+        pixels_streamed=streamed_rows * width,
+        scan_cycles=stripes * k * (width - 1) + streamed_rows,
+        drain_cycles=stripes * (2 * k * k + 2),
+        macs=macs,
+        windows_evaluated=out_rows * (width - k + 1),
+        windows_kept=layer.out_height * layer.out_width,
+    )

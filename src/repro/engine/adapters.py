@@ -249,7 +249,10 @@ class MappedAnalyticalEngine(Engine):
 class CycleEngine(Engine):
     """Cycle-accurate simulation of every conv layer on seeded tensors.
 
-    Each layer runs on :class:`~repro.sim.cycle.CycleAccurateChainSimulator`
+    Its time is the closed form :func:`repro.core.scan.pair_geometry` that it
+    shares with ``analytical-detailed``, so the two report the same time.
+    What the simulation adds is the exact data check and the counters: each
+    layer runs on :class:`~repro.sim.cycle.CycleAccurateChainSimulator`
     (kernels up to 11x11) and is checked exactly against the direct golden
     on the operands it simulated.
     """

@@ -30,10 +30,22 @@ _M_GRID_CHUNKS_CACHED = obs_metrics.counter("sweep.grid_chunks_cached")
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.analysis.batch import BatchSweepResult, DesignGrid
 
+#: the metrics every engine reports: a cached point record that lacks one is
+#: a miss, quarantined and re-evaluated, not a row of zeros
+POINT_METRICS = ("fps", "peak_gops", "total_time_per_batch_s")
+
 #: grid points per columnar chunk: 8192 points x ~14 float64 working columns
 #: is under 1 MB, so a chunk's whole working set stays cache-resident while
 #: still amortising the per-chunk constant-folding overhead
 GRID_CHUNK_POINTS = 8192
+
+
+def _point_record(record: RunRecord) -> RunRecord:
+    """``record``, or ``KeyError`` when it lacks one of :data:`POINT_METRICS`."""
+    missing = [name for name in POINT_METRICS if name not in record.metrics]
+    if missing:
+        raise KeyError(f"point record lacks {', '.join(missing)}")
+    return record
 
 
 class SweepExecutor:
@@ -104,7 +116,11 @@ class SweepExecutor:
         points: Sequence[Tuple[Optional[ChainConfig], int]],
         network: Optional[Network] = None,
     ) -> List[RunRecord]:
-        """Evaluate arbitrary (config, batch) points, cached."""
+        """Evaluate arbitrary (config, batch) points, cached.
+
+        A cached record without one of :data:`POINT_METRICS` is a miss: it
+        is quarantined, re-evaluated and overwritten.
+        """
         network = network or self.network
         if network is None:
             raise ValueError("SweepExecutor needs a network (constructor or run())")
@@ -116,7 +132,8 @@ class SweepExecutor:
             records: List[Optional[RunRecord]] = [None] * len(points)
             pending: List[int] = []
             for index, key in enumerate(keys):
-                cached = self.cache.get(key) if self.cache is not None else None
+                cached = (self.cache.get(key, decode=_point_record)
+                          if self.cache is not None else None)
                 if cached is not None:
                     records[index] = cached
                 else:

@@ -7,8 +7,6 @@ from repro.sim.functional import (
     FunctionalRunStats,
 )
 from repro.sim.functional_vectorized import (
-    PairWindowStats,
-    pair_window_stats,
     stride_keep_mask,
     vectorized_layer_ofmaps,
 )
@@ -28,9 +26,7 @@ __all__ = [
     "FunctionalRunResult",
     "FunctionalRunStats",
     "NetworkRunResult",
-    "PairWindowStats",
     "StageReport",
-    "pair_window_stats",
     "pool2d",
     "stride_keep_mask",
     "vectorized_layer_ofmaps",

@@ -5,13 +5,9 @@ from repro.sim.cycle.engine import (
     CycleSimResult,
     CycleSimStats,
 )
-from repro.sim.cycle.vectorized import PairGeometryStats, pair_geometry, stripe_mac_count
 
 __all__ = [
     "CycleAccurateChainSimulator",
     "CycleSimResult",
     "CycleSimStats",
-    "PairGeometryStats",
-    "pair_geometry",
-    "stripe_mac_count",
 ]

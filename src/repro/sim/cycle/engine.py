@@ -9,9 +9,10 @@ reference.
 The simulator works on 16-bit fixed-point raw values, so it also demonstrates
 the numeric path (quantise → integer MACs → wide accumulator → dequantise).
 It batches each stripe's MAC schedule into NumPy array operations: one exact
-im2col GEMM per channel group on the raw integers, and closed-form
-cycle/MAC counters (see :mod:`repro.sim.cycle.vectorized`), fast enough to
-cycle-verify full VGG-16.  Its test oracle,
+im2col GEMM per channel group on the raw integers (see
+:mod:`repro.sim.cycle.vectorized`), fast enough to cycle-verify full VGG-16.
+Its cycle/MAC counters are the closed form
+:func:`repro.core.scan.pair_geometry` times the channel pairs.  Its test oracle,
 :func:`repro.sim.cycle.oracle.register_level_layer`, ticks every PE register
 of a systolic primitive and yields the same ofmaps and counters.
 
@@ -31,13 +32,10 @@ from repro.cnn.quantize import choose_format
 from repro.cnn.reference import conv2d_direct, pad_input
 from repro.core.config import ChainConfig
 from repro.core.mapper import LayerMapper
+from repro.core.scan import pair_geometry
 from repro.errors import SimulationError, WorkloadError
 from repro.hwmodel.fixed_point import FixedPointFormat
-from repro.sim.cycle.vectorized import (
-    MAX_EXACT_KERNEL_PES,
-    correlate_layer_raw,
-    pair_geometry,
-)
+from repro.sim.cycle.vectorized import MAX_EXACT_KERNEL_PES, correlate_layer_raw
 
 
 @dataclass
@@ -129,8 +127,9 @@ class CycleAccurateChainSimulator:
             macs=geometry.macs * pairs,
             pairs_processed=pairs,
             stripes_processed=geometry.stripes * pairs,
-            outputs_collected=geometry.outputs_kept * pairs,
-            outputs_discarded_by_stride=geometry.outputs_discarded * pairs,
+            outputs_collected=geometry.windows_kept * pairs,
+            outputs_discarded_by_stride=(geometry.windows_evaluated
+                                         - geometry.windows_kept) * pairs,
             kmemory_reads=k * k * pairs,
         )
         raw_ofmaps = correlate_layer_raw(layer, raw_ifmaps, raw_weights,

@@ -4,9 +4,9 @@ The register-accurate oracle (:mod:`repro.sim.cycle.oracle`) ticks every PE
 of a systolic primitive in Python, which limits it to tiny layers.  This
 module replays the *same* execution — channel pairs, stripes, column-wise
 scan, stride filtering — with whole-array integer operations, producing the
-oracle's raw ofmaps bit for bit and its
-:class:`~repro.sim.cycle.engine.CycleSimStats` counters exactly at a
-fraction of the cost, so full AlexNet-scale layers become cycle-verifiable.
+oracle's raw ofmaps bit for bit at a fraction of the cost (and, with the
+closed-form counters, its :class:`~repro.sim.cycle.engine.CycleSimStats`
+exactly), so full AlexNet-scale layers become cycle-verifiable.
 
 Two observations make this possible:
 
@@ -25,20 +25,14 @@ Two observations make this possible:
   121 products of 16-bit operands), so the exact sum is the hardware's.
 
 * **Counters.**  Whether a PE performs a MAC in a given cycle depends only
-  on the stripe geometry, never on pixel values: the window injected at
-  streaming cycle ``s`` reaches PE ``q`` at cycle ``s + 2q`` together with
-  the pixel streamed at timestamp ``s + q``, and that pixel exists iff its
-  stripe coordinates ``(r0 + q % K, oc + q // K)`` fall inside the stripe
-  (``oc = (s-1) // K``, ``r0 = (s-1) % K``).  Summing the indicator over
-  ``s`` and ``q`` factorises into a product of two clamped ranges, giving a
-  closed form for the MAC count per stripe; cycles, windows and stride
-  discards follow from the same geometry.  All counters are therefore
-  per-pair constants multiplied by the number of channel pairs.
+  on the stripe geometry, never on pixel values, and so do the cycles,
+  windows and stride discards.  Every counter is therefore a per-pair
+  constant times the number of channel pairs, and the constants come from
+  the closed form :func:`repro.core.scan.pair_geometry`, which the
+  ``analytical-detailed`` model reads too.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,69 +45,6 @@ from repro.sim.functional_vectorized import vectorized_layer_ofmaps
 #: longer equal the hardware's sums, so the cycle simulator rejects such
 #: kernels.
 MAX_EXACT_KERNEL_PES = 121
-
-
-@dataclass(frozen=True)
-class PairGeometryStats:
-    """Per-channel-pair counters implied by the stripe geometry of a layer.
-
-    These are exactly what the oracle counts while streaming one pair;
-    every pair of a layer shares the same geometry, so layer totals are these
-    values multiplied by ``layer.channel_pairs()``.
-    """
-
-    primitive_cycles: int
-    macs: int
-    stripes: int
-    valid_windows: int
-    outputs_kept: int
-    outputs_discarded: int
-
-
-def stripe_mac_count(kernel_size: int, width: int, rows: int) -> int:
-    """MACs the oracle's primitive performs streaming one stripe of one pair.
-
-    A window injected at streaming cycle ``s`` (``1 <= s <= T`` with
-    ``T = K * (width - 1) + rows``) triggers a MAC at PE ``q`` iff the
-    scheduled pixel ``(r0 + q % K, oc + q // K)`` lies inside the stripe.
-    The indicator factorises per ``s`` into ``clip(width - oc, 0, K) *
-    clip(rows - r0, 0, K)``.
-    """
-    k = kernel_size
-    total = k * (width - 1) + rows
-    s = np.arange(total, dtype=np.int64)
-    cols = np.clip(width - s // k, 0, k)
-    row_counts = np.clip(rows - s % k, 0, k)
-    return int(np.sum(cols * row_counts))
-
-
-def pair_geometry(layer: ConvLayer) -> PairGeometryStats:
-    """Counters for one channel pair of ``layer`` (shared by all its pairs)."""
-    k = layer.kernel_size
-    padded_h = layer.padded_height
-    padded_w = layer.padded_width
-    drain = 2 * k * k + 2
-
-    primitive_cycles = 0
-    macs = 0
-    stripes = 0
-    valid_windows = 0
-    for base in range(0, padded_h - k + 1, k):
-        rows = min(2 * k - 1, padded_h - base)
-        primitive_cycles += k * (padded_w - 1) + rows + drain
-        macs += stripe_mac_count(k, padded_w, rows)
-        valid_windows += (rows - k + 1) * (padded_w - k + 1)
-        stripes += 1
-
-    kept = layer.out_height * layer.out_width
-    return PairGeometryStats(
-        primitive_cycles=primitive_cycles,
-        macs=macs,
-        stripes=stripes,
-        valid_windows=valid_windows,
-        outputs_kept=kept,
-        outputs_discarded=valid_windows - kept,
-    )
 
 
 def correlate_layer_raw(layer: ConvLayer, raw_ifmaps: np.ndarray,

@@ -39,10 +39,10 @@ from repro.cnn.layer import ConvLayer
 from repro.cnn.reference import conv2d_im2col, pad_input
 from repro.core.config import ChainConfig
 from repro.core.mapper import LayerMapper
-from repro.core.scan import ColumnScanSchedule
+from repro.core.scan import ColumnScanSchedule, pair_geometry
 from repro.errors import ConfigurationError, SimulationError, WorkloadError
 from repro.hwmodel.fixed_point import WINOGRAD_GROWTH_BITS, check_exact_accumulation
-from repro.sim.functional_vectorized import pair_window_stats, vectorized_layer_ofmaps
+from repro.sim.functional_vectorized import vectorized_layer_ofmaps
 
 # NOTE: repro.analysis.winograd / repro.sim.winograd are imported lazily
 # inside the Winograd code paths — repro.sim is itself imported while
@@ -145,8 +145,12 @@ class FunctionalChainSimulator:
     @staticmethod
     def _closed_form_stats(layer: ConvLayer,
                            stripe_height: int) -> FunctionalRunStats:
-        """Layer counters of the direct dataflow, from the per-pair closed forms."""
-        per_pair = pair_window_stats(layer, stripe_height)
+        """Layer counters of the direct dataflow, from the per-pair closed form.
+
+        The functional simulator counts the scan cycles only; the cycle
+        simulator adds the drain.
+        """
+        per_pair = pair_geometry(layer, stripe_height)
         pairs = layer.channel_pairs()
         return FunctionalRunStats(
             windows_evaluated=per_pair.windows_evaluated * pairs,
@@ -154,7 +158,7 @@ class FunctionalChainSimulator:
             stripes_processed=per_pair.stripes * pairs,
             pairs_processed=pairs,
             pixels_streamed=per_pair.pixels_streamed * pairs,
-            primitive_cycles=per_pair.primitive_cycles * pairs,
+            primitive_cycles=per_pair.scan_cycles * pairs,
         )
 
     @staticmethod

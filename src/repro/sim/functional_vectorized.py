@@ -26,8 +26,9 @@ operations:
 * **Counters.**  Whether a window exists and whether it survives the stride
   filter depends only on the layer geometry, never on pixel values, so every
   :class:`~repro.sim.functional.FunctionalRunStats` counter is a per-pair
-  constant (closed form over the stripe plan) multiplied by the number of
-  channel pairs.
+  constant times the number of channel pairs.  The constants come from
+  :func:`repro.core.scan.pair_geometry`, the closed form the cycle
+  simulator reads too, without its drain cycles.
 
 What this path verifies that the im2col golden does not: the kept-window
 selection, the group and padding assembly of the ofmaps, and the
@@ -38,66 +39,12 @@ small layers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.cnn.layer import ConvLayer
 from repro.cnn.reference import strided_windows
 from repro.kernels import get_backend
 from repro.kernels.numpy_backend import GEMM_BLOCK_BYTES
-
-
-@dataclass(frozen=True)
-class PairWindowStats:
-    """Per-channel-pair dataflow counters implied by the stripe geometry.
-
-    Every (ofmap, ifmap) channel pair of a layer shares the same stripe plan,
-    so the layer totals of :class:`~repro.sim.functional.FunctionalRunStats`
-    are these values multiplied by ``layer.channel_pairs()``.
-    """
-
-    stripes: int
-    pixels_streamed: int
-    primitive_cycles: int
-    windows_evaluated: int
-    windows_kept: int
-
-
-def pair_window_stats(layer: ConvLayer,
-                      stripe_height: int | None = None) -> PairWindowStats:
-    """Closed-form counters for one channel pair of ``layer``.
-
-    Mirrors the oracle walk's pair loop: stripe bases step ``stripe_height``
-    (default ``K``, the paper's full stripe) over the stride-1 output rows; a
-    stripe of ``rows`` input rows streams ``rows * width`` pixels over
-    ``K * (width - 1) + rows`` timestamps and completes
-    ``(rows - K + 1) * (width - K + 1)`` valid windows; the stride filter
-    keeps the windows on the stride grid that map inside the ofmap.
-    """
-    k = layer.kernel_size
-    height = k if stripe_height is None else stripe_height
-    padded_h = layer.padded_height
-    padded_w = layer.padded_width
-
-    stripes = 0
-    pixels = 0
-    cycles = 0
-    evaluated = 0
-    for base in range(0, padded_h - k + 1, height):
-        rows = min(height + k - 1, padded_h - base)
-        stripes += 1
-        pixels += rows * padded_w
-        cycles += k * (padded_w - 1) + rows
-        evaluated += (rows - k + 1) * (padded_w - k + 1)
-
-    return PairWindowStats(
-        stripes=stripes,
-        pixels_streamed=pixels,
-        primitive_cycles=cycles,
-        windows_evaluated=evaluated,
-        windows_kept=layer.out_height * layer.out_width,
-    )
 
 
 def stride_keep_mask(layer: ConvLayer) -> np.ndarray:

@@ -564,3 +564,20 @@ class TestCorruptChunkRecord:
         assert run_cli_counting(argv) == (0, uncached, (6, 1))
         assert "metrics" in json.loads(paths[0].read_text(encoding="utf-8"))
         assert run_cli_counting(argv) == (0, uncached, (7, 0))
+
+    @pytest.mark.parametrize("metric", ["fps", "peak_gops", "total_time_per_batch_s"])
+    def test_point_record_without_a_shared_metric_is_reevaluated(self, tmp_path,
+                                                                 metric):
+        """Every engine reports these three, so a record without one is a miss."""
+        status, uncached, _ = run_cli(self.POINTS_ARGV + ["--no-cache"])
+        assert status == 0
+        argv = self.POINTS_ARGV + ["--cache-dir", str(tmp_path)]
+        assert run_cli(argv)[:2] == (0, uncached)
+        path = sorted(tmp_path.glob("*.json"))[0]
+        record = json.loads(path.read_text(encoding="utf-8"))
+        del record["metrics"][metric]
+        path.write_text(json.dumps(record), encoding="utf-8")
+
+        assert run_cli_counting(argv) == (0, uncached, (6, 1))
+        assert metric in json.loads(path.read_text(encoding="utf-8"))["metrics"]
+        assert run_cli_counting(argv) == (0, uncached, (7, 0))

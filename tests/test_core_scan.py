@@ -6,8 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.scan import ColumnScanSchedule, stripe_plan
+from repro.cnn.layer import ConvLayer
+from repro.core.scan import ColumnScanSchedule, pair_geometry, stripe_mac_count, stripe_plan
 from repro.errors import ConfigurationError
+from repro.sim.functional_vectorized import stride_keep_mask
+
+
+def _delivered(schedule, timestamp):
+    """Pixels the two channels carry at ``timestamp``."""
+    delivery = schedule.delivery_at(timestamp)
+    return [pixel for pixel in (delivery.even, delivery.odd) if pixel is not None]
+
+
+def _window_timestamps(schedule, tag):
+    """Timestamps of the ``K x K`` patch of ``tag``'s window, column-major."""
+    k = schedule.kernel_size
+    return [schedule.timestamp(tag.out_row_in_stripe + i, tag.out_col + j)
+            for j in range(k) for i in range(k)]
 
 
 class TestTimestampMapping:
@@ -23,8 +38,11 @@ class TestTimestampMapping:
         assert schedule.total_timestamps == 3 * 7 + 5  # K*(W-1) + (2K-1)
 
     def test_fill_latency_is_k_squared(self):
-        assert ColumnScanSchedule(3, 8).fill_latency == 9
-        assert ColumnScanSchedule(5, 12).fill_latency == 25
+        # the first window completes at timestamp K^2
+        for kernel, width in ((3, 8), (5, 12)):
+            schedule = ColumnScanSchedule(kernel, width)
+            assert schedule.valid_windows()[0].timestamp == kernel * kernel
+            assert not schedule.window_ending_at(kernel * kernel - 1).valid
 
     def test_out_of_range_rejected(self):
         schedule = ColumnScanSchedule(3, 8)
@@ -47,9 +65,13 @@ class TestTimestampMapping:
 class TestDualChannelInvariant:
     @pytest.mark.parametrize("kernel", [2, 3, 5, 7])
     def test_at_most_two_pixels_share_a_timestamp(self, kernel):
+        # the two channels carry every pixel of a timestamp, so no two of
+        # them share a column parity
         schedule = ColumnScanSchedule(kernel, width=4 * kernel)
-        for delivery in schedule.deliveries():
-            assert delivery.pixel_count <= 2
+        for timestamp in range(1, schedule.total_timestamps + 1):
+            pixels = schedule.pixels_at(timestamp)
+            assert len(pixels) <= 2
+            assert sorted(_delivered(schedule, timestamp)) == sorted(pixels)
 
     def test_shared_pixels_have_opposite_column_parity(self):
         schedule = ColumnScanSchedule(3, 10)
@@ -61,17 +83,17 @@ class TestDualChannelInvariant:
     def test_every_pixel_delivered_exactly_once(self):
         schedule = ColumnScanSchedule(3, 6)
         seen = set()
-        for delivery in schedule.deliveries():
-            for pixel in (delivery.even, delivery.odd):
-                if pixel is not None:
-                    assert pixel not in seen
-                    seen.add(pixel)
+        for timestamp in range(1, schedule.total_timestamps + 1):
+            for pixel in _delivered(schedule, timestamp):
+                assert pixel not in seen
+                seen.add(pixel)
         assert len(seen) == schedule.pixels_streamed()
 
     def test_average_rate_below_two_pixels_per_cycle(self):
         schedule = ColumnScanSchedule(5, 40)
-        assert schedule.average_pixels_per_cycle() <= 2.0
-        assert schedule.peak_pixels_per_cycle() == 2
+        stamps = range(1, schedule.total_timestamps + 1)
+        assert schedule.pixels_streamed() <= 2 * schedule.total_timestamps
+        assert max(len(_delivered(schedule, t)) for t in stamps) == 2
 
 
 class TestWindowEnumeration:
@@ -82,17 +104,11 @@ class TestWindowEnumeration:
         valid = [tag for tag in interior if tag.valid]
         assert len(valid) == 3 * (10 - 3 + 1)
 
-    def test_window_pixels_are_the_k_by_k_patch_in_column_major_order(self):
-        schedule = ColumnScanSchedule(3, 8)
-        pixels = schedule.window_pixels(1, 2)
-        assert pixels == [(1 + i, 2 + j) for j in range(3) for i in range(3)]
-
     def test_window_timestamps_are_consecutive(self):
         schedule = ColumnScanSchedule(3, 8)
         for tag in schedule.valid_windows():
-            stamps = [schedule.timestamp(r, c)
-                      for (r, c) in schedule.window_pixels(tag.out_row_in_stripe, tag.out_col)]
-            assert stamps == list(range(tag.timestamp - 8, tag.timestamp + 1))
+            assert (_window_timestamps(schedule, tag)
+                    == list(range(tag.timestamp - 8, tag.timestamp + 1)))
 
     def test_partial_stripe_produces_fewer_rows(self):
         schedule = ColumnScanSchedule(3, 8, stripe_rows=3)
@@ -100,47 +116,11 @@ class TestWindowEnumeration:
         rows = {tag.out_row_in_stripe for tag in schedule.valid_windows()}
         assert rows == {0}
 
-    def test_window_pixels_validation(self):
-        schedule = ColumnScanSchedule(3, 8)
-        with pytest.raises(ConfigurationError):
-            schedule.window_pixels(3, 0)
-        with pytest.raises(ConfigurationError):
-            schedule.window_pixels(0, 6)
-
     def test_utilization_approaches_one_for_wide_stripes(self):
         narrow = ColumnScanSchedule(3, 6).utilization()
         wide = ColumnScanSchedule(3, 200).utilization()
         assert wide > narrow
         assert wide > 0.97
-
-
-class TestPeSelection:
-    def test_selection_is_none_before_pipeline_reaches_pe(self):
-        schedule = ColumnScanSchedule(3, 8)
-        assert schedule.pe_channel_select(5, 3) is None
-
-    def test_pe_zero_follows_window_column_parity(self):
-        schedule = ColumnScanSchedule(3, 8)
-        # PE 0 at timestamp u serves the window starting at u; its column is
-        # the window's start column
-        assert schedule.pe_column(0, 1) == 0
-        assert schedule.pe_column(0, 4) == 1
-        assert schedule.pe_column(0, 7) == 2
-
-    def test_pe_column_includes_window_offset(self):
-        schedule = ColumnScanSchedule(3, 8)
-        # PE 6 (q=6 -> in-window column 2) of the first window is at column 2
-        assert schedule.pe_column(6, 7) == 2
-
-    def test_channel_names(self):
-        schedule = ColumnScanSchedule(3, 8)
-        assert schedule.pe_channel_select(0, 1) == "even"
-        assert schedule.pe_channel_select(0, 4) == "odd"
-
-    def test_pe_index_bounds(self):
-        schedule = ColumnScanSchedule(3, 8)
-        with pytest.raises(ConfigurationError):
-            schedule.pe_column(9, 10)
 
 
 class TestStripePlan:
@@ -168,7 +148,8 @@ class TestHypothesisInvariants:
     @settings(max_examples=50, deadline=None)
     def test_dual_channel_suffices_for_any_geometry(self, kernel, extra_width):
         schedule = ColumnScanSchedule(kernel, width=kernel + extra_width)
-        assert schedule.peak_pixels_per_cycle() <= 2
+        assert all(len(schedule.pixels_at(t)) <= 2
+                   for t in range(1, schedule.total_timestamps + 1))
 
     @given(kernel=st.integers(2, 6), extra_width=st.integers(0, 15),
            short=st.integers(0, 5))
@@ -192,6 +173,60 @@ class TestHypothesisInvariants:
     def test_window_pixels_all_streamed_before_completion(self, kernel, extra_width):
         schedule = ColumnScanSchedule(kernel, width=kernel + extra_width)
         for tag in schedule.valid_windows():
-            last = max(schedule.timestamp(r, c)
-                       for (r, c) in schedule.window_pixels(tag.out_row_in_stripe, tag.out_col))
-            assert last == tag.timestamp
+            assert max(_window_timestamps(schedule, tag)) == tag.timestamp
+
+
+class TestPairGeometry:
+    """The closed form of a pair's stripes against the schedules it sums."""
+
+    @pytest.mark.parametrize("k", range(1, 12))
+    def test_stripe_mac_count_matches_bruteforce(self, k):
+        # the window injected at streaming cycle s meets pixel
+        # (r0 + q % K, oc + q // K) at PE q; a MAC happens iff it is inside
+        for width in (k, k + 1, 2 * k + 3):
+            for rows in range(k, 2 * k):
+                expected = 0
+                for s in range(1, k * (width - 1) + rows + 1):
+                    oc, r0 = (s - 1) // k, (s - 1) % k
+                    expected += sum(1 for q in range(k * k)
+                                    if r0 + q % k < rows and oc + q // k < width)
+                assert stripe_mac_count(k, width, rows) == expected
+
+    @pytest.mark.parametrize("layer", [
+        ConvLayer("k1", 1, 1, 5, 7, kernel_size=1),
+        ConvLayer("k3p1", 1, 1, 9, 9, kernel_size=3, padding=1),
+        ConvLayer("k3s2", 1, 1, 13, 11, kernel_size=3, stride=2),
+        ConvLayer("k5s3p2", 1, 1, 12, 10, kernel_size=5, stride=3, padding=2),
+        ConvLayer("k7s2p3", 1, 1, 17, 15, kernel_size=7, stride=2, padding=3),
+        ConvLayer("k11s4", 1, 1, 27, 31, kernel_size=11, stride=4),
+    ], ids=lambda layer: layer.name)
+    def test_matches_a_walk_of_scan_schedules(self, layer):
+        k, width = layer.kernel_size, layer.padded_width
+        for height in range(1, k + 1):
+            schedules = [
+                ColumnScanSchedule(k, width, min(height + k - 1, layer.padded_height - base))
+                for base in range(0, layer.padded_height - k + 1, height)
+            ]
+            geometry = pair_geometry(layer, height)
+            assert geometry.stripes == len(schedules)
+            assert geometry.pixels_streamed == sum(s.pixels_streamed() for s in schedules)
+            assert geometry.scan_cycles == sum(s.total_timestamps for s in schedules)
+            assert geometry.drain_cycles == len(schedules) * (2 * k * k + 2)
+            assert geometry.windows_evaluated == sum(len(s.valid_windows())
+                                                     for s in schedules)
+            assert geometry.macs == sum(stripe_mac_count(k, width, s.stripe_rows)
+                                        for s in schedules)
+            assert geometry.windows_kept == int(stride_keep_mask(layer).sum())
+
+    def test_pair_geometry_covers_all_stride1_windows(self, tiny_layer):
+        geometry = pair_geometry(tiny_layer)
+        stride1_windows = ((tiny_layer.padded_height - tiny_layer.kernel_size + 1)
+                           * (tiny_layer.padded_width - tiny_layer.kernel_size + 1))
+        assert geometry.windows_evaluated == stride1_windows
+        assert geometry.windows_kept == tiny_layer.out_height * tiny_layer.out_width
+        assert geometry.primitive_cycles == geometry.scan_cycles + geometry.drain_cycles
+
+    def test_stripe_height_is_validated(self, tiny_layer):
+        for height in (0, tiny_layer.kernel_size + 1):
+            with pytest.raises(ConfigurationError):
+                pair_geometry(tiny_layer, height)

@@ -13,7 +13,9 @@ Their ofmaps must be equal bit for bit, and their counters must be equal or
 differ by a named closed-form term: the cycle simulator's primitive cycles
 add a pipeline drain of ``2K^2 + 2`` cycles per stripe to the functional
 scan cycles.  At engine level that drain and the kernel-load cycles are the
-whole gap between the ``cycle`` and ``functional`` per-batch times.  CI
+whole gap between the ``cycle`` and ``functional`` per-batch times.  The
+``detailed`` analytical model's pair cycles equal the register-accurate
+oracle's, so ``analytical-detailed`` and ``cycle`` report the same time.  CI
 treats skips in this module as failures.
 """
 
@@ -24,9 +26,10 @@ import pytest
 
 from repro.cnn.layer import ConvLayer
 from repro.cnn.quantize import quantize_layer_tensors
-from repro.cnn.zoo import alexnet
+from repro.cnn.zoo import alexnet, get_network
 from repro.core.config import ChainConfig
 from repro.core.mapper import LayerMapper
+from repro.core.performance import PerformanceModel
 from repro.engine import create_engine
 from repro.sim.cycle import CycleAccurateChainSimulator
 from repro.sim.cycle.oracle import register_level_layer
@@ -69,11 +72,17 @@ def _drain_cycles(layer: ConvLayer) -> int:
     """Pipeline-drain primitive cycles of the whole layer: 2K^2+2 per stripe.
 
     Counted here from the stripe plan, not read from
-    :func:`repro.sim.cycle.pair_geometry`, so a wrong drain there shows.
+    :func:`repro.core.scan.pair_geometry`, so a wrong drain there shows.
     """
     k = layer.kernel_size
     stripes_per_pair = len(range(0, layer.padded_height - k + 1, k))
     return stripes_per_pair * layer.channel_pairs() * (2 * k * k + 2)
+
+
+@pytest.fixture(scope="module")
+def cycle_engine():
+    """One engine for the module: it simulates each network once."""
+    return create_engine("cycle")
 
 
 @pytest.mark.parametrize("seed", range(RANDOM_LAYERS))
@@ -106,11 +115,23 @@ def test_random_layer_paths_agree(seed):
     k = layer.kernel_size
     assert cycle.primitive_cycles == (scan.primitive_cycles
                                       + scan.stripes_processed * (2 * k * k + 2))
+    detailed = PerformanceModel(mode="detailed").pair_cycles(layer)
+    assert detailed * layer.channel_pairs() == register_stats.primitive_cycles
 
 
-def test_alexnet_cycle_minus_functional_is_drain_plus_kernel_load():
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("name", ["alexnet", "vgg16", "lenet5", "cifar10"])
+def test_detailed_analytical_time_equals_cycle_time(cycle_engine, name, batch):
+    network = get_network(name)
+    cycle = cycle_engine.evaluate(network, ChainConfig(), batch)
+    detailed = create_engine("analytical-detailed").evaluate(network, ChainConfig(), batch)
+    assert (detailed.metric("total_time_per_batch_s")
+            == cycle.metric("total_time_per_batch_s"))
+
+
+def test_alexnet_cycle_minus_functional_is_drain_plus_kernel_load(cycle_engine):
     network, config, batch = alexnet(), ChainConfig(), 4
-    cycle = create_engine("cycle").evaluate(network, config, batch)
+    cycle = cycle_engine.evaluate(network, config, batch)
     functional = create_engine("functional").evaluate(network, config, batch)
 
     mapper = LayerMapper(config)

@@ -144,17 +144,18 @@ class TestCycleAccounting:
                     * tiny_layer.in_channels_per_group)
         assert result.stats.outputs_collected == expected
 
-    def test_detailed_analytical_model_brackets_simulated_cycles(self, tiny_layer):
-        """The detailed analytical cycle count stays within ~15 % of simulation."""
+    def test_detailed_analytical_model_equals_simulated_cycles(self, tiny_layer,
+                                                               strided_layer):
+        """The detailed analytical cycle count is the simulated one, strided too."""
         config = ChainConfig()
         simulator = CycleAccurateChainSimulator(config)
-        ifmaps, weights = _tensors(tiny_layer)
-        sim_result = simulator.run_layer(tiny_layer, ifmaps, weights)
         detailed = PerformanceModel(config, mode="detailed")
-        mapping = detailed.mapper.map_layer(tiny_layer)
-        predicted_primitive_cycles = detailed.pair_cycles(tiny_layer) * mapping.channel_pairs
-        assert sim_result.stats.primitive_cycles == pytest.approx(
-            predicted_primitive_cycles, rel=0.15)
+        for layer in (tiny_layer, strided_layer):
+            ifmaps, weights = _tensors(layer)
+            sim_result = simulator.run_layer(layer, ifmaps, weights)
+            mapping = detailed.mapper.map_layer(layer)
+            predicted_primitive_cycles = detailed.pair_cycles(layer) * mapping.channel_pairs
+            assert sim_result.stats.primitive_cycles == predicted_primitive_cycles
 
     def test_stats_expose_formats(self, simulator, tiny_layer):
         ifmaps, weights = _tensors(tiny_layer)

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cnn.reference import conv2d_single_channel
+from repro.core.scan import stripe_mac_count
 from repro.errors import CapacityError, MappingError
 from repro.hwmodel.fixed_point import FixedPointFormat
-from repro.sim.cycle import stripe_mac_count
 from repro.sim.cycle.oracle import (
     DualChannelPE,
     PEInputs,

@@ -10,11 +10,7 @@ from repro.cnn.layer import ConvLayer
 from repro.cnn.zoo import alexnet
 from repro.core.config import ChainConfig
 from repro.core.mapper import LayerMapper
-from repro.sim.cycle import (
-    CycleAccurateChainSimulator,
-    pair_geometry,
-    stripe_mac_count,
-)
+from repro.sim.cycle import CycleAccurateChainSimulator
 from repro.sim.cycle.oracle import register_level_layer
 
 
@@ -108,21 +104,3 @@ class TestAlexNetScale:
         assert result.stats.pairs_processed == layer.channel_pairs()
         assert result.stats.macs >= layer.macs
 
-
-class TestGeometryHelpers:
-    def test_stripe_mac_count_matches_bruteforce(self):
-        for k, width, rows in ((3, 7, 5), (3, 9, 3), (5, 11, 9), (5, 8, 6), (11, 23, 21)):
-            total = k * (width - 1) + rows
-            expected = 0
-            for s in range(1, total + 1):
-                oc, r0 = (s - 1) // k, (s - 1) % k
-                expected += max(0, min(k, width - oc)) * max(0, min(k, rows - r0))
-            assert stripe_mac_count(k, width, rows) == expected
-
-    def test_pair_geometry_covers_all_stride1_windows(self, tiny_layer):
-        geometry = pair_geometry(tiny_layer)
-        stride1_windows = ((tiny_layer.padded_height - tiny_layer.kernel_size + 1)
-                           * (tiny_layer.padded_width - tiny_layer.kernel_size + 1))
-        assert geometry.valid_windows == stride1_windows
-        assert geometry.outputs_kept == tiny_layer.out_height * tiny_layer.out_width
-        assert geometry.outputs_discarded == stride1_windows - geometry.outputs_kept

@@ -28,12 +28,12 @@ from repro.cnn.quantize import choose_format
 from repro.cnn.reference import conv2d_direct, conv2d_im2col, pad_input, strided_windows
 from repro.cnn.zoo import alexnet, lenet5, tiny_test_network
 from repro.core.config import ChainConfig
+from repro.core.scan import pair_geometry
 from repro.errors import SimulationError, WorkloadError
 from repro.hwmodel.fixed_point import check_exact_accumulation, on_fixed_point_grid
 from repro.kernels.numpy_backend import GEMM_BLOCK_BYTES
 from repro.sim.functional import FunctionalChainSimulator, scalar_window_walk
 from repro.sim.functional_vectorized import (
-    pair_window_stats,
     stride_keep_mask,
     vectorized_layer_ofmaps,
     vectorized_ofmap_block,
@@ -140,7 +140,7 @@ class TestClosedFormCounters:
 
     def test_pair_stats_match_mask(self):
         layer = ConvLayer("pairs", 1, 1, 15, 15, kernel_size=5, stride=4, padding=2)
-        per_pair = pair_window_stats(layer)
+        per_pair = pair_geometry(layer)
         assert per_pair.windows_kept == int(stride_keep_mask(layer).sum())
         assert per_pair.windows_evaluated >= per_pair.windows_kept
 
